@@ -37,13 +37,7 @@ from .errors import (
     ParseError,
     UnknownKey,
 )
-from .preprocess import (
-    BilateralParams,
-    background_rows,
-    bilateral_filter,
-    default_radius,
-    estimate_sigma_r,
-)
+from .preprocess import denoise
 from .retinagraph import roi_mask, segment_layers
 from .rng import SplitMix64, derive_seed
 from .samplekit import (
@@ -172,17 +166,11 @@ def _cmd_phantom(args, cfg: Config) -> int:
     return 0
 
 
-def _denoise(image: np.ndarray, cfg: Config) -> np.ndarray:
-    sigma_r = estimate_sigma_r(image, background_rows(image.shape[0]))
-    params = BilateralParams(cfg.sigma_d, sigma_r, default_radius(cfg.sigma_d))
-    return bilateral_filter(image, params)
-
-
 def _cmd_denoise(args, cfg: Config) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     image = read_pgm(args.input)
-    write_pgm(_denoise(image, cfg), out / f"{Path(args.input).stem}_denoised.pgm")
+    write_pgm(denoise(image, cfg.sigma_d), out / f"{Path(args.input).stem}_denoised.pgm")
     return 0
 
 
@@ -191,7 +179,7 @@ def _cmd_layers(args, cfg: Config) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
     image = read_pgm(args.input)
-    denoised = _denoise(image, cfg)
+    denoised = denoise(image, cfg.sigma_d)
     ilm, ism = segment_layers(denoised, cfg.w_min)
     roi = roi_mask(ilm, ism, *denoised.shape)
 
@@ -234,6 +222,13 @@ def _cmd_prepare(args, cfg: Config) -> int:
     return 0
 
 
+def _sample_paths(sample_dir) -> list[Path]:
+    """Prepared samples written by `prepare`, sorted; target rasters excluded."""
+    return sorted(
+        p for p in Path(sample_dir).glob("*.octf") if not p.stem.endswith(("_target", "_target2"))
+    )
+
+
 def _load_training_data(args, cfg: Config) -> list[tuple[Sample, np.ndarray]]:
     data = []
     if args.manifest:
@@ -243,11 +238,7 @@ def _load_training_data(args, cfg: Config) -> list[tuple[Sample, np.ndarray]]:
             target = _padded_target(record.mask_path, cfg)
             data.append((sample, target))
     elif args.samples:
-        sample_dir = Path(args.samples)
-        paths = sorted(
-            p for p in sample_dir.glob("*.octf") if not p.stem.endswith(("_target", "_target2"))
-        )
-        for p in paths:
+        for p in _sample_paths(args.samples):
             target_path = p.with_name(p.stem + "_target.octf")
             if not target_path.is_file():
                 raise MissingFile(f"no target raster for {p}")
@@ -289,9 +280,7 @@ def _cmd_predict(args, cfg: Config) -> int:
         for record in manifest.records:
             items.append((record.image_path.stem, _prepare_one(record.image_path, cfg)))
     elif args.samples:
-        for p in sorted(Path(args.samples).glob("*.octf")):
-            if p.stem.endswith(("_target", "_target2")):
-                continue
+        for p in _sample_paths(args.samples):
             items.append((p.stem, load_sample(p)))
     if not items:
         raise EmptyDataset("nothing to predict")
@@ -448,6 +437,8 @@ def run(argv) -> int:
     try:
         cfg = parse_config(args.config) if args.config else Config()
         _unet_config(cfg, 0).validate()  # cross-field checks (depth vs dropout)
+        if cfg.ref_rows % 2**cfg.depth or cfg.ref_cols % 2**cfg.depth:
+            raise InvalidConfig(f"reference frame is not divisible by 2**depth = {2**cfg.depth}")
     except (UnknownKey, ParseError, MissingFile, InvalidConfig) as e:
         print(f"octcyst: config error: {e}", file=sys.stderr)
         return 2

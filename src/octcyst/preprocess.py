@@ -47,6 +47,13 @@ def background_rows(rows: int) -> int:
     return min(rows, max(8, rows // 10))
 
 
+def denoise(image: np.ndarray, sigma_d: float = DEFAULT_SIGMA_D) -> np.ndarray:
+    """The denoising stage: bilateral filter with sigma_r estimated from the
+    background band and the default radius for sigma_d."""
+    sigma_r = estimate_sigma_r(image, background_rows(image.shape[0]))
+    return bilateral_filter(image, BilateralParams(sigma_d, sigma_r, default_radius(sigma_d)))
+
+
 def bilateral_filter(image: np.ndarray, params: BilateralParams) -> np.ndarray:
     """Edge-preserving smoothing.
 

@@ -11,7 +11,6 @@ and the second boundary is searched on the remaining side.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 
@@ -74,55 +73,39 @@ def path_cost(field: np.ndarray, path: np.ndarray, w_min: float) -> float:
     return cost
 
 
-def _dijkstra(field: np.ndarray, w_min: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _column_search(field: np.ndarray, w_min: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Minimum-weight path restricted per column to rows [lo[c], hi[c]).
 
-    Heap entries order by (distance, row, insertion sequence) so that ties
-    settle toward smaller rows first, then earlier insertion; relaxation is
-    strict, so each node keeps the first parent that reached its final
-    distance."""
+    Every edge runs from column c to column c+1, so distances follow a
+    min-plus recurrence over columns, vectorized over rows.  Predecessors
+    r-1, r, r+1 are scanned in that order and one replaces the best when it
+    is strictly cheaper, or equally cheap from a strictly smaller distance;
+    the end row is the first argmin.  This is the path a heap Dijkstra
+    settles under (distance, row) pop order with strict relaxation."""
     rows, cols = field.shape
-    dist = np.full((rows, cols), np.inf)
-    parent = np.full((rows, cols), -1, dtype=np.int64)
-    settled = np.zeros((rows, cols), dtype=bool)
-
-    heap = []
-    seq = 0
-    for r in range(lo[0], hi[0]):
-        dist[r, 0] = w_min
-        heapq.heappush(heap, (w_min, r, seq, 0))
-        seq += 1
-
-    end_row = -1
-    while heap:
-        d, r, _, c = heapq.heappop(heap)
-        if settled[r, c]:
-            continue
-        settled[r, c] = True
-        if c == cols - 1:
-            # all sink edges cost w_min, so the first settled
-            # last-column node ends the minimum path
-            end_row = r
-            break
-        g_a = field[r, c]
-        nc = c + 1
-        for nr in (r - 1, r, r + 1):
-            if nr < lo[nc] or nr >= hi[nc]:
-                continue
-            nd = d + 2.0 - (g_a + field[nr, nc]) + w_min
-            if nd < dist[nr, nc]:
-                dist[nr, nc] = nd
-                parent[nr, nc] = r
-                heapq.heappush(heap, (nd, nr, seq, nc))
-                seq += 1
-
-    if end_row < 0:
-        raise EmptyField("no admissible path through the field")
+    row_idx = np.arange(rows)
+    outside = (row_idx < lo[:, None]) | (row_idx >= hi[:, None])
+    g_pad = np.pad(field, ((1, 1), (0, 0)))
+    d_pad = np.full(rows + 2, np.inf)
+    dist = np.where(outside[0], np.inf, w_min)
+    step = np.zeros((cols, rows), dtype=np.int8)  # predecessor row offset
+    for c in range(1, cols):
+        d_pad[1:-1] = dist
+        best = best_d = np.full(rows, np.inf)
+        for k in (-1, 0, 1):
+            d = d_pad[1 + k : 1 + k + rows]
+            cand = d + 2.0 - (g_pad[1 + k : 1 + k + rows, c - 1] + field[:, c]) + w_min
+            take = (cand < best) | ((cand == best) & (d < best_d))
+            best, best_d = np.where(take, cand, best), np.where(take, d, best_d)
+            step[c, take] = k
+        dist = np.where(outside[c], np.inf, best)
 
     path = np.empty(cols, dtype=np.int64)
-    path[cols - 1] = end_row
+    path[-1] = np.argmin(dist)
+    if dist[path[-1]] == np.inf:
+        raise EmptyField("no admissible path through the field")
     for c in range(cols - 1, 0, -1):
-        path[c - 1] = parent[path[c], c]
+        path[c - 1] = path[c] + step[c, path[c]]
     return path
 
 
@@ -134,7 +117,7 @@ def shortest_layer_path(field: np.ndarray, w_min: float = DEFAULT_W_MIN) -> np.n
     rows, cols = f.shape
     lo = np.zeros(cols, dtype=np.int64)
     hi = np.full(cols, rows, dtype=np.int64)
-    return _dijkstra(f, w_min, lo, hi)
+    return _column_search(f, w_min, lo, hi)
 
 
 def classify_layer(image: np.ndarray, path: np.ndarray) -> LayerKind:
@@ -183,7 +166,7 @@ def segment_layers(
         hi = np.full(cols, rows, dtype=np.int64)
     if int((hi - lo).min()) < 3:
         raise SubgraphTooThin("cut leaves fewer than 3 rows to search")
-    second = _dijkstra(field, w_min, lo, hi)
+    second = _column_search(field, w_min, lo, hi)
 
     ilm, ism = (second, first) if kind is LayerKind.ISM else (first, second)
     if not np.all(ilm < ism):

@@ -17,14 +17,7 @@ import numpy as np
 
 from .dataio.formats import atomic_write_bytes, read_float_raster, write_float_raster
 from .errors import DimMismatch, TooLarge, WindowOutOfBounds
-from .preprocess import (
-    DEFAULT_SIGMA_D,
-    BilateralParams,
-    background_rows,
-    bilateral_filter,
-    default_radius,
-    estimate_sigma_r,
-)
+from .preprocess import DEFAULT_SIGMA_D, denoise
 from .retinagraph import DEFAULT_W_MIN, roi_mask, segment_layers
 
 
@@ -117,9 +110,7 @@ def prepare_sample(
     """Full preparation: denoise, segment layers, build ROI, pad, stack."""
     img = np.asarray(image)
     rows, cols = img.shape
-    sigma_r = estimate_sigma_r(img, background_rows(rows))
-    params = BilateralParams(sigma_d, sigma_r, default_radius(sigma_d))
-    denoised = bilateral_filter(img, params)
+    denoised = denoise(img, sigma_d)
     ilm, ism = segment_layers(denoised, w_min)
     roi = roi_mask(ilm, ism, rows, cols)
     norm = normalize(denoised)

@@ -89,6 +89,10 @@ class ParamStore:
         return {n: t.data.copy() for n, t in self._params.items()}
 
     def set_values(self, values: dict[str, np.ndarray]) -> None:
+        """Replace every parameter; the names and shapes must match exactly."""
+        missing = sorted(set(self._params) - set(values))
+        if missing:
+            raise ShapeMismatch(f"missing parameters: {', '.join(missing)}")
         for name, arr in values.items():
             if name not in self._params:
                 raise ShapeMismatch(f"unknown parameter: {name}")

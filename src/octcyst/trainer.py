@@ -258,6 +258,9 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a save_checkpoint file.  The tensors must be exactly those of
+    build_unet(config), each once, name for name and shape for shape, and
+    nothing may follow the last one."""
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != CHECKPOINT_MAGIC:
         raise BadMagic(f"{path}: not a checkpoint file")
@@ -274,10 +277,15 @@ def load_checkpoint(path) -> Checkpoint:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", r.take(2))
         name = r.take(name_len).decode("utf-8")
+        if name in values:
+            raise ConfigMismatch(f"{path}: tensor {name} appears twice")
         (rank,) = struct.unpack("<B", r.take(1))
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
         n = int(np.prod(dims)) if rank else 1
         values[name] = (
             np.frombuffer(r.take(4 * n), dtype="<f4").reshape(dims).astype(np.float32)
         )
+    if r.pos != len(data):
+        raise ConfigMismatch(f"{path}: {len(data) - r.pos} trailing bytes after the last tensor")
+    build_unet(cfg)[1].set_values(values)
     return Checkpoint(cfg, values)

@@ -95,6 +95,16 @@ def test_config_cross_field_error_exit_code(tmp_path):
     assert run(["phantom", "--config", str(p), "--out", str(out)]) == 2
 
 
+def test_config_ref_dims_not_divisible_exit_code(tmp_path):
+    # depth 3 halves the frame three times: 100 rows is not a multiple of 8
+    out = tmp_path / "o"
+    for key in ("ref_rows", "ref_cols"):
+        p = tmp_path / f"{key}.cfg"
+        p.write_text(f"{key} = 100\ndepth = 3\n")
+        assert run(["phantom", "--config", str(p), "--count", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # --- phantom -----------------------------------------------------------------
 
 

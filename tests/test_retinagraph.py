@@ -13,6 +13,7 @@ from octcyst.errors import (
 )
 from octcyst.retinagraph import (
     LayerKind,
+    _column_search,
     classify_layer,
     edge_weight,
     path_cost,
@@ -50,8 +51,9 @@ def enumerate_min_cost(field, w_min):
     return best
 
 
-def dp_tiebreak_path(field, w_min):
-    """Minimum-cost path under the stated tie-break.
+def dp_tiebreak_path(field, w_min, lo=None, hi=None):
+    """Minimum-cost path under the stated tie-break, optionally restricted
+    per column to rows [lo[c], hi[c]); (None, inf) when no path exists.
 
     Distances come from a column DP.  The endpoint is the smallest row
     among minimal last-column distances; walking left, each node's parent
@@ -60,24 +62,32 @@ def dp_tiebreak_path(field, w_min):
     insertion) pop order with strict relaxation.
     """
     rows, cols = field.shape
+    lo = np.zeros(cols, dtype=int) if lo is None else lo
+    hi = np.full(cols, rows) if hi is None else hi
     dist = np.full((rows, cols), np.inf)
-    dist[:, 0] = w_min
+    dist[lo[0] : hi[0], 0] = w_min
+
+    def cand(pr, r, c):
+        return dist[pr, c - 1] + 2 - (field[pr, c - 1] + field[r, c]) + w_min
+
     for c in range(1, cols):
-        for r in range(rows):
+        for r in range(lo[c], hi[c]):
             for pr in (r - 1, r, r + 1):
-                if 0 <= pr < rows:
-                    cand = dist[pr, c - 1] + 2 - (field[pr, c - 1] + field[r, c]) + w_min
-                    dist[r, c] = min(dist[r, c], cand)
+                if lo[c - 1] <= pr < hi[c - 1]:
+                    dist[r, c] = min(dist[r, c], cand(pr, r, c))
     end = min(range(rows), key=lambda r: (dist[r, cols - 1], r))
+    if dist[end, cols - 1] == np.inf:
+        return None, np.inf
     path = [end]
     for c in range(cols - 1, 0, -1):
         r = path[-1]
-        cands = []
-        for pr in (r - 1, r, r + 1):
-            if 0 <= pr < rows:
-                w = 2 - (field[pr, c - 1] + field[r, c]) + w_min
-                if abs(dist[pr, c - 1] + w - dist[r, c]) <= 1e-12:
-                    cands.append(pr)
+        # exact comparison: with forced ties, distances a few ulps apart
+        # are distinct, and only the exactly minimal candidates compete
+        cands = [
+            pr
+            for pr in (r - 1, r, r + 1)
+            if lo[c - 1] <= pr < hi[c - 1] and cand(pr, r, c) == dist[r, c]
+        ]
         path.append(min(cands, key=lambda pr: (dist[pr, c - 1], pr)))
     return np.array(path[::-1]), dist[end, cols - 1] + w_min
 
@@ -152,15 +162,40 @@ def test_empty_field_rejected():
 
 def test_dijkstra_matches_enumeration_on_random_fields():
     rng = np.random.default_rng(123)
-    for _ in range(50):
-        field = rng.random((6, 8))
-        path = shortest_layer_path(field, 1e-5)
-        cost = path_cost(field, path, 1e-5)
-        assert abs(cost - enumerate_min_cost(field, 1e-5)) <= 1e-12
-        oracle_path, oracle_cost = dp_tiebreak_path(field, 1e-5)
-        assert abs(cost - oracle_cost) <= 1e-12
-        assert np.array_equal(path, oracle_path)
-        assert np.all(np.abs(np.diff(path)) <= 1)
+
+    def quantized(shape):
+        # values in {0, .5, 1} force many equal-cost paths
+        return rng.choice([0.0, 0.5, 1.0], size=shape)
+
+    for make_field in (rng.random, quantized):
+        for _ in range(50):
+            field = make_field((6, 8))
+            path = shortest_layer_path(field, 1e-5)
+            cost = path_cost(field, path, 1e-5)
+            assert abs(cost - enumerate_min_cost(field, 1e-5)) <= 1e-12
+            oracle_path, oracle_cost = dp_tiebreak_path(field, 1e-5)
+            assert abs(cost - oracle_cost) <= 1e-12
+            assert np.array_equal(path, oracle_path)
+            assert np.all(np.abs(np.diff(path)) <= 1)
+
+    # restricted windows, as the second search of segment_layers uses them:
+    # a band around a random walk, like a cut beside a found path
+    for make_field in (rng.random, quantized):
+        for _ in range(50):
+            field = make_field((8, 8))
+            walk = np.clip(3 + np.cumsum(rng.integers(-1, 2, size=8)), 0, 7)
+            lo = np.maximum(walk - rng.integers(0, 3, size=8), 0)
+            hi = np.minimum(walk + rng.integers(1, 4, size=8), 8)
+            path = _column_search(field, 1e-5, lo, hi)
+            oracle_path, oracle_cost = dp_tiebreak_path(field, 1e-5, lo, hi)
+            assert np.array_equal(path, oracle_path)
+            assert abs(path_cost(field, path, 1e-5) - oracle_cost) <= 1e-12
+            assert np.all((lo <= path) & (path < hi))
+    # a window closed in one column admits no path
+    hi[4] = lo[4]
+    assert dp_tiebreak_path(field, 1e-5, lo, hi)[0] is None
+    with pytest.raises(EmptyField):
+        _column_search(field, 1e-5, lo, hi)
 
 
 def test_dijkstra_matches_enumeration_across_sizes():

@@ -457,6 +457,18 @@ def test_forward_rejects_bad_shapes():
         net.forward(np.zeros((2, 6, 8), dtype=np.float32))
 
 
+def test_set_values_rejects_unknown_missing_and_misshapen_names():
+    _, store = build_unet(_tiny_cfg())
+    values = store.values()
+    with pytest.raises(ShapeMismatch, match="unknown"):
+        store.set_values({**values, "extra.w": np.zeros(1, dtype=np.float32)})
+    with pytest.raises(ShapeMismatch, match="head.w"):
+        store.set_values({n: v for n, v in values.items() if n != "head.w"})
+    with pytest.raises(ShapeMismatch, match="head.b"):
+        store.set_values({**values, "head.b": np.zeros(2, dtype=np.float32)})
+    store.set_values(values)
+
+
 # --- backward ------------------------------------------------------------------
 
 

@@ -312,6 +312,53 @@ def test_checkpoint_truncated(tmp_path):
         load_checkpoint(tmp_path / "cut.bin")
 
 
+def test_checkpoint_missing_tensor_rejected(tmp_path):
+    cfg = _tiny_cfg()
+    _, store = build_unet(cfg)
+    values = store.values()
+    del values["head.w"]
+    save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
+    with pytest.raises(ShapeMismatch, match="head.w"):
+        load_checkpoint(tmp_path / "cp.bin")
+
+
+def test_checkpoint_wrong_tensor_shape_rejected(tmp_path):
+    cfg = _tiny_cfg()
+    _, store = build_unet(cfg)
+    values = store.values()
+    values["head.b"] = np.zeros(2, dtype=np.float32)
+    save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
+    with pytest.raises(ShapeMismatch, match="head.b"):
+        load_checkpoint(tmp_path / "cp.bin")
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    cfg = _tiny_cfg()
+    _, store = build_unet(cfg)
+    save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
+    data = (tmp_path / "cp.bin").read_bytes()
+    (tmp_path / "long.bin").write_bytes(data + bytes(4))
+    with pytest.raises(ConfigMismatch, match="4 trailing bytes"):
+        load_checkpoint(tmp_path / "long.bin")
+
+
+def test_checkpoint_repeated_tensor_rejected(tmp_path):
+    import struct
+
+    cfg = _tiny_cfg()
+    _, store = build_unet(cfg)
+    save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
+    data = bytearray((tmp_path / "cp.bin").read_bytes())
+    # one more table entry that repeats head.b with another value
+    count_at = 12 + struct.unpack_from("<I", data, 8)[0]
+    struct.pack_into("<I", data, count_at, struct.unpack_from("<I", data, count_at)[0] + 1)
+    data += struct.pack("<H", 6) + b"head.b" + struct.pack("<BI", 1, 1)
+    data += np.full(1, 7.0, dtype="<f4").tobytes()
+    (tmp_path / "dup.bin").write_bytes(bytes(data))
+    with pytest.raises(ConfigMismatch, match="head.b"):
+        load_checkpoint(tmp_path / "dup.bin")
+
+
 def test_checkpoint_config_mismatch(tmp_path):
     import struct
 
