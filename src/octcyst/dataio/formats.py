@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +29,21 @@ OCTF_VERSION = 1
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write bytes to `path` via a temp file in the same directory."""
+    """Write bytes to `path` via a uniquely named temp file in the same
+    directory (umask-derived mode), removed if the write fails."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as e:
         raise IoFailure(f"cannot write {path}: {e}") from e
 
@@ -81,10 +90,11 @@ def read_pgm(path) -> np.ndarray:
     if maxval != 255:
         raise UnsupportedMaxval(f"{path}: maxval {maxval}, only 255 supported")
     # exactly one whitespace byte separates header from raster data
-    start = end + 1
-    raster = data[start : start + rows * cols]
+    raster = data[end + 1 :]
     if len(raster) < rows * cols:
         raise TruncatedData(f"{path}: expected {rows * cols} pixels, got {len(raster)}")
+    if len(raster) > rows * cols:
+        raise MalformedHeader(f"{path}: {len(raster) - rows * cols} bytes after the raster")
     return np.frombuffer(raster, dtype=np.uint8).reshape(rows, cols).copy()
 
 
@@ -128,7 +138,8 @@ def write_float_raster(values: np.ndarray, path) -> None:
 
 
 def read_float_raster(path) -> np.ndarray:
-    """Read an OCTF raster as a float32 array of (channels, rows, cols)."""
+    """Read an OCTF raster as a float32 array of (channels, rows, cols); the
+    file must hold exactly the values its header declares, all finite."""
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != OCTF_MAGIC:
         raise BadMagic(f"{path}: not an OCTF raster")
@@ -138,11 +149,12 @@ def read_float_raster(path) -> np.ndarray:
     if version != OCTF_VERSION:
         raise VersionMismatch(f"{path}: version {version}, expected {OCTF_VERSION}")
     count = rows * cols * channels
-    raster = data[20 : 20 + 4 * count]
+    raster = data[20:]
     if len(raster) < 4 * count:
         raise TruncatedData(f"{path}: expected {count} floats, got {len(raster) // 4}")
-    return (
-        np.frombuffer(raster, dtype="<f4")
-        .reshape(channels, rows, cols)
-        .astype(np.float32)
-    )
+    if len(raster) > 4 * count:
+        raise MalformedHeader(f"{path}: {len(raster) - 4 * count} bytes after the raster")
+    values = np.frombuffer(raster, dtype="<f4").reshape(channels, rows, cols).astype(np.float32)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteValue(f"{path}: raster contains non-finite values")
+    return values

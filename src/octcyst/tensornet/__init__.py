@@ -11,10 +11,8 @@ from .layers import (
 from .tensor import (
     Tensor,
     backward,
-    clamp,
     concat,
     grad_enabled,
-    log,
     mean,
     no_grad,
     relu,
@@ -33,12 +31,10 @@ __all__ = [
     "attention_gate",
     "backward",
     "build_unet",
-    "clamp",
     "concat",
     "conv2d",
     "dropout",
     "grad_enabled",
-    "log",
     "max_pool2",
     "mean",
     "no_grad",

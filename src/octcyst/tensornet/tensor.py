@@ -179,24 +179,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _attach(out, (x,), _bw)
 
 
-def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data))
-
-    def _bw():
-        _accum(x, out.grad / x.data)
-
-    return _attach(out, (x,), _bw)
-
-
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    out = Tensor(np.clip(x.data, lo, hi))
-
-    def _bw():
-        _accum(x, out.grad * ((x.data >= lo) & (x.data <= hi)))
-
-    return _attach(out, (x,), _bw)
-
-
 def mean(x: Tensor) -> Tensor:
     out = Tensor(np.asarray(x.data.mean(), dtype=x.data.dtype))
 
@@ -224,7 +206,8 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
 
 def backward(loss: Tensor, grad: float = 1.0) -> None:
     """Backpropagate from `loss`, accumulating into .grad of every tensor
-    that requires gradients.  `grad` seeds the upstream gradient."""
+    that requires gradients.  `grad` seeds the upstream gradient.  The graph
+    is released as it runs, so a second call on `loss` raises NoRecordedGraph."""
     if not loss._parents and loss._backward is None:
         raise NoRecordedGraph(
             "tensor has no recorded graph; run the forward pass with "
@@ -249,3 +232,6 @@ def backward(loss: Tensor, grad: float = 1.0) -> None:
     for node in reversed(topo):
         if node._backward is not None:
             node._backward()
+        # closure -> output tensor -> closure: only releasing breaks the cycle
+        node._backward = None
+        node._parents = ()

@@ -20,7 +20,7 @@ from .layers import (
     max_pool2,
     transposed_conv2d,
 )
-from .tensor import Tensor, concat, relu, sigmoid
+from .tensor import Tensor, concat, relu
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ class UNet:
         )
 
     def forward(self, x, training: bool = False, seed: int = 0) -> Tensor:
-        """Probability map (1, H, W) with values strictly in (0, 1).
+        """Logit map (1, H, W): the head convolution, before any sigmoid.
 
         Dropout fires only when `training` is set, with masks derived from
         `seed`; eval mode is deterministic."""
@@ -188,7 +188,7 @@ class UNet:
             cur = relu(conv2d(cur, s[f"dec{lvl}.conv1.w"], s[f"dec{lvl}.conv1.b"]))
             cur = relu(conv2d(cur, s[f"dec{lvl}.conv2.w"], s[f"dec{lvl}.conv2.b"]))
 
-        return sigmoid(conv2d(cur, s["head.w"], s["head.b"]))
+        return conv2d(cur, s["head.w"], s["head.b"])
 
 
 def build_unet(cfg: UNetConfig, dtype=np.float32) -> tuple[UNet, ParamStore]:

@@ -22,6 +22,7 @@ from .errors import (
     ConfigMismatch,
     DimMismatch,
     EmptyDataset,
+    NonFiniteValue,
     ShapeMismatch,
     StateShapeMismatch,
     TruncatedData,
@@ -29,7 +30,7 @@ from .errors import (
 from .rng import SplitMix64, derive_seed
 from .samplekit import Sample, crop_from_reference
 from .tensornet import ParamStore, Tensor, UNetConfig, backward, build_unet, no_grad
-from .tensornet.tensor import clamp, log, mean
+from .tensornet.tensor import _accum, _attach, _sigmoid_data
 
 CHECKPOINT_MAGIC = b"UNCK"
 CHECKPOINT_VERSION = 1
@@ -44,25 +45,29 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    clamp_eps: float = 1e-7
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if not 0.0 < self.clamp_eps < 0.5:
-            raise ValueError("clamp_eps must be in (0, 0.5)")
 
 
-def bce_loss(pred: Tensor, target: np.ndarray, clamp_eps: float = 1e-7) -> Tensor:
-    """Mean binary cross-entropy; predictions are clamped away from 0/1."""
-    t = np.asarray(target, dtype=pred.data.dtype)
-    if t.shape != pred.data.shape:
-        raise ShapeMismatch(f"prediction {pred.data.shape} vs target {t.shape}")
-    p = clamp(pred, clamp_eps, 1.0 - clamp_eps)
-    ll = log(p) * t + log(p * -1.0 + 1.0) * (1.0 - t)
-    return mean(ll) * -1.0
+def bce_loss(logits: Tensor, target: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy of sigmoid(logits), as the stable
+    max(z, 0) - z*t + log1p(exp(-|z|)); its gradient (sigmoid(z) - t) / N
+    still corrects a pixel whose probability saturated at the wrong end."""
+    z = logits.data
+    t = np.asarray(target, dtype=z.dtype)
+    if t.shape != z.shape:
+        raise ShapeMismatch(f"logits {z.shape} vs target {t.shape}")
+    per_pixel = np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))
+    out = Tensor(np.asarray(per_pixel.mean(), dtype=z.dtype))
+
+    def _bw():
+        _accum(logits, (_sigmoid_data(z) - t) * (out.grad / z.size))
+
+    return _attach(out, (logits,), _bw)
 
 
 @dataclass
@@ -115,7 +120,8 @@ def train(
 ) -> Checkpoint:
     """Train on (sample, target) pairs; targets are {0,1} masks padded to
     the same reference frame as the samples.  Calls log_fn(epoch, mean_loss)
-    after each epoch and returns the final checkpoint."""
+    after each epoch and returns the final checkpoint.  A non-finite loss or
+    gradient raises NonFiniteValue naming the epoch and batch."""
     if len(data) == 0:
         raise EmptyDataset("no training samples")
     ref_shape = data[0][0].values.shape
@@ -146,9 +152,15 @@ def train(
                     training=True,
                     seed=derive_seed(train_cfg.seed, epoch, batch_no, k),
                 )
-                loss = bce_loss(out, target[None, :, :], train_cfg.clamp_eps)
+                loss = bce_loss(out, target[None, :, :])
                 backward(loss, grad=1.0 / len(batch))
                 epoch_losses.append(loss.item())
+            where = f"epoch {epoch}, batch {batch_no}"
+            if not np.all(np.isfinite(epoch_losses[-len(batch) :])):
+                raise NonFiniteValue(f"{where}: non-finite training loss")
+            for name, tensor in params.items():
+                if not np.all(np.isfinite(tensor.grad)):
+                    raise NonFiniteValue(f"{where}: non-finite gradient of {name}")
             adam_step(params, state, train_cfg)
         if log_fn is not None:
             log_fn(epoch, float(np.mean(epoch_losses)))
@@ -163,8 +175,8 @@ def predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probability map and binary mask, both in the scan's original dims.
 
-    The mask thresholds at `threshold` (>= rule) and, when roi_clamp is on,
-    is intersected with the sample's ROI channel support."""
+    The mask thresholds sigmoid(logits) at `threshold` (>= rule) and, when
+    roi_clamp is on, is intersected with the sample's ROI channel support."""
     div = 2**cp.config.depth
     ch, rows, cols = sample.values.shape
     if ch != cp.config.input_channels or rows % div or cols % div:
@@ -175,8 +187,8 @@ def predict(
     net, params = build_unet(cp.config)
     params.set_values(cp.values)
     with no_grad():
-        out = net.forward(sample.values, training=False)
-    prob = crop_from_reference(out.data[0], sample.offset, sample.orig_dims)
+        logits = net.forward(sample.values, training=False)
+    prob = _sigmoid_data(crop_from_reference(logits.data[0], sample.offset, sample.orig_dims))
     mask = (prob >= threshold).astype(np.uint8)
     if roi_clamp:
         roi = crop_from_reference(sample.roi_channel, sample.offset, sample.orig_dims)

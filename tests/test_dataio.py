@@ -1,3 +1,4 @@
+import os
 import struct
 from collections import deque
 
@@ -19,6 +20,7 @@ from octcyst.errors import (
     BadMagic,
     BadRecord,
     EmptyManifest,
+    IoFailure,
     MalformedHeader,
     MissingFile,
     NonFiniteValue,
@@ -64,9 +66,22 @@ def test_pgm_bad_magic(tmp_path):
 
 
 def test_pgm_truncated(tmp_path):
+    header = b"P5 4 4 255\n"
+    data = header + bytes(range(16))
     p = tmp_path / "a.pgm"
-    p.write_bytes(b"P5 4 4 255\n" + bytes(10))
-    with pytest.raises(TruncatedData):
+    for cut in range(len(data)):
+        p.write_bytes(data[:cut])
+        # a cut inside "P5 4 4 255" leaves a bad or partial header
+        bad_header = cut < len(header) - 1
+        with pytest.raises((MalformedHeader, UnsupportedMaxval) if bad_header else TruncatedData):
+            read_pgm(p)
+
+
+def test_pgm_trailing_bytes_rejected(tmp_path):
+    p = tmp_path / "a.pgm"
+    write_pgm(np.arange(12, dtype=np.uint8).reshape(3, 4), p)
+    p.write_bytes(p.read_bytes() + bytes(4))
+    with pytest.raises(MalformedHeader, match="4 bytes after"):
         read_pgm(p)
 
 
@@ -138,15 +153,54 @@ def test_octf_version_mismatch(tmp_path):
 
 
 def test_octf_truncated(tmp_path):
+    data = b"OCTF" + struct.pack("<4I", 1, 2, 2, 1) + np.arange(4, dtype="<f4").tobytes()
     p = tmp_path / "a.octf"
-    p.write_bytes(b"OCTF" + struct.pack("<4I", 1, 2, 2, 1) + bytes(8))
-    with pytest.raises(TruncatedData):
+    for cut in range(len(data)):
+        p.write_bytes(data[:cut])
+        with pytest.raises(BadMagic if cut < 4 else TruncatedData):
+            read_float_raster(p)
+
+
+def test_octf_trailing_bytes_rejected(tmp_path):
+    p = tmp_path / "a.octf"
+    write_float_raster(np.ones((2, 3), dtype=np.float32), p)
+    p.write_bytes(p.read_bytes() + bytes(8))
+    with pytest.raises(MalformedHeader, match="8 bytes after"):
         read_float_raster(p)
 
 
 def test_octf_rejects_non_finite(tmp_path):
     with pytest.raises(NonFiniteValue):
         write_float_raster(np.array([[np.nan]], dtype=np.float32), tmp_path / "a.octf")
+    p = tmp_path / "b.octf"
+    write_float_raster(np.zeros((2, 2), dtype=np.float32), p)
+    data = p.read_bytes()
+    for bad in (np.nan, np.inf, -np.inf):
+        p.write_bytes(data[:-4] + np.array([bad], dtype="<f4").tobytes())
+        with pytest.raises(NonFiniteValue):
+            read_float_raster(p)
+
+
+# --- atomic writes ------------------------------------------------------------
+
+
+def test_atomic_write_ignores_stale_tmp_and_leaves_no_temp_file(tmp_path):
+    (tmp_path / "a.pgm.tmp").mkdir()
+    img = np.arange(6, dtype=np.uint8).reshape(2, 3)
+    write_pgm(img, tmp_path / "a.pgm")
+    write_pgm(img, tmp_path / "a.pgm")
+    assert np.array_equal(read_pgm(tmp_path / "a.pgm"), img)
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["a.pgm", "a.pgm.tmp"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (tmp_path / "a.pgm").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
+    (tmp_path / "a.pgm").mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(IoFailure):
+        write_pgm(np.zeros((2, 2), dtype=np.uint8), tmp_path / "a.pgm")
+    assert [q.name for q in tmp_path.iterdir()] == ["a.pgm"]
 
 
 # --- manifest ---------------------------------------------------------------

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -23,9 +26,11 @@ from octcyst.tensornet import (
     max_pool2,
     mean,
     no_grad,
+    relu,
     transposed_conv2d,
 )
-from octcyst.trainer import bce_loss
+from octcyst.samplekit import Sample
+from octcyst.trainer import Checkpoint, bce_loss, predict
 
 
 # --- numpy oracles (independent of the engine) --------------------------------
@@ -419,14 +424,18 @@ def test_zero_weights_give_half_output():
     for _, t in store.items():
         t.data[...] = 0.0
     out = net.forward(np.random.default_rng(0).random((2, 8, 8)).astype(np.float32))
-    assert np.all(out.data == 0.5)
+    assert np.all(out.data == 0.0)  # logit 0 is p = 0.5
 
 
 def test_forward_output_shape_and_range():
-    net, _ = build_unet(_tiny_cfg())
-    out = net.forward(np.random.default_rng(1).random((2, 16, 24)).astype(np.float32))
+    cfg = _tiny_cfg()
+    net, store = build_unet(cfg)
+    x = np.random.default_rng(1).random((2, 16, 24)).astype(np.float32)
+    out = net.forward(x)
     assert out.data.shape == (1, 16, 24)
-    assert out.data.min() > 0.0 and out.data.max() < 1.0
+    prob, _ = predict(Checkpoint(cfg, store.values()), Sample(x, (0, 0), (16, 24)))
+    assert prob.shape == (16, 24)
+    assert prob.min() > 0.0 and prob.max() < 1.0
 
 
 def test_forward_eval_deterministic():
@@ -483,6 +492,30 @@ def test_backward_requires_recorded_graph():
         backward(out)
 
 
+def test_backward_frees_the_graph_without_the_cycle_collector():
+    gc.disable()
+    try:
+        x = Tensor(np.arange(-1.0, 3.0), requires_grad=True)
+        h = relu(x * 2.0)
+        h_data = weakref.ref(h.data)
+        loss = mean(h)
+        del h
+        backward(loss)
+        assert h_data() is None
+    finally:
+        gc.enable()
+    assert np.array_equal(x.grad, [0.0, 0.0, 0.5, 0.5])
+
+
+def test_second_backward_on_consumed_graph_raises():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    loss = mean(x * 2.0)
+    backward(loss)
+    with pytest.raises(NoRecordedGraph):
+        backward(loss)
+    assert np.array_equal(x.grad, np.full(4, 0.5))
+
+
 def test_backward_linearity_in_loss_scale():
     net, store = build_unet(_tiny_cfg(), dtype=np.float64)
     x = np.random.default_rng(5).random((2, 8, 8))
@@ -510,7 +543,7 @@ def test_backward_head_gradient_closed_form():
     store.zero_grad()
     out = net.forward(x)
     backward(bce_loss(out, target))
-    p = out.data
+    p = 1.0 / (1.0 + np.exp(-out.data))
     chain = (p - target) / (p * (1.0 - p)) * (p * (1.0 - p))  # dL/dp * sigmoid'
     assert abs(store["head.b"].grad[0] - chain.mean()) <= 1e-8
     assert abs(store["head.b"].grad[0] - 0.5) <= 1e-8

@@ -9,12 +9,13 @@ from octcyst.errors import (
     ConfigMismatch,
     DimMismatch,
     EmptyDataset,
+    NonFiniteValue,
     ShapeMismatch,
     StateShapeMismatch,
     TruncatedData,
 )
 from octcyst.samplekit import ReferenceDims, Sample, pad_to_reference, prepare_sample
-from octcyst.tensornet import ParamStore, Tensor, UNetConfig, build_unet, no_grad
+from octcyst.tensornet import ParamStore, Tensor, UNetConfig, backward, build_unet, no_grad
 from octcyst.trainer import (
     AdamState,
     Checkpoint,
@@ -45,13 +46,13 @@ def _tiny_cfg(seed=5):
 
 def test_bce_perfect_prediction_near_zero():
     target = np.array([[0.0, 1.0], [1.0, 0.0]])
-    loss = bce_loss(Tensor(target.copy()), target)
+    loss = bce_loss(Tensor(np.where(target == 1.0, 40.0, -40.0)), target)
     assert 0.0 <= loss.item() <= 1.1e-7
 
 
 def test_bce_uniform_half_is_ln2():
     target = (np.random.default_rng(0).random((6, 6)) > 0.5).astype(float)
-    loss = bce_loss(Tensor(np.full((6, 6), 0.5)), target)
+    loss = bce_loss(Tensor(np.zeros((6, 6))), target)  # logit 0 is p = 0.5
     assert abs(loss.item() - math.log(2.0)) <= 1e-7
 
 
@@ -59,11 +60,24 @@ def test_bce_matches_direct_sum_oracle():
     rng = np.random.default_rng(1)
     pred = rng.random((8, 9)) * 0.98 + 0.01
     target = (rng.random((8, 9)) > 0.6).astype(float)
-    loss = bce_loss(Tensor(pred.copy()), target)
+    loss = bce_loss(Tensor(np.log(pred / (1.0 - pred))), target)
     acc = 0.0
     for p, t in zip(pred.ravel(), target.ravel()):
         acc += t * math.log(p) + (1 - t) * math.log(1 - p)
     assert abs(loss.item() - (-acc / pred.size)) <= 1e-9
+
+
+def test_bce_saturated_wrong_pixels_keep_their_gradient():
+    # float32 sigmoid of these logits rounds to exactly 0 or 1, against the
+    # opposite target; each pixel still gets (sigmoid(z) - t) / N
+    z = np.array([[20.0, -20.0], [40.0, -40.0]], dtype=np.float32)
+    target = np.array([[0.0, 1.0], [0.0, 1.0]])
+    logits = Tensor(z, requires_grad=True)
+    loss = bce_loss(logits, target)
+    backward(loss)
+    expected = (1.0 / (1.0 + np.exp(-z.astype(np.float64))) - target) / z.size
+    assert np.max(np.abs(logits.grad - expected)) <= 1e-8
+    assert abs(loss.item() - 30.0) <= 1e-5
 
 
 def test_bce_shape_mismatch():
@@ -197,6 +211,17 @@ def test_train_deterministic_checkpoints(tmp_path):
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
+def test_train_stops_on_non_finite_loss():
+    ref = ReferenceDims(16, 16)
+    data = _phantom_dataset(2, ref)
+    sample, target = data[1]
+    values = sample.values.copy()
+    values[0, 8, 8] = np.nan
+    data[1] = (Sample(values, sample.offset, sample.orig_dims), target)
+    with pytest.raises(NonFiniteValue, match=r"epoch 0, batch [01]: non-finite"):
+        train(data, _tiny_cfg(), TrainConfig(batch_size=1, epochs=2, seed=1))
+
+
 def test_train_epoch_log_order():
     ref = ReferenceDims(16, 16)
     data = _phantom_dataset(2, ref)
@@ -303,13 +328,18 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_checkpoint_truncated(tmp_path):
-    cfg = _tiny_cfg()
+    # the smallest network keeps a cut at every byte offset quick
+    cfg = UNetConfig(
+        input_channels=2, base_channels=1, depth=1, bottleneck_channels=2,
+        aspp_rates=(1,), dropout_per_level=(0.1, 0.1), seed=5,
+    )
     _, store = build_unet(cfg)
     save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
     data = (tmp_path / "cp.bin").read_bytes()
-    (tmp_path / "cut.bin").write_bytes(data[: len(data) // 2])
-    with pytest.raises(TruncatedData):
-        load_checkpoint(tmp_path / "cut.bin")
+    for cut in range(len(data)):
+        (tmp_path / "cut.bin").write_bytes(data[:cut])
+        with pytest.raises(BadMagic if cut < 4 else TruncatedData):
+            load_checkpoint(tmp_path / "cut.bin")
 
 
 def test_checkpoint_missing_tensor_rejected(tmp_path):
