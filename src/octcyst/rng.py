@@ -74,23 +74,36 @@ class SplitMix64:
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """The finalizer on a uint64 array, in place."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _u64_block(seed: int, start: int, n: int) -> np.ndarray:
     """Outputs start+1 .. start+n of the stream, as uint64."""
-    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state = np.uint64(seed & _MASK) + idx * np.uint64(_GOLDEN)
-        return _mix64_vec(state)
+    state = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    state *= np.uint64(_GOLDEN)
+    state += np.uint64(seed & _MASK)
+    return _mix64_vec(state)
 
 
 def uniform_array(seed: int, n: int, start: int = 0) -> np.ndarray:
     """n uniforms in [0, 1), identical to n `uniform()` calls after `start`."""
     bits = _u64_block(seed, start, n)
     return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def uniform_at_least(seed: int, n: int, p: float) -> np.ndarray:
+    """Booleans equal to `uniform_array(seed, n) >= p`, compared on the
+    integer draws: (bits >> 11) * 2**-53 >= p is exact in float64, so it
+    holds exactly when (bits >> 11) >= ceil(p * 2**53)."""
+    bits = _u64_block(seed, 0, n)
+    bits >>= np.uint64(11)
+    return bits >= np.uint64(math.ceil(p * (1 << 53)))
 
 
 def gaussian_array(seed: int, n: int, start: int = 0) -> np.ndarray:

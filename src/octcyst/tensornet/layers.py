@@ -8,8 +8,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import OddDimension, ShapeMismatch
-from ..rng import uniform_array
+from ..rng import uniform_at_least
 from .tensor import Tensor, _accum, _attach, concat, mul, relu, sigmoid
+
+
+# Column buffer budget of one row tile; bounds the memory a convolution
+# adds beyond its input and output.
+_COL_BYTES = 16 << 20
+
+
+def _im2col_tiles(x: np.ndarray, k: int, r: int):
+    """Yield (i0, i1, cols) over blocks of output rows: cols is the
+    (C*k*k, (i1-i0)*W) matrix whose row (c, a, b) holds the zero-padded
+    input x[c, i + r*(a - k//2), j + r*(b - k//2)] for i0 <= i < i1."""
+    C, H, W = x.shape
+    if k == 1:
+        yield 0, H, x.reshape(C, H * W)
+        return
+    pad = r * (k // 2)
+    h = max(1, min(H, _COL_BYTES // (C * k * k * W * x.itemsize)))
+    buf = np.empty(C * k * k * h * W, dtype=x.dtype)
+    rows = np.zeros((C, h + 2 * pad, W + 2 * pad), dtype=x.dtype)
+    for i0 in range(0, H, h):
+        i1 = min(i0 + h, H)
+        n = i1 - i0
+        # input rows i0 - pad .. i1 + pad, zero outside x; the zeros above
+        # row 0 and beside the columns are never overwritten, as tiles
+        # move down, but rows below H may hold the previous tile's input
+        lo, hi = max(i0 - pad, 0), min(i1 + pad, H)
+        top = lo - (i0 - pad)
+        rows[:, top : top + hi - lo, pad : pad + W] = x[:, lo:hi]
+        rows[:, top + hi - lo :] = 0
+        cols = buf[: C * k * k * n * W].reshape(C, k, k, n, W)
+        for a in range(k):
+            for b in range(k):
+                cols[:, a, b] = rows[:, a * r : a * r + n, b * r : b * r + W]
+        yield i0, i1, cols.reshape(C * k * k, n * W)
+
+
+def _conv(x: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
+    """Bias-free same-padded convolution of arrays, one GEMM per row tile."""
+    F, _, k, _ = w.shape
+    _, H, W = x.shape
+    w2 = w.reshape(F, -1)
+    y = np.empty((F, H * W), dtype=x.dtype)
+    for i0, i1, cols in _im2col_tiles(x, k, r):
+        np.matmul(w2, cols, out=y[:, i0 * W : i1 * W])
+    return y.reshape(F, H, W)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1) -> Tensor:
@@ -18,6 +63,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1) -> 
     x: (C, H, W); w: (F, C, k, k) with odd k; b: (F,) or None.  Output
     location i sums x[i + dilation*t] * w[t] over taps t centered on i,
     with zero padding, so spatial dims are preserved for any dilation.
+    Forward and weight gradient are one GEMM per row tile of im2col
+    columns; the input gradient is the same convolution of the output
+    gradient with the kernel flipped and its channel axes swapped.
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise ShapeMismatch(f"conv2d expects 3-D input and 4-D kernel, got {x.data.shape}, {w.data.shape}")
@@ -28,16 +76,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1) -> 
     if b is not None and b.data.shape != (F,):
         raise ShapeMismatch(f"bias shape {b.data.shape} != ({F},)")
     r = dilation
-    pad = r * (k // 2)
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    y = np.zeros((F, H, W), dtype=x.data.dtype)
-    for a in range(k):
-        for bb in range(k):
-            y += np.tensordot(
-                w.data[:, :, a, bb],
-                xp[:, a * r : a * r + H, bb * r : bb * r + W],
-                axes=([1], [0]),
-            )
+    y = _conv(x.data, w.data, r)
     if b is not None:
         y += b.data[:, None, None]
     out = Tensor(y)
@@ -46,24 +85,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1) -> 
         go = out.grad
         if b is not None and b.requires_grad:
             _accum(b, go.sum(axis=(1, 2)))
-        if w.requires_grad:
-            dw = np.empty_like(w.data)
-            for a in range(k):
-                for bb in range(k):
-                    dw[:, :, a, bb] = np.tensordot(
-                        go,
-                        xp[:, a * r : a * r + H, bb * r : bb * r + W],
-                        axes=([1, 2], [1, 2]),
-                    )
-            _accum(w, dw)
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for a in range(k):
-                for bb in range(k):
-                    dxp[:, a * r : a * r + H, bb * r : bb * r + W] += np.tensordot(
-                        w.data[:, :, a, bb], go, axes=([0], [0])
-                    )
-            _accum(x, dxp[:, pad : pad + H, pad : pad + W])
+            _accum(x, _conv(go, w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], r))
+        if w.requires_grad:
+            go2 = go.reshape(F, H * W)
+            dw = np.zeros((F, C * k * k), dtype=w.data.dtype)
+            for i0, i1, cols in _im2col_tiles(x.data, k, r):
+                dw += go2[:, i0 * W : i1 * W] @ cols.T
+            _accum(w, dw.reshape(w.data.shape))
 
     parents = (x, w) if b is None else (x, w, b)
     return _attach(out, parents, _bw)
@@ -81,28 +110,18 @@ def transposed_conv2d(x: Tensor, w: Tensor) -> Tensor:
     Cw, F, k1, k2 = w.data.shape
     if Cw != C or (k1, k2) != (2, 2):
         raise ShapeMismatch(f"kernel {w.data.shape} incompatible with input {x.data.shape}")
-    y = np.zeros((F, 2 * H, 2 * W), dtype=x.data.dtype)
-    for di in range(2):
-        for dj in range(2):
-            y[:, di::2, dj::2] = np.tensordot(w.data[:, :, di, dj], x.data, axes=([0], [0]))
+    # rows (f, di, dj) of one GEMM hold output pixels (2i + di, 2j + dj)
+    w2 = w.data.reshape(C, 4 * F)
+    z = (w2.T @ x.data.reshape(C, H * W)).astype(x.data.dtype, copy=False)
+    y = z.reshape(F, 2, 2, H, W).transpose(0, 3, 1, 4, 2).reshape(F, 2 * H, 2 * W)
     out = Tensor(y)
 
     def _bw():
-        go = out.grad
+        g2 = out.grad.reshape(F, H, 2, W, 2).transpose(0, 2, 4, 1, 3).reshape(4 * F, H * W)
         if w.requires_grad:
-            dw = np.empty_like(w.data)
-            for di in range(2):
-                for dj in range(2):
-                    dw[:, :, di, dj] = np.tensordot(
-                        x.data, go[:, di::2, dj::2], axes=([1, 2], [1, 2])
-                    )
-            _accum(w, dw)
+            _accum(w, (x.data.reshape(C, H * W) @ g2.T).reshape(w.data.shape))
         if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            for di in range(2):
-                for dj in range(2):
-                    dx += np.tensordot(w.data[:, :, di, dj], go[:, di::2, dj::2], axes=([1], [0]))
-            _accum(x, dx)
+            _accum(x, (w2 @ g2).reshape(C, H, W))
 
     return _attach(out, (x, w), _bw)
 
@@ -139,8 +158,8 @@ def dropout(x: Tensor, p: float, seed: int) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return x
-    u = uniform_array(seed, x.data.size).reshape(x.data.shape)
-    mask = ((u >= p) / (1.0 - p)).astype(x.data.dtype)
+    keep = uniform_at_least(seed, x.data.size, p).reshape(x.data.shape)
+    mask = keep * x.data.dtype.type(1.0 / (1.0 - p))
     out = Tensor(x.data * mask)
 
     def _bw():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .rng import SplitMix64, derive_seed
 from .samplekit import Sample, crop_from_reference
-from .tensornet import ParamStore, Tensor, UNetConfig, backward, build_unet, no_grad
+from .tensornet import ParamStore, Tensor, UNet, UNetConfig, backward, build_unet, no_grad
 from .tensornet.tensor import _accum, _attach, _sigmoid_data
 
 CHECKPOINT_MAGIC = b"UNCK"
@@ -111,6 +112,15 @@ class Checkpoint:
     config: UNetConfig
     values: dict[str, np.ndarray]
 
+    @cached_property
+    def network(self) -> UNet:
+        """The network holding these weights, built once on first use.
+        Raises ShapeMismatch unless the tensors are exactly those of
+        build_unet(config)."""
+        net, params = build_unet(self.config)
+        params.set_values(self.values)
+        return net
+
 
 def train(
     data: Sequence[tuple[Sample, np.ndarray]],
@@ -184,10 +194,8 @@ def predict(
             f"sample dims {sample.values.shape} incompatible with checkpoint "
             f"(needs {cp.config.input_channels} channels, dims divisible by {div})"
         )
-    net, params = build_unet(cp.config)
-    params.set_values(cp.values)
     with no_grad():
-        logits = net.forward(sample.values, training=False)
+        logits = cp.network.forward(sample.values, training=False)
     prob = _sigmoid_data(crop_from_reference(logits.data[0], sample.offset, sample.orig_dims))
     mask = (prob >= threshold).astype(np.uint8)
     if roi_clamp:
@@ -299,5 +307,6 @@ def load_checkpoint(path) -> Checkpoint:
         )
     if r.pos != len(data):
         raise ConfigMismatch(f"{path}: {len(data) - r.pos} trailing bytes after the last tensor")
-    build_unet(cfg)[1].set_values(values)
-    return Checkpoint(cfg, values)
+    cp = Checkpoint(cfg, values)
+    cp.network  # checks the tensor table; predict reuses the network
+    return cp

@@ -1,6 +1,13 @@
 import numpy as np
 
-from octcyst.rng import SplitMix64, derive_seed, gaussian_array, mix64, uniform_array
+from octcyst.rng import (
+    SplitMix64,
+    derive_seed,
+    gaussian_array,
+    mix64,
+    uniform_array,
+    uniform_at_least,
+)
 
 
 def test_scalar_and_vector_uniforms_agree():
@@ -20,6 +27,15 @@ def test_uniform_array_offset_continues_stream():
     head = uniform_array(7, 8)
     tail = uniform_array(7, 12, start=8)
     assert np.array_equal(whole, np.concatenate([head, tail]))
+
+
+def test_uniform_at_least_equals_float_comparison():
+    for seed in (1, 2**63, 2**64 - 1):
+        for n in (1, 10, 1001):
+            u = uniform_array(seed, n)
+            # the drawn values themselves put p exactly on a draw
+            for p in (0.0, 0.1, 0.2, 0.5, 1.0 - 2**-53, u[0], u[-1]):
+                assert np.array_equal(uniform_at_least(seed, n, float(p)), u >= p)
 
 
 def test_same_seed_same_sequence():

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -29,7 +30,9 @@ from octcyst.tensornet import (
     relu,
     transposed_conv2d,
 )
+from octcyst.rng import uniform_array
 from octcyst.samplekit import Sample
+from octcyst.tensornet import layers
 from octcyst.trainer import Checkpoint, bce_loss, predict
 
 
@@ -137,6 +140,46 @@ def test_conv_gradients_match_fd():
 
     backward(mean(conv2d(x, w, b, dilation=2)))
     assert max_rel_error_fd(store, loss_fn) <= 1e-6
+
+
+@pytest.mark.parametrize("k, r", [(3, 1), (3, 2), (3, 8), (3, 12), (1, 1)])
+def test_conv_row_tiles_match_naive_and_fd(monkeypatch, k, r):
+    # a budget of two rows of columns tiles the 9 output rows as 2,2,2,2,1;
+    # at r = 8 whole taps leave the 6 columns, at r = 12 also the 9 rows
+    C, H, W = 2, 9, 6
+    monkeypatch.setattr(layers, "_COL_BYTES", 2 * C * k * k * W * 8)
+    store = ParamStore()
+    x = store.add("x", Tensor(_rand((C, H, W), 70)))
+    w = store.add("w", Tensor(_rand((3, C, k, k), 71)))
+    b = store.add("b", Tensor(_rand((3,), 72)))
+    weights = Tensor(_rand((3, H, W), 73))
+    out = conv2d(x, w, b, dilation=r)
+    assert np.max(np.abs(out.data - naive_conv2d(x.data, w.data, b.data, r))) < 1e-12
+
+    def loss_fn():
+        return mean(conv2d(x, w, b, dilation=r) * weights).item()
+
+    store.zero_grad()
+    backward(mean(conv2d(x, w, b, dilation=r) * weights))
+    assert max_rel_error_fd(store, loss_fn) <= 1e-6
+
+
+def test_conv_forward_memory_stays_within_one_column_tile():
+    # the whole-frame column matrix would be at least twice the budget
+    budget = layers._COL_BYTES
+    C, F, k, W = 16, 16, 3, 256
+    H = -(-2 * budget // (C * k * k * W * 4))
+    rng = np.random.default_rng(74)
+    w = Tensor(rng.random((F, C, k, k), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        x = Tensor(rng.random((C, H, W), dtype=np.float32))
+        out = conv2d(x, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.dtype == np.float32
+    assert peak <= x.data.nbytes + out.data.nbytes + budget + budget // 4
 
 
 # --- transposed conv ----------------------------------------------------------
@@ -346,6 +389,16 @@ def test_dropout_seeded_expectation_matches_eval():
         acc += dropout(x, 0.2, seed).data
     rel = np.abs(acc / n - x.data) / x.data
     assert rel.max() <= 0.05
+
+
+def test_dropout_mask_is_the_uniform_draw_definition_bit_for_bit():
+    for seed in (0, 5, 2**64 - 1):
+        for shape in ((1,), (3, 7), (4, 16, 24)):
+            x = Tensor(np.random.default_rng(seed % 97).random(shape, dtype=np.float32) + 0.5)
+            u = uniform_array(seed, x.data.size).reshape(shape)
+            for p in (0.1, 0.2, 0.5, float(u.flat[0])):
+                mask = ((u >= p) / (1.0 - p)).astype(np.float32)
+                assert np.array_equal(dropout(x, p, seed).data, x.data * mask)
 
 
 def test_dropout_deterministic_per_seed():

@@ -281,6 +281,26 @@ def test_predict_dim_mismatch():
         predict(_zero_checkpoint(_tiny_cfg()), sample)
 
 
+def test_predict_builds_the_network_once_per_checkpoint(tmp_path, monkeypatch):
+    import octcyst.trainer as trainer_mod
+
+    calls = []
+
+    def counting_build(cfg):
+        calls.append(cfg)
+        return build_unet(cfg)
+
+    monkeypatch.setattr(trainer_mod, "build_unet", counting_build)
+    cfg = _tiny_cfg(seed=8)
+    _, store = build_unet(cfg)
+    save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
+    cp = load_checkpoint(tmp_path / "cp.bin")
+    sample = Sample(np.zeros((2, 16, 16), dtype=np.float32), (0, 0), (16, 16))
+    probs = [predict(cp, sample)[0] for _ in range(3)]
+    assert len(calls) == 1
+    assert all(np.array_equal(p, probs[0]) for p in probs)
+
+
 # --- checkpoint I/O ---------------------------------------------------------------
 
 
