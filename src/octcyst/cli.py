@@ -27,7 +27,12 @@ from .dataio import (
     write_mask_pgm,
     write_pgm,
 )
-from .dataio.formats import atomic_write_bytes, read_float_raster, write_float_raster
+from .dataio.formats import (
+    atomic_write_bytes,
+    parse_settings,
+    read_float_raster,
+    write_float_raster,
+)
 from .errors import (
     BadRecord,
     EmptyDataset,
@@ -37,7 +42,7 @@ from .errors import (
     ParseError,
     UnknownKey,
 )
-from .preprocess import denoise
+from .preprocess import BilateralParams, default_radius, denoise
 from .retinagraph import roi_mask, segment_layers
 from .rng import SplitMix64, derive_seed
 from .samplekit import (
@@ -70,52 +75,17 @@ class Config:
     threshold: float = 0.5
 
 
-def _parse_bool(value: str) -> bool:
-    if value == "on":
-        return True
-    if value == "off":
-        return False
-    raise ValueError(f"expected on/off, got {value!r}")
-
-
-_CONFIG_PARSERS = {
-    "sigma_d": float,
-    "w_min": float,
-    "ref_rows": int,
-    "ref_cols": int,
-    "base_channels": int,
-    "depth": int,
-    "aspp_rates": lambda v: tuple(int(x) for x in v.split(",")),
-    "dropout": lambda v: tuple(float(x) for x in v.split(",")),
-    "batch_size": int,
-    "epochs": int,
-    "learning_rate": float,
-    "seed": int,
-    "roi_clamp": _parse_bool,
-    "threshold": float,
-}
-
-
 def parse_config(path) -> Config:
-    """Read a key = value config file; absent keys keep their defaults."""
+    """Read a UTF-8 `key = value` config file in the parse_settings syntax;
+    absent keys keep their defaults."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"config not found: {path}")
-    overrides = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_PARSERS:
-            raise UnknownKey(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            overrides[key] = _CONFIG_PARSERS[key](value)
-        except ValueError as e:
-            raise ParseError(f"{path}:{lineno}: bad value for {key}: {e}") from e
-    return replace(Config(), **overrides)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from e
+    return replace(Config(), **parse_settings(text, Config(), path))
 
 
 def _unet_config(cfg: Config, seed: int) -> UNetConfig:
@@ -130,6 +100,15 @@ def _unet_config(cfg: Config, seed: int) -> UNetConfig:
     )
 
 
+def _train_config(cfg: Config, seed: int) -> TrainConfig:
+    return TrainConfig(
+        batch_size=cfg.batch_size,
+        epochs=cfg.epochs,
+        learning_rate=cfg.learning_rate,
+        seed=derive_seed(seed, 1),
+    )
+
+
 def _write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
@@ -137,9 +116,7 @@ def _write_text(path, text: str) -> None:
 # --- subcommands -----------------------------------------------------------
 
 
-def _cmd_phantom(args, cfg: Config) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_phantom(args, cfg: Config, out: Path) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     manifest_lines = []
     for i in range(args.count):
@@ -166,17 +143,13 @@ def _cmd_phantom(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_denoise(args, cfg: Config) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_denoise(args, cfg: Config, out: Path) -> int:
     image = read_pgm(args.input)
     write_pgm(denoise(image, cfg.sigma_d), out / f"{Path(args.input).stem}_denoised.pgm")
     return 0
 
 
-def _cmd_layers(args, cfg: Config) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_layers(args, cfg: Config, out: Path) -> int:
     stem = Path(args.input).stem
     image = read_pgm(args.input)
     denoised = denoise(image, cfg.sigma_d)
@@ -198,16 +171,17 @@ def _prepare_one(image_path: Path, cfg: Config) -> Sample:
     return prepare_sample(read_pgm(image_path), ref, cfg.sigma_d, cfg.w_min)
 
 
-def _padded_target(mask_path: Path, cfg: Config) -> np.ndarray:
+def _padded_target(path: Path, cfg: Config) -> np.ndarray:
+    """A target raster written by `prepare`, or a mask PGM padded into the
+    reference frame."""
+    if path.suffix == ".octf":
+        return read_float_raster(path)[0]
     ref = ReferenceDims(cfg.ref_rows, cfg.ref_cols)
-    mask = read_mask_pgm(mask_path)
-    padded, _ = pad_to_reference(mask.astype(np.float32), ref)
+    padded, _ = pad_to_reference(read_mask_pgm(path).astype(np.float32), ref)
     return padded
 
 
-def _cmd_prepare(args, cfg: Config) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_prepare(args, cfg: Config, out: Path) -> int:
     manifest = read_manifest(args.manifest)
     for record in manifest.records:
         stem = record.image_path.stem
@@ -222,47 +196,29 @@ def _cmd_prepare(args, cfg: Config) -> int:
     return 0
 
 
-def _sample_paths(sample_dir) -> list[Path]:
-    """Prepared samples written by `prepare`, sorted; target rasters excluded."""
-    return sorted(
-        p for p in Path(sample_dir).glob("*.octf") if not p.stem.endswith(("_target", "_target2"))
-    )
-
-
-def _load_training_data(args, cfg: Config) -> list[tuple[Sample, np.ndarray]]:
-    data = []
+def _inputs(args, cfg: Config) -> list[tuple[str, Sample, Path]]:
+    """(stem, sample, target location) for each scan of --manifest, prepared
+    in memory, or each sample `prepare` wrote to --samples."""
     if args.manifest:
-        manifest = read_manifest(args.manifest)
-        for record in manifest.records:
-            sample = _prepare_one(record.image_path, cfg)
-            target = _padded_target(record.mask_path, cfg)
-            data.append((sample, target))
-    elif args.samples:
-        for p in _sample_paths(args.samples):
-            target_path = p.with_name(p.stem + "_target.octf")
-            if not target_path.is_file():
-                raise MissingFile(f"no target raster for {p}")
-            data.append((load_sample(p), read_float_raster(target_path)[0]))
-    if not data:
-        raise EmptyDataset("no training samples found")
-    return data
-
-
-def _cmd_train(args, cfg: Config) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else cfg.seed
-    data = _load_training_data(args, cfg)
-    unet_cfg = _unet_config(cfg, seed)
-    train_cfg = TrainConfig(
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
-        seed=derive_seed(seed, 1),
+        return [
+            (r.image_path.stem, _prepare_one(r.image_path, cfg), r.mask_path)
+            for r in read_manifest(args.manifest).records
+        ]
+    paths = sorted(
+        p for p in Path(args.samples).glob("*.octf")
+        if not p.stem.endswith(("_target", "_target2"))
     )
+    if not paths:
+        raise EmptyDataset(f"no prepared samples in {args.samples}")
+    return [(p.stem, load_sample(p), p.with_name(p.stem + "_target.octf")) for p in paths]
+
+
+def _cmd_train(args, cfg: Config, out: Path) -> int:
+    seed = args.seed if args.seed is not None else cfg.seed
+    data = [(sample, _padded_target(target, cfg)) for _, sample, target in _inputs(args, cfg)]
     log_lines = []
     checkpoint = train(
-        data, unet_cfg, train_cfg,
+        data, _unet_config(cfg, seed), _train_config(cfg, seed),
         log_fn=lambda epoch, loss: log_lines.append(f"epoch={epoch} loss={loss:.6f}"),
     )
     save_checkpoint(checkpoint, out / "checkpoint.bin")
@@ -270,79 +226,38 @@ def _cmd_train(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_predict(args, cfg: Config) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_predict(args, cfg: Config, out: Path) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    items: list[tuple[str, Sample]] = []
-    if args.manifest:
-        manifest = read_manifest(args.manifest)
-        for record in manifest.records:
-            items.append((record.image_path.stem, _prepare_one(record.image_path, cfg)))
-    elif args.samples:
-        for p in _sample_paths(args.samples):
-            items.append((p.stem, load_sample(p)))
-    if not items:
-        raise EmptyDataset("nothing to predict")
-    for stem, sample in items:
+    for stem, sample, _ in _inputs(args, cfg):
         prob, mask = predict(checkpoint, sample, cfg.threshold, cfg.roi_clamp)
         write_float_raster(prob, out / f"{stem}_prob.octf")
         write_mask_pgm(mask, out / f"{stem}_mask.pgm")
     return 0
 
 
-def _cmd_evaluate(args, cfg: Config) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = read_manifest(args.manifest)
-    pred_dir = Path(args.pred)
-    preds = {}
-    for record in manifest.records:
-        stem = record.image_path.stem
-        mask_path = pred_dir / f"{stem}_mask.pgm"
+def _cmd_evaluate(args, cfg: Config, out: Path) -> int:
+    records = read_manifest(args.manifest).records
+    stems = [r.image_path.stem for r in records]
+    preds = []
+    for stem in stems:
+        mask_path = Path(args.pred) / f"{stem}_mask.pgm"
         if not mask_path.is_file():
             raise MissingFile(f"no prediction for {stem}: {mask_path}")
-        preds[stem] = read_mask_pgm(mask_path)
-
-    def write_report(name: str, pairs) -> None:
-        report = metrics.evaluate_pairs(pairs)
+        preds.append(read_mask_pgm(mask_path))
+    truths = {"report": [read_mask_pgm(r.mask_path) for r in records]}
+    if all(r.second_mask_path is not None for r in records):
+        truths["report_gt2"] = [read_mask_pgm(r.second_mask_path) for r in records]
+        truths["report_intersection"] = [
+            metrics.intersect_masks(pair) for pair in zip(truths["report"], truths["report_gt2"])
+        ]
+    for name, masks in truths.items():
+        report = metrics.evaluate_pairs(zip(stems, preds, masks))
         _write_text(out / f"{name}.txt", metrics.format_report(report))
         _write_text(out / f"{name}.tsv", metrics.format_report_tsv(report))
-
-    write_report(
-        "report",
-        [
-            (r.image_path.stem, preds[r.image_path.stem], read_mask_pgm(r.mask_path))
-            for r in manifest.records
-        ],
-    )
-    if all(r.second_mask_path is not None for r in manifest.records):
-        write_report(
-            "report_gt2",
-            [
-                (r.image_path.stem, preds[r.image_path.stem], read_mask_pgm(r.second_mask_path))
-                for r in manifest.records
-            ],
-        )
-        write_report(
-            "report_intersection",
-            [
-                (
-                    r.image_path.stem,
-                    preds[r.image_path.stem],
-                    metrics.intersect_masks(
-                        [read_mask_pgm(r.mask_path), read_mask_pgm(r.second_mask_path)]
-                    ),
-                )
-                for r in manifest.records
-            ],
-        )
     return 0
 
 
-def _cmd_iov(args, cfg: Config) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_iov(args, cfg: Config, out: Path) -> int:
     manifest = read_manifest(args.manifest)
     dices = []
     lines = []
@@ -370,16 +285,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, manifest=False, out=True):
+    def command(name, func, help, manifest=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         if manifest:
-            p.add_argument("--manifest", help="dataset manifest file")
+            p.add_argument("--manifest", required=True, help="dataset manifest file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("phantom", help="generate synthetic scans with ground truth")
-    common(p)
+    def one_input(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--manifest", help="dataset manifest file; scans are prepared in memory")
+        group.add_argument("--samples", help="directory of prepared samples")
+
+    p = command("phantom", _cmd_phantom, "generate synthetic scans with ground truth")
+    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--count", type=int, default=5)
     p.add_argument("--rows", type=int, default=64)
     p.add_argument("--cols", type=int, default=96)
@@ -387,41 +308,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis-min", type=int, default=2)
     p.add_argument("--axis-max", type=int, default=6)
     p.add_argument("--speckle", type=float, default=0.06)
-    p.set_defaults(func=_cmd_phantom)
 
-    p = sub.add_parser("denoise", help="bilateral-filter one scan")
-    common(p)
+    p = command("denoise", _cmd_denoise, "bilateral-filter one scan")
     p.add_argument("--in", dest="input", required=True, help="input PGM")
-    p.set_defaults(func=_cmd_denoise)
 
-    p = sub.add_parser("layers", help="extract ILM/ISM boundaries and the ROI")
-    common(p)
+    p = command("layers", _cmd_layers, "extract ILM/ISM boundaries and the ROI")
     p.add_argument("--in", dest="input", required=True, help="input PGM")
-    p.set_defaults(func=_cmd_layers)
 
-    p = sub.add_parser("prepare", help="build two-channel samples from a manifest")
-    common(p, manifest=True)
-    p.set_defaults(func=_cmd_prepare)
+    command("prepare", _cmd_prepare, "build two-channel samples from a manifest", manifest=True)
 
-    p = sub.add_parser("train", help="train the segmentation network")
-    common(p, manifest=True)
-    p.add_argument("--samples", help="directory of prepared samples")
-    p.set_defaults(func=_cmd_train)
+    p = command("train", _cmd_train, "train the segmentation network")
+    p.add_argument("--seed", type=int, help="override the config seed")
+    one_input(p)
 
-    p = sub.add_parser("predict", help="run inference")
-    common(p, manifest=True)
+    p = command("predict", _cmd_predict, "run inference")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--samples", help="directory of prepared samples")
-    p.set_defaults(func=_cmd_predict)
+    one_input(p)
 
-    p = sub.add_parser("evaluate", help="score predictions against ground truth")
-    common(p, manifest=True)
+    p = command("evaluate", _cmd_evaluate, "score predictions against ground truth", manifest=True)
     p.add_argument("--pred", required=True, help="directory of prediction masks")
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("iov", help="inter-observer variability between graders")
-    common(p, manifest=True)
-    p.set_defaults(func=_cmd_iov)
+    command("iov", _cmd_iov, "inter-observer variability between graders", manifest=True)
 
     return parser
 
@@ -439,11 +346,18 @@ def run(argv) -> int:
         _unet_config(cfg, 0).validate()  # cross-field checks (depth vs dropout)
         if cfg.ref_rows % 2**cfg.depth or cfg.ref_cols % 2**cfg.depth:
             raise InvalidConfig(f"reference frame is not divisible by 2**depth = {2**cfg.depth}")
-    except (UnknownKey, ParseError, MissingFile, InvalidConfig) as e:
+        # the other settings objects the subcommands build check their own values;
+        # sigma_r is estimated per scan and never below 1
+        _train_config(cfg, 0)
+        ReferenceDims(cfg.ref_rows, cfg.ref_cols)
+        BilateralParams(cfg.sigma_d, 1.0, default_radius(cfg.sigma_d))
+    except (UnknownKey, ParseError, MissingFile, InvalidConfig, ValueError, OverflowError) as e:
         print(f"octcyst: config error: {e}", file=sys.stderr)
         return 2
+    out = Path(args.out)
     try:
-        return args.func(args, cfg)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, cfg, out)
     except OctCystError as e:
         print(f"octcyst: error: {e}", file=sys.stderr)
         return 1

@@ -1,4 +1,5 @@
-"""Bit-exact on-disk formats: binary PGM (P5) and the OCTF float raster.
+"""Bit-exact on-disk formats: binary PGM (P5), the OCTF float raster, and
+the name=value settings text of config files and checkpoints.
 
 PGM carries 8-bit grayscale scans and 0/255 masks; OCTF carries float32
 rasters (probability maps, prepared two-channel samples).  Both round-trip
@@ -10,6 +11,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,9 @@ from ..errors import (
     IoFailure,
     MalformedHeader,
     NonFiniteValue,
+    ParseError,
     TruncatedData,
+    UnknownKey,
     UnsupportedMaxval,
     VersionMismatch,
 )
@@ -157,4 +161,58 @@ def read_float_raster(path) -> np.ndarray:
     values = np.frombuffer(raster, dtype="<f4").reshape(channels, rows, cols).astype(np.float32)
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue(f"{path}: raster contains non-finite values")
+    return values
+
+
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if isinstance(value, tuple):
+        return ",".join(_format_value(v) for v in value)
+    return str(value)
+
+
+def _parse_value(text: str, default):
+    """`text` as the type of `default`: bool on/off, int, float, or a
+    comma-separated tuple of the type of the default's first element."""
+    if isinstance(default, bool):
+        if text not in ("on", "off"):
+            raise ValueError(f"expected on/off, got {text!r}")
+        return text == "on"
+    if isinstance(default, tuple):
+        return tuple(_parse_value(part, default[0]) for part in text.split(","))
+    return type(default)(text)
+
+
+def format_settings(settings) -> str:
+    """One name=value line per field of the dataclass `settings`, in field
+    order; parse_settings reads it back."""
+    return "".join(
+        f"{f.name}={_format_value(getattr(settings, f.name))}\n" for f in fields(settings)
+    )
+
+
+def parse_settings(text: str, defaults, where) -> dict:
+    """Typed values of the `name = value` lines in `text`, keyed by the
+    fields of the dataclass `defaults`, whose values give each field's type.
+    Blank lines and '#' lines are skipped.  Raises UnknownKey for a name
+    that is not a field, ParseError for a malformed line, a bad value or a
+    repeated name; messages start with `where` and the line number."""
+    defaults_by_name = {f.name: getattr(defaults, f.name) for f in fields(defaults)}
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"{where}:{lineno}: expected name = value, got {line!r}")
+        name, value = (part.strip() for part in line.split("=", 1))
+        if name not in defaults_by_name:
+            raise UnknownKey(f"{where}:{lineno}: unknown key {name!r}")
+        if name in values:
+            raise ParseError(f"{where}:{lineno}: {name} set twice")
+        try:
+            values[name] = _parse_value(value, defaults_by_name[name])
+        except ValueError as e:
+            raise ParseError(f"{where}:{lineno}: bad value for {name}: {e}") from e
     return values

@@ -33,9 +33,13 @@ def read_manifest(path) -> Manifest:
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"manifest not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise BadRecord(f"{path}: not UTF-8 text: {e}") from e
     base = path.parent
     records = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

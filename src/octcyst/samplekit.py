@@ -136,7 +136,10 @@ def load_sample(path) -> Sample:
     values = read_float_raster(path)
     if values.shape[0] != 2:
         raise DimMismatch(f"{path}: expected 2 channels, got {values.shape[0]}")
-    text = Path(str(path) + ".meta").read_text(encoding="utf-8").strip()
+    try:
+        text = Path(str(path) + ".meta").read_text(encoding="utf-8").strip()
+    except UnicodeDecodeError as e:
+        raise DimMismatch(f"{path}.meta: not UTF-8 text: {e}") from e
     m = _META_RE.match(text)
     if m is None:
         raise DimMismatch(f"{path}.meta: malformed sidecar line: {text!r}")

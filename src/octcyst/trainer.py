@@ -10,23 +10,25 @@ bias-corrected Adam update.  Checkpoints round-trip bitwise.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dataio.formats import atomic_write_bytes
+from .dataio.formats import atomic_write_bytes, format_settings, parse_settings
 from .errors import (
     BadMagic,
     ConfigMismatch,
     DimMismatch,
     EmptyDataset,
     NonFiniteValue,
+    ParseError,
     ShapeMismatch,
     StateShapeMismatch,
     TruncatedData,
+    UnknownKey,
 )
 from .rng import SplitMix64, derive_seed
 from .samplekit import Sample, crop_from_reference
@@ -204,47 +206,11 @@ def predict(
     return prob.astype(np.float32), mask
 
 
-def _config_lines(cfg: UNetConfig) -> str:
-    return (
-        f"input_channels={cfg.input_channels}\n"
-        f"base_channels={cfg.base_channels}\n"
-        f"depth={cfg.depth}\n"
-        f"bottleneck_channels={cfg.bottleneck_channels}\n"
-        f"aspp_rates={','.join(str(r) for r in cfg.aspp_rates)}\n"
-        f"dropout_per_level={','.join(repr(p) for p in cfg.dropout_per_level)}\n"
-        f"seed={cfg.seed}\n"
-    )
-
-
-def _parse_config_lines(text: str) -> UNetConfig:
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise ConfigMismatch(f"malformed config line: {line!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
-    try:
-        return UNetConfig(
-            input_channels=int(fields["input_channels"]),
-            base_channels=int(fields["base_channels"]),
-            depth=int(fields["depth"]),
-            bottleneck_channels=int(fields["bottleneck_channels"]),
-            aspp_rates=tuple(int(r) for r in fields["aspp_rates"].split(",")),
-            dropout_per_level=tuple(
-                float(p) for p in fields["dropout_per_level"].split(",")
-            ),
-            seed=int(fields["seed"]),
-        )
-    except (KeyError, ValueError) as e:
-        raise ConfigMismatch(f"bad checkpoint config: {e}") from e
-
-
 def save_checkpoint(cp: Checkpoint, path) -> None:
-    """Binary layout: magic, version, config text, then tensors in
-    lexicographic name order as (name, rank, dims, float32 values)."""
-    config = _config_lines(cp.config).encode("utf-8")
+    """Binary layout: magic, version, the config as format_settings text,
+    then tensors in lexicographic name order as (name, rank, dims, float32
+    values)."""
+    config = format_settings(cp.config).encode("utf-8")
     parts = [
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),
@@ -277,8 +243,23 @@ class _Reader:
         return chunk
 
 
+def _parse_config_block(block: bytes, path) -> UNetConfig:
+    """The UNetConfig of a checkpoint: every field exactly once, nothing else."""
+    try:
+        values = parse_settings(block.decode("utf-8"), UNetConfig(), "config block")
+    except (UnicodeDecodeError, UnknownKey, ParseError) as e:
+        raise ConfigMismatch(f"{path}: bad checkpoint config: {e}") from e
+    missing = [f.name for f in fields(UNetConfig) if f.name not in values]
+    if missing:
+        raise ConfigMismatch(f"{path}: checkpoint config lacks {', '.join(missing)}")
+    cfg = UNetConfig(**values)
+    cfg.validate()
+    return cfg
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """Read a save_checkpoint file.  The tensors must be exactly those of
+    """Read a save_checkpoint file.  The config block must set every
+    UNetConfig field exactly once, the tensors must be exactly those of
     build_unet(config), each once, name for name and shape for shape, and
     nothing may follow the last one."""
     data = Path(path).read_bytes()
@@ -290,13 +271,15 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise ConfigMismatch(f"{path}: checkpoint version {version} unsupported")
     (config_len,) = struct.unpack("<I", r.take(4))
-    cfg = _parse_config_lines(r.take(config_len).decode("utf-8"))
-    cfg.validate()
+    cfg = _parse_config_block(r.take(config_len), path)
     (count,) = struct.unpack("<I", r.take(4))
     values: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", r.take(2))
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigMismatch(f"{path}: tensor name is not UTF-8: {e}") from e
         if name in values:
             raise ConfigMismatch(f"{path}: tensor {name} appears twice")
         (rank,) = struct.unpack("<B", r.take(1))

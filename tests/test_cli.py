@@ -105,6 +105,99 @@ def test_config_ref_dims_not_divisible_exit_code(tmp_path):
     assert not out.exists()
 
 
+def test_parse_config_repeated_key(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text("seed = 3\nepochs = 2\nseed = 4\n")
+    with pytest.raises(ParseError, match="seed set twice"):
+        parse_config(p)
+
+
+def test_parse_config_not_utf8(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_bytes(b"seed = 3\n# caf\xe9\n")
+    with pytest.raises(ParseError, match="UTF-8"):
+        parse_config(p)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"batch_size = 0\n",
+        b"learning_rate = 0\n",
+        b"sigma_d = 0\n",
+        b"sigma_d = nan\n",
+        b"sigma_d = inf\n",
+        b"ref_rows = 0\n",
+        b"seed = 3\nseed = 4\n",
+        b"seed = 3\n# \xff\n",
+    ],
+    ids=["batch_size", "learning_rate", "sigma_d-zero", "sigma_d-nan", "sigma_d-inf",
+         "ref_rows", "repeated-key", "not-utf8"],
+)
+def test_config_value_error_exits_2_before_out_exists(tmp_path, text):
+    p = tmp_path / "c.cfg"
+    p.write_bytes(text)
+    out = tmp_path / "o"
+    code = run(["phantom", "--config", str(p), "--count", "1", "--rows", "32", "--cols", "32",
+                "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_train_config_value_error_exits_2(tmp_path):
+    data = _make_phantoms(tmp_path, count=2)
+    out = tmp_path / "model"
+    cfg = _write_config(tmp_path, TINY_CONFIG.replace("batch_size = 4", "batch_size = 0"))
+    assert run(["train", "--manifest", str(data / "manifest.txt"), "--config", cfg,
+                "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+# --- flags -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv", [["prepare"], ["evaluate", "--pred", "p"], ["iov"]], ids=lambda a: a[0]
+)
+def test_manifest_is_required(tmp_path, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert run(argv + ["--manifest", str(tmp_path / "m.txt"), "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("command", [["train"], ["predict", "--checkpoint", "c.bin"]],
+                         ids=lambda a: a[0])
+def test_train_and_predict_take_exactly_one_input(tmp_path, command):
+    out = tmp_path / "o"
+    manifest, samples = ["--manifest", str(tmp_path / "m.txt")], ["--samples", str(tmp_path)]
+    for inputs in ([], manifest + samples, samples + manifest):
+        assert run(command + inputs + ["--out", str(out)]) == 2
+    assert not out.exists()
+    for inputs in (manifest, samples):
+        assert run(command + inputs + ["--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["denoise", "--in", "x.pgm"],
+        ["layers", "--in", "x.pgm"],
+        ["prepare", "--manifest", "m.txt"],
+        ["predict", "--checkpoint", "c.bin", "--samples", "s"],
+        ["evaluate", "--manifest", "m.txt", "--pred", "p"],
+        ["iov", "--manifest", "m.txt"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_seed_flag_only_where_it_is_read(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "o"
+    assert run(argv + ["--seed", "3", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert run(argv + ["--out", str(out)]) == 1
+
+
 # --- phantom -----------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import os
 import struct
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -24,11 +25,14 @@ from octcyst.errors import (
     MalformedHeader,
     MissingFile,
     NonFiniteValue,
+    ParseError,
     PlacementFailure,
     TruncatedData,
+    UnknownKey,
     UnsupportedMaxval,
     VersionMismatch,
 )
+from octcyst.dataio.formats import format_settings, parse_settings
 
 
 # --- PGM --------------------------------------------------------------------
@@ -259,6 +263,61 @@ def test_manifest_preserves_order(tmp_path):
     mf.write_text("".join(f"{n}\t{n}\n" for n in names))
     m = read_manifest(mf)
     assert [r.image_path.name for r in m.records] == names
+
+
+def test_manifest_not_utf8_is_bad_record(tmp_path):
+    _touch(tmp_path, "a.pgm", "b.pgm")
+    mf = tmp_path / "m.txt"
+    mf.write_bytes(b"a.pgm\tb.pgm\n\xff.pgm\tb.pgm\n")
+    with pytest.raises(BadRecord, match="UTF-8"):
+        read_manifest(mf)
+
+
+# --- settings text ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Settings:
+    rate: float = 0.5
+    count: int = 3
+    flag: bool = True
+    sizes: tuple[int, ...] = (1, 2)
+    probs: tuple[float, ...] = (0.25,)
+
+
+def test_format_settings_one_line_per_field_in_order():
+    text = format_settings(_Settings(flag=False, sizes=(np.int64(4), 8), probs=(np.float64(0.1),)))
+    assert text == "rate=0.5\ncount=3\nflag=off\nsizes=4,8\nprobs=0.1\n"
+
+
+def test_parse_settings_round_trips_format_settings():
+    s = _Settings(rate=1e-5, count=-7, flag=False, sizes=(16,), probs=(0.1, 0.2, 0.3))
+    values = parse_settings(format_settings(s), _Settings(), "s")
+    assert _Settings(**values) == s
+    assert type(values["count"]) is int and type(values["probs"][0]) is float
+
+
+def test_parse_settings_types_from_defaults_and_skips_comments():
+    text = "# comment\n\n  rate = 2 \nflag = on\nsizes = 3, 5,7\n"
+    values = parse_settings(text, _Settings(), "s")
+    assert values == {"rate": 2.0, "flag": True, "sizes": (3, 5, 7)}
+    assert type(values["rate"]) is float
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("count = 1\nbogus = 2\n", UnknownKey, "s:2: unknown key 'bogus'"),
+        ("count = 1\ncount = 2\n", ParseError, "s:2: count set twice"),
+        ("count\n", ParseError, "s:1: expected name = value"),
+        ("count = 1.5\n", ParseError, "s:1: bad value for count"),
+        ("flag = yes\n", ParseError, "s:1: bad value for flag"),
+        ("sizes = 1,,2\n", ParseError, "s:1: bad value for sizes"),
+    ],
+)
+def test_parse_settings_rejects(text, error, message):
+    with pytest.raises(error, match=message):
+        parse_settings(text, _Settings(), "s")
 
 
 # --- phantom ----------------------------------------------------------------

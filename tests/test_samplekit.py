@@ -167,3 +167,13 @@ def test_load_sample_rejects_wrong_channels(tmp_path):
     (tmp_path / "bad.octf.meta").write_text("offset=0,0 orig=4,4\n")
     with pytest.raises(DimMismatch):
         load_sample(p)
+
+
+def test_load_sample_meta_not_utf8_is_dim_mismatch(tmp_path):
+    from octcyst.dataio import write_float_raster
+
+    p = tmp_path / "s.octf"
+    write_float_raster(np.zeros((2, 4, 4), dtype=np.float32), p)
+    (tmp_path / "s.octf.meta").write_bytes(b"offset=0,0 orig=4,4\xff\n")
+    with pytest.raises(DimMismatch, match="UTF-8"):
+        load_sample(p)

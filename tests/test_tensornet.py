@@ -623,3 +623,17 @@ def test_full_network_gradients_match_fd():
     store.zero_grad()
     backward(bce_loss(net.forward(x), target))
     assert max_rel_error_fd(store, loss_fn) <= 1e-4
+
+
+def test_first_gradient_is_an_owned_copy_in_the_tensor_dtype():
+    from octcyst.tensornet.tensor import _accum
+
+    t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    g = np.array([1.0, -0.5, 2.0])
+    _accum(t, g)
+    g[0] = 9.0
+    assert t.grad.dtype == np.float32
+    assert np.array_equal(t.grad, [1.0, -0.5, 2.0])
+    _accum(t, np.ones(3))
+    assert np.array_equal(t.grad, [2.0, 0.5, 3.0])
+    assert np.array_equal(g, [9.0, -0.5, 2.0])

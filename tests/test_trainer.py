@@ -424,3 +424,72 @@ def test_checkpoint_config_mismatch(tmp_path):
     p.write_bytes(blob)
     with pytest.raises(ConfigMismatch):
         load_checkpoint(p)
+
+
+def test_checkpoint_config_block_is_the_settings_text():
+    # the exact text checkpoints have always carried; numpy scalars write as plain numbers
+    from octcyst.dataio.formats import format_settings
+
+    cfg = UNetConfig(
+        input_channels=2, base_channels=4, depth=3, bottleneck_channels=32,
+        aspp_rates=(np.int64(1), 2, 4), dropout_per_level=(np.float64(0.1), 0.1, 0.2, 0.25),
+        seed=7,
+    )
+    assert format_settings(cfg) == (
+        "input_channels=2\n"
+        "base_channels=4\n"
+        "depth=3\n"
+        "bottleneck_channels=32\n"
+        "aspp_rates=1,2,4\n"
+        "dropout_per_level=0.1,0.1,0.2,0.25\n"
+        "seed=7\n"
+    )
+
+
+def _with_config_block(tmp_path, edit):
+    """A saved tiny checkpoint whose config block is replaced by edit(block)."""
+    import struct
+
+    cfg = _tiny_cfg(seed=3)
+    _, store = build_unet(cfg)
+    save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
+    data = (tmp_path / "cp.bin").read_bytes()
+    n = struct.unpack_from("<I", data, 8)[0]
+    block = edit(data[12 : 12 + n])
+    p = tmp_path / "edited.bin"
+    p.write_bytes(data[:8] + struct.pack("<I", len(block)) + block + data[12 + n :])
+    return p
+
+
+def test_checkpoint_config_block_edit_helper_keeps_a_valid_checkpoint(tmp_path):
+    p = _with_config_block(tmp_path, lambda block: block)
+    assert load_checkpoint(p).config == _tiny_cfg(seed=3)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda block: block + b"bogus=1\n", "unknown key 'bogus'"),
+        (lambda block: block + b"seed=99\n", "seed set twice"),
+        (lambda block: block.replace(b"depth=2\n", b""), "lacks depth"),
+        (lambda block: block.replace(b"seed=3", b"seed=\xff"), "utf-8"),
+    ],
+    ids=["unknown-key", "repeated-key", "missing-key", "not-utf8"],
+)
+def test_checkpoint_config_block_rejected(tmp_path, edit, message):
+    with pytest.raises(ConfigMismatch, match=message):
+        load_checkpoint(_with_config_block(tmp_path, edit))
+
+
+def test_checkpoint_tensor_name_not_utf8_rejected(tmp_path):
+    import struct
+
+    cfg = _tiny_cfg()
+    _, store = build_unet(cfg)
+    save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
+    data = bytearray((tmp_path / "cp.bin").read_bytes())
+    first_name_at = 12 + struct.unpack_from("<I", data, 8)[0] + 4 + 2
+    data[first_name_at] = 0xFF
+    (tmp_path / "bad.bin").write_bytes(bytes(data))
+    with pytest.raises(ConfigMismatch, match="tensor name is not UTF-8"):
+        load_checkpoint(tmp_path / "bad.bin")
