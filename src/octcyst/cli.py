@@ -33,15 +33,7 @@ from .dataio.formats import (
     read_float_raster,
     write_float_raster,
 )
-from .errors import (
-    BadRecord,
-    EmptyDataset,
-    InvalidConfig,
-    MissingFile,
-    OctCystError,
-    ParseError,
-    UnknownKey,
-)
+from .errors import BadRecord, EmptyDataset, InvalidConfig, MissingFile, OctCystError, ParseError
 from .preprocess import BilateralParams, default_radius, denoise
 from .retinagraph import roi_mask, segment_layers
 from .rng import SplitMix64, derive_seed
@@ -78,13 +70,10 @@ class Config:
 def parse_config(path) -> Config:
     """Read a UTF-8 `key = value` config file in the parse_settings syntax;
     absent keys keep their defaults."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"config not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text: {e}") from e
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"{path}: unreadable or not UTF-8 text: {e}") from e
     return replace(Config(), **parse_settings(text, Config(), path))
 
 
@@ -117,6 +106,8 @@ def _write_text(path, text: str) -> None:
 
 
 def _cmd_phantom(args, cfg: Config, out: Path) -> int:
+    if args.count < 1:
+        raise InvalidConfig(f"--count must be >= 1, got {args.count}")
     seed = args.seed if args.seed is not None else cfg.seed
     manifest_lines = []
     for i in range(args.count):
@@ -334,8 +325,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    """Entry point returning the process exit code: 0 success, 1 data or
-    runtime error, 2 usage or config error."""
+    """Entry point returning the process exit code: 0 success, 2 usage or
+    setting error (argparse, InvalidConfig), 1 any other OctCystError or
+    OSError."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -351,17 +343,13 @@ def run(argv) -> int:
         _train_config(cfg, 0)
         ReferenceDims(cfg.ref_rows, cfg.ref_cols)
         BilateralParams(cfg.sigma_d, 1.0, default_radius(cfg.sigma_d))
-    except (UnknownKey, ParseError, MissingFile, InvalidConfig, ValueError, OverflowError) as e:
-        print(f"octcyst: config error: {e}", file=sys.stderr)
-        return 2
-    out = Path(args.out)
-    try:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.func(args, cfg, out)
-    except OctCystError as e:
-        print(f"octcyst: error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except InvalidConfig as e:
+        print(f"octcyst: setting error: {e}", file=sys.stderr)
+        return 2
+    except (OctCystError, OSError) as e:
         print(f"octcyst: error: {e}", file=sys.stderr)
         return 1
 

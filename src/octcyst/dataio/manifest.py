@@ -20,7 +20,6 @@ class ManifestRecord:
 @dataclass(frozen=True)
 class Manifest:
     records: tuple[ManifestRecord, ...]
-    base_dir: Path
 
 
 def read_manifest(path) -> Manifest:
@@ -55,7 +54,7 @@ def read_manifest(path) -> Manifest:
         )
     if not records:
         raise EmptyManifest(f"{path}: no records")
-    return Manifest(tuple(records), base)
+    return Manifest(tuple(records))
 
 
 def write_manifest(lines: list[tuple[str, ...]], path) -> None:

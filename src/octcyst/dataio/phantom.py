@@ -15,10 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PlacementFailure
+from ..errors import InvalidConfig, PlacementFailure
 from ..rng import SplitMix64, gaussian_array
 
 _MAX_ATTEMPTS_PER_CYST = 200
+
+VITREOUS_MEAN = 20.0
+RETINA_MEAN = 180.0
+CYST_MEAN = 30.0
 
 
 @dataclass(frozen=True)
@@ -31,32 +35,28 @@ class PhantomSpec:
     cyst_axis_range: tuple[int, int] = (2, 6)
     speckle_sigma: float = 0.06
     seed: int = 0
-    # intensity / geometry defaults; override for unusual contrast setups
-    vitreous_mean: float = 20.0
-    retina_mean: float = 180.0
-    cyst_mean: float = 30.0
     dark_rows_above_ism: int = 3
     bright_rows_below_ism: int = 4
 
     def __post_init__(self):
         if not (0 < self.ilm_row < self.ism_row < self.rows):
-            raise ValueError(
+            raise InvalidConfig(
                 f"need 0 < ilm_row < ism_row < rows, got "
                 f"ilm={self.ilm_row} ism={self.ism_row} rows={self.rows}"
             )
         amin, amax = self.cyst_axis_range
         if not (1 <= amin <= amax):
-            raise ValueError(f"bad cyst_axis_range {self.cyst_axis_range}")
+            raise InvalidConfig(f"bad cyst_axis_range {self.cyst_axis_range}")
         if self.speckle_sigma < 0:
-            raise ValueError("speckle_sigma must be >= 0")
+            raise InvalidConfig("speckle_sigma must be >= 0")
         if self.n_cysts < 0:
-            raise ValueError("n_cysts must be >= 0")
+            raise InvalidConfig("n_cysts must be >= 0")
         if self.n_cysts > 0:
             lo, hi = self._cyst_row_range(amax)
             if lo > hi:
-                raise ValueError("cyst axes do not fit inside the ILM/ISM band")
+                raise InvalidConfig("cyst axes do not fit inside the ILM/ISM band")
             if amax > (self.cols - 1) - amax:
-                raise ValueError("cyst axes do not fit inside the image columns")
+                raise InvalidConfig("cyst axes do not fit inside the image columns")
 
     def _cyst_row_range(self, b: int) -> tuple[int, int]:
         """Valid center rows for a cyst of row-semiaxis b (inclusive)."""
@@ -66,11 +66,11 @@ class PhantomSpec:
 
 
 def _base_intensities(spec: PhantomSpec) -> np.ndarray:
-    img = np.full((spec.rows, spec.cols), spec.vitreous_mean, dtype=np.float64)
+    img = np.full((spec.rows, spec.cols), VITREOUS_MEAN, dtype=np.float64)
     strip_top = spec.ism_row - spec.dark_rows_above_ism
     band_end = min(spec.rows, spec.ism_row + spec.bright_rows_below_ism)
-    img[spec.ilm_row : strip_top, :] = spec.retina_mean
-    img[spec.ism_row : band_end, :] = spec.retina_mean
+    img[spec.ilm_row : strip_top, :] = RETINA_MEAN
+    img[spec.ism_row : band_end, :] = RETINA_MEAN
     return img
 
 
@@ -104,7 +104,7 @@ def gen_phantom(spec: PhantomSpec):
             if np.any(mask[guard]):
                 continue
             interior = _ellipse(spec, cr, cc, b, a)
-            img[interior] = spec.cyst_mean
+            img[interior] = CYST_MEAN
             mask[interior] = 1
             break
         else:

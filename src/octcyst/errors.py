@@ -1,7 +1,11 @@
 """Exception types raised across the pipeline.
 
 Every error carries a human-readable message; callers that need to
-distinguish failure modes catch the specific class.
+distinguish failure modes catch the specific class.  The class alone
+decides the CLI's exit code: an InvalidConfig (UnknownKey and ParseError
+included) is a bad flag, config key or setting value and exits 2; every
+other OctCystError, like any OSError, is a bad or missing input or a
+failed run and exits 1.
 """
 
 
@@ -105,10 +109,6 @@ class OddDimension(OctCystError):
     pass
 
 
-class InvalidConfig(OctCystError):
-    pass
-
-
 class NoRecordedGraph(OctCystError):
     pass
 
@@ -139,9 +139,13 @@ class TooFew(OctCystError):
 
 # --- configuration --------------------------------------------------------
 
-class UnknownKey(OctCystError):
+class InvalidConfig(OctCystError, ValueError):
+    """Base of every settings error."""
+
+
+class UnknownKey(InvalidConfig):
     pass
 
 
-class ParseError(OctCystError):
+class ParseError(InvalidConfig):
     pass

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidConfig
+
 DEFAULT_SIGMA_D = 2.0
 
 
@@ -22,14 +24,16 @@ class BilateralParams:
     radius: int
 
     def __post_init__(self):
-        if self.sigma_d <= 0 or self.sigma_r <= 0:
-            raise ValueError("sigma_d and sigma_r must be > 0")
+        if not (0 < self.sigma_d < math.inf and 0 < self.sigma_r < math.inf):
+            raise InvalidConfig("sigma_d and sigma_r must be finite and > 0")
         if self.radius < 1:
-            raise ValueError("radius must be >= 1")
+            raise InvalidConfig("radius must be >= 1")
 
 
 def default_radius(sigma_d: float) -> int:
     """Conventional 2-sigma truncation of the spatial Gaussian."""
+    if not math.isfinite(sigma_d):
+        raise InvalidConfig(f"sigma_d must be finite, got {sigma_d}")
     return max(1, math.ceil(2.0 * sigma_d))
 
 

@@ -36,8 +36,6 @@ class LayerKind(Enum):
 @dataclass(frozen=True)
 class RoiMask:
     mask: np.ndarray  # uint8 {0,1}, (rows, cols)
-    ilm: np.ndarray  # per-column row indices
-    ism: np.ndarray
 
 
 def vertical_gradient(image: np.ndarray) -> np.ndarray:
@@ -184,4 +182,4 @@ def roi_mask(ilm: np.ndarray, ism: np.ndarray, rows: int, cols: int) -> RoiMask:
         raise OrderingViolation("ilm must lie strictly above ism in every column")
     row_idx = np.arange(rows)[:, None]
     mask = ((row_idx > ilm[None, :]) & (row_idx < ism[None, :])).astype(np.uint8)
-    return RoiMask(mask, ilm.copy(), ism.copy())
+    return RoiMask(mask)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio.formats import atomic_write_bytes, read_float_raster, write_float_raster
-from .errors import DimMismatch, TooLarge, WindowOutOfBounds
+from .errors import DimMismatch, InvalidConfig, TooLarge, WindowOutOfBounds
 from .preprocess import DEFAULT_SIGMA_D, denoise
 from .retinagraph import DEFAULT_W_MIN, roi_mask, segment_layers
 
@@ -28,7 +28,7 @@ class ReferenceDims:
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
-            raise ValueError("reference dims must be positive")
+            raise InvalidConfig("reference dims must be positive")
 
 
 @dataclass(frozen=True)

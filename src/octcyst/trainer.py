@@ -23,12 +23,11 @@ from .errors import (
     ConfigMismatch,
     DimMismatch,
     EmptyDataset,
+    InvalidConfig,
     NonFiniteValue,
-    ParseError,
     ShapeMismatch,
     StateShapeMismatch,
     TruncatedData,
-    UnknownKey,
 )
 from .rng import SplitMix64, derive_seed
 from .samplekit import Sample, crop_from_reference
@@ -38,22 +37,23 @@ from .tensornet.tensor import _accum, _attach, _sigmoid_data
 CHECKPOINT_MAGIC = b"UNCK"
 CHECKPOINT_VERSION = 1
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 10
     epochs: int = 100
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise InvalidConfig("batch_size must be >= 1")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+            raise InvalidConfig("learning_rate must be > 0")
 
 
 def bce_loss(logits: Tensor, target: np.ndarray) -> Tensor:
@@ -93,7 +93,7 @@ def adam_step(params: ParamStore, state: AdamState, cfg: TrainConfig) -> None:
 
     Gradients are left untouched; the caller zeroes them between steps."""
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for name, tensor in params.items():
@@ -106,7 +106,7 @@ def adam_step(params: ParamStore, state: AdamState, cfg: TrainConfig) -> None:
             raise StateShapeMismatch(f"optimizer state missing or wrong shape for {name}")
         m += (1.0 - b1) * (g - m)
         v += (1.0 - b2) * (g * g - v)
-        tensor.data = tensor.data - cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        tensor.data = tensor.data - cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -247,13 +247,13 @@ def _parse_config_block(block: bytes, path) -> UNetConfig:
     """The UNetConfig of a checkpoint: every field exactly once, nothing else."""
     try:
         values = parse_settings(block.decode("utf-8"), UNetConfig(), "config block")
-    except (UnicodeDecodeError, UnknownKey, ParseError) as e:
+        missing = [f.name for f in fields(UNetConfig) if f.name not in values]
+        if missing:
+            raise ConfigMismatch(f"{path}: checkpoint config lacks {', '.join(missing)}")
+        cfg = UNetConfig(**values)
+        cfg.validate()
+    except (UnicodeDecodeError, InvalidConfig) as e:
         raise ConfigMismatch(f"{path}: bad checkpoint config: {e}") from e
-    missing = [f.name for f in fields(UNetConfig) if f.name not in values]
-    if missing:
-        raise ConfigMismatch(f"{path}: checkpoint config lacks {', '.join(missing)}")
-    cfg = UNetConfig(**values)
-    cfg.validate()
     return cfg
 
 

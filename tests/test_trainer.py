@@ -493,3 +493,17 @@ def test_checkpoint_tensor_name_not_utf8_rejected(tmp_path):
     (tmp_path / "bad.bin").write_bytes(bytes(data))
     with pytest.raises(ConfigMismatch, match="tensor name is not UTF-8"):
         load_checkpoint(tmp_path / "bad.bin")
+
+
+def test_checkpoint_config_failing_validate_is_a_config_mismatch(tmp_path):
+    from octcyst.cli import run
+
+    # bottleneck_channels must be base_channels * 2^depth = 8
+    p = _with_config_block(
+        tmp_path, lambda block: block.replace(b"bottleneck_channels=8", b"bottleneck_channels=9")
+    )
+    with pytest.raises(ConfigMismatch, match="bottleneck_channels"):
+        load_checkpoint(p)
+    out = tmp_path / "pred"
+    assert run(["predict", "--checkpoint", str(p), "--samples", str(tmp_path),
+                "--out", str(out)]) == 1
