@@ -105,16 +105,18 @@ def _write_text(path, text: str) -> None:
 # --- subcommands -----------------------------------------------------------
 
 
-def _cmd_phantom(args, cfg: Config, out: Path) -> int:
+def _phantom_specs(args, cfg: Config) -> list[PhantomSpec]:
+    """One spec per scan; InvalidConfig if the count or a scan's geometry
+    cannot work."""
     if args.count < 1:
         raise InvalidConfig(f"--count must be >= 1, got {args.count}")
     seed = args.seed if args.seed is not None else cfg.seed
-    manifest_lines = []
+    specs = []
     for i in range(args.count):
         layout = SplitMix64(derive_seed(seed, i))
         ilm = args.rows // 8 + layout.below(max(1, args.rows // 8))
         ism = (5 * args.rows) // 8 + layout.below(max(1, args.rows // 8))
-        spec = PhantomSpec(
+        specs.append(PhantomSpec(
             rows=args.rows,
             cols=args.cols,
             ilm_row=ilm,
@@ -123,8 +125,16 @@ def _cmd_phantom(args, cfg: Config, out: Path) -> int:
             cyst_axis_range=(args.axis_min, args.axis_max),
             speckle_sigma=args.speckle,
             seed=layout.state,
-        )
-        image, mask, _, _ = gen_phantom(spec)
+        ))
+    return specs
+
+
+def _cmd_phantom(args, cfg: Config, out: Path) -> int:
+    # every scan is generated before any is written, so a scan whose cysts
+    # cannot be placed leaves no partial set behind
+    scans = [gen_phantom(spec)[:2] for spec in _phantom_specs(args, cfg)]
+    manifest_lines = []
+    for i, (image, mask) in enumerate(scans):
         img_name = f"img_{i:03d}.pgm"
         mask_name = f"mask_{i:03d}.pgm"
         write_pgm(image, out / img_name)
@@ -343,6 +353,8 @@ def run(argv) -> int:
         _train_config(cfg, 0)
         ReferenceDims(cfg.ref_rows, cfg.ref_cols)
         BilateralParams(cfg.sigma_d, 1.0, default_radius(cfg.sigma_d))
+        if args.command == "phantom":
+            _phantom_specs(args, cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.func(args, cfg, out)

@@ -23,6 +23,10 @@ _MIX2 = 0x94D049BB133111EB
 
 _INV_2_53 = 1.0 / (1 << 53)
 
+# Draws per pass of `uniform_at_least`: 64 Ki uint64 (512 KiB per scratch
+# array) keeps its working set inside a 4 MiB L2 cache.
+_BLOCK = 1 << 16
+
 
 def mix64(x: int) -> int:
     """SplitMix64 finalizer: scrambles a 64-bit value."""
@@ -73,13 +77,16 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    """The finalizer on a uint64 array, in place."""
-    z ^= z >> np.uint64(30)
+def _mix64_vec(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The finalizer on a uint64 array, in place; t is scratch of z's size."""
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
     z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
     z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
     return z
 
 
@@ -88,7 +95,7 @@ def _u64_block(seed: int, start: int, n: int) -> np.ndarray:
     state = np.arange(start + 1, start + n + 1, dtype=np.uint64)
     state *= np.uint64(_GOLDEN)
     state += np.uint64(seed & _MASK)
-    return _mix64_vec(state)
+    return _mix64_vec(state, np.empty_like(state))
 
 
 def uniform_array(seed: int, n: int, start: int = 0) -> np.ndarray:
@@ -100,10 +107,21 @@ def uniform_array(seed: int, n: int, start: int = 0) -> np.ndarray:
 def uniform_at_least(seed: int, n: int, p: float) -> np.ndarray:
     """Booleans equal to `uniform_array(seed, n) >= p`, compared on the
     integer draws: (bits >> 11) * 2**-53 >= p is exact in float64, so it
-    holds exactly when (bits >> 11) >= ceil(p * 2**53)."""
-    bits = _u64_block(seed, 0, n)
-    bits >>= np.uint64(11)
-    return bits >= np.uint64(math.ceil(p * (1 << 53)))
+    holds exactly when (bits >> 11) >= ceil(p * 2**53).  The draws are
+    made _BLOCK at a time in two reused scratch arrays."""
+    threshold = np.uint64(math.ceil(p * (1 << 53)))
+    out = np.empty(n, dtype=bool)
+    steps = np.arange(1, min(n, _BLOCK) + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    z = np.empty_like(steps)
+    t = np.empty_like(steps)
+    for i in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - i)
+        # state i+j+1 = (j+1)*GOLDEN + (seed + i*GOLDEN), mod 2**64
+        np.add(steps[:k], np.uint64((seed + i * _GOLDEN) & _MASK), out=z[:k])
+        bits = _mix64_vec(z[:k], t[:k])
+        bits >>= np.uint64(11)
+        np.greater_equal(bits, threshold, out=out[i : i + k])
+    return out
 
 
 def gaussian_array(seed: int, n: int, start: int = 0) -> np.ndarray:

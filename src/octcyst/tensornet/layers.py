@@ -126,28 +126,37 @@ def transposed_conv2d(x: Tensor, w: Tensor) -> Tensor:
     return _attach(out, (x, w), _bw)
 
 
+# The four positions of a 2x2 window, in row-major order.
+_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def max_pool2(x: Tensor) -> Tensor:
-    """2x2 max pooling; backward routes to the first (row-major) argmax."""
+    """2x2 max pooling; backward routes to the first (row-major) argmax.
+
+    Works on the four strided quadrant views x[:, di::2, dj::2] without
+    copying them.  A NaN in a window pools to NaN."""
     C, H, W = x.data.shape
     if H % 2 or W % 2:
         raise OddDimension(f"max_pool2 needs even spatial dims, got {H}x{W}")
-    windows = (
-        x.data.reshape(C, H // 2, 2, W // 2, 2)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(C, H // 2, W // 2, 4)
-    )
-    idx = windows.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0])
+    quads = [x.data[:, di::2, dj::2] for di, dj in _QUADRANTS]
+    y = quads[0].copy()
+    idx = np.zeros(y.shape, dtype=np.uint8)
+    wins = np.empty(y.shape, dtype=bool)
+    for k in (1, 2, 3):
+        # only a strictly greater value takes the window, so the first
+        # maximum wins; k grows, so the winner is the largest k that won
+        np.greater(quads[k], y, out=wins)
+        np.maximum(idx, wins * np.uint8(k), out=idx)
+        # numpy's maximum returns its second operand on a tie (-0.0 vs 0.0)
+        # and propagates NaN
+        np.maximum(quads[k], y, out=y)
+    out = Tensor(y)
 
     def _bw():
-        gw = np.zeros_like(windows)
-        np.put_along_axis(gw, idx[..., None], out.grad[..., None], axis=-1)
-        _accum(
-            x,
-            gw.reshape(C, H // 2, W // 2, 2, 2)
-            .transpose(0, 1, 3, 2, 4)
-            .reshape(C, H, W),
-        )
+        gx = np.zeros_like(x.data)
+        for k, (di, dj) in enumerate(_QUADRANTS):
+            np.copyto(gx[:, di::2, dj::2], out.grad, where=idx == k)
+        _accum(x, gx)
 
     return _attach(out, (x,), _bw)
 

@@ -5,6 +5,10 @@ on and an input requires gradients, the output also records its parents
 and a closure that pushes the upstream gradient to them.  `backward`
 topologically sorts the recorded graph from the loss and runs the
 closures, accumulating into `.grad` of every tensor that requires it.
+After `backward` only leaves (tensors without a recorded closure, such as
+parameters) and the loss keep `.grad`: each interior tensor drops its
+gradient once its closure has consumed it, and its activation is freed
+once the closures of all its consumers have run.
 
 Storage is float32 by default; building a graph from float64 tensors runs
 the whole computation in float64, which the gradient checks rely on.
@@ -196,9 +200,10 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
 
 
 def backward(loss: Tensor, grad: float = 1.0) -> None:
-    """Backpropagate from `loss`, accumulating into .grad of every tensor
+    """Backpropagate from `loss`, accumulating into .grad of every leaf
     that requires gradients.  `grad` seeds the upstream gradient.  The graph
-    is released as it runs, so a second call on `loss` raises NoRecordedGraph."""
+    is released as it runs: interior gradients are dropped once consumed,
+    and a second call on `loss` raises NoRecordedGraph."""
     if not loss._parents and loss._backward is None:
         raise NoRecordedGraph(
             "tensor has no recorded graph; run the forward pass with "
@@ -220,9 +225,14 @@ def backward(loss: Tensor, grad: float = 1.0) -> None:
             if p.requires_grad:
                 stack.append((p, False))
     _accum(loss, np.full_like(loss.data, grad))
-    for node in reversed(topo):
+    # popping drops the list's reference, so a node is freed as soon as the
+    # closures of all its consumers, which ran before it, are released
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward()
+            if node is not loss:
+                node.grad = None
         # closure -> output tensor -> closure: only releasing breaks the cycle
         node._backward = None
         node._parents = ()

@@ -224,6 +224,25 @@ def test_phantom_writes_only_inside_out(tmp_path, monkeypatch):
     assert {p.name for p in tmp_path.iterdir()} == {"data"}
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--count", "0"], ["--rows", "32", "--cols", "32"], ["--rows", "34", "--count", "4"]],
+    ids=["count-0", "first-scan-geometry", "third-scan-geometry"],
+)
+def test_phantom_setting_error_leaves_no_out_directory(tmp_path, flags):
+    # with --rows 34 and seed 1 the first two scans fit and the third does not
+    out = tmp_path / "o"
+    assert run(["phantom", *flags, "--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_phantom_placement_failure_writes_no_scan(tmp_path):
+    # the thirteenth scan's cysts do not fit
+    out = tmp_path / "o"
+    assert run(["phantom", "--rows", "40", "--cols", "32", "--count", "20", "--out", str(out)]) == 1
+    assert list(out.iterdir()) == []
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
 

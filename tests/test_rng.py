@@ -1,5 +1,6 @@
 import numpy as np
 
+from octcyst import rng
 from octcyst.rng import (
     SplitMix64,
     derive_seed,
@@ -36,6 +37,20 @@ def test_uniform_at_least_equals_float_comparison():
             # the drawn values themselves put p exactly on a draw
             for p in (0.0, 0.1, 0.2, 0.5, 1.0 - 2**-53, u[0], u[-1]):
                 assert np.array_equal(uniform_at_least(seed, n, float(p)), u >= p)
+
+
+def test_uniform_at_least_is_seamless_across_blocks(monkeypatch):
+    B = 8
+    monkeypatch.setattr(rng, "_BLOCK", B)
+    for seed in (1, 2**64 - 1):
+        for n in (0, 1, B - 1, B, B + 1, 3 * B + 7):
+            u = uniform_array(seed, n)
+            # p on the draws that open and close blocks, and on the last one
+            on_draws = [u[i] for i in (0, B - 1, B, n - 1) if 0 <= i < n]
+            for p in (0.0, 0.1, 0.5, 1.0 - 2**-53, *on_draws):
+                got = uniform_at_least(seed, n, float(p))
+                assert got.dtype == np.bool_ and got.shape == (n,)
+                assert np.array_equal(got, u >= p)
 
 
 def test_same_seed_same_sequence():

@@ -28,6 +28,7 @@ from octcyst.tensornet import (
     mean,
     no_grad,
     relu,
+    sigmoid,
     transposed_conv2d,
 )
 from octcyst.rng import uniform_array
@@ -262,6 +263,59 @@ def test_max_pool_gradient_matches_fd():
 
     backward(mean(max_pool2(x)))
     assert max_rel_error_fd(store, loss_fn) <= 1e-6
+
+
+def _pool_oracle(x, g):
+    """The reshape/argmax formulation of 2x2 max pooling: the pooled values,
+    and the input gradient for the upstream gradient g."""
+    C, H, W = x.shape
+    windows = x.reshape(C, H // 2, 2, W // 2, 2).transpose(0, 1, 3, 2, 4).reshape(C, H // 2, W // 2, 4)
+    idx = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    gw = np.zeros_like(windows)
+    np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
+    return out, gw.reshape(C, H // 2, W // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(C, H, W)
+
+
+def _tie_windows():
+    """Two 2x2 windows per channel: in the first, the 15 nonempty sets of
+    positions holding the maximum and then -0.0 tied with a later 0.0; in
+    the second, 0.0 tied with a later -0.0.  The first of a tie must win."""
+    x = np.full((16, 2, 4), -1.0, dtype=np.float32)
+    for bits in range(1, 16):
+        x[bits - 1, :, :2].flat[[b for b in range(4) if bits >> b & 1]] = 1.0
+    x[15, 0, 1], x[15, 1, 0] = -0.0, 0.0
+    x[:, 0, 2:] = [0.0, -0.0]
+    return x
+
+
+@pytest.mark.parametrize("case", ["random32", "random64", "quantized", "ties"])
+def test_max_pool_values_and_routed_gradient_match_the_argmax_oracle(case):
+    rng = np.random.default_rng(61)
+    data = {
+        "random32": lambda: rng.random((4, 8, 16), dtype=np.float32),
+        "random64": lambda: rng.random((2, 16, 8)),
+        "quantized": lambda: rng.choice(np.array([0.0, 0.5, 1.0], dtype=np.float32), (2, 8, 16)),
+        "ties": _tie_windows,
+    }[case]()
+    x = Tensor(data, requires_grad=True)
+    out = max_pool2(x)
+    g = rng.standard_normal(out.data.shape).astype(data.dtype)
+    # the pooled size is a power of two, so mean's 1/size scaling is exact
+    backward(mean(out * Tensor(g)))
+    want_out, want_grad = _pool_oracle(data, g / g.size)
+    assert out.data.dtype == data.dtype
+    assert out.data.tobytes() == want_out.tobytes()
+    assert x.grad.tobytes() == want_grad.tobytes()
+
+
+def test_max_pool_nan_in_a_window_gives_nan_out():
+    for pos in range(4):
+        data = np.ones((1, 2, 4), dtype=np.float32)
+        data[0].flat[[0, 1, 4, 5][pos]] = np.nan  # one position of the first window
+        out = max_pool2(Tensor(data)).data
+        assert np.isnan(out[0, 0, 0])
+        assert out[0, 0, 1] == 1.0
 
 
 # --- attention gate -----------------------------------------------------------
@@ -558,6 +612,75 @@ def test_backward_frees_the_graph_without_the_cycle_collector():
     finally:
         gc.enable()
     assert np.array_equal(x.grad, [0.0, 0.0, 0.5, 0.5])
+
+
+def _chain_backward_peak(n_ops):
+    """tracemalloc peak while `backward` runs through a chain of n_ops
+    element-wise ops over a 1 MiB float32 tensor; the forward activations
+    were allocated before tracing starts."""
+    x = Tensor(np.random.default_rng(3).random(1 << 18, dtype=np.float32), requires_grad=True)
+    ops = (lambda t: t * 1.5, lambda t: t + 0.25, relu, sigmoid)
+    h = x
+    for i in range(n_ops):
+        h = ops[i % 4](h)
+    loss = mean(h)
+    del h
+    tracemalloc.start()
+    try:
+        backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.data.shape
+    return peak
+
+
+def test_backward_peak_memory_does_not_grow_with_chain_length():
+    assert _chain_backward_peak(40) <= 2 * _chain_backward_peak(10)
+
+
+def test_backward_frees_activations_before_it_returns():
+    # the first op's closure runs last; by then every later activation
+    # must already be gone, not held until backward returns
+    gc.disable()
+    try:
+        x = Tensor(np.arange(-2.0, 2.0), requires_grad=True)
+        first = x * 2.0
+        h = first
+        later = []
+        for _ in range(5):
+            h = relu(h + 0.5)
+            later.append(weakref.ref(h.data))
+        loss = mean(h)
+        del h
+        freed = []
+        closure = first._backward
+
+        def probe():
+            freed.append([ref() is None for ref in later])
+            closure()
+
+        first._backward = probe
+        backward(loss)
+    finally:
+        gc.enable()
+    assert freed == [[True] * 5]
+
+
+def test_backward_keeps_gradients_only_on_leaves_and_the_loss():
+    x = Tensor(np.array([-1.0, -0.25, 0.5, 2.0], dtype=np.float32), requires_grad=True)
+    w = Tensor(np.array([3.0, -2.0, 0.5, 1.5], dtype=np.float32), requires_grad=True)
+    a = x * w
+    b = relu(a + 0.5)
+    c = b * 3.0
+    loss = mean(c)
+    backward(loss)
+    assert a.grad is None and b.grad is None and c.grad is None
+    assert loss.grad == 1.0
+    # the closures' own arithmetic, in their order
+    g = (np.full(4, 0.25, dtype=np.float32) * np.float32(3.0)) * (a.data + np.float32(0.5) > 0)
+    assert np.array_equal(x.grad, g * w.data)
+    assert np.array_equal(w.grad, g * x.data)
 
 
 def test_second_backward_on_consumed_graph_raises():
