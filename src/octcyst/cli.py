@@ -35,11 +35,11 @@ from .dataio.formats import (
 )
 from .errors import BadRecord, EmptyDataset, InvalidConfig, MissingFile, OctCystError, ParseError
 from .preprocess import BilateralParams, default_radius, denoise
-from .retinagraph import roi_mask, segment_layers
 from .rng import SplitMix64, derive_seed
 from .samplekit import (
     ReferenceDims,
     Sample,
+    extract_layers,
     load_sample,
     pad_to_reference,
     prepare_sample,
@@ -152,18 +152,14 @@ def _cmd_denoise(args, cfg: Config, out: Path) -> int:
 
 def _cmd_layers(args, cfg: Config, out: Path) -> int:
     stem = Path(args.input).stem
-    image = read_pgm(args.input)
-    denoised = denoise(image, cfg.sigma_d)
-    ilm, ism = segment_layers(denoised, cfg.w_min)
-    roi = roi_mask(ilm, ism, *denoised.shape)
-
-    overlay = denoised.copy()
+    # the boundaries are drawn over the denoised scan, which nothing else reads
+    overlay, ilm, ism, roi = extract_layers(read_pgm(args.input), cfg.sigma_d, cfg.w_min)
     cols = overlay.shape[1]
     stripes = np.where(np.arange(cols) % 2 == 0, 255, 0).astype(np.uint8)
     overlay[ilm, np.arange(cols)] = stripes
     overlay[ism, np.arange(cols)] = stripes
     write_pgm(overlay, out / f"{stem}_overlay.pgm")
-    write_mask_pgm(roi.mask, out / f"{stem}_roi.pgm")
+    write_mask_pgm(roi, out / f"{stem}_roi.pgm")
     return 0
 
 
@@ -189,11 +185,6 @@ def _cmd_prepare(args, cfg: Config, out: Path) -> int:
         sample = _prepare_one(record.image_path, cfg)
         save_sample(sample, out / f"{stem}.octf")
         write_float_raster(_padded_target(record.mask_path, cfg), out / f"{stem}_target.octf")
-        if record.second_mask_path is not None:
-            write_float_raster(
-                _padded_target(record.second_mask_path, cfg),
-                out / f"{stem}_target2.octf",
-            )
     return 0
 
 
@@ -207,7 +198,7 @@ def _inputs(args, cfg: Config) -> list[tuple[str, Sample, Path]]:
         ]
     paths = sorted(
         p for p in Path(args.samples).glob("*.octf")
-        if not p.stem.endswith(("_target", "_target2"))
+        if not p.stem.endswith("_target")
     )
     if not paths:
         raise EmptyDataset(f"no prepared samples in {args.samples}")

@@ -11,7 +11,6 @@ and the second boundary is searched on the remaining side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,11 +30,6 @@ DEFAULT_W_MIN = 1e-5
 class LayerKind(Enum):
     ILM = "ILM"
     ISM = "ISM"
-
-
-@dataclass(frozen=True)
-class RoiMask:
-    mask: np.ndarray  # uint8 {0,1}, (rows, cols)
 
 
 def vertical_gradient(image: np.ndarray) -> np.ndarray:
@@ -172,8 +166,8 @@ def segment_layers(
     return ilm, ism
 
 
-def roi_mask(ilm: np.ndarray, ism: np.ndarray, rows: int, cols: int) -> RoiMask:
-    """Binary mask of the strict interior between the two boundaries."""
+def roi_mask(ilm: np.ndarray, ism: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """uint8 {0,1} mask of the strict interior between the two boundaries."""
     ilm = np.asarray(ilm, dtype=np.int64)
     ism = np.asarray(ism, dtype=np.int64)
     if ilm.shape != (cols,) or ism.shape != (cols,):
@@ -181,5 +175,4 @@ def roi_mask(ilm: np.ndarray, ism: np.ndarray, rows: int, cols: int) -> RoiMask:
     if not np.all(ilm < ism):
         raise OrderingViolation("ilm must lie strictly above ism in every column")
     row_idx = np.arange(rows)[:, None]
-    mask = ((row_idx > ilm[None, :]) & (row_idx < ism[None, :])).astype(np.uint8)
-    return RoiMask(mask)
+    return ((row_idx > ilm[None, :]) & (row_idx < ism[None, :])).astype(np.uint8)

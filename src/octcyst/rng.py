@@ -131,17 +131,3 @@ def gaussian_array(seed: int, n: int, start: int = 0) -> np.ndarray:
     u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
-
-class UniformStream:
-    """Chunked access to one uniform sequence; take(n) advances the cursor."""
-
-    __slots__ = ("seed", "_pos")
-
-    def __init__(self, seed: int):
-        self.seed = seed & _MASK
-        self._pos = 0
-
-    def take(self, n: int) -> np.ndarray:
-        out = uniform_array(self.seed, n, start=self._pos)
-        self._pos += n
-        return out

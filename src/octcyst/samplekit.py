@@ -1,8 +1,11 @@
 """Network input assembly.
 
+`extract_layers` is the one layer stage, shared by the `layers` subcommand
+and `prepare_sample`: it denoises a scan, finds the ILM and ISM, and takes
+the ROI strictly between them.
 Scans from different devices keep their native size: the denoised image is
-normalized to [0,1], the ROI indicator is computed, and both are embedded
-centered in a fixed reference frame by zero-padding, then stacked into a
+normalized to [0,1], stacked with the ROI indicator, and the pair is
+embedded centered in a fixed reference frame by zero-padding into a
 two-channel sample.  The padding offset and original dims ride along so
 predictions can be cropped back to scan coordinates.
 """
@@ -60,15 +63,16 @@ def normalize(image: np.ndarray) -> np.ndarray:
 def pad_to_reference(
     image: np.ndarray, ref: ReferenceDims
 ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Embed centered (floor offsets) in a zero frame of the reference size."""
+    """Embed the last two axes centered (floor offsets) in a zero frame of
+    the reference size; leading axes, such as channels, are kept."""
     img = np.asarray(image, dtype=np.float32)
-    rows, cols = img.shape
+    rows, cols = img.shape[-2:]
     if rows > ref.rows or cols > ref.cols:
         raise TooLarge(f"image {rows}x{cols} exceeds reference {ref.rows}x{ref.cols}")
     row_off = (ref.rows - rows) // 2
     col_off = (ref.cols - cols) // 2
-    padded = np.zeros((ref.rows, ref.cols), dtype=np.float32)
-    padded[row_off : row_off + rows, col_off : col_off + cols] = img
+    padded = np.zeros(img.shape[:-2] + (ref.rows, ref.cols), dtype=np.float32)
+    padded[..., row_off : row_off + rows, col_off : col_off + cols] = img
     return padded, (row_off, col_off)
 
 
@@ -85,20 +89,17 @@ def crop_from_reference(
     return padded[r0 : r0 + rows, c0 : c0 + cols].copy()
 
 
-def stack_channels(
+def extract_layers(
     image: np.ndarray,
-    roi: np.ndarray,
-    offset: tuple[int, int],
-    orig_dims: tuple[int, int],
-) -> Sample:
-    """Stack a padded normalized image and a padded {0,1} ROI into a Sample."""
-    img = np.asarray(image, dtype=np.float32)
-    roi = np.asarray(roi, dtype=np.float32)
-    if img.shape != roi.shape:
-        raise DimMismatch(f"channel dims differ: {img.shape} vs {roi.shape}")
-    if not np.all((roi == 0.0) | (roi == 1.0)):
-        raise ValueError("ROI channel must be a {0,1} indicator")
-    return Sample(np.stack([img, roi]), tuple(offset), tuple(orig_dims))
+    sigma_d: float = DEFAULT_SIGMA_D,
+    w_min: float = DEFAULT_W_MIN,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The layer stage: (denoised, ilm, ism, roi), where ilm/ism hold one
+    boundary row per column and roi is the uint8 {0,1} strict interior
+    between them, in scan coordinates."""
+    denoised = denoise(image, sigma_d)
+    ilm, ism = segment_layers(denoised, w_min)
+    return denoised, ilm, ism, roi_mask(ilm, ism, *denoised.shape)
 
 
 def prepare_sample(
@@ -107,16 +108,10 @@ def prepare_sample(
     sigma_d: float = DEFAULT_SIGMA_D,
     w_min: float = DEFAULT_W_MIN,
 ) -> Sample:
-    """Full preparation: denoise, segment layers, build ROI, pad, stack."""
-    img = np.asarray(image)
-    rows, cols = img.shape
-    denoised = denoise(img, sigma_d)
-    ilm, ism = segment_layers(denoised, w_min)
-    roi = roi_mask(ilm, ism, rows, cols)
-    norm = normalize(denoised)
-    padded_img, offset = pad_to_reference(norm, ref)
-    padded_roi, _ = pad_to_reference(roi.mask.astype(np.float32), ref)
-    return stack_channels(padded_img, padded_roi, offset, (rows, cols))
+    """Full preparation: the layer stage, then normalize, stack, pad."""
+    denoised, _, _, roi = extract_layers(image, sigma_d, w_min)
+    values, offset = pad_to_reference(np.stack([normalize(denoised), roi]), ref)
+    return Sample(values, offset, denoised.shape)
 
 
 _META_RE = re.compile(r"^offset=(\d+),(\d+) orig=(\d+),(\d+)$")

@@ -12,7 +12,6 @@ from .tensor import (
     Tensor,
     backward,
     concat,
-    grad_enabled,
     mean,
     no_grad,
     relu,
@@ -34,7 +33,6 @@ __all__ = [
     "concat",
     "conv2d",
     "dropout",
-    "grad_enabled",
     "max_pool2",
     "mean",
     "no_grad",

@@ -20,26 +20,22 @@ import numpy as np
 
 from ..errors import NoRecordedGraph, ShapeMismatch
 
-_grad_enabled = True
+_recording = True
 
 
 class no_grad:
     """Context manager that disables graph recording."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        global _recording
+        self._prev = _recording
+        _recording = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        global _recording
+        _recording = self._prev
         return False
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -85,7 +81,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 def _attach(out: Tensor, parents: tuple, backward_fn) -> Tensor:
     """Record the graph edge if recording is on and any parent needs grads."""
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidConfig, ShapeMismatch
-from ..rng import UniformStream, derive_seed
+from ..rng import derive_seed, uniform_array
 from .layers import (
     AsppParams,
     AttentionGateParams,
@@ -108,13 +108,15 @@ class _Init:
     """He-uniform initialization drawn from one seeded stream."""
 
     def __init__(self, seed: int, dtype):
-        self.stream = UniformStream(seed)
+        self.seed = seed
+        self.pos = 0  # draws taken so far
         self.dtype = dtype
 
     def weight(self, shape: tuple[int, ...], fan_in: int) -> Tensor:
         bound = math.sqrt(6.0 / fan_in)
         n = int(np.prod(shape))
-        vals = (self.stream.take(n) * 2.0 - 1.0) * bound
+        vals = (uniform_array(self.seed, n, start=self.pos) * 2.0 - 1.0) * bound
+        self.pos += n
         return Tensor(vals.reshape(shape).astype(self.dtype))
 
     def zeros(self, shape: tuple[int, ...]) -> Tensor:

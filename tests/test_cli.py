@@ -4,6 +4,7 @@ import pytest
 from octcyst.cli import Config, parse_config, run
 from octcyst.dataio import read_mask_pgm, read_pgm, write_mask_pgm
 from octcyst.errors import ParseError, UnknownKey
+from octcyst.samplekit import crop_from_reference, load_sample
 
 
 TINY_CONFIG = """\
@@ -38,6 +39,17 @@ def _make_phantoms(tmp_path, count=4, seed=5):
     )
     assert code == 0
     return out
+
+
+def _two_grader_manifest(data, count):
+    """manifest2.txt: each scan of `data` with its mask as both graders'."""
+    lines = []
+    for i in range(count):
+        mask = read_mask_pgm(data / f"mask_{i:03d}.pgm")
+        write_mask_pgm(mask, data / f"mask2_{i:03d}.pgm")
+        lines.append(f"img_{i:03d}.pgm\tmask_{i:03d}.pgm\tmask2_{i:03d}.pgm")
+    (data / "manifest2.txt").write_text("".join(l + "\n" for l in lines))
+    return data / "manifest2.txt"
 
 
 # --- config ------------------------------------------------------------------
@@ -279,6 +291,27 @@ def test_layers_command_overlay_and_roi(tmp_path):
     assert marked[0].size > 0
 
 
+def test_layers_roi_matches_prepared_roi_channel(tmp_path):
+    # a frame larger than the scan and a non-default sigma_d, shared by both
+    text = TINY_CONFIG.replace("ref_rows = 32\nref_cols = 32", "ref_rows = 40\nref_cols = 44")
+    cfg = _write_config(tmp_path, text + "sigma_d = 1.5\n")
+    data = _make_phantoms(tmp_path, count=2)
+    prep = tmp_path / "prep"
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"),
+                "--config", cfg, "--out", str(prep)]) == 0
+    for i in range(2):
+        stem = f"img_{i:03d}"
+        lay = tmp_path / f"lay{i}"
+        assert run(["layers", "--in", str(data / f"{stem}.pgm"),
+                    "--config", cfg, "--out", str(lay)]) == 0
+        roi = read_mask_pgm(lay / f"{stem}_roi.pgm")
+        sample = load_sample(prep / f"{stem}.octf")
+        assert sample.offset == (4, 6)
+        prepared = crop_from_reference(sample.roi_channel, sample.offset, sample.orig_dims)
+        assert roi.any()
+        assert np.array_equal(prepared, roi.astype(np.float32))
+
+
 # --- prepare / train / predict / evaluate ---------------------------------------
 
 
@@ -312,6 +345,18 @@ def test_full_pipeline(tmp_path):
     text = (rep / "report.txt").read_text()
     assert "mean dice=" in text
     assert (rep / "report.tsv").is_file()
+
+
+def test_prepare_writes_one_target_per_record(tmp_path):
+    cfg = _write_config(tmp_path)
+    data = _make_phantoms(tmp_path, count=2)
+    prep = tmp_path / "prep"
+    assert run(["prepare", "--manifest", str(_two_grader_manifest(data, 2)),
+                "--config", cfg, "--out", str(prep)]) == 0
+    expected = {
+        f"img_{i:03d}{suffix}" for i in range(2) for suffix in (".octf", ".octf.meta", "_target.octf")
+    }
+    assert {p.name for p in prep.iterdir()} == expected
 
 
 def test_predict_from_manifest(tmp_path):
@@ -400,18 +445,13 @@ def test_iov_requires_second_mask(tmp_path):
 
 def test_evaluate_with_two_graders_writes_extra_reports(tmp_path):
     data = _make_phantoms(tmp_path, count=2)
-    lines = []
-    for i in range(2):
-        mask = read_mask_pgm(data / f"mask_{i:03d}.pgm")
-        write_mask_pgm(mask, data / f"mask2_{i:03d}.pgm")
-        lines.append(f"img_{i:03d}.pgm\tmask_{i:03d}.pgm\tmask2_{i:03d}.pgm")
-    (data / "manifest2.txt").write_text("".join(l + "\n" for l in lines))
+    manifest = _two_grader_manifest(data, 2)
     pred = tmp_path / "pred"
     pred.mkdir()
     for i in range(2):
         write_mask_pgm(read_mask_pgm(data / f"mask_{i:03d}.pgm"), pred / f"img_{i:03d}_mask.pgm")
     rep = tmp_path / "rep"
-    assert run(["evaluate", "--manifest", str(data / "manifest2.txt"),
+    assert run(["evaluate", "--manifest", str(manifest),
                 "--pred", str(pred), "--out", str(rep)]) == 0
     assert (rep / "report.txt").is_file()
     assert (rep / "report_gt2.txt").is_file()

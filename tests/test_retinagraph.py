@@ -312,13 +312,13 @@ def test_segment_layers_ordering_always_holds():
 
 def test_roi_strict_interior():
     r = roi_mask(np.array([2, 2]), np.array([5, 5]), 8, 2)
-    assert set(np.where(r.mask[:, 0])[0].tolist()) == {3, 4}
-    assert set(np.where(r.mask[:, 1])[0].tolist()) == {3, 4}
+    assert set(np.where(r[:, 0])[0].tolist()) == {3, 4}
+    assert set(np.where(r[:, 1])[0].tolist()) == {3, 4}
 
 
 def test_roi_adjacent_paths_empty():
     r = roi_mask(np.array([2]), np.array([3]), 6, 1)
-    assert r.mask.sum() == 0
+    assert r.sum() == 0
 
 
 def test_roi_bit_count_closed_form():
@@ -328,7 +328,7 @@ def test_roi_bit_count_closed_form():
     ism = ilm + rng.integers(1, 15, size=cols)
     r = roi_mask(ilm, ism, rows, cols)
     expected = int(np.sum(np.maximum(0, ism - ilm - 1)))
-    assert int(r.mask.sum()) == expected
+    assert int(r.sum()) == expected
 
 
 def test_roi_ordering_violation():

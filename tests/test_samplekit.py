@@ -3,15 +3,17 @@ import pytest
 
 from octcyst.dataio import PhantomSpec, gen_phantom
 from octcyst.errors import DimMismatch, NoLayerContrast, TooLarge, WindowOutOfBounds
+from octcyst.preprocess import denoise
+from octcyst.retinagraph import roi_mask, segment_layers
 from octcyst.samplekit import (
     ReferenceDims,
     crop_from_reference,
+    extract_layers,
     load_sample,
     normalize,
     pad_to_reference,
     prepare_sample,
     save_sample,
-    stack_channels,
 )
 
 
@@ -58,6 +60,22 @@ def test_pad_odd_remainder_goes_bottom_right():
     assert padded[4:].sum() == 0 and padded[:, 4:].sum() == 0
 
 
+def test_pad_to_reference_pads_last_two_axes():
+    pair = np.random.default_rng(6).random((2, 5, 7)).astype(np.float32)
+    ref = ReferenceDims(8, 10)
+    padded, offset = pad_to_reference(pair, ref)
+    per_channel = [pad_to_reference(channel, ref) for channel in pair]
+    assert padded.shape == (2, 8, 10) and padded.dtype == np.float32
+    assert all(off == offset for _, off in per_channel)
+    assert np.array_equal(padded, np.stack([p for p, _ in per_channel]))
+    # leading axes never count against the frame; the last two always do
+    more_channels_than_rows, _ = pad_to_reference(np.ones((12, 8, 10)), ref)
+    assert more_channels_than_rows.shape == (12, 8, 10)
+    for shape in ((2, 9, 10), (2, 8, 11)):
+        with pytest.raises(TooLarge):
+            pad_to_reference(np.zeros(shape), ref)
+
+
 def test_crop_round_trip_bitwise():
     img = np.random.default_rng(1).random((5, 7)).astype(np.float32)
     padded, offset = pad_to_reference(img, ReferenceDims(8, 10))
@@ -73,32 +91,6 @@ def test_crop_full_identity():
 def test_crop_out_of_bounds():
     with pytest.raises(WindowOutOfBounds):
         crop_from_reference(np.zeros((8, 10)), (5, 5), (5, 7))
-
-
-def test_stack_channels_basic():
-    img = np.random.default_rng(3).random((4, 4)).astype(np.float32)
-    roi = (img > 0.5).astype(np.float32)
-    s = stack_channels(img, roi, (0, 0), (4, 4))
-    assert np.array_equal(s.image_channel, img)
-    assert np.array_equal(s.roi_channel, roi)
-    assert s.values.shape == (2, 4, 4)
-
-
-def test_stack_channels_dim_mismatch():
-    with pytest.raises(DimMismatch):
-        stack_channels(np.zeros((4, 4)), np.zeros((4, 5)), (0, 0), (4, 4))
-
-
-def test_stack_channels_zero_roi_ok():
-    img = np.random.default_rng(4).random((3, 3)).astype(np.float32)
-    s = stack_channels(img, np.zeros((3, 3), dtype=np.float32), (0, 0), (3, 3))
-    assert not s.roi_channel.any()
-    assert np.array_equal(s.image_channel, img)
-
-
-def test_stack_channels_rejects_non_binary_roi():
-    with pytest.raises(ValueError):
-        stack_channels(np.zeros((3, 3)), np.full((3, 3), 0.5), (0, 0), (3, 3))
 
 
 def _phantom_image(seed=3):
@@ -117,6 +109,27 @@ def test_prepare_sample_roi_between_known_rows():
     support_rows = np.where(s.roi_channel.any(axis=1))[0] - s.offset[0]
     assert support_rows.min() >= spec.ilm_row - 1
     assert support_rows.max() <= spec.ism_row + 1
+
+
+def test_prepare_sample_equals_channelwise_padding():
+    # oracle: the layer chain spelled out, each channel padded on its own,
+    # then stacked
+    _, img = _phantom_image(seed=7)
+    ref = ReferenceDims(75, 101)  # odd margins: 11 rows, 5 columns
+    denoised = denoise(img)
+    ilm, ism = segment_layers(denoised)
+    roi = roi_mask(ilm, ism, *img.shape)
+    padded_img, offset = pad_to_reference(normalize(denoised), ref)
+    padded_roi, _ = pad_to_reference(roi.astype(np.float32), ref)
+
+    s = prepare_sample(img, ref)
+    assert s.values.dtype == np.float32 and s.values.shape == (2, 75, 101)
+    assert s.values.tobytes() == np.stack([padded_img, padded_roi]).tobytes()
+    assert s.offset == offset == (5, 2)
+    assert s.orig_dims == (64, 96)
+    stage = extract_layers(img)
+    for got, want in zip(stage, (denoised, ilm, ism, roi)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_prepare_sample_deterministic():
