@@ -10,6 +10,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -179,8 +180,7 @@ def _padded_target(path: Path, cfg: Config) -> np.ndarray:
 
 
 def _cmd_prepare(args, cfg: Config, out: Path) -> int:
-    manifest = read_manifest(args.manifest)
-    for record in manifest.records:
+    for record in read_manifest(args.manifest):
         stem = record.image_path.stem
         sample = _prepare_one(record.image_path, cfg)
         save_sample(sample, out / f"{stem}.octf")
@@ -194,7 +194,7 @@ def _inputs(args, cfg: Config) -> list[tuple[str, Sample, Path]]:
     if args.manifest:
         return [
             (r.image_path.stem, _prepare_one(r.image_path, cfg), r.mask_path)
-            for r in read_manifest(args.manifest).records
+            for r in read_manifest(args.manifest)
         ]
     paths = sorted(
         p for p in Path(args.samples).glob("*.octf")
@@ -228,7 +228,7 @@ def _cmd_predict(args, cfg: Config, out: Path) -> int:
 
 
 def _cmd_evaluate(args, cfg: Config, out: Path) -> int:
-    records = read_manifest(args.manifest).records
+    records = read_manifest(args.manifest)
     stems = [r.image_path.stem for r in records]
     preds = []
     for stem in stems:
@@ -250,10 +250,9 @@ def _cmd_evaluate(args, cfg: Config, out: Path) -> int:
 
 
 def _cmd_iov(args, cfg: Config, out: Path) -> int:
-    manifest = read_manifest(args.manifest)
     dices = []
     lines = []
-    for record in manifest.records:
+    for record in read_manifest(args.manifest):
         if record.second_mask_path is None:
             raise BadRecord(f"{record.image_path.name}: no second grader mask")
         d = metrics.grader_iov(
@@ -339,6 +338,11 @@ def run(argv) -> int:
         _unet_config(cfg, 0).validate()  # cross-field checks (depth vs dropout)
         if cfg.ref_rows % 2**cfg.depth or cfg.ref_cols % 2**cfg.depth:
             raise InvalidConfig(f"reference frame is not divisible by 2**depth = {2**cfg.depth}")
+        if not 0 < cfg.threshold < 1:
+            raise InvalidConfig(f"threshold must be in (0, 1), got {cfg.threshold}")
+        # layer paths are shortest paths only while every edge weight is >= 0
+        if not 0 <= cfg.w_min < math.inf:
+            raise InvalidConfig(f"w_min must be finite and >= 0, got {cfg.w_min}")
         # the other settings objects the subcommands build check their own values;
         # sigma_r is estimated per scan and never below 1
         _train_config(cfg, 0)

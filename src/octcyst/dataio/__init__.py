@@ -6,11 +6,10 @@ from .formats import (
     write_mask_pgm,
     write_pgm,
 )
-from .manifest import Manifest, ManifestRecord, read_manifest, write_manifest
+from .manifest import ManifestRecord, read_manifest, write_manifest
 from .phantom import PhantomSpec, gen_phantom
 
 __all__ = [
-    "Manifest",
     "ManifestRecord",
     "PhantomSpec",
     "gen_phantom",

@@ -17,13 +17,8 @@ class ManifestRecord:
     second_mask_path: Optional[Path] = None
 
 
-@dataclass(frozen=True)
-class Manifest:
-    records: tuple[ManifestRecord, ...]
-
-
-def read_manifest(path) -> Manifest:
-    """Parse a manifest file.
+def read_manifest(path) -> tuple[ManifestRecord, ...]:
+    """Parse a manifest file into its records, in line order.
 
     Lines hold 2 or 3 tab-separated paths (image, mask[, second grader mask])
     relative to the manifest's directory; blank lines and '#' lines are
@@ -54,7 +49,7 @@ def read_manifest(path) -> Manifest:
         )
     if not records:
         raise EmptyManifest(f"{path}: no records")
-    return Manifest(tuple(records))
+    return tuple(records)
 
 
 def write_manifest(lines: list[tuple[str, ...]], path) -> None:

@@ -11,6 +11,7 @@ seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class PhantomSpec:
         amin, amax = self.cyst_axis_range
         if not (1 <= amin <= amax):
             raise InvalidConfig(f"bad cyst_axis_range {self.cyst_axis_range}")
-        if self.speckle_sigma < 0:
-            raise InvalidConfig("speckle_sigma must be >= 0")
+        if not 0 <= self.speckle_sigma < math.inf:
+            raise InvalidConfig(f"speckle_sigma must be finite and >= 0, got {self.speckle_sigma}")
         if self.n_cysts < 0:
             raise InvalidConfig("n_cysts must be >= 0")
         if self.n_cysts > 0:

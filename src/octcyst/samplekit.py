@@ -43,10 +43,6 @@ class Sample:
     orig_dims: tuple[int, int]
 
     @property
-    def image_channel(self) -> np.ndarray:
-        return self.values[0]
-
-    @property
     def roi_channel(self) -> np.ndarray:
         return self.values[1]
 

@@ -1,6 +1,4 @@
 from .layers import (
-    AsppParams,
-    AttentionGateParams,
     aspp,
     attention_gate,
     conv2d,
@@ -20,8 +18,6 @@ from .tensor import (
 from .unet import ParamStore, UNet, UNetConfig, build_unet
 
 __all__ = [
-    "AsppParams",
-    "AttentionGateParams",
     "ParamStore",
     "Tensor",
     "UNet",

@@ -3,8 +3,6 @@ max pooling, dropout, the attention gate, and the atrous pyramid."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import OddDimension, ShapeMismatch
@@ -177,43 +175,31 @@ def dropout(x: Tensor, p: float, seed: int) -> Tensor:
     return _attach(out, (x,), _bw)
 
 
-@dataclass
-class AttentionGateParams:
-    """1x1 projections of the gate: skip and gating maps to an inner width,
-    then a scalar projection produces the per-pixel coefficient logit."""
-
-    w_x: Tensor  # (F_int, C_skip, 1, 1)
-    w_g: Tensor  # (F_int, C_gate, 1, 1)
-    b_xg: Tensor  # (F_int,)
-    psi: Tensor  # (1, F_int, 1, 1)
-    b_psi: Tensor  # (1,)
-
-
-def attention_gate(x_l: Tensor, g: Tensor, p: AttentionGateParams) -> Tensor:
+def attention_gate(
+    x_l: Tensor, g: Tensor, w_x: Tensor, w_g: Tensor, b_xg: Tensor, psi: Tensor, b_psi: Tensor
+) -> Tensor:
     """Scale skip features by a learned coefficient in (0,1).
 
-    alpha = sigmoid(psi(relu(Wx*x_l + Wg*g + b_xg)) + b_psi), broadcast over
-    the channels of x_l; returns alpha * x_l."""
+    w_x (F_int, C_skip, 1, 1) and w_g (F_int, C_gate, 1, 1) project the
+    skip and gating maps to an inner width; psi (1, F_int, 1, 1) projects
+    that to the coefficient logit.  alpha = sigmoid(psi(relu(Wx*x_l + Wg*g
+    + b_xg)) + b_psi), broadcast over the channels of x_l; returns
+    alpha * x_l."""
     if x_l.data.shape[1:] != g.data.shape[1:]:
         raise ShapeMismatch(
             f"skip {x_l.data.shape} and gating {g.data.shape} spatial dims differ"
         )
-    inner = relu(conv2d(x_l, p.w_x) + conv2d(g, p.w_g, p.b_xg))
-    alpha = sigmoid(conv2d(inner, p.psi, p.b_psi))
+    inner = relu(conv2d(x_l, w_x) + conv2d(g, w_g, b_xg))
+    alpha = sigmoid(conv2d(inner, psi, b_psi))
     return mul(x_l, alpha)
 
 
-@dataclass
-class AsppParams:
-    rates: tuple[int, ...]
-    branches: list[tuple[Tensor, Tensor]]  # (w (C,C,3,3), b (C,)) per rate
-    fuse_w: Tensor  # (C, len(rates)*C, 1, 1)
-    fuse_b: Tensor  # (C,)
+def aspp(
+    x: Tensor, branches: list[tuple[Tensor, Tensor, int]], fuse_w: Tensor, fuse_b: Tensor
+) -> Tensor:
+    """Parallel 3x3 atrous branches, concatenated and fused by a 1x1 conv.
 
-
-def aspp(x: Tensor, p: AsppParams) -> Tensor:
-    """Parallel 3x3 atrous branches, concatenated and fused by a 1x1 conv."""
-    if len(p.branches) != len(p.rates):
-        raise ShapeMismatch("one branch per dilation rate required")
-    outs = [conv2d(x, w, b, dilation=r) for (w, b), r in zip(p.branches, p.rates)]
-    return conv2d(concat(outs, axis=0), p.fuse_w, p.fuse_b)
+    branches: one (w (C, C, 3, 3), b (C,), dilation rate) triple per
+    branch; fuse_w: (C, len(branches)*C, 1, 1)."""
+    outs = [conv2d(x, w, b, dilation=r) for w, b, r in branches]
+    return conv2d(concat(outs, axis=0), fuse_w, fuse_b)

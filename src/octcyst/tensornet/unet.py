@@ -11,8 +11,6 @@ import numpy as np
 from ..errors import InvalidConfig, ShapeMismatch
 from ..rng import derive_seed, uniform_array
 from .layers import (
-    AsppParams,
-    AttentionGateParams,
     aspp,
     attention_gate,
     conv2d,
@@ -69,17 +67,9 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return sorted(self._params)
-
     def items(self) -> list[tuple[str, Tensor]]:
-        return [(n, self._params[n]) for n in self.names()]
+        """(name, tensor) pairs in name order."""
+        return sorted(self._params.items())
 
     def zero_grad(self) -> None:
         for t in self._params.values():
@@ -104,48 +94,12 @@ class ParamStore:
             t.data = arr.astype(t.data.dtype)
 
 
-class _Init:
-    """He-uniform initialization drawn from one seeded stream."""
-
-    def __init__(self, seed: int, dtype):
-        self.seed = seed
-        self.pos = 0  # draws taken so far
-        self.dtype = dtype
-
-    def weight(self, shape: tuple[int, ...], fan_in: int) -> Tensor:
-        bound = math.sqrt(6.0 / fan_in)
-        n = int(np.prod(shape))
-        vals = (uniform_array(self.seed, n, start=self.pos) * 2.0 - 1.0) * bound
-        self.pos += n
-        return Tensor(vals.reshape(shape).astype(self.dtype))
-
-    def zeros(self, shape: tuple[int, ...]) -> Tensor:
-        return Tensor(np.zeros(shape, dtype=self.dtype))
-
-
 class UNet:
     """Forward network over a ParamStore built by build_unet."""
 
     def __init__(self, cfg: UNetConfig, store: ParamStore):
         self.cfg = cfg
         self.store = store
-
-    def _gate(self, level: int) -> AttentionGateParams:
-        s = self.store
-        pre = f"dec{level}.gate"
-        return AttentionGateParams(
-            s[f"{pre}.wx"], s[f"{pre}.wg"], s[f"{pre}.bxg"], s[f"{pre}.psi"], s[f"{pre}.bpsi"]
-        )
-
-    def _aspp(self) -> AsppParams:
-        s = self.store
-        branches = [
-            (s[f"bott.aspp.branch{i}.w"], s[f"bott.aspp.branch{i}.b"])
-            for i in range(len(self.cfg.aspp_rates))
-        ]
-        return AsppParams(
-            tuple(self.cfg.aspp_rates), branches, s["bott.aspp.fuse.w"], s["bott.aspp.fuse.b"]
-        )
 
     def forward(self, x, training: bool = False, seed: int = 0) -> Tensor:
         """Logit map (1, H, W): the head convolution, before any sigmoid.
@@ -176,7 +130,11 @@ class UNet:
             cur = max_pool2(cur)
 
         cur = relu(conv2d(cur, s["bott.conv1.w"], s["bott.conv1.b"]))
-        cur = aspp(cur, self._aspp())
+        branches = [
+            (s[f"bott.aspp.branch{i}.w"], s[f"bott.aspp.branch{i}.b"], r)
+            for i, r in enumerate(cfg.aspp_rates)
+        ]
+        cur = aspp(cur, branches, s["bott.aspp.fuse.w"], s["bott.aspp.fuse.b"])
         cur = relu(conv2d(cur, s["bott.conv2.w"], s["bott.conv2.b"]))
         if training:
             cur = dropout(
@@ -185,7 +143,8 @@ class UNet:
 
         for lvl in range(cfg.depth, 0, -1):
             g = transposed_conv2d(cur, s[f"dec{lvl}.up.w"])
-            gated = attention_gate(skips[lvl - 1], g, self._gate(lvl))
+            gate = (s[f"dec{lvl}.gate.{n}"] for n in ("wx", "wg", "bxg", "psi", "bpsi"))
+            gated = attention_gate(skips[lvl - 1], g, *gate)
             cur = concat([gated, g], axis=0)
             cur = relu(conv2d(cur, s[f"dec{lvl}.conv1.w"], s[f"dec{lvl}.conv1.b"]))
             cur = relu(conv2d(cur, s[f"dec{lvl}.conv2.w"], s[f"dec{lvl}.conv2.b"]))
@@ -201,46 +160,51 @@ def build_unet(cfg: UNetConfig, dtype=np.float32) -> tuple[UNet, ParamStore]:
     same seed always yields an identical ParamStore."""
     cfg.validate()
     store = ParamStore()
-    init = _Init(cfg.seed, dtype)
+    pos = 0  # draws taken so far
 
-    def conv_pair(prefix: str, c_in: int, c_out: int) -> None:
-        store.add(f"{prefix}.conv1.w", init.weight((c_out, c_in, 3, 3), c_in * 9))
-        store.add(f"{prefix}.conv1.b", init.zeros((c_out,)))
-        store.add(f"{prefix}.conv2.w", init.weight((c_out, c_out, 3, 3), c_out * 9))
-        store.add(f"{prefix}.conv2.b", init.zeros((c_out,)))
+    def weight(name: str, shape: tuple[int, ...], fan_in: int) -> None:
+        nonlocal pos
+        bound = math.sqrt(6.0 / fan_in)
+        n = int(np.prod(shape))
+        vals = (uniform_array(cfg.seed, n, start=pos) * 2.0 - 1.0) * bound
+        pos += n
+        store.add(name, Tensor(vals.reshape(shape).astype(dtype)))
+
+    def zeros(name: str, n: int) -> None:
+        store.add(name, Tensor(np.zeros((n,), dtype=dtype)))
+
+    def conv(name: str, c_out: int, c_in: int, k: int) -> None:
+        weight(f"{name}.w", (c_out, c_in, k, k), c_in * k * k)
+        zeros(f"{name}.b", c_out)
 
     enc_out = [cfg.base_channels * 2**i for i in range(cfg.depth)]
     c_in = cfg.input_channels
-    for lvl in range(1, cfg.depth + 1):
-        conv_pair(f"enc{lvl}", c_in, enc_out[lvl - 1])
-        c_in = enc_out[lvl - 1]
+    for lvl, c_out in enumerate(enc_out, 1):
+        conv(f"enc{lvl}.conv1", c_out, c_in, 3)
+        conv(f"enc{lvl}.conv2", c_out, c_out, 3)
+        c_in = c_out
 
     cb = cfg.bottleneck_channels
-    store.add("bott.conv1.w", init.weight((cb, c_in, 3, 3), c_in * 9))
-    store.add("bott.conv1.b", init.zeros((cb,)))
+    conv("bott.conv1", cb, c_in, 3)
     for i in range(len(cfg.aspp_rates)):
-        store.add(f"bott.aspp.branch{i}.w", init.weight((cb, cb, 3, 3), cb * 9))
-        store.add(f"bott.aspp.branch{i}.b", init.zeros((cb,)))
-    n_cat = len(cfg.aspp_rates) * cb
-    store.add("bott.aspp.fuse.w", init.weight((cb, n_cat, 1, 1), n_cat))
-    store.add("bott.aspp.fuse.b", init.zeros((cb,)))
-    store.add("bott.conv2.w", init.weight((cb, cb, 3, 3), cb * 9))
-    store.add("bott.conv2.b", init.zeros((cb,)))
+        conv(f"bott.aspp.branch{i}", cb, cb, 3)
+    conv("bott.aspp.fuse", cb, len(cfg.aspp_rates) * cb, 1)
+    conv("bott.conv2", cb, cb, 3)
 
     cur = cb
     for lvl in range(cfg.depth, 0, -1):
         half = cur // 2
-        store.add(f"dec{lvl}.up.w", init.weight((cur, half, 2, 2), cur * 4))
+        weight(f"dec{lvl}.up.w", (cur, half, 2, 2), cur * 4)
         c_skip = enc_out[lvl - 1]
         f_int = max(1, c_skip // 2)
-        store.add(f"dec{lvl}.gate.wx", init.weight((f_int, c_skip, 1, 1), c_skip))
-        store.add(f"dec{lvl}.gate.wg", init.weight((f_int, half, 1, 1), half))
-        store.add(f"dec{lvl}.gate.bxg", init.zeros((f_int,)))
-        store.add(f"dec{lvl}.gate.psi", init.weight((1, f_int, 1, 1), f_int))
-        store.add(f"dec{lvl}.gate.bpsi", init.zeros((1,)))
-        conv_pair(f"dec{lvl}", 2 * c_skip, c_skip)
+        weight(f"dec{lvl}.gate.wx", (f_int, c_skip, 1, 1), c_skip)
+        weight(f"dec{lvl}.gate.wg", (f_int, half, 1, 1), half)
+        zeros(f"dec{lvl}.gate.bxg", f_int)
+        weight(f"dec{lvl}.gate.psi", (1, f_int, 1, 1), f_int)
+        zeros(f"dec{lvl}.gate.bpsi", 1)
+        conv(f"dec{lvl}.conv1", c_skip, 2 * c_skip, 3)
+        conv(f"dec{lvl}.conv2", c_skip, c_skip, 3)
         cur = c_skip
 
-    store.add("head.w", init.weight((1, cur, 1, 1), cur))
-    store.add("head.b", init.zeros((1,)))
+    conv("head", 1, cur, 1)
     return UNet(cfg, store), store

@@ -9,6 +9,7 @@ bias-corrected Adam update.  Checkpoints round-trip bitwise.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -52,8 +53,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise InvalidConfig("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise InvalidConfig("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 def bce_loss(logits: Tensor, target: np.ndarray) -> Tensor:
@@ -209,7 +210,8 @@ def predict(
 def save_checkpoint(cp: Checkpoint, path) -> None:
     """Binary layout: magic, version, the config as format_settings text,
     then tensors in lexicographic name order as (name, rank, dims, float32
-    values)."""
+    values).  A tensor holding a NaN or inf raises NonFiniteValue naming
+    it, and nothing is written."""
     config = format_settings(cp.config).encode("utf-8")
     parts = [
         CHECKPOINT_MAGIC,
@@ -220,6 +222,8 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
     ]
     for name in sorted(cp.values):
         arr = np.asarray(cp.values[name], dtype="<f4")
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteValue(f"{path}: tensor {name} contains non-finite values")
         encoded = name.encode("utf-8")
         parts.append(struct.pack("<H", len(encoded)))
         parts.append(encoded)
@@ -260,8 +264,8 @@ def _parse_config_block(block: bytes, path) -> UNetConfig:
 def load_checkpoint(path) -> Checkpoint:
     """Read a save_checkpoint file.  The config block must set every
     UNetConfig field exactly once, the tensors must be exactly those of
-    build_unet(config), each once, name for name and shape for shape, and
-    nothing may follow the last one."""
+    build_unet(config), each once, name for name and shape for shape, with
+    finite values, and nothing may follow the last one."""
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != CHECKPOINT_MAGIC:
         raise BadMagic(f"{path}: not a checkpoint file")
@@ -288,6 +292,8 @@ def load_checkpoint(path) -> Checkpoint:
         values[name] = (
             np.frombuffer(r.take(4 * n), dtype="<f4").reshape(dims).astype(np.float32)
         )
+        if not np.all(np.isfinite(values[name])):
+            raise NonFiniteValue(f"{path}: tensor {name} contains non-finite values")
     if r.pos != len(data):
         raise ConfigMismatch(f"{path}: {len(data) - r.pos} trailing bytes after the last tensor")
     cp = Checkpoint(cfg, values)

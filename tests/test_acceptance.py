@@ -27,7 +27,6 @@ from octcyst.samplekit import (
     prepare_sample,
 )
 from octcyst.tensornet import (
-    AttentionGateParams,
     ParamStore,
     Tensor,
     UNetConfig,
@@ -185,14 +184,14 @@ def test_criterion_07_attention_gate_range():
         f_int = max(1, c // 2)
         x = Tensor(rng.standard_normal((c, 4, 4)) * 3)
         g = Tensor(rng.standard_normal((c, 4, 4)) * 3)
-        p = AttentionGateParams(
+        p = dict(
             w_x=Tensor(rng.standard_normal((f_int, c, 1, 1)) / math.sqrt(c)),
             w_g=Tensor(rng.standard_normal((f_int, c, 1, 1)) / math.sqrt(c)),
             b_xg=Tensor(rng.standard_normal(f_int) * 0.1),
             psi=Tensor(rng.standard_normal((1, f_int, 1, 1)) / math.sqrt(f_int)),
             b_psi=Tensor(rng.standard_normal(1) * 0.1),
         )
-        out = attention_gate(x, g, p)
+        out = attention_gate(x, g, **p)
         with np.errstate(divide="ignore", invalid="ignore"):
             alpha = out.data / x.data
         alpha = alpha[np.isfinite(alpha)]
@@ -200,14 +199,14 @@ def test_criterion_07_attention_gate_range():
 
     x = Tensor(rng.standard_normal((4, 5, 5)))
     g = Tensor(rng.standard_normal((4, 5, 5)))
-    p = AttentionGateParams(
+    p = dict(
         w_x=Tensor(rng.standard_normal((2, 4, 1, 1))),
         w_g=Tensor(rng.standard_normal((2, 4, 1, 1))),
         b_xg=Tensor(rng.standard_normal(2)),
         psi=Tensor(np.zeros((1, 2, 1, 1))),
         b_psi=Tensor(np.zeros(1)),
     )
-    assert np.array_equal(attention_gate(x, g, p).data, 0.5 * x.data)
+    assert np.array_equal(attention_gate(x, g, **p).data, 0.5 * x.data)
     _report(7, "attention coefficients strictly in (0,1) on 100 random inputs; "
                "psi=0 yields exactly 0.5*x")
 

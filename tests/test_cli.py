@@ -142,16 +142,27 @@ def test_parse_config_not_utf8(tmp_path):
         b"ref_rows = 0\n",
         b"seed = 3\nseed = 4\n",
         b"seed = 3\n# \xff\n",
+        b"threshold = nan\n",
+        b"threshold = inf\n",
+        b"threshold = 1.5\n",
+        b"threshold = -1\n",
+        b"w_min = nan\n",
+        b"w_min = inf\n",
+        b"w_min = -1e-5\n",
+        b"learning_rate = nan\n",
+        b"learning_rate = inf\n",
     ],
     ids=["batch_size", "learning_rate", "sigma_d-zero", "sigma_d-nan", "sigma_d-inf",
-         "ref_rows", "repeated-key", "not-utf8"],
+         "ref_rows", "repeated-key", "not-utf8", "threshold-nan", "threshold-inf",
+         "threshold-above-1", "threshold-negative", "w_min-nan", "w_min-inf",
+         "w_min-negative", "learning_rate-nan", "learning_rate-inf"],
 )
 def test_config_value_error_exits_2_before_out_exists(tmp_path, text):
     p = tmp_path / "c.cfg"
     p.write_bytes(text)
     out = tmp_path / "o"
-    code = run(["phantom", "--config", str(p), "--count", "1", "--rows", "32", "--cols", "32",
-                "--out", str(out)])
+    # the default phantom geometry fits, so only the config can fail the run
+    code = run(["phantom", "--config", str(p), "--count", "1", "--out", str(out)])
     assert code == 2
     assert not out.exists()
 

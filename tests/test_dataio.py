@@ -220,16 +220,16 @@ def test_manifest_two_fields(tmp_path):
     mf = tmp_path / "m.txt"
     mf.write_text("a.pgm\tb.pgm\n")
     m = read_manifest(mf)
-    assert len(m.records) == 1
-    assert m.records[0].second_mask_path is None
-    assert m.records[0].image_path.name == "a.pgm"
+    assert len(m) == 1
+    assert m[0].second_mask_path is None
+    assert m[0].image_path.name == "a.pgm"
 
 
 def test_manifest_three_fields(tmp_path):
     _touch(tmp_path, "a.pgm", "b.pgm", "c.pgm")
     mf = tmp_path / "m.txt"
     mf.write_text("a.pgm\tb.pgm\tc.pgm\n")
-    rec = read_manifest(mf).records[0]
+    rec = read_manifest(mf)[0]
     assert rec.second_mask_path is not None
     assert rec.second_mask_path.name == "c.pgm"
 
@@ -262,7 +262,7 @@ def test_manifest_preserves_order(tmp_path):
     mf = tmp_path / "m.txt"
     mf.write_text("".join(f"{n}\t{n}\n" for n in names))
     m = read_manifest(mf)
-    assert [r.image_path.name for r in m.records] == names
+    assert [r.image_path.name for r in m] == names
 
 
 def test_manifest_not_utf8_is_bad_record(tmp_path):

@@ -44,10 +44,13 @@ def test_input_that_is_a_directory_exits_1(tmp_path):
     [
         ["--rows", "32", "--cols", "32"],
         ["--speckle", "-1"],
+        ["--speckle", "nan"],
+        ["--speckle", "inf"],
         ["--count", "0"],
         ["--count", "-1"],
     ],
-    ids=["geometry-does-not-fit", "negative-speckle", "count-0", "count-negative"],
+    ids=["geometry-does-not-fit", "negative-speckle", "nan-speckle", "inf-speckle", "count-0",
+         "count-negative"],
 )
 def test_phantom_setting_that_cannot_work_exits_2(tmp_path, flags):
     out = tmp_path / "o"

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import tracemalloc
 import weakref
 
@@ -13,8 +14,6 @@ from octcyst.errors import (
     ShapeMismatch,
 )
 from octcyst.tensornet import (
-    AsppParams,
-    AttentionGateParams,
     ParamStore,
     Tensor,
     UNetConfig,
@@ -322,7 +321,7 @@ def test_max_pool_nan_in_a_window_gives_nan_out():
 
 
 def _gate_params(c_skip, c_gate, f_int, seed, zero_psi=False):
-    return AttentionGateParams(
+    return dict(
         w_x=Tensor(_rand((f_int, c_skip, 1, 1), seed)),
         w_g=Tensor(_rand((f_int, c_gate, 1, 1), seed + 1)),
         b_xg=Tensor(_rand((f_int,), seed + 2)),
@@ -334,7 +333,7 @@ def _gate_params(c_skip, c_gate, f_int, seed, zero_psi=False):
 def test_gate_zero_psi_halves_input():
     x = Tensor(_rand((4, 3, 3), 31))
     g = Tensor(_rand((4, 3, 3), 32))
-    out = attention_gate(x, g, _gate_params(4, 4, 2, 33, zero_psi=True))
+    out = attention_gate(x, g, **_gate_params(4, 4, 2, 33, zero_psi=True))
     assert np.allclose(out.data, 0.5 * x.data, atol=0)
 
 
@@ -343,7 +342,7 @@ def test_gate_alpha_strictly_in_unit_interval():
         x = Tensor(_rand((4, 3, 3), 100 + seed, spread=3.0))
         g = Tensor(_rand((4, 3, 3), 200 + seed, spread=3.0))
         p = _gate_params(4, 4, 2, 300 + seed)
-        out = attention_gate(x, g, p)
+        out = attention_gate(x, g, **p)
         with np.errstate(divide="ignore", invalid="ignore"):
             alpha = out.data / x.data
         alpha = alpha[np.isfinite(alpha)]
@@ -355,7 +354,7 @@ def test_gate_spatial_mismatch_rejected():
         attention_gate(
             Tensor(np.zeros((4, 3, 3))),
             Tensor(np.zeros((4, 2, 3))),
-            _gate_params(4, 4, 2, 1),
+            **_gate_params(4, 4, 2, 1),
         )
 
 
@@ -363,7 +362,7 @@ def test_gate_gradients_match_fd():
     x = Tensor(_rand((1, 4, 3, 3)[1:], 41))
     g = Tensor(_rand((4, 3, 3), 42))
     store = ParamStore()
-    p = AttentionGateParams(
+    p = dict(
         w_x=store.add("w_x", Tensor(_rand((2, 4, 1, 1), 43))),
         w_g=store.add("w_g", Tensor(_rand((2, 4, 1, 1), 44))),
         b_xg=store.add("b_xg", Tensor(_rand((2,), 45))),
@@ -373,9 +372,9 @@ def test_gate_gradients_match_fd():
     store.zero_grad()
 
     def loss_fn():
-        return mean(attention_gate(x, g, p)).item()
+        return mean(attention_gate(x, g, **p)).item()
 
-    backward(mean(attention_gate(x, g, p)))
+    backward(mean(attention_gate(x, g, **p)))
     assert max_rel_error_fd(store, loss_fn) <= 1e-4
 
 
@@ -387,36 +386,36 @@ def _aspp_params(c, rates, seed, zero=False, beta=0.0):
         return Tensor(np.zeros(shape) if zero else _rand(shape, s))
 
     branches = [
-        (w((c, c, 3, 3), seed + i), w((c,), seed + 50 + i)) for i in range(len(rates))
+        (w((c, c, 3, 3), seed + i), w((c,), seed + 50 + i), r) for i, r in enumerate(rates)
     ]
     fuse_b = np.full(c, beta) if zero else _rand((c,), seed + 99)
-    return AsppParams(
-        tuple(rates), branches, w((c, len(rates) * c, 1, 1), seed + 98), Tensor(fuse_b)
+    return dict(
+        branches=branches, fuse_w=w((c, len(rates) * c, 1, 1), seed + 98), fuse_b=Tensor(fuse_b)
     )
 
 
 def test_aspp_preserves_spatial_dims():
     x = Tensor(_rand((4, 6, 8), 51))
-    out = aspp(x, _aspp_params(4, (1, 2, 4), 52))
+    out = aspp(x, **_aspp_params(4, (1, 2, 4), 52))
     assert out.data.shape == (4, 6, 8)
 
 
 def test_aspp_zero_weights_constant_bias():
     x = Tensor(_rand((3, 5, 5), 53))
-    out = aspp(x, _aspp_params(3, (1, 2), 54, zero=True, beta=2.5))
+    out = aspp(x, **_aspp_params(3, (1, 2), 54, zero=True, beta=2.5))
     assert np.all(out.data == 2.5)
 
 
 def test_aspp_equals_naive_composition():
     x = _rand((3, 6, 7), 55)
     p = _aspp_params(3, (1, 2, 4), 56)
-    out = aspp(Tensor(x), p)
+    out = aspp(Tensor(x), **p)
     branch_outs = [
         naive_conv2d(x, w.data, b.data, r)
-        for (w, b), r in zip(p.branches, p.rates)
+        for w, b, r in p["branches"]
     ]
     cat = np.concatenate(branch_outs, axis=0)
-    expected = naive_conv2d(cat, p.fuse_w.data, p.fuse_b.data, 1)
+    expected = naive_conv2d(cat, p["fuse_w"].data, p["fuse_b"].data, 1)
     assert np.max(np.abs(out.data - expected)) <= 1e-6
 
 
@@ -482,9 +481,18 @@ def _tiny_cfg(**kw):
 def test_build_unet_same_seed_identical():
     _, s1 = build_unet(_tiny_cfg())
     _, s2 = build_unet(_tiny_cfg())
-    assert s1.names() == s2.names()
+    assert [n for n, _ in s1.items()] == [n for n, _ in s2.items()]
     for (n1, t1), (_, t2) in zip(s1.items(), s2.items()):
         assert np.array_equal(t1.data, t2.data), n1
+
+
+def test_build_unet_production_init_bits_are_pinned():
+    # SHA-256 of the default network's initial weights, fixed across versions
+    _, store = build_unet(UNetConfig(seed=1))
+    h = hashlib.sha256()
+    for name, t in store.items():
+        h.update(name.encode() + t.data.tobytes())
+    assert h.hexdigest() == "a57f1e1a60009a95a8da3b47335066c8bf00739865715100590a0e5140484319"
 
 
 def test_build_unet_different_seed_differs():

@@ -409,6 +409,30 @@ def test_checkpoint_repeated_tensor_rejected(tmp_path):
         load_checkpoint(tmp_path / "dup.bin")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_checkpoint_non_finite_value_rejected_on_load(tmp_path, value):
+    cfg = _tiny_cfg()
+    _, store = build_unet(cfg)
+    save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
+    data = bytearray((tmp_path / "cp.bin").read_bytes())
+    # head.b is (1,): its name, rank 1, one u32 dim, then its one float32
+    at = data.index(b"head.b") + 6 + 1 + 4
+    data[at : at + 4] = np.full(1, value, dtype="<f4").tobytes()
+    (tmp_path / "bad.bin").write_bytes(bytes(data))
+    with pytest.raises(NonFiniteValue, match="head.b"):
+        load_checkpoint(tmp_path / "bad.bin")
+
+
+def test_save_checkpoint_non_finite_value_raises_and_writes_nothing(tmp_path):
+    cfg = _tiny_cfg()
+    _, store = build_unet(cfg)
+    values = store.values()
+    values["head.b"] = np.full(1, np.inf, dtype=np.float32)
+    with pytest.raises(NonFiniteValue, match="head.b"):
+        save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_config_mismatch(tmp_path):
     import struct
 
