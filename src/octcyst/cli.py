@@ -34,7 +34,7 @@ from .dataio.formats import (
     read_float_raster,
     write_float_raster,
 )
-from .errors import BadRecord, EmptyDataset, InvalidConfig, MissingFile, OctCystError, ParseError
+from .errors import InvalidConfig, OctCystError
 from .preprocess import BilateralParams, default_radius, denoise
 from .rng import SplitMix64, derive_seed
 from .samplekit import (
@@ -74,7 +74,7 @@ def parse_config(path) -> Config:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
-        raise ParseError(f"{path}: unreadable or not UTF-8 text: {e}") from e
+        raise InvalidConfig(f"{path}: unreadable or not UTF-8 text: {e}") from e
     return replace(Config(), **parse_settings(text, Config(), path))
 
 
@@ -169,13 +169,18 @@ def _prepare_one(image_path: Path, cfg: Config) -> Sample:
     return prepare_sample(read_pgm(image_path), ref, cfg.sigma_d, cfg.w_min)
 
 
-def _padded_target(path: Path, cfg: Config) -> np.ndarray:
-    """A target raster written by `prepare`, or a mask PGM padded into the
-    reference frame."""
+def _padded_target(path: Path, sample: Sample, cfg: Config) -> np.ndarray:
+    """A target raster written by `prepare`, or the mask PGM of `sample`'s
+    scan padded into the reference frame; the mask must have the scan's dims."""
     if path.suffix == ".octf":
         return read_float_raster(path)[0]
+    mask = read_mask_pgm(path)
+    if mask.shape != sample.orig_dims:
+        raise OctCystError(
+            f"{path}: mask dims {mask.shape} differ from its scan's {sample.orig_dims}"
+        )
     ref = ReferenceDims(cfg.ref_rows, cfg.ref_cols)
-    padded, _ = pad_to_reference(read_mask_pgm(path).astype(np.float32), ref)
+    padded, _ = pad_to_reference(mask.astype(np.float32), ref)
     return padded
 
 
@@ -183,8 +188,9 @@ def _cmd_prepare(args, cfg: Config, out: Path) -> int:
     for record in read_manifest(args.manifest):
         stem = record.image_path.stem
         sample = _prepare_one(record.image_path, cfg)
+        target = _padded_target(record.mask_path, sample, cfg)
         save_sample(sample, out / f"{stem}.octf")
-        write_float_raster(_padded_target(record.mask_path, cfg), out / f"{stem}_target.octf")
+        write_float_raster(target, out / f"{stem}_target.octf")
     return 0
 
 
@@ -201,13 +207,15 @@ def _inputs(args, cfg: Config) -> list[tuple[str, Sample, Path]]:
         if not p.stem.endswith("_target")
     )
     if not paths:
-        raise EmptyDataset(f"no prepared samples in {args.samples}")
+        raise OctCystError(f"no prepared samples in {args.samples}")
     return [(p.stem, load_sample(p), p.with_name(p.stem + "_target.octf")) for p in paths]
 
 
 def _cmd_train(args, cfg: Config, out: Path) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
-    data = [(sample, _padded_target(target, cfg)) for _, sample, target in _inputs(args, cfg)]
+    data = [
+        (sample, _padded_target(target, sample, cfg)) for _, sample, target in _inputs(args, cfg)
+    ]
     log_lines = []
     checkpoint = train(
         data, _unet_config(cfg, seed), _train_config(cfg, seed),
@@ -234,7 +242,7 @@ def _cmd_evaluate(args, cfg: Config, out: Path) -> int:
     for stem in stems:
         mask_path = Path(args.pred) / f"{stem}_mask.pgm"
         if not mask_path.is_file():
-            raise MissingFile(f"no prediction for {stem}: {mask_path}")
+            raise OctCystError(f"no prediction for {stem}: {mask_path}")
         preds.append(read_mask_pgm(mask_path))
     truths = {"report": [read_mask_pgm(r.mask_path) for r in records]}
     if all(r.second_mask_path is not None for r in records):
@@ -254,7 +262,7 @@ def _cmd_iov(args, cfg: Config, out: Path) -> int:
     lines = []
     for record in read_manifest(args.manifest):
         if record.second_mask_path is None:
-            raise BadRecord(f"{record.image_path.name}: no second grader mask")
+            raise OctCystError(f"{record.image_path.name}: no second grader mask")
         d = metrics.grader_iov(
             read_mask_pgm(record.mask_path), read_mask_pgm(record.second_mask_path)
         )
@@ -335,7 +343,7 @@ def run(argv) -> int:
         return int(e.code) if e.code is not None else 0
     try:
         cfg = parse_config(args.config) if args.config else Config()
-        _unet_config(cfg, 0).validate()  # cross-field checks (depth vs dropout)
+        _unet_config(cfg, 0)  # cross-field checks (depth vs dropout)
         if cfg.ref_rows % 2**cfg.depth or cfg.ref_cols % 2**cfg.depth:
             raise InvalidConfig(f"reference frame is not divisible by 2**depth = {2**cfg.depth}")
         if not 0 < cfg.threshold < 1:

@@ -16,17 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import (
-    BadMagic,
-    IoFailure,
-    MalformedHeader,
-    NonFiniteValue,
-    ParseError,
-    TruncatedData,
-    UnknownKey,
-    UnsupportedMaxval,
-    VersionMismatch,
-)
+from ..errors import InvalidConfig, OctCystError
 
 OCTF_MAGIC = b"OCTF"
 OCTF_VERSION = 1
@@ -49,7 +39,7 @@ def atomic_write_bytes(path, data: bytes) -> None:
             os.unlink(tmp)
             raise
     except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+        raise OctCystError(f"cannot write {path}: {e}") from e
 
 
 def _pgm_tokens(data: bytes):
@@ -78,27 +68,27 @@ def read_pgm(path) -> np.ndarray:
     try:
         magic, _ = next(tokens)
         if magic != b"P5":
-            raise MalformedHeader(f"{path}: expected P5, got {magic!r}")
+            raise OctCystError(f"{path}: expected P5, got {magic!r}")
         fields = []
         for _ in range(3):
             tok, end = next(tokens)
             fields.append(tok)
     except StopIteration:
-        raise MalformedHeader(f"{path}: incomplete header") from None
+        raise OctCystError(f"{path}: incomplete header") from None
     try:
         cols, rows, maxval = (int(t) for t in fields)
     except ValueError:
-        raise MalformedHeader(f"{path}: non-numeric header fields") from None
+        raise OctCystError(f"{path}: non-numeric header fields") from None
     if cols < 1 or rows < 1:
-        raise MalformedHeader(f"{path}: bad dimensions {cols}x{rows}")
+        raise OctCystError(f"{path}: bad dimensions {cols}x{rows}")
     if maxval != 255:
-        raise UnsupportedMaxval(f"{path}: maxval {maxval}, only 255 supported")
+        raise OctCystError(f"{path}: maxval {maxval}, only 255 supported")
     # exactly one whitespace byte separates header from raster data
     raster = data[end + 1 :]
     if len(raster) < rows * cols:
-        raise TruncatedData(f"{path}: expected {rows * cols} pixels, got {len(raster)}")
+        raise OctCystError(f"{path}: expected {rows * cols} pixels, got {len(raster)}")
     if len(raster) > rows * cols:
-        raise MalformedHeader(f"{path}: {len(raster) - rows * cols} bytes after the raster")
+        raise OctCystError(f"{path}: {len(raster) - rows * cols} bytes after the raster")
     return np.frombuffer(raster, dtype=np.uint8).reshape(rows, cols).copy()
 
 
@@ -106,7 +96,7 @@ def write_pgm(image: np.ndarray, path) -> None:
     """Write a (rows, cols) uint8 image; header is exactly P5\\n<cols> <rows>\\n255\\n."""
     img = np.asarray(image)
     if img.ndim != 2:
-        raise MalformedHeader(f"expected 2-D image, got shape {img.shape}")
+        raise OctCystError(f"expected 2-D image, got shape {img.shape}")
     rows, cols = img.shape
     header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
     atomic_write_bytes(path, header + img.astype(np.uint8).tobytes())
@@ -133,9 +123,9 @@ def write_float_raster(values: np.ndarray, path) -> None:
     if arr.ndim == 2:
         arr = arr[None, :, :]
     if arr.ndim != 3:
-        raise IoFailure(f"expected 2-D or 3-D raster, got shape {arr.shape}")
+        raise OctCystError(f"expected 2-D or 3-D raster, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"raster for {path} contains non-finite values")
+        raise OctCystError(f"raster for {path} contains non-finite values")
     channels, rows, cols = arr.shape
     header = OCTF_MAGIC + struct.pack("<4I", OCTF_VERSION, rows, cols, channels)
     atomic_write_bytes(path, header + arr.astype("<f4").tobytes())
@@ -146,21 +136,21 @@ def read_float_raster(path) -> np.ndarray:
     file must hold exactly the values its header declares, all finite."""
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != OCTF_MAGIC:
-        raise BadMagic(f"{path}: not an OCTF raster")
+        raise OctCystError(f"{path}: not an OCTF raster")
     if len(data) < 20:
-        raise TruncatedData(f"{path}: header truncated")
+        raise OctCystError(f"{path}: header truncated")
     version, rows, cols, channels = struct.unpack("<4I", data[4:20])
     if version != OCTF_VERSION:
-        raise VersionMismatch(f"{path}: version {version}, expected {OCTF_VERSION}")
+        raise OctCystError(f"{path}: version {version}, expected {OCTF_VERSION}")
     count = rows * cols * channels
     raster = data[20:]
     if len(raster) < 4 * count:
-        raise TruncatedData(f"{path}: expected {count} floats, got {len(raster) // 4}")
+        raise OctCystError(f"{path}: expected {count} floats, got {len(raster) // 4}")
     if len(raster) > 4 * count:
-        raise MalformedHeader(f"{path}: {len(raster) - 4 * count} bytes after the raster")
+        raise OctCystError(f"{path}: {len(raster) - 4 * count} bytes after the raster")
     values = np.frombuffer(raster, dtype="<f4").reshape(channels, rows, cols).astype(np.float32)
     if not np.all(np.isfinite(values)):
-        raise NonFiniteValue(f"{path}: raster contains non-finite values")
+        raise OctCystError(f"{path}: raster contains non-finite values")
     return values
 
 
@@ -195,9 +185,9 @@ def format_settings(settings) -> str:
 def parse_settings(text: str, defaults, where) -> dict:
     """Typed values of the `name = value` lines in `text`, keyed by the
     fields of the dataclass `defaults`, whose values give each field's type.
-    Blank lines and '#' lines are skipped.  Raises UnknownKey for a name
-    that is not a field, ParseError for a malformed line, a bad value or a
-    repeated name; messages start with `where` and the line number."""
+    Blank lines and '#' lines are skipped.  Raises InvalidConfig for a name
+    that is not a field, a malformed line, a bad value or a repeated name;
+    messages start with `where` and the line number."""
     defaults_by_name = {f.name: getattr(defaults, f.name) for f in fields(defaults)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -205,14 +195,14 @@ def parse_settings(text: str, defaults, where) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ParseError(f"{where}:{lineno}: expected name = value, got {line!r}")
+            raise InvalidConfig(f"{where}:{lineno}: expected name = value, got {line!r}")
         name, value = (part.strip() for part in line.split("=", 1))
         if name not in defaults_by_name:
-            raise UnknownKey(f"{where}:{lineno}: unknown key {name!r}")
+            raise InvalidConfig(f"{where}:{lineno}: unknown key {name!r}")
         if name in values:
-            raise ParseError(f"{where}:{lineno}: {name} set twice")
+            raise InvalidConfig(f"{where}:{lineno}: {name} set twice")
         try:
             values[name] = _parse_value(value, defaults_by_name[name])
         except ValueError as e:
-            raise ParseError(f"{where}:{lineno}: bad value for {name}: {e}") from e
+            raise InvalidConfig(f"{where}:{lineno}: bad value for {name}: {e}") from e
     return values

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..errors import BadRecord, EmptyManifest, MissingFile
+from ..errors import OctCystError
 from .formats import atomic_write_bytes
 
 
@@ -26,11 +26,11 @@ def read_manifest(path) -> tuple[ManifestRecord, ...]:
     """
     path = Path(path)
     if not path.is_file():
-        raise MissingFile(f"manifest not found: {path}")
+        raise OctCystError(f"manifest not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
-        raise BadRecord(f"{path}: not UTF-8 text: {e}") from e
+        raise OctCystError(f"{path}: not UTF-8 text: {e}") from e
     base = path.parent
     records = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -39,16 +39,16 @@ def read_manifest(path) -> tuple[ManifestRecord, ...]:
             continue
         fields = line.split("\t")
         if len(fields) not in (2, 3):
-            raise BadRecord(f"{path}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
+            raise OctCystError(f"{path}:{lineno}: expected 2 or 3 fields, got {len(fields)}")
         paths = [base / f for f in fields]
         for p in paths:
             if not p.is_file():
-                raise MissingFile(f"{path}:{lineno}: referenced file missing: {p}")
+                raise OctCystError(f"{path}:{lineno}: referenced file missing: {p}")
         records.append(
             ManifestRecord(paths[0], paths[1], paths[2] if len(paths) == 3 else None)
         )
     if not records:
-        raise EmptyManifest(f"{path}: no records")
+        raise OctCystError(f"{path}: no records")
     return tuple(records)
 
 

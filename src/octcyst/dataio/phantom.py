@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidConfig, PlacementFailure
+from ..errors import InvalidConfig, OctCystError
 from ..rng import SplitMix64, gaussian_array
 
 _MAX_ATTEMPTS_PER_CYST = 200
@@ -109,7 +109,7 @@ def gen_phantom(spec: PhantomSpec):
             mask[interior] = 1
             break
         else:
-            raise PlacementFailure(
+            raise OctCystError(
                 f"could not place cyst {k + 1}/{spec.n_cysts} "
                 f"after {_MAX_ATTEMPTS_PER_CYST} attempts"
             )

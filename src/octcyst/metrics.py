@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyList, TooFew
+from .errors import OctCystError
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def score_pair(pred: np.ndarray, gt: np.ndarray):
     p = np.asarray(pred)
     g = np.asarray(gt)
     if p.shape != g.shape:
-        raise DimMismatch(f"mask dims differ: {p.shape} vs {g.shape}")
+        raise OctCystError(f"mask dims differ: {p.shape} vs {g.shape}")
     p = p != 0
     g = g != 0
     tp = int(np.count_nonzero(p & g))
@@ -66,7 +66,7 @@ def aggregate_stats(values) -> tuple[float, float]:
     single value."""
     vals = list(values)
     if not vals:
-        raise EmptyList("no values to aggregate")
+        raise OctCystError("no values to aggregate")
     n = len(vals)
     m = sum(vals) / n
     if n == 1:
@@ -84,12 +84,12 @@ def intersect_masks(masks) -> np.ndarray:
     """Pixelwise AND over two or more masks of identical dims."""
     masks = list(masks)
     if len(masks) < 2:
-        raise TooFew(f"need at least 2 masks, got {len(masks)}")
+        raise OctCystError(f"need at least 2 masks, got {len(masks)}")
     out = (np.asarray(masks[0]) != 0).astype(np.uint8)
     for m in masks[1:]:
         m = np.asarray(m)
         if m.shape != out.shape:
-            raise DimMismatch(f"mask dims differ: {m.shape} vs {out.shape}")
+            raise OctCystError(f"mask dims differ: {m.shape} vs {out.shape}")
         out &= m != 0
     return out
 
@@ -101,7 +101,7 @@ def evaluate_pairs(named_pairs) -> EvalReport:
         counts, recall, precision, dice = score_pair(pred, gt)
         scores.append(ImageScore(name, counts, recall, precision, dice))
     if not scores:
-        raise EmptyList("no image pairs to evaluate")
+        raise OctCystError("no image pairs to evaluate")
     mr, sr = aggregate_stats([s.recall for s in scores])
     mp, sp = aggregate_stats([s.precision for s in scores])
     md, sd = aggregate_stats([s.dice for s in scores])

@@ -15,14 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegeneratePath,
-    EmptyField,
-    ImageTooSmall,
-    NoLayerContrast,
-    OrderingViolation,
-    SubgraphTooThin,
-)
+from .errors import OctCystError
 
 DEFAULT_W_MIN = 1e-5
 
@@ -39,7 +32,7 @@ def vertical_gradient(image: np.ndarray) -> np.ndarray:
     img = np.asarray(image, dtype=np.float64)
     rows = img.shape[0]
     if rows < 3:
-        raise ImageTooSmall(f"need at least 3 rows, got {rows}")
+        raise OctCystError(f"need at least 3 rows, got {rows}")
     d = np.empty_like(img)
     d[1:-1] = img[2:] - img[:-2]
     d[0] = d[1]
@@ -95,7 +88,7 @@ def _column_search(field: np.ndarray, w_min: float, lo: np.ndarray, hi: np.ndarr
     path = np.empty(cols, dtype=np.int64)
     path[-1] = np.argmin(dist)
     if dist[path[-1]] == np.inf:
-        raise EmptyField("no admissible path through the field")
+        raise OctCystError("no admissible path through the field")
     for c in range(cols - 1, 0, -1):
         path[c - 1] = path[c] + step[c, path[c]]
     return path
@@ -105,7 +98,7 @@ def shortest_layer_path(field: np.ndarray, w_min: float = DEFAULT_W_MIN) -> np.n
     """Minimum-total-weight left-to-right path over the full field."""
     f = np.asarray(field, dtype=np.float64)
     if f.size == 0:
-        raise EmptyField("empty gradient field")
+        raise OctCystError("empty gradient field")
     rows, cols = f.shape
     lo = np.zeros(cols, dtype=np.int64)
     hi = np.full(cols, rows, dtype=np.int64)
@@ -123,7 +116,7 @@ def classify_layer(image: np.ndarray, path: np.ndarray) -> LayerKind:
     n_above = int(above.sum())
     n_below = int(below.sum())
     if n_above == 0 or n_below == 0:
-        raise DegeneratePath("path leaves no pixels above or below")
+        raise OctCystError("path leaves no pixels above or below")
     mean_above = float(img[above].sum()) / n_above
     mean_below = float(img[below].sum()) / n_below
     return LayerKind.ISM if mean_above > mean_below else LayerKind.ILM
@@ -143,10 +136,10 @@ def segment_layers(
     img = np.asarray(image)
     rows, cols = img.shape
     if rows < 5:
-        raise ImageTooSmall(f"need at least 5 rows, got {rows}")
+        raise OctCystError(f"need at least 5 rows, got {rows}")
     field = vertical_gradient(img)
     if not field.any():
-        raise NoLayerContrast("gradient field is identically zero")
+        raise OctCystError("gradient field is identically zero")
 
     first = shortest_layer_path(field, w_min)
     kind = classify_layer(img, first)
@@ -157,12 +150,12 @@ def segment_layers(
         lo = first + 2
         hi = np.full(cols, rows, dtype=np.int64)
     if int((hi - lo).min()) < 3:
-        raise SubgraphTooThin("cut leaves fewer than 3 rows to search")
+        raise OctCystError("cut leaves fewer than 3 rows to search")
     second = _column_search(field, w_min, lo, hi)
 
     ilm, ism = (second, first) if kind is LayerKind.ISM else (first, second)
     if not np.all(ilm < ism):
-        raise OrderingViolation("extracted boundaries touch or cross")
+        raise OctCystError("extracted boundaries touch or cross")
     return ilm, ism
 
 
@@ -173,6 +166,6 @@ def roi_mask(ilm: np.ndarray, ism: np.ndarray, rows: int, cols: int) -> np.ndarr
     if ilm.shape != (cols,) or ism.shape != (cols,):
         raise ValueError("paths do not match the requested column count")
     if not np.all(ilm < ism):
-        raise OrderingViolation("ilm must lie strictly above ism in every column")
+        raise OctCystError("ilm must lie strictly above ism in every column")
     row_idx = np.arange(rows)[:, None]
     return ((row_idx > ilm[None, :]) & (row_idx < ism[None, :])).astype(np.uint8)

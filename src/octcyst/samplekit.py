@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio.formats import atomic_write_bytes, read_float_raster, write_float_raster
-from .errors import DimMismatch, InvalidConfig, TooLarge, WindowOutOfBounds
+from .errors import InvalidConfig, OctCystError
 from .preprocess import DEFAULT_SIGMA_D, denoise
 from .retinagraph import DEFAULT_W_MIN, roi_mask, segment_layers
 
@@ -64,7 +64,7 @@ def pad_to_reference(
     img = np.asarray(image, dtype=np.float32)
     rows, cols = img.shape[-2:]
     if rows > ref.rows or cols > ref.cols:
-        raise TooLarge(f"image {rows}x{cols} exceeds reference {ref.rows}x{ref.cols}")
+        raise OctCystError(f"image {rows}x{cols} exceeds reference {ref.rows}x{ref.cols}")
     row_off = (ref.rows - rows) // 2
     col_off = (ref.cols - cols) // 2
     padded = np.zeros(img.shape[:-2] + (ref.rows, ref.cols), dtype=np.float32)
@@ -79,7 +79,7 @@ def crop_from_reference(
     rows, cols = orig_dims
     r0, c0 = offset
     if r0 < 0 or c0 < 0 or r0 + rows > padded.shape[0] or c0 + cols > padded.shape[1]:
-        raise WindowOutOfBounds(
+        raise OctCystError(
             f"window {orig_dims} at {offset} exceeds padded dims {padded.shape}"
         )
     return padded[r0 : r0 + rows, c0 : c0 + cols].copy()
@@ -126,13 +126,13 @@ def save_sample(sample: Sample, path) -> None:
 def load_sample(path) -> Sample:
     values = read_float_raster(path)
     if values.shape[0] != 2:
-        raise DimMismatch(f"{path}: expected 2 channels, got {values.shape[0]}")
+        raise OctCystError(f"{path}: expected 2 channels, got {values.shape[0]}")
     try:
         text = Path(str(path) + ".meta").read_text(encoding="utf-8").strip()
     except UnicodeDecodeError as e:
-        raise DimMismatch(f"{path}.meta: not UTF-8 text: {e}") from e
+        raise OctCystError(f"{path}.meta: not UTF-8 text: {e}") from e
     m = _META_RE.match(text)
     if m is None:
-        raise DimMismatch(f"{path}.meta: malformed sidecar line: {text!r}")
+        raise OctCystError(f"{path}.meta: malformed sidecar line: {text!r}")
     r0, c0, rows, cols = (int(g) for g in m.groups())
     return Sample(values, (r0, c0), (rows, cols))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import OddDimension, ShapeMismatch
+from ..errors import OctCystError
 from ..rng import uniform_at_least
 from .tensor import Tensor, _accum, _attach, concat, mul, relu, sigmoid
 
@@ -66,13 +66,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1) -> 
     gradient with the kernel flipped and its channel axes swapped.
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
-        raise ShapeMismatch(f"conv2d expects 3-D input and 4-D kernel, got {x.data.shape}, {w.data.shape}")
+        raise OctCystError(f"conv2d expects 3-D input and 4-D kernel, got {x.data.shape}, {w.data.shape}")
     C, H, W = x.data.shape
     F, Cw, k, k2 = w.data.shape
     if Cw != C or k != k2 or k % 2 == 0:
-        raise ShapeMismatch(f"kernel {w.data.shape} incompatible with input {x.data.shape}")
+        raise OctCystError(f"kernel {w.data.shape} incompatible with input {x.data.shape}")
     if b is not None and b.data.shape != (F,):
-        raise ShapeMismatch(f"bias shape {b.data.shape} != ({F},)")
+        raise OctCystError(f"bias shape {b.data.shape} != ({F},)")
     r = dilation
     y = _conv(x.data, w.data, r)
     if b is not None:
@@ -103,11 +103,11 @@ def transposed_conv2d(x: Tensor, w: Tensor) -> Tensor:
     adjoint of a stride-2 2x2 convolution, which doubles spatial dims
     exactly."""
     if x.data.ndim != 3 or w.data.ndim != 4:
-        raise ShapeMismatch("transposed_conv2d expects 3-D input and 4-D kernel")
+        raise OctCystError("transposed_conv2d expects 3-D input and 4-D kernel")
     C, H, W = x.data.shape
     Cw, F, k1, k2 = w.data.shape
     if Cw != C or (k1, k2) != (2, 2):
-        raise ShapeMismatch(f"kernel {w.data.shape} incompatible with input {x.data.shape}")
+        raise OctCystError(f"kernel {w.data.shape} incompatible with input {x.data.shape}")
     # rows (f, di, dj) of one GEMM hold output pixels (2i + di, 2j + dj)
     w2 = w.data.reshape(C, 4 * F)
     z = (w2.T @ x.data.reshape(C, H * W)).astype(x.data.dtype, copy=False)
@@ -135,7 +135,7 @@ def max_pool2(x: Tensor) -> Tensor:
     copying them.  A NaN in a window pools to NaN."""
     C, H, W = x.data.shape
     if H % 2 or W % 2:
-        raise OddDimension(f"max_pool2 needs even spatial dims, got {H}x{W}")
+        raise OctCystError(f"max_pool2 needs even spatial dims, got {H}x{W}")
     quads = [x.data[:, di::2, dj::2] for di, dj in _QUADRANTS]
     y = quads[0].copy()
     idx = np.zeros(y.shape, dtype=np.uint8)
@@ -186,7 +186,7 @@ def attention_gate(
     + b_xg)) + b_psi), broadcast over the channels of x_l; returns
     alpha * x_l."""
     if x_l.data.shape[1:] != g.data.shape[1:]:
-        raise ShapeMismatch(
+        raise OctCystError(
             f"skip {x_l.data.shape} and gating {g.data.shape} spatial dims differ"
         )
     inner = relu(conv2d(x_l, w_x) + conv2d(g, w_g, b_xg))

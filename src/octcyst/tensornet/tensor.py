@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NoRecordedGraph, ShapeMismatch
+from ..errors import OctCystError
 
 _recording = True
 
@@ -104,43 +104,31 @@ def _const(value, like: Tensor) -> np.ndarray:
 
 
 def add(x: Tensor, y) -> Tensor:
-    if isinstance(y, Tensor):
-        out = Tensor(x.data + y.data)
+    if not isinstance(y, Tensor):
+        y = Tensor(_const(y, x))
+    out = Tensor(x.data + y.data)
 
-        def _bw():
-            if x.requires_grad:
-                _accum(x, _unbroadcast(out.grad, x.data.shape))
-            if y.requires_grad:
-                _accum(y, _unbroadcast(out.grad, y.data.shape))
+    def _bw():
+        if x.requires_grad:
+            _accum(x, _unbroadcast(out.grad, x.data.shape))
+        if y.requires_grad:
+            _accum(y, _unbroadcast(out.grad, y.data.shape))
 
-        return _attach(out, (x, y), _bw)
-    c = _const(y, x)
-    out = Tensor(x.data + c)
-
-    def _bw_const():
-        _accum(x, _unbroadcast(out.grad, x.data.shape))
-
-    return _attach(out, (x,), _bw_const)
+    return _attach(out, (x, y), _bw)
 
 
 def mul(x: Tensor, y) -> Tensor:
-    if isinstance(y, Tensor):
-        out = Tensor(x.data * y.data)
+    if not isinstance(y, Tensor):
+        y = Tensor(_const(y, x))
+    out = Tensor(x.data * y.data)
 
-        def _bw():
-            if x.requires_grad:
-                _accum(x, _unbroadcast(out.grad * y.data, x.data.shape))
-            if y.requires_grad:
-                _accum(y, _unbroadcast(out.grad * x.data, y.data.shape))
+    def _bw():
+        if x.requires_grad:
+            _accum(x, _unbroadcast(out.grad * y.data, x.data.shape))
+        if y.requires_grad:
+            _accum(y, _unbroadcast(out.grad * x.data, y.data.shape))
 
-        return _attach(out, (x, y), _bw)
-    c = _const(y, x)
-    out = Tensor(x.data * c)
-
-    def _bw_const():
-        _accum(x, _unbroadcast(out.grad * c, x.data.shape))
-
-    return _attach(out, (x,), _bw_const)
+    return _attach(out, (x, y), _bw)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -181,7 +169,7 @@ def mean(x: Tensor) -> Tensor:
 
 def concat(tensors: list, axis: int = 0) -> Tensor:
     if not tensors:
-        raise ShapeMismatch("concat of zero tensors")
+        raise OctCystError("concat of zero tensors")
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -199,9 +187,9 @@ def backward(loss: Tensor, grad: float = 1.0) -> None:
     """Backpropagate from `loss`, accumulating into .grad of every leaf
     that requires gradients.  `grad` seeds the upstream gradient.  The graph
     is released as it runs: interior gradients are dropped once consumed,
-    and a second call on `loss` raises NoRecordedGraph."""
+    and a second call on `loss` raises OctCystError."""
     if not loss._parents and loss._backward is None:
-        raise NoRecordedGraph(
+        raise OctCystError(
             "tensor has no recorded graph; run the forward pass with "
             "grad mode enabled"
         )

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidConfig, ShapeMismatch
+from ..errors import InvalidConfig, OctCystError
 from ..rng import derive_seed, uniform_array
 from .layers import (
     aspp,
@@ -31,7 +31,7 @@ class UNetConfig:
     dropout_per_level: tuple[float, ...] = (0.1, 0.1, 0.2, 0.2)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.input_channels < 1 or self.base_channels < 1 or self.depth < 1:
             raise InvalidConfig("channel counts and depth must be positive")
         if self.base_channels * 2**self.depth != self.bottleneck_channels:
@@ -82,13 +82,13 @@ class ParamStore:
         """Replace every parameter; the names and shapes must match exactly."""
         missing = sorted(set(self._params) - set(values))
         if missing:
-            raise ShapeMismatch(f"missing parameters: {', '.join(missing)}")
+            raise OctCystError(f"missing parameters: {', '.join(missing)}")
         for name, arr in values.items():
             if name not in self._params:
-                raise ShapeMismatch(f"unknown parameter: {name}")
+                raise OctCystError(f"unknown parameter: {name}")
             t = self._params[name]
             if t.data.shape != arr.shape:
-                raise ShapeMismatch(
+                raise OctCystError(
                     f"{name}: shape {arr.shape} != expected {t.data.shape}"
                 )
             t.data = arr.astype(t.data.dtype)
@@ -111,13 +111,13 @@ class UNet:
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x))
         if x.data.ndim != 3 or x.data.shape[0] != cfg.input_channels:
-            raise ShapeMismatch(
+            raise OctCystError(
                 f"expected ({cfg.input_channels}, H, W) input, got {x.data.shape}"
             )
         H, W = x.data.shape[1:]
         div = 2**cfg.depth
         if H % div or W % div:
-            raise ShapeMismatch(f"spatial dims {H}x{W} not divisible by {div}")
+            raise OctCystError(f"spatial dims {H}x{W} not divisible by {div}")
 
         skips = []
         cur = x
@@ -158,7 +158,6 @@ def build_unet(cfg: UNetConfig, dtype=np.float32) -> tuple[UNet, ParamStore]:
     Weights are He-uniform U(+-sqrt(6/fan_in)) drawn in a fixed order from
     one SplitMix64 stream seeded by cfg.seed; biases start at zero, so the
     same seed always yields an identical ParamStore."""
-    cfg.validate()
     store = ParamStore()
     pos = 0  # draws taken so far
 

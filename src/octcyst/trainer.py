@@ -19,17 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dataio.formats import atomic_write_bytes, format_settings, parse_settings
-from .errors import (
-    BadMagic,
-    ConfigMismatch,
-    DimMismatch,
-    EmptyDataset,
-    InvalidConfig,
-    NonFiniteValue,
-    ShapeMismatch,
-    StateShapeMismatch,
-    TruncatedData,
-)
+from .errors import InvalidConfig, OctCystError
 from .rng import SplitMix64, derive_seed
 from .samplekit import Sample, crop_from_reference
 from .tensornet import ParamStore, Tensor, UNet, UNetConfig, backward, build_unet, no_grad
@@ -53,6 +43,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise InvalidConfig("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
         if not 0 < self.learning_rate < math.inf:
             raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
@@ -64,7 +56,7 @@ def bce_loss(logits: Tensor, target: np.ndarray) -> Tensor:
     z = logits.data
     t = np.asarray(target, dtype=z.dtype)
     if t.shape != z.shape:
-        raise ShapeMismatch(f"logits {z.shape} vs target {t.shape}")
+        raise OctCystError(f"logits {z.shape} vs target {t.shape}")
     per_pixel = np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))
     out = Tensor(np.asarray(per_pixel.mean(), dtype=z.dtype))
 
@@ -104,7 +96,7 @@ def adam_step(params: ParamStore, state: AdamState, cfg: TrainConfig) -> None:
         m = state.m.get(name)
         v = state.v.get(name)
         if m is None or m.shape != tensor.data.shape:
-            raise StateShapeMismatch(f"optimizer state missing or wrong shape for {name}")
+            raise OctCystError(f"optimizer state missing or wrong shape for {name}")
         m += (1.0 - b1) * (g - m)
         v += (1.0 - b2) * (g * g - v)
         tensor.data = tensor.data - cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
@@ -118,7 +110,7 @@ class Checkpoint:
     @cached_property
     def network(self) -> UNet:
         """The network holding these weights, built once on first use.
-        Raises ShapeMismatch unless the tensors are exactly those of
+        Raises OctCystError unless the tensors are exactly those of
         build_unet(config)."""
         net, params = build_unet(self.config)
         params.set_values(self.values)
@@ -134,17 +126,17 @@ def train(
     """Train on (sample, target) pairs; targets are {0,1} masks padded to
     the same reference frame as the samples.  Calls log_fn(epoch, mean_loss)
     after each epoch and returns the final checkpoint.  A non-finite loss or
-    gradient raises NonFiniteValue naming the epoch and batch."""
+    gradient raises OctCystError naming the epoch and batch."""
     if len(data) == 0:
-        raise EmptyDataset("no training samples")
+        raise OctCystError("no training samples")
     ref_shape = data[0][0].values.shape
     for i, (sample, target) in enumerate(data):
         if sample.values.shape != ref_shape:
-            raise DimMismatch(
+            raise OctCystError(
                 f"sample {i} has dims {sample.values.shape}, expected {ref_shape}"
             )
         if target.shape != ref_shape[1:]:
-            raise DimMismatch(
+            raise OctCystError(
                 f"target {i} has dims {target.shape}, expected {ref_shape[1:]}"
             )
 
@@ -170,10 +162,10 @@ def train(
                 epoch_losses.append(loss.item())
             where = f"epoch {epoch}, batch {batch_no}"
             if not np.all(np.isfinite(epoch_losses[-len(batch) :])):
-                raise NonFiniteValue(f"{where}: non-finite training loss")
+                raise OctCystError(f"{where}: non-finite training loss")
             for name, tensor in params.items():
                 if not np.all(np.isfinite(tensor.grad)):
-                    raise NonFiniteValue(f"{where}: non-finite gradient of {name}")
+                    raise OctCystError(f"{where}: non-finite gradient of {name}")
             adam_step(params, state, train_cfg)
         if log_fn is not None:
             log_fn(epoch, float(np.mean(epoch_losses)))
@@ -190,13 +182,6 @@ def predict(
 
     The mask thresholds sigmoid(logits) at `threshold` (>= rule) and, when
     roi_clamp is on, is intersected with the sample's ROI channel support."""
-    div = 2**cp.config.depth
-    ch, rows, cols = sample.values.shape
-    if ch != cp.config.input_channels or rows % div or cols % div:
-        raise DimMismatch(
-            f"sample dims {sample.values.shape} incompatible with checkpoint "
-            f"(needs {cp.config.input_channels} channels, dims divisible by {div})"
-        )
     with no_grad():
         logits = cp.network.forward(sample.values, training=False)
     prob = _sigmoid_data(crop_from_reference(logits.data[0], sample.offset, sample.orig_dims))
@@ -210,7 +195,7 @@ def predict(
 def save_checkpoint(cp: Checkpoint, path) -> None:
     """Binary layout: magic, version, the config as format_settings text,
     then tensors in lexicographic name order as (name, rank, dims, float32
-    values).  A tensor holding a NaN or inf raises NonFiniteValue naming
+    values).  A tensor holding a NaN or inf raises OctCystError naming
     it, and nothing is written."""
     config = format_settings(cp.config).encode("utf-8")
     parts = [
@@ -223,7 +208,7 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
     for name in sorted(cp.values):
         arr = np.asarray(cp.values[name], dtype="<f4")
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteValue(f"{path}: tensor {name} contains non-finite values")
+            raise OctCystError(f"{path}: tensor {name} contains non-finite values")
         encoded = name.encode("utf-8")
         parts.append(struct.pack("<H", len(encoded)))
         parts.append(encoded)
@@ -241,7 +226,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise TruncatedData(f"{self.path}: truncated at byte {self.pos}")
+            raise OctCystError(f"{self.path}: truncated at byte {self.pos}")
         chunk = self.data[self.pos : self.pos + n]
         self.pos += n
         return chunk
@@ -253,11 +238,10 @@ def _parse_config_block(block: bytes, path) -> UNetConfig:
         values = parse_settings(block.decode("utf-8"), UNetConfig(), "config block")
         missing = [f.name for f in fields(UNetConfig) if f.name not in values]
         if missing:
-            raise ConfigMismatch(f"{path}: checkpoint config lacks {', '.join(missing)}")
+            raise OctCystError(f"{path}: checkpoint config lacks {', '.join(missing)}")
         cfg = UNetConfig(**values)
-        cfg.validate()
     except (UnicodeDecodeError, InvalidConfig) as e:
-        raise ConfigMismatch(f"{path}: bad checkpoint config: {e}") from e
+        raise OctCystError(f"{path}: bad checkpoint config: {e}") from e
     return cfg
 
 
@@ -268,12 +252,12 @@ def load_checkpoint(path) -> Checkpoint:
     finite values, and nothing may follow the last one."""
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"{path}: not a checkpoint file")
+        raise OctCystError(f"{path}: not a checkpoint file")
     r = _Reader(data, path)
     r.take(4)
     (version,) = struct.unpack("<I", r.take(4))
     if version != CHECKPOINT_VERSION:
-        raise ConfigMismatch(f"{path}: checkpoint version {version} unsupported")
+        raise OctCystError(f"{path}: checkpoint version {version} unsupported")
     (config_len,) = struct.unpack("<I", r.take(4))
     cfg = _parse_config_block(r.take(config_len), path)
     (count,) = struct.unpack("<I", r.take(4))
@@ -283,9 +267,9 @@ def load_checkpoint(path) -> Checkpoint:
         try:
             name = r.take(name_len).decode("utf-8")
         except UnicodeDecodeError as e:
-            raise ConfigMismatch(f"{path}: tensor name is not UTF-8: {e}") from e
+            raise OctCystError(f"{path}: tensor name is not UTF-8: {e}") from e
         if name in values:
-            raise ConfigMismatch(f"{path}: tensor {name} appears twice")
+            raise OctCystError(f"{path}: tensor {name} appears twice")
         (rank,) = struct.unpack("<B", r.take(1))
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
         n = int(np.prod(dims)) if rank else 1
@@ -293,9 +277,9 @@ def load_checkpoint(path) -> Checkpoint:
             np.frombuffer(r.take(4 * n), dtype="<f4").reshape(dims).astype(np.float32)
         )
         if not np.all(np.isfinite(values[name])):
-            raise NonFiniteValue(f"{path}: tensor {name} contains non-finite values")
+            raise OctCystError(f"{path}: tensor {name} contains non-finite values")
     if r.pos != len(data):
-        raise ConfigMismatch(f"{path}: {len(data) - r.pos} trailing bytes after the last tensor")
+        raise OctCystError(f"{path}: {len(data) - r.pos} trailing bytes after the last tensor")
     cp = Checkpoint(cfg, values)
     cp.network  # checks the tensor table; predict reuses the network
     return cp

@@ -3,7 +3,7 @@ import pytest
 
 from octcyst.cli import Config, parse_config, run
 from octcyst.dataio import read_mask_pgm, read_pgm, write_mask_pgm
-from octcyst.errors import ParseError, UnknownKey
+from octcyst.errors import InvalidConfig
 from octcyst.samplekit import crop_from_reference, load_sample
 
 
@@ -72,14 +72,14 @@ def test_parse_config_single_override(tmp_path):
 def test_parse_config_unknown_key(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("foo = 1\n")
-    with pytest.raises(UnknownKey):
+    with pytest.raises(InvalidConfig, match="unknown key 'foo'"):
         parse_config(p)
 
 
 def test_parse_config_bad_value(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("epochs = ten\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(InvalidConfig, match="bad value for epochs"):
         parse_config(p)
 
 
@@ -120,14 +120,14 @@ def test_config_ref_dims_not_divisible_exit_code(tmp_path):
 def test_parse_config_repeated_key(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("seed = 3\nepochs = 2\nseed = 4\n")
-    with pytest.raises(ParseError, match="seed set twice"):
+    with pytest.raises(InvalidConfig, match="seed set twice"):
         parse_config(p)
 
 
 def test_parse_config_not_utf8(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_bytes(b"seed = 3\n# caf\xe9\n")
-    with pytest.raises(ParseError, match="UTF-8"):
+    with pytest.raises(InvalidConfig, match="not UTF-8"):
         parse_config(p)
 
 
@@ -151,11 +151,14 @@ def test_parse_config_not_utf8(tmp_path):
         b"w_min = -1e-5\n",
         b"learning_rate = nan\n",
         b"learning_rate = inf\n",
+        b"epochs = 0\n",
+        b"epochs = -3\n",
     ],
     ids=["batch_size", "learning_rate", "sigma_d-zero", "sigma_d-nan", "sigma_d-inf",
          "ref_rows", "repeated-key", "not-utf8", "threshold-nan", "threshold-inf",
          "threshold-above-1", "threshold-negative", "w_min-nan", "w_min-inf",
-         "w_min-negative", "learning_rate-nan", "learning_rate-inf"],
+         "w_min-negative", "learning_rate-nan", "learning_rate-inf", "epochs-0",
+         "epochs-negative"],
 )
 def test_config_value_error_exits_2_before_out_exists(tmp_path, text):
     p = tmp_path / "c.cfg"
@@ -368,6 +371,21 @@ def test_prepare_writes_one_target_per_record(tmp_path):
         f"img_{i:03d}{suffix}" for i in range(2) for suffix in (".octf", ".octf.meta", "_target.octf")
     }
     assert {p.name for p in prep.iterdir()} == expected
+
+
+@pytest.mark.parametrize("command", ["prepare", "train"])
+@pytest.mark.parametrize("crop", [(32, 30), (20, 32)], ids=["narrower", "shorter"])
+def test_mask_whose_dims_differ_from_its_scan_is_rejected(tmp_path, capsys, command, crop):
+    # padded on its own, such a mask would sit off its scan in the frame
+    cfg = _write_config(tmp_path)
+    data = _make_phantoms(tmp_path, count=2)
+    mask = data / "mask_001.pgm"
+    write_mask_pgm(read_mask_pgm(mask)[: crop[0], : crop[1]], mask)
+    out = tmp_path / "o"
+    assert run([command, "--manifest", str(data / "manifest.txt"), "--config", cfg,
+                "--out", str(out)]) == 1
+    assert f"{mask}: mask dims {crop} differ from its scan's (32, 32)" in capsys.readouterr().err
+    assert not (out / "img_001.octf").exists() and not (out / "checkpoint.bin").exists()
 
 
 def test_predict_from_manifest(tmp_path):

@@ -17,21 +17,7 @@ from octcyst.dataio import (
     write_mask_pgm,
     write_pgm,
 )
-from octcyst.errors import (
-    BadMagic,
-    BadRecord,
-    EmptyManifest,
-    IoFailure,
-    MalformedHeader,
-    MissingFile,
-    NonFiniteValue,
-    ParseError,
-    PlacementFailure,
-    TruncatedData,
-    UnknownKey,
-    UnsupportedMaxval,
-    VersionMismatch,
-)
+from octcyst.errors import InvalidConfig, OctCystError
 from octcyst.dataio.formats import format_settings, parse_settings
 
 
@@ -58,14 +44,14 @@ def test_pgm_round_trip(tmp_path):
 def test_pgm_unsupported_maxval(tmp_path):
     p = tmp_path / "a.pgm"
     p.write_bytes(b"P5 2 2 65535\n" + bytes(8))
-    with pytest.raises(UnsupportedMaxval):
+    with pytest.raises(OctCystError, match="maxval 65535, only 255 supported"):
         read_pgm(p)
 
 
 def test_pgm_bad_magic(tmp_path):
     p = tmp_path / "a.pgm"
     p.write_bytes(b"P6 2 2 255\n" + bytes(12))
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(OctCystError, match="expected P5, got b'P6'"):
         read_pgm(p)
 
 
@@ -77,7 +63,9 @@ def test_pgm_truncated(tmp_path):
         p.write_bytes(data[:cut])
         # a cut inside "P5 4 4 255" leaves a bad or partial header
         bad_header = cut < len(header) - 1
-        with pytest.raises((MalformedHeader, UnsupportedMaxval) if bad_header else TruncatedData):
+        header_checks = "expected P5|incomplete header|only 255 supported"
+        message = header_checks if bad_header else "pixels, got"
+        with pytest.raises(OctCystError, match=message):
             read_pgm(p)
 
 
@@ -85,7 +73,7 @@ def test_pgm_trailing_bytes_rejected(tmp_path):
     p = tmp_path / "a.pgm"
     write_pgm(np.arange(12, dtype=np.uint8).reshape(3, 4), p)
     p.write_bytes(p.read_bytes() + bytes(4))
-    with pytest.raises(MalformedHeader, match="4 bytes after"):
+    with pytest.raises(OctCystError, match="4 bytes after"):
         read_pgm(p)
 
 
@@ -145,14 +133,14 @@ def test_octf_round_trip(tmp_path):
 def test_octf_bad_magic(tmp_path):
     p = tmp_path / "a.octf"
     p.write_bytes(b"XXXX" + bytes(20))
-    with pytest.raises(BadMagic):
+    with pytest.raises(OctCystError, match="not an OCTF raster"):
         read_float_raster(p)
 
 
 def test_octf_version_mismatch(tmp_path):
     p = tmp_path / "a.octf"
     p.write_bytes(b"OCTF" + struct.pack("<4I", 2, 1, 1, 1) + bytes(4))
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(OctCystError, match="version 2, expected 1"):
         read_float_raster(p)
 
 
@@ -161,7 +149,8 @@ def test_octf_truncated(tmp_path):
     p = tmp_path / "a.octf"
     for cut in range(len(data)):
         p.write_bytes(data[:cut])
-        with pytest.raises(BadMagic if cut < 4 else TruncatedData):
+        message = "not an OCTF raster" if cut < 4 else "header truncated|floats, got"
+        with pytest.raises(OctCystError, match=message):
             read_float_raster(p)
 
 
@@ -169,19 +158,19 @@ def test_octf_trailing_bytes_rejected(tmp_path):
     p = tmp_path / "a.octf"
     write_float_raster(np.ones((2, 3), dtype=np.float32), p)
     p.write_bytes(p.read_bytes() + bytes(8))
-    with pytest.raises(MalformedHeader, match="8 bytes after"):
+    with pytest.raises(OctCystError, match="8 bytes after"):
         read_float_raster(p)
 
 
 def test_octf_rejects_non_finite(tmp_path):
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(OctCystError, match="contains non-finite values"):
         write_float_raster(np.array([[np.nan]], dtype=np.float32), tmp_path / "a.octf")
     p = tmp_path / "b.octf"
     write_float_raster(np.zeros((2, 2), dtype=np.float32), p)
     data = p.read_bytes()
     for bad in (np.nan, np.inf, -np.inf):
         p.write_bytes(data[:-4] + np.array([bad], dtype="<f4").tobytes())
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(OctCystError, match="raster contains non-finite values"):
             read_float_raster(p)
 
 
@@ -202,7 +191,7 @@ def test_atomic_write_ignores_stale_tmp_and_leaves_no_temp_file(tmp_path):
 
 def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
     (tmp_path / "a.pgm").mkdir()  # os.replace cannot put a file over a directory
-    with pytest.raises(IoFailure):
+    with pytest.raises(OctCystError, match="cannot write"):
         write_pgm(np.zeros((2, 2), dtype=np.uint8), tmp_path / "a.pgm")
     assert [q.name for q in tmp_path.iterdir()] == ["a.pgm"]
 
@@ -237,14 +226,14 @@ def test_manifest_three_fields(tmp_path):
 def test_manifest_only_comments_is_empty(tmp_path):
     mf = tmp_path / "m.txt"
     mf.write_text("# nothing\n\n# more\n")
-    with pytest.raises(EmptyManifest):
+    with pytest.raises(OctCystError, match="no records"):
         read_manifest(mf)
 
 
 def test_manifest_bad_field_count(tmp_path):
     mf = tmp_path / "m.txt"
     mf.write_text("only_one_field\n")
-    with pytest.raises(BadRecord):
+    with pytest.raises(OctCystError, match="expected 2 or 3 fields, got 1"):
         read_manifest(mf)
 
 
@@ -252,7 +241,7 @@ def test_manifest_missing_reference(tmp_path):
     _touch(tmp_path, "a.pgm")
     mf = tmp_path / "m.txt"
     mf.write_text("a.pgm\tmissing.pgm\n")
-    with pytest.raises(MissingFile):
+    with pytest.raises(OctCystError, match="referenced file missing"):
         read_manifest(mf)
 
 
@@ -269,7 +258,7 @@ def test_manifest_not_utf8_is_bad_record(tmp_path):
     _touch(tmp_path, "a.pgm", "b.pgm")
     mf = tmp_path / "m.txt"
     mf.write_bytes(b"a.pgm\tb.pgm\n\xff.pgm\tb.pgm\n")
-    with pytest.raises(BadRecord, match="UTF-8"):
+    with pytest.raises(OctCystError, match="not UTF-8"):
         read_manifest(mf)
 
 
@@ -305,18 +294,18 @@ def test_parse_settings_types_from_defaults_and_skips_comments():
 
 
 @pytest.mark.parametrize(
-    "text, error, message",
+    "text, message",
     [
-        ("count = 1\nbogus = 2\n", UnknownKey, "s:2: unknown key 'bogus'"),
-        ("count = 1\ncount = 2\n", ParseError, "s:2: count set twice"),
-        ("count\n", ParseError, "s:1: expected name = value"),
-        ("count = 1.5\n", ParseError, "s:1: bad value for count"),
-        ("flag = yes\n", ParseError, "s:1: bad value for flag"),
-        ("sizes = 1,,2\n", ParseError, "s:1: bad value for sizes"),
+        ("count = 1\nbogus = 2\n", "s:2: unknown key 'bogus'"),
+        ("count = 1\ncount = 2\n", "s:2: count set twice"),
+        ("count\n", "s:1: expected name = value"),
+        ("count = 1.5\n", "s:1: bad value for count"),
+        ("flag = yes\n", "s:1: bad value for flag"),
+        ("sizes = 1,,2\n", "s:1: bad value for sizes"),
     ],
 )
-def test_parse_settings_rejects(text, error, message):
-    with pytest.raises(error, match=message):
+def test_parse_settings_rejects(text, message):
+    with pytest.raises(InvalidConfig, match=message):
         parse_settings(text, _Settings(), "s")
 
 
@@ -395,7 +384,7 @@ def test_phantom_placement_failure():
         rows=30, cols=20, ilm_row=5, ism_row=20, n_cysts=10,
         cyst_axis_range=(4, 4), seed=1,
     )
-    with pytest.raises(PlacementFailure):
+    with pytest.raises(OctCystError, match="could not place cyst"):
         gen_phantom(spec)
 
 

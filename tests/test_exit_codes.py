@@ -2,6 +2,9 @@
 (every InvalidConfig), 1 for any other pipeline error and for any OS
 error, and never a traceback."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from octcyst import cli, errors
@@ -14,7 +17,9 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-PIPELINE_ERRORS = sorted(set(_subclasses(errors.OctCystError)), key=lambda c: c.__name__)
+PIPELINE_ERRORS = sorted(
+    {errors.OctCystError, *_subclasses(errors.OctCystError)}, key=lambda c: c.__name__
+)
 
 
 @pytest.mark.parametrize("exc", [*PIPELINE_ERRORS, OSError], ids=lambda c: c.__name__)
@@ -67,8 +72,32 @@ def test_unreadable_config_exits_2_before_out_exists(tmp_path, name):
 
 def test_the_config_errors_are_exactly_the_invalid_config_family():
     family = {c for c in PIPELINE_ERRORS if issubclass(c, errors.InvalidConfig)}
-    assert family == {errors.InvalidConfig, errors.UnknownKey, errors.ParseError}
+    assert family == {errors.InvalidConfig}
     assert issubclass(errors.InvalidConfig, ValueError)
+
+
+def _caught_names(tree):
+    """Names of the exception types that the except clauses of `tree` catch."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for t in types:
+                yield t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", None)
+
+
+def test_every_exception_type_is_caught_somewhere_in_the_program():
+    # an exception type earns its place only through code that handles it
+    package = Path(errors.__file__).parent
+    caught = set()
+    for path in package.rglob("*.py"):
+        caught.update(_caught_names(ast.parse(path.read_text(encoding="utf-8"))))
+    defined = {
+        node.name
+        for node in ast.parse(Path(errors.__file__).read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    uncaught = sorted(defined - caught)
+    assert not uncaught, f"errors.py defines types that no except clause catches: {uncaught}"
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from octcyst.errors import DimMismatch, EmptyList, TooFew
+from octcyst.errors import OctCystError
 from octcyst.metrics import (
     aggregate_stats,
     evaluate_pairs,
@@ -86,7 +86,7 @@ def test_both_empty_convention():
 
 
 def test_score_pair_dim_mismatch():
-    with pytest.raises(DimMismatch):
+    with pytest.raises(OctCystError, match=r"mask dims differ: \(2, 2\) vs \(3, 3\)"):
         score_pair(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
@@ -107,7 +107,7 @@ def test_aggregate_all_equal():
 
 
 def test_aggregate_empty_rejected():
-    with pytest.raises(EmptyList):
+    with pytest.raises(OctCystError, match="no values to aggregate"):
         aggregate_stats([])
 
 
@@ -147,12 +147,12 @@ def test_intersect_count_bounded():
 
 
 def test_intersect_too_few():
-    with pytest.raises(TooFew):
+    with pytest.raises(OctCystError, match="need at least 2 masks, got 1"):
         intersect_masks([np.zeros((2, 2), dtype=np.uint8)])
 
 
 def test_intersect_dim_mismatch():
-    with pytest.raises(DimMismatch):
+    with pytest.raises(OctCystError, match=r"mask dims differ: \(3, 3\) vs \(2, 2\)"):
         intersect_masks([np.zeros((2, 2), dtype=np.uint8), np.zeros((3, 3), dtype=np.uint8)])
 
 

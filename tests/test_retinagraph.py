@@ -3,14 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from octcyst.errors import (
-    DegeneratePath,
-    EmptyField,
-    ImageTooSmall,
-    NoLayerContrast,
-    OrderingViolation,
-    SubgraphTooThin,
-)
+from octcyst.errors import OctCystError
 from octcyst.retinagraph import (
     LayerKind,
     _column_search,
@@ -123,7 +116,7 @@ def test_gradient_inverted_bands_clamp_to_zero():
 
 
 def test_gradient_needs_three_rows():
-    with pytest.raises(ImageTooSmall):
+    with pytest.raises(OctCystError, match="need at least 3 rows, got 2"):
         vertical_gradient(np.zeros((2, 5), dtype=np.uint8))
 
 
@@ -156,7 +149,7 @@ def test_uniform_field_topmost_path():
 
 
 def test_empty_field_rejected():
-    with pytest.raises(EmptyField):
+    with pytest.raises(OctCystError, match="empty gradient field"):
         shortest_layer_path(np.empty((0, 0)), 1e-5)
 
 
@@ -194,7 +187,7 @@ def test_dijkstra_matches_enumeration_on_random_fields():
     # a window closed in one column admits no path
     hi[4] = lo[4]
     assert dp_tiebreak_path(field, 1e-5, lo, hi)[0] is None
-    with pytest.raises(EmptyField):
+    with pytest.raises(OctCystError, match="no admissible path"):
         _column_search(field, 1e-5, lo, hi)
 
 
@@ -241,7 +234,7 @@ def test_classify_tie_falls_to_ilm():
 
 def test_classify_degenerate_path():
     img = np.full((5, 4), 10, dtype=np.uint8)
-    with pytest.raises(DegeneratePath):
+    with pytest.raises(OctCystError, match="path leaves no pixels above or below"):
         classify_layer(img, _flat_path(0, 4))
 
 
@@ -280,12 +273,12 @@ def test_segment_layers_ilm_contrast_stronger():
 
 
 def test_segment_layers_flat_image():
-    with pytest.raises(NoLayerContrast):
+    with pytest.raises(OctCystError, match="gradient field is identically zero"):
         segment_layers(np.full((20, 10), 50, dtype=np.uint8), 1e-5)
 
 
 def test_segment_layers_minimum_rows():
-    with pytest.raises(ImageTooSmall):
+    with pytest.raises(OctCystError, match="need at least 5 rows, got 4"):
         segment_layers(np.zeros((4, 10), dtype=np.uint8), 1e-5)
 
 
@@ -293,7 +286,7 @@ def test_segment_layers_thin_subgraph():
     # strongest transition at row 2, classified ISM, leaves only 2 rows above
     col = np.array([180, 20, 20, 180, 180, 20, 20, 20], dtype=np.uint8)
     img = np.tile(col[:, None], (1, 10))
-    with pytest.raises(SubgraphTooThin):
+    with pytest.raises(OctCystError, match="cut leaves fewer than 3 rows"):
         segment_layers(img, 1e-5)
 
 
@@ -332,5 +325,5 @@ def test_roi_bit_count_closed_form():
 
 
 def test_roi_ordering_violation():
-    with pytest.raises(OrderingViolation):
+    with pytest.raises(OctCystError, match="ilm must lie strictly above ism"):
         roi_mask(np.array([5, 5]), np.array([5, 6]), 10, 2)

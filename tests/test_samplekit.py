@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from octcyst.dataio import PhantomSpec, gen_phantom
-from octcyst.errors import DimMismatch, NoLayerContrast, TooLarge, WindowOutOfBounds
+from octcyst.errors import OctCystError
 from octcyst.preprocess import denoise
 from octcyst.retinagraph import roi_mask, segment_layers
 from octcyst.samplekit import (
@@ -49,7 +49,7 @@ def test_pad_equal_dims_identity():
 
 
 def test_pad_too_large():
-    with pytest.raises(TooLarge):
+    with pytest.raises(OctCystError, match="image 12x8 exceeds reference 8x10"):
         pad_to_reference(np.zeros((12, 8), dtype=np.float32), ReferenceDims(8, 10))
 
 
@@ -72,7 +72,7 @@ def test_pad_to_reference_pads_last_two_axes():
     more_channels_than_rows, _ = pad_to_reference(np.ones((12, 8, 10)), ref)
     assert more_channels_than_rows.shape == (12, 8, 10)
     for shape in ((2, 9, 10), (2, 8, 11)):
-        with pytest.raises(TooLarge):
+        with pytest.raises(OctCystError, match="exceeds reference 8x10"):
             pad_to_reference(np.zeros(shape), ref)
 
 
@@ -89,7 +89,7 @@ def test_crop_full_identity():
 
 
 def test_crop_out_of_bounds():
-    with pytest.raises(WindowOutOfBounds):
+    with pytest.raises(OctCystError, match="window .* exceeds padded dims"):
         crop_from_reference(np.zeros((8, 10)), (5, 5), (5, 7))
 
 
@@ -142,7 +142,7 @@ def test_prepare_sample_deterministic():
 
 
 def test_prepare_sample_flat_image_propagates():
-    with pytest.raises(NoLayerContrast):
+    with pytest.raises(OctCystError, match="gradient field is identically zero"):
         prepare_sample(np.full((32, 32), 80, dtype=np.uint8), ReferenceDims(32, 32))
 
 
@@ -178,7 +178,7 @@ def test_load_sample_rejects_wrong_channels(tmp_path):
     p = tmp_path / "bad.octf"
     write_float_raster(np.zeros((3, 4, 4), dtype=np.float32), p)
     (tmp_path / "bad.octf.meta").write_text("offset=0,0 orig=4,4\n")
-    with pytest.raises(DimMismatch):
+    with pytest.raises(OctCystError, match="expected 2 channels, got 3"):
         load_sample(p)
 
 
@@ -188,5 +188,5 @@ def test_load_sample_meta_not_utf8_is_dim_mismatch(tmp_path):
     p = tmp_path / "s.octf"
     write_float_raster(np.zeros((2, 4, 4), dtype=np.float32), p)
     (tmp_path / "s.octf.meta").write_bytes(b"offset=0,0 orig=4,4\xff\n")
-    with pytest.raises(DimMismatch, match="UTF-8"):
+    with pytest.raises(OctCystError, match="not UTF-8"):
         load_sample(p)

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from octcyst.dataio import PhantomSpec, gen_phantom
-from octcyst.errors import (
-    BadMagic,
-    ConfigMismatch,
-    DimMismatch,
-    EmptyDataset,
-    NonFiniteValue,
-    ShapeMismatch,
-    StateShapeMismatch,
-    TruncatedData,
-)
+from octcyst.errors import InvalidConfig, OctCystError
 from octcyst.samplekit import ReferenceDims, Sample, pad_to_reference, prepare_sample
 from octcyst.tensornet import ParamStore, Tensor, UNetConfig, backward, build_unet, no_grad
 from octcyst.trainer import (
@@ -81,7 +72,7 @@ def test_bce_saturated_wrong_pixels_keep_their_gradient():
 
 
 def test_bce_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(OctCystError, match=r"logits \(2, 2\) vs target \(2, 3\)"):
         bce_loss(Tensor(np.full((2, 2), 0.5)), np.zeros((2, 3)))
 
 
@@ -151,7 +142,7 @@ def test_adam_state_shape_mismatch():
     store = _scalar_store()
     store.zero_grad()
     state = AdamState()  # missing entries
-    with pytest.raises(StateShapeMismatch):
+    with pytest.raises(OctCystError, match="optimizer state missing or wrong shape"):
         adam_step(store, state, TrainConfig(epochs=1))
 
 
@@ -174,7 +165,7 @@ def _phantom_dataset(n, ref, seed0=50):
 
 
 def test_train_empty_dataset():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(OctCystError, match="no training samples"):
         train([], _tiny_cfg(), TrainConfig(epochs=1))
 
 
@@ -182,7 +173,7 @@ def test_train_dim_mismatch():
     ref = ReferenceDims(16, 16)
     data = _phantom_dataset(1, ref)
     bad = Sample(np.zeros((2, 24, 24), dtype=np.float32), (0, 0), (24, 24))
-    with pytest.raises(DimMismatch):
+    with pytest.raises(OctCystError, match=r"sample 1 has dims \(2, 24, 24\), expected"):
         train(data + [(bad, np.zeros((24, 24), dtype=np.float32))], _tiny_cfg(), TrainConfig(epochs=1))
 
 
@@ -218,7 +209,7 @@ def test_train_stops_on_non_finite_loss():
     values = sample.values.copy()
     values[0, 8, 8] = np.nan
     data[1] = (Sample(values, sample.offset, sample.orig_dims), target)
-    with pytest.raises(NonFiniteValue, match=r"epoch 0, batch [01]: non-finite"):
+    with pytest.raises(OctCystError, match=r"epoch 0, batch [01]: non-finite"):
         train(data, _tiny_cfg(), TrainConfig(batch_size=1, epochs=2, seed=1))
 
 
@@ -277,7 +268,7 @@ def test_predict_mask_subset_of_roi():
 
 def test_predict_dim_mismatch():
     sample = Sample(np.zeros((2, 18, 18), dtype=np.float32), (0, 0), (18, 18))
-    with pytest.raises(DimMismatch):
+    with pytest.raises(OctCystError, match="spatial dims 18x18 not divisible by 4"):
         predict(_zero_checkpoint(_tiny_cfg()), sample)
 
 
@@ -343,7 +334,7 @@ def test_checkpoint_order_is_lexicographic(tmp_path):
 def test_checkpoint_bad_magic(tmp_path):
     p = tmp_path / "x.bin"
     p.write_bytes(b"NOPE" + bytes(40))
-    with pytest.raises(BadMagic):
+    with pytest.raises(OctCystError, match="not a checkpoint file"):
         load_checkpoint(p)
 
 
@@ -358,7 +349,8 @@ def test_checkpoint_truncated(tmp_path):
     data = (tmp_path / "cp.bin").read_bytes()
     for cut in range(len(data)):
         (tmp_path / "cut.bin").write_bytes(data[:cut])
-        with pytest.raises(BadMagic if cut < 4 else TruncatedData):
+        message = "not a checkpoint file" if cut < 4 else "truncated at byte"
+        with pytest.raises(OctCystError, match=message):
             load_checkpoint(tmp_path / "cut.bin")
 
 
@@ -368,7 +360,7 @@ def test_checkpoint_missing_tensor_rejected(tmp_path):
     values = store.values()
     del values["head.w"]
     save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
-    with pytest.raises(ShapeMismatch, match="head.w"):
+    with pytest.raises(OctCystError, match="missing parameters: head.w"):
         load_checkpoint(tmp_path / "cp.bin")
 
 
@@ -378,7 +370,7 @@ def test_checkpoint_wrong_tensor_shape_rejected(tmp_path):
     values = store.values()
     values["head.b"] = np.zeros(2, dtype=np.float32)
     save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
-    with pytest.raises(ShapeMismatch, match="head.b"):
+    with pytest.raises(OctCystError, match=r"head.b: shape \(2,\) != expected"):
         load_checkpoint(tmp_path / "cp.bin")
 
 
@@ -388,7 +380,7 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
     data = (tmp_path / "cp.bin").read_bytes()
     (tmp_path / "long.bin").write_bytes(data + bytes(4))
-    with pytest.raises(ConfigMismatch, match="4 trailing bytes"):
+    with pytest.raises(OctCystError, match="4 trailing bytes"):
         load_checkpoint(tmp_path / "long.bin")
 
 
@@ -405,7 +397,7 @@ def test_checkpoint_repeated_tensor_rejected(tmp_path):
     data += struct.pack("<H", 6) + b"head.b" + struct.pack("<BI", 1, 1)
     data += np.full(1, 7.0, dtype="<f4").tobytes()
     (tmp_path / "dup.bin").write_bytes(bytes(data))
-    with pytest.raises(ConfigMismatch, match="head.b"):
+    with pytest.raises(OctCystError, match="tensor head.b appears twice"):
         load_checkpoint(tmp_path / "dup.bin")
 
 
@@ -419,7 +411,7 @@ def test_checkpoint_non_finite_value_rejected_on_load(tmp_path, value):
     at = data.index(b"head.b") + 6 + 1 + 4
     data[at : at + 4] = np.full(1, value, dtype="<f4").tobytes()
     (tmp_path / "bad.bin").write_bytes(bytes(data))
-    with pytest.raises(NonFiniteValue, match="head.b"):
+    with pytest.raises(OctCystError, match="tensor head.b contains non-finite values"):
         load_checkpoint(tmp_path / "bad.bin")
 
 
@@ -428,7 +420,7 @@ def test_save_checkpoint_non_finite_value_raises_and_writes_nothing(tmp_path):
     _, store = build_unet(cfg)
     values = store.values()
     values["head.b"] = np.full(1, np.inf, dtype=np.float32)
-    with pytest.raises(NonFiniteValue, match="head.b"):
+    with pytest.raises(OctCystError, match="tensor head.b contains non-finite values"):
         save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
     assert list(tmp_path.iterdir()) == []
 
@@ -446,8 +438,9 @@ def test_checkpoint_config_mismatch(tmp_path):
     )
     p = tmp_path / "bad.bin"
     p.write_bytes(blob)
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(OctCystError, match="bad checkpoint config: .*expected name = value") as err:
         load_checkpoint(p)
+    assert not isinstance(err.value, InvalidConfig)  # a bad input file exits 1, not 2
 
 
 def test_checkpoint_config_block_is_the_settings_text():
@@ -501,8 +494,9 @@ def test_checkpoint_config_block_edit_helper_keeps_a_valid_checkpoint(tmp_path):
     ids=["unknown-key", "repeated-key", "missing-key", "not-utf8"],
 )
 def test_checkpoint_config_block_rejected(tmp_path, edit, message):
-    with pytest.raises(ConfigMismatch, match=message):
+    with pytest.raises(OctCystError, match=message) as err:
         load_checkpoint(_with_config_block(tmp_path, edit))
+    assert not isinstance(err.value, InvalidConfig)
 
 
 def test_checkpoint_tensor_name_not_utf8_rejected(tmp_path):
@@ -515,7 +509,7 @@ def test_checkpoint_tensor_name_not_utf8_rejected(tmp_path):
     first_name_at = 12 + struct.unpack_from("<I", data, 8)[0] + 4 + 2
     data[first_name_at] = 0xFF
     (tmp_path / "bad.bin").write_bytes(bytes(data))
-    with pytest.raises(ConfigMismatch, match="tensor name is not UTF-8"):
+    with pytest.raises(OctCystError, match="tensor name is not UTF-8"):
         load_checkpoint(tmp_path / "bad.bin")
 
 
@@ -526,8 +520,9 @@ def test_checkpoint_config_failing_validate_is_a_config_mismatch(tmp_path):
     p = _with_config_block(
         tmp_path, lambda block: block.replace(b"bottleneck_channels=8", b"bottleneck_channels=9")
     )
-    with pytest.raises(ConfigMismatch, match="bottleneck_channels"):
+    with pytest.raises(OctCystError, match="bad checkpoint config: bottleneck_channels") as err:
         load_checkpoint(p)
+    assert not isinstance(err.value, InvalidConfig)
     out = tmp_path / "pred"
     assert run(["predict", "--checkpoint", str(p), "--samples", str(tmp_path),
                 "--out", str(out)]) == 1
