@@ -133,7 +133,12 @@ def _phantom_specs(args, cfg: Config) -> list[PhantomSpec]:
 def _cmd_phantom(args, cfg: Config, out: Path) -> int:
     # every scan is generated before any is written, so a scan whose cysts
     # cannot be placed leaves no partial set behind
-    scans = [gen_phantom(spec)[:2] for spec in _phantom_specs(args, cfg)]
+    scans = []
+    for i, spec in enumerate(_phantom_specs(args, cfg)):
+        try:
+            scans.append(gen_phantom(spec)[:2])
+        except OctCystError as e:
+            raise OctCystError(f"scan {i} (img_{i:03d}.pgm): {e}") from e
     manifest_lines = []
     for i, (image, mask) in enumerate(scans):
         img_name = f"img_{i:03d}.pgm"

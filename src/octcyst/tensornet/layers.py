@@ -55,7 +55,9 @@ def _conv(x: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
     return y.reshape(F, H, W)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1) -> Tensor:
+def conv2d(
+    x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1, relu: bool = False
+) -> Tensor:
     """Same-padded 2-D cross-correlation with dilation.
 
     x: (C, H, W); w: (F, C, k, k) with odd k; b: (F,) or None.  Output
@@ -64,6 +66,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1) -> 
     Forward and weight gradient are one GEMM per row tile of im2col
     columns; the input gradient is the same convolution of the output
     gradient with the kernel flipped and its channel axes swapped.
+
+    relu=True returns max(conv + b, 0), bit for bit relu(conv2d(x, w, b)),
+    as one op: the bias and the ReLU are applied in place on the GEMM
+    output, so only the rectified activation is kept for backward.
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise OctCystError(f"conv2d expects 3-D input and 4-D kernel, got {x.data.shape}, {w.data.shape}")
@@ -77,20 +83,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1) -> 
     y = _conv(x.data, w.data, r)
     if b is not None:
         y += b.data[:, None, None]
+    if relu:
+        np.maximum(y, 0, out=y)
     out = Tensor(y)
 
     def _bw():
         go = out.grad
+        if relu:
+            # safe in place: backward drops out.grad as soon as this closure
+            # returns, and gives the loss a copy, so no caller ever sees the
+            # masked array.  A multiply, unlike assigning zeros, keeps the
+            # -0.0 signs that go * mask gives.
+            np.multiply(go, out.data > 0, out=go)
         if b is not None and b.requires_grad:
             _accum(b, go.sum(axis=(1, 2)))
         if x.requires_grad:
-            _accum(x, _conv(go, w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], r))
+            _accum(x, _conv(go, w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], r), fresh=True)
         if w.requires_grad:
             go2 = go.reshape(F, H * W)
             dw = np.zeros((F, C * k * k), dtype=w.data.dtype)
             for i0, i1, cols in _im2col_tiles(x.data, k, r):
                 dw += go2[:, i0 * W : i1 * W] @ cols.T
-            _accum(w, dw.reshape(w.data.shape))
+            _accum(w, dw.reshape(w.data.shape), fresh=True)
 
     parents = (x, w) if b is None else (x, w, b)
     return _attach(out, parents, _bw)
@@ -117,9 +131,9 @@ def transposed_conv2d(x: Tensor, w: Tensor) -> Tensor:
     def _bw():
         g2 = out.grad.reshape(F, H, 2, W, 2).transpose(0, 2, 4, 1, 3).reshape(4 * F, H * W)
         if w.requires_grad:
-            _accum(w, (x.data.reshape(C, H * W) @ g2.T).reshape(w.data.shape))
+            _accum(w, (x.data.reshape(C, H * W) @ g2.T).reshape(w.data.shape), fresh=True)
         if x.requires_grad:
-            _accum(x, (w2 @ g2).reshape(C, H, W))
+            _accum(x, (w2 @ g2).reshape(C, H, W), fresh=True)
 
     return _attach(out, (x, w), _bw)
 
@@ -154,7 +168,7 @@ def max_pool2(x: Tensor) -> Tensor:
         gx = np.zeros_like(x.data)
         for k, (di, dj) in enumerate(_QUADRANTS):
             np.copyto(gx[:, di::2, dj::2], out.grad, where=idx == k)
-        _accum(x, gx)
+        _accum(x, gx, fresh=True)
 
     return _attach(out, (x,), _bw)
 
@@ -170,7 +184,7 @@ def dropout(x: Tensor, p: float, seed: int) -> Tensor:
     out = Tensor(x.data * mask)
 
     def _bw():
-        _accum(x, out.grad * mask)
+        _accum(x, out.grad * mask, fresh=True)
 
     return _attach(out, (x,), _bw)
 

@@ -10,6 +10,14 @@ parameters) and the loss keep `.grad`: each interior tensor drops its
 gradient once its closure has consumed it, and its activation is freed
 once the closures of all its consumers have run.
 
+A gradient is owned by the tensor it is accumulated into.  `_accum` keeps
+the array a closure hands it without copying only when the call site
+passes `fresh=True`, which says that the closure built the array itself and
+holds no other reference to it; anything else, such as `add`'s upstream
+gradient, which goes to both parents, or `concat`'s views of one array, is
+copied on first arrival.  A closure may then consume its own output's
+gradient in place, since `backward` drops it right after.
+
 Storage is float32 by default; building a graph from float64 tensors runs
 the whole computation in float64, which the gradient checks rely on.
 """
@@ -72,9 +80,15 @@ class Tensor:
         return mul(self, other)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add `g` into t.grad.  The first gradient is copied in t's dtype
+    unless the caller passes fresh=True for an array it built and holds no
+    other reference to; that array, if its dtype matches, becomes t.grad."""
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
+        if fresh and g.dtype == t.data.dtype:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -124,9 +138,9 @@ def mul(x: Tensor, y) -> Tensor:
 
     def _bw():
         if x.requires_grad:
-            _accum(x, _unbroadcast(out.grad * y.data, x.data.shape))
+            _accum(x, _unbroadcast(out.grad * y.data, x.data.shape), fresh=True)
         if y.requires_grad:
-            _accum(y, _unbroadcast(out.grad * x.data, y.data.shape))
+            _accum(y, _unbroadcast(out.grad * x.data, y.data.shape), fresh=True)
 
     return _attach(out, (x, y), _bw)
 
@@ -135,7 +149,7 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0))
 
     def _bw():
-        _accum(x, out.grad * (x.data > 0))
+        _accum(x, out.grad * (x.data > 0), fresh=True)
 
     return _attach(out, (x,), _bw)
 
@@ -153,7 +167,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = Tensor(_sigmoid_data(x.data))
 
     def _bw():
-        _accum(x, out.grad * out.data * (1.0 - out.data))
+        _accum(x, out.grad * out.data * (1.0 - out.data), fresh=True)
 
     return _attach(out, (x,), _bw)
 
@@ -162,7 +176,7 @@ def mean(x: Tensor) -> Tensor:
     out = Tensor(np.asarray(x.data.mean(), dtype=x.data.dtype))
 
     def _bw():
-        _accum(x, np.full_like(x.data, out.grad / x.data.size))
+        _accum(x, np.full_like(x.data, out.grad / x.data.size), fresh=True)
 
     return _attach(out, (x,), _bw)
 
@@ -209,14 +223,18 @@ def backward(loss: Tensor, grad: float = 1.0) -> None:
             if p.requires_grad:
                 stack.append((p, False))
     _accum(loss, np.full_like(loss.data, grad))
+    # a closure may consume its output's gradient in place (conv2d's fused
+    # ReLU masks it), so the loss keeps its own and its closure gets a copy
+    seed = loss.grad
+    loss.grad = seed.copy()
     # popping drops the list's reference, so a node is freed as soon as the
     # closures of all its consumers, which ran before it, are released
     while topo:
         node = topo.pop()
         if node._backward is not None:
             node._backward()
-            if node is not loss:
-                node.grad = None
+            node.grad = None
         # closure -> output tensor -> closure: only releasing breaks the cycle
         node._backward = None
         node._parents = ()
+    loss.grad = seed

@@ -18,7 +18,7 @@ from .layers import (
     max_pool2,
     transposed_conv2d,
 )
-from .tensor import Tensor, concat, relu
+from .tensor import Tensor, concat
 
 
 @dataclass(frozen=True)
@@ -122,20 +122,20 @@ class UNet:
         skips = []
         cur = x
         for lvl in range(1, cfg.depth + 1):
-            cur = relu(conv2d(cur, s[f"enc{lvl}.conv1.w"], s[f"enc{lvl}.conv1.b"]))
-            cur = relu(conv2d(cur, s[f"enc{lvl}.conv2.w"], s[f"enc{lvl}.conv2.b"]))
+            cur = conv2d(cur, s[f"enc{lvl}.conv1.w"], s[f"enc{lvl}.conv1.b"], relu=True)
+            cur = conv2d(cur, s[f"enc{lvl}.conv2.w"], s[f"enc{lvl}.conv2.b"], relu=True)
             if training:
                 cur = dropout(cur, cfg.dropout_per_level[lvl - 1], derive_seed(seed, lvl))
             skips.append(cur)
             cur = max_pool2(cur)
 
-        cur = relu(conv2d(cur, s["bott.conv1.w"], s["bott.conv1.b"]))
+        cur = conv2d(cur, s["bott.conv1.w"], s["bott.conv1.b"], relu=True)
         branches = [
             (s[f"bott.aspp.branch{i}.w"], s[f"bott.aspp.branch{i}.b"], r)
             for i, r in enumerate(cfg.aspp_rates)
         ]
         cur = aspp(cur, branches, s["bott.aspp.fuse.w"], s["bott.aspp.fuse.b"])
-        cur = relu(conv2d(cur, s["bott.conv2.w"], s["bott.conv2.b"]))
+        cur = conv2d(cur, s["bott.conv2.w"], s["bott.conv2.b"], relu=True)
         if training:
             cur = dropout(
                 cur, cfg.dropout_per_level[cfg.depth], derive_seed(seed, cfg.depth + 1)
@@ -146,8 +146,8 @@ class UNet:
             gate = (s[f"dec{lvl}.gate.{n}"] for n in ("wx", "wg", "bxg", "psi", "bpsi"))
             gated = attention_gate(skips[lvl - 1], g, *gate)
             cur = concat([gated, g], axis=0)
-            cur = relu(conv2d(cur, s[f"dec{lvl}.conv1.w"], s[f"dec{lvl}.conv1.b"]))
-            cur = relu(conv2d(cur, s[f"dec{lvl}.conv2.w"], s[f"dec{lvl}.conv2.b"]))
+            cur = conv2d(cur, s[f"dec{lvl}.conv1.w"], s[f"dec{lvl}.conv1.b"], relu=True)
+            cur = conv2d(cur, s[f"dec{lvl}.conv2.w"], s[f"dec{lvl}.conv2.b"], relu=True)
 
         return conv2d(cur, s["head.w"], s["head.b"])
 

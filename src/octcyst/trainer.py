@@ -61,7 +61,7 @@ def bce_loss(logits: Tensor, target: np.ndarray) -> Tensor:
     out = Tensor(np.asarray(per_pixel.mean(), dtype=z.dtype))
 
     def _bw():
-        _accum(logits, (_sigmoid_data(z) - t) * (out.grad / z.size))
+        _accum(logits, (_sigmoid_data(z) - t) * (out.grad / z.size), fresh=True)
 
     return _attach(out, (logits,), _bw)
 

@@ -269,6 +269,14 @@ def test_phantom_placement_failure_writes_no_scan(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_phantom_placement_failure_names_the_scan(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["phantom", "--rows", "40", "--cols", "32", "--count", "20", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "scan 12 (img_012.pgm)" in err
+    assert "could not place cyst 3/3" in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
 

@@ -16,6 +16,7 @@ from octcyst.tensornet import (
     attention_gate,
     backward,
     build_unet,
+    concat,
     conv2d,
     dropout,
     max_pool2,
@@ -175,6 +176,114 @@ def test_conv_forward_memory_stays_within_one_column_tile():
         tracemalloc.stop()
     assert out.data.dtype == np.float32
     assert peak <= x.data.nbytes + out.data.nbytes + budget + budget // 4
+
+
+# --- conv2d with the fused ReLU -----------------------------------------------
+
+
+def _conv_relu_inputs(seed):
+    """float32 input, kernel, bias and upstream gradient of mixed sign;
+    output channel 3 is rectified everywhere and its upstream gradient is
+    negative, so its masked gradient is all -0.0."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((3, 9, 10)).astype(np.float32)
+    w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(4).astype(np.float32)
+    w[3] = 0.0
+    b[3] = -1.0
+    g = rng.standard_normal((4, 9, 10)).astype(np.float32)
+    g[3] = -np.abs(g[3]) - 0.5
+    return x, w, b, g
+
+
+def _conv_relu_run(fused, x, w, b, g, r):
+    """Output, the masked gradient the conv's closure consumes, and the x,
+    w, b gradients of mean(relu(conv) * g)."""
+    xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+    conv = conv2d(xt, wt, bt, dilation=r, relu=fused)
+    out = conv if fused else relu(conv)
+    consumed = []
+    closure = conv._backward
+
+    def probe():
+        # the fused closure masks this very array in place
+        consumed.append(conv.grad)
+        closure()
+
+    conv._backward = probe
+    data = out.data.copy()
+    backward(mean(out * Tensor(g)))
+    return data, consumed[0], xt.grad, wt.grad, bt.grad
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_fused_conv_relu_matches_relu_of_conv_byte_for_byte(r):
+    x, w, b, g = _conv_relu_inputs(80 + r)
+    fused = _conv_relu_run(True, x, w, b, g, r)
+    composed = _conv_relu_run(False, x, w, b, g, r)
+    assert np.any(composed[0] == 0) and np.any(composed[0] > 0)
+    # zeroing by assignment would turn these into +0.0
+    assert np.all(np.signbit(composed[1][3]))
+    names = ("out", "masked gradient", "x.grad", "w.grad", "b.grad")
+    for name, a, c in zip(names, fused, composed):
+        assert a.dtype == c.dtype == np.float32, name
+        assert a.tobytes() == c.tobytes(), name
+
+
+def test_fused_conv_relu_gradient_is_released_so_its_in_place_mask_stays_unseen():
+    # the fused backward masks out.grad in place; that is safe only because
+    # backward drops an interior gradient once its closure has run and
+    # hands the loss's closure a copy of the loss's own gradient
+    x, w, b, g = _conv_relu_inputs(83)
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    h = conv2d(xt, wt, bt, relu=True)
+    backward(mean(h * Tensor(g)))
+    assert h.grad is None
+
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    loss = conv2d(xt, wt, bt, relu=True)
+    assert np.any(loss.data == 0)
+    backward(loss, grad=0.5)
+    assert np.array_equal(loss.grad, np.full(loss.shape, 0.5, dtype=np.float32))
+    mask = (loss.data > 0).astype(np.float32)
+    assert np.array_equal(bt.grad, (np.float32(0.5) * mask).sum(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("op", ["x + x", "x * x", "concat([x, x])"])
+def test_a_tensor_used_twice_by_one_op_gets_both_gradients(op):
+    # x is interior, so its first gradient is taken over where the closure
+    # says it is fresh; the two contributions must still both arrive
+    a = Tensor(np.array([-1.5, 0.5, 2.0, -0.25], dtype=np.float32), requires_grad=True)
+    c = np.array([3.0, -2.0, 0.5, 1.25], dtype=np.float32)
+    x = a * Tensor(c)
+    y = {"x + x": lambda: x + x, "x * x": lambda: x * x, "concat([x, x])": lambda: concat([x, x])}[op]()
+    u = np.arange(1.0, 1.0 + y.data.size, dtype=np.float32) * np.float32(-0.75)
+    backward(mean(y * Tensor(u)))
+    gy = np.full(y.shape, 1.0 / y.data.size, dtype=np.float32) * u
+    if op == "x + x":
+        gx = gy + gy
+    elif op == "x * x":
+        gx = gy * x.data + gy * x.data
+    else:
+        gx = gy[:4] + gy[4:]
+    assert np.array_equal(a.grad, gx * c)
+
+
+def test_two_fused_convs_summed_each_mask_only_their_own_gradient():
+    # add hands one upstream array to both parents; if both took it over,
+    # the first fused backward to run would mask the other's gradient
+    x, w, b, g = _conv_relu_inputs(84)
+    w2 = -w[:, ::-1].copy()
+    grads = []
+    for fused in (True, False):
+        xt, wt, bt, w2t = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b, w2))
+        if fused:
+            s = conv2d(xt, wt, bt, relu=True) + conv2d(xt, w2t, bt, relu=True)
+        else:
+            s = relu(conv2d(xt, wt, bt)) + relu(conv2d(xt, w2t, bt))
+        backward(mean(s * Tensor(g)))
+        grads.append([t.grad.tobytes() for t in (xt, wt, bt, w2t)])
+    assert grads[0] == grads[1]
 
 
 # --- transposed conv ----------------------------------------------------------
@@ -763,3 +872,17 @@ def test_first_gradient_is_an_owned_copy_in_the_tensor_dtype():
     _accum(t, np.ones(3))
     assert np.array_equal(t.grad, [2.0, 0.5, 3.0])
     assert np.array_equal(g, [9.0, -0.5, 2.0])
+
+    # a fresh array in the tensor's dtype is taken over; in another dtype
+    # it is still copied
+    owned = np.array([1.0, -0.5, 2.0], dtype=np.float32)
+    t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    _accum(t, owned, fresh=True)
+    assert t.grad is owned
+    _accum(t, np.ones(3, dtype=np.float32), fresh=True)
+    assert t.grad is owned
+    assert np.array_equal(owned, [2.0, 0.5, 3.0])
+    t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    _accum(t, g, fresh=True)
+    assert t.grad is not g and t.grad.dtype == np.float32
+    assert np.array_equal(t.grad, [9.0, -0.5, 2.0])

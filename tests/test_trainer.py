@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import octcyst
 
 from octcyst.dataio import PhantomSpec, gen_phantom
 from octcyst.errors import InvalidConfig, OctCystError
@@ -200,6 +206,45 @@ def test_train_deterministic_checkpoints(tmp_path):
     save_checkpoint(cp1, tmp_path / "a.bin")
     save_checkpoint(cp2, tmp_path / "b.bin")
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+# Trains a small network for a few steps and writes its checkpoint to
+# argv[1].  Its convolution GEMMs (8 output rows, 72-deep, 6144 columns)
+# are large enough for OpenBLAS to split them across threads.
+_TRAIN_SCRIPT = """
+import sys
+import numpy as np
+from octcyst.samplekit import Sample
+from octcyst.tensornet import UNetConfig
+from octcyst.trainer import TrainConfig, save_checkpoint, train
+
+rng = np.random.default_rng(12)
+data = [
+    (
+        Sample(rng.random((2, 64, 96), dtype=np.float32), (0, 0), (64, 96)),
+        (rng.random((64, 96)) > 0.8).astype(np.float32),
+    )
+    for _ in range(4)
+]
+cfg = UNetConfig(
+    base_channels=8, depth=2, bottleneck_channels=32, aspp_rates=(1, 2),
+    dropout_per_level=(0.1, 0.1, 0.2), seed=3,
+)
+save_checkpoint(train(data, cfg, TrainConfig(batch_size=2, epochs=2, seed=4)), sys.argv[1])
+"""
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = str(Path(octcyst.__file__).resolve().parents[1])
+    paths = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        path = tmp_path / f"threads{threads}.bin"
+        subprocess.run(
+            [sys.executable, "-c", _TRAIN_SCRIPT, str(path)], env=env, check=True, timeout=300
+        )
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_train_stops_on_non_finite_loss():
