@@ -10,7 +10,6 @@ bit-reproducible.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -35,7 +34,7 @@ from .dataio.formats import (
     write_float_raster,
 )
 from .errors import InvalidConfig, OctCystError
-from .preprocess import BilateralParams, default_radius, denoise
+from .preprocess import DEFAULT_SIGMA_D, BilateralParams, default_radius, denoise
 from .rng import SplitMix64, derive_seed
 from .samplekit import (
     ReferenceDims,
@@ -52,20 +51,18 @@ from .trainer import TrainConfig, load_checkpoint, predict, save_checkpoint, tra
 
 @dataclass(frozen=True)
 class Config:
-    sigma_d: float = 2.0
-    w_min: float = 1e-5
-    ref_rows: int = 640
-    ref_cols: int = 1024
-    base_channels: int = 16
-    depth: int = 3
-    aspp_rates: tuple[int, ...] = (1, 2, 4, 8, 16)
-    dropout: tuple[float, ...] = (0.1, 0.1, 0.2, 0.2)
-    batch_size: int = 10
-    epochs: int = 100
-    learning_rate: float = 1e-3
+    # each default is the production value declared by the object the key feeds
+    sigma_d: float = DEFAULT_SIGMA_D
+    ref_rows: int = ReferenceDims.rows
+    ref_cols: int = ReferenceDims.cols
+    base_channels: int = UNetConfig.base_channels
+    depth: int = UNetConfig.depth
+    aspp_rates: tuple[int, ...] = UNetConfig.aspp_rates
+    dropout: tuple[float, ...] = UNetConfig.dropout_per_level
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    learning_rate: float = TrainConfig.learning_rate
     seed: int = 1
-    roi_clamp: bool = True
-    threshold: float = 0.5
 
 
 def parse_config(path) -> Config:
@@ -78,24 +75,23 @@ def parse_config(path) -> Config:
     return replace(Config(), **parse_settings(text, Config(), path))
 
 
-def _unet_config(cfg: Config, seed: int) -> UNetConfig:
+def _unet_config(cfg: Config) -> UNetConfig:
     return UNetConfig(
-        input_channels=2,
         base_channels=cfg.base_channels,
         depth=cfg.depth,
         bottleneck_channels=cfg.base_channels * 2**cfg.depth,
         aspp_rates=cfg.aspp_rates,
         dropout_per_level=cfg.dropout,
-        seed=seed,
+        seed=cfg.seed,
     )
 
 
-def _train_config(cfg: Config, seed: int) -> TrainConfig:
+def _train_config(cfg: Config) -> TrainConfig:
     return TrainConfig(
         batch_size=cfg.batch_size,
         epochs=cfg.epochs,
         learning_rate=cfg.learning_rate,
-        seed=derive_seed(seed, 1),
+        seed=derive_seed(cfg.seed, 1),
     )
 
 
@@ -159,7 +155,7 @@ def _cmd_denoise(args, cfg: Config, out: Path) -> int:
 def _cmd_layers(args, cfg: Config, out: Path) -> int:
     stem = Path(args.input).stem
     # the boundaries are drawn over the denoised scan, which nothing else reads
-    overlay, ilm, ism, roi = extract_layers(read_pgm(args.input), cfg.sigma_d, cfg.w_min)
+    overlay, ilm, ism, roi = extract_layers(read_pgm(args.input), cfg.sigma_d)
     cols = overlay.shape[1]
     stripes = np.where(np.arange(cols) % 2 == 0, 255, 0).astype(np.uint8)
     overlay[ilm, np.arange(cols)] = stripes
@@ -171,14 +167,17 @@ def _cmd_layers(args, cfg: Config, out: Path) -> int:
 
 def _prepare_one(image_path: Path, cfg: Config) -> Sample:
     ref = ReferenceDims(cfg.ref_rows, cfg.ref_cols)
-    return prepare_sample(read_pgm(image_path), ref, cfg.sigma_d, cfg.w_min)
+    return prepare_sample(read_pgm(image_path), ref, cfg.sigma_d)
 
 
 def _padded_target(path: Path, sample: Sample, cfg: Config) -> np.ndarray:
     """A target raster written by `prepare`, or the mask PGM of `sample`'s
     scan padded into the reference frame; the mask must have the scan's dims."""
     if path.suffix == ".octf":
-        return read_float_raster(path)[0]
+        target = read_float_raster(path)
+        if target.shape[0] != 1 or not np.isin(target, (0, 1)).all():
+            raise OctCystError(f"{path}: a target must be one channel of 0/1 values")
+        return target[0]
     mask = read_mask_pgm(path)
     if mask.shape != sample.orig_dims:
         raise OctCystError(
@@ -217,13 +216,12 @@ def _inputs(args, cfg: Config) -> list[tuple[str, Sample, Path]]:
 
 
 def _cmd_train(args, cfg: Config, out: Path) -> int:
-    seed = args.seed if args.seed is not None else cfg.seed
     data = [
         (sample, _padded_target(target, sample, cfg)) for _, sample, target in _inputs(args, cfg)
     ]
     log_lines = []
     checkpoint = train(
-        data, _unet_config(cfg, seed), _train_config(cfg, seed),
+        data, _unet_config(cfg), _train_config(cfg),
         log_fn=lambda epoch, loss: log_lines.append(f"epoch={epoch} loss={loss:.6f}"),
     )
     save_checkpoint(checkpoint, out / "checkpoint.bin")
@@ -234,7 +232,7 @@ def _cmd_train(args, cfg: Config, out: Path) -> int:
 def _cmd_predict(args, cfg: Config, out: Path) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     for stem, sample, _ in _inputs(args, cfg):
-        prob, mask = predict(checkpoint, sample, cfg.threshold, cfg.roi_clamp)
+        prob, mask = predict(checkpoint, sample)
         write_float_raster(prob, out / f"{stem}_prob.octf")
         write_mask_pgm(mask, out / f"{stem}_mask.pgm")
     return 0
@@ -249,32 +247,31 @@ def _cmd_evaluate(args, cfg: Config, out: Path) -> int:
         if not mask_path.is_file():
             raise OctCystError(f"no prediction for {stem}: {mask_path}")
         preds.append(read_mask_pgm(mask_path))
-    truths = {"report": [read_mask_pgm(r.mask_path) for r in records]}
+    truth = [read_mask_pgm(r.mask_path) for r in records]
+    reports = {"report": metrics.evaluate_pairs(zip(stems, preds, truth))}
     if all(r.second_mask_path is not None for r in records):
-        truths["report_gt2"] = [read_mask_pgm(r.second_mask_path) for r in records]
-        truths["report_intersection"] = [
-            metrics.intersect_masks(pair) for pair in zip(truths["report"], truths["report_gt2"])
-        ]
-    for name, masks in truths.items():
-        report = metrics.evaluate_pairs(zip(stems, preds, masks))
+        truth2 = [read_mask_pgm(r.second_mask_path) for r in records]
+        reports["report_gt2"] = metrics.evaluate_pairs(zip(stems, preds, truth2))
+        # both graders' masks now match the prediction's dims, so they intersect
+        both = map(metrics.intersect_masks, zip(truth, truth2))
+        reports["report_intersection"] = metrics.evaluate_pairs(zip(stems, preds, both))
+    for name, report in reports.items():
         _write_text(out / f"{name}.txt", metrics.format_report(report))
         _write_text(out / f"{name}.tsv", metrics.format_report_tsv(report))
     return 0
 
 
 def _cmd_iov(args, cfg: Config, out: Path) -> int:
-    dices = []
-    lines = []
-    for record in read_manifest(args.manifest):
+    def graders(record):
         if record.second_mask_path is None:
             raise OctCystError(f"{record.image_path.name}: no second grader mask")
-        d = metrics.grader_iov(
-            read_mask_pgm(record.mask_path), read_mask_pgm(record.second_mask_path)
-        )
-        dices.append(d)
-        lines.append(f"image={record.image_path.stem} dice={d:.6f}")
-    mean, std = metrics.aggregate_stats(dices)
-    lines.append(f"mean dice={mean:.6f} std={std:.6f}")
+        masks = read_mask_pgm(record.mask_path), read_mask_pgm(record.second_mask_path)
+        return (record.image_path.stem, *masks)
+
+    # inter-observer variability is the Dice of grader 1's mask against grader 2's
+    report = metrics.evaluate_pairs(map(graders, read_manifest(args.manifest)))
+    lines = [f"image={s.name} dice={s.dice:.6f}" for s in report.scores]
+    lines.append(f"mean dice={report.mean_dice:.6f} std={report.std_dice:.6f}")
     _write_text(out / "iov_report.txt", "\n".join(lines) + "\n")
     return 0
 
@@ -321,9 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("prepare", _cmd_prepare, "build two-channel samples from a manifest", manifest=True)
 
-    p = command("train", _cmd_train, "train the segmentation network")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    one_input(p)
+    one_input(command("train", _cmd_train, "train the segmentation network"))
 
     p = command("predict", _cmd_predict, "run inference")
     p.add_argument("--checkpoint", required=True)
@@ -348,17 +343,12 @@ def run(argv) -> int:
         return int(e.code) if e.code is not None else 0
     try:
         cfg = parse_config(args.config) if args.config else Config()
-        _unet_config(cfg, 0)  # cross-field checks (depth vs dropout)
+        _unet_config(cfg)  # cross-field checks (depth vs dropout)
         if cfg.ref_rows % 2**cfg.depth or cfg.ref_cols % 2**cfg.depth:
             raise InvalidConfig(f"reference frame is not divisible by 2**depth = {2**cfg.depth}")
-        if not 0 < cfg.threshold < 1:
-            raise InvalidConfig(f"threshold must be in (0, 1), got {cfg.threshold}")
-        # layer paths are shortest paths only while every edge weight is >= 0
-        if not 0 <= cfg.w_min < math.inf:
-            raise InvalidConfig(f"w_min must be finite and >= 0, got {cfg.w_min}")
         # the other settings objects the subcommands build check their own values;
         # sigma_r is estimated per scan and never below 1
-        _train_config(cfg, 0)
+        _train_config(cfg)
         ReferenceDims(cfg.ref_rows, cfg.ref_cols)
         BilateralParams(cfg.sigma_d, 1.0, default_radius(cfg.sigma_d))
         if args.command == "phantom":

@@ -22,7 +22,8 @@ def read_manifest(path) -> tuple[ManifestRecord, ...]:
 
     Lines hold 2 or 3 tab-separated paths (image, mask[, second grader mask])
     relative to the manifest's directory; blank lines and '#' lines are
-    ignored.  Every referenced file must exist.
+    ignored.  Every referenced file must exist, and no two images may share
+    a stem, since each scan's outputs are named after its stem.
     """
     path = Path(path)
     if not path.is_file():
@@ -33,6 +34,7 @@ def read_manifest(path) -> tuple[ManifestRecord, ...]:
         raise OctCystError(f"{path}: not UTF-8 text: {e}") from e
     base = path.parent
     records = []
+    stem_lines = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -44,6 +46,12 @@ def read_manifest(path) -> tuple[ManifestRecord, ...]:
         for p in paths:
             if not p.is_file():
                 raise OctCystError(f"{path}:{lineno}: referenced file missing: {p}")
+        stem = paths[0].stem
+        if stem in stem_lines:
+            raise OctCystError(
+                f"{path}:{lineno}: image stem {stem!r} repeats line {stem_lines[stem]}"
+            )
+        stem_lines[stem] = lineno
         records.append(
             ManifestRecord(paths[0], paths[1], paths[2] if len(paths) == 3 else None)
         )

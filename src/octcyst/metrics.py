@@ -95,10 +95,13 @@ def intersect_masks(masks) -> np.ndarray:
 
 
 def evaluate_pairs(named_pairs) -> EvalReport:
-    """Score (name, pred, gt) triples and aggregate per-image metrics."""
+    """Score (name, pred, gt) triples and aggregate per-image metrics; errors name the pair."""
     scores = []
     for name, pred, gt in named_pairs:
-        counts, recall, precision, dice = score_pair(pred, gt)
+        try:
+            counts, recall, precision, dice = score_pair(pred, gt)
+        except OctCystError as e:
+            raise OctCystError(f"{name}: {e}") from e
         scores.append(ImageScore(name, counts, recall, precision, dice))
     if not scores:
         raise OctCystError("no image pairs to evaluate")

@@ -1,12 +1,17 @@
 """Graph-based ILM/ISM boundary extraction.
 
 Each pixel is a node; a node connects rightward to its three column-(c+1)
-neighbors within one row, weighted by 2 - (g_a + g_b) + w_min on the
+neighbors within one row, weighted by 2 - (g_a + g_b) + W_MIN on the
 dark-to-light vertical gradient.  Virtual endpoint columns attach to every
-row of the first and last columns with weight w_min, so boundary endpoints
+row of the first and last columns with weight W_MIN, so boundary endpoints
 need no initialization.  The first minimum-weight path is classified as
 ILM or ISM by the brightness above/below it; the graph is cut at that path
 and the second boundary is searched on the remaining side.
+
+W_MIN is the small positive constant Chiu et al. 2010 add so that Dijkstra
+sees positive weights.  The column search does not need it, and it cannot
+move a path: every path has cols + 1 edges, so W_MIN adds the same amount
+to each one.  It stays in the arithmetic so path costs keep their bits.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .errors import OctCystError
 
-DEFAULT_W_MIN = 1e-5
+W_MIN = 1e-5
 
 
 class LayerKind(Enum):
@@ -44,21 +49,21 @@ def vertical_gradient(image: np.ndarray) -> np.ndarray:
     return (d - lo) / (hi - lo)
 
 
-def edge_weight(g_a: float, g_b: float, w_min: float) -> float:
+def edge_weight(g_a: float, g_b: float) -> float:
     """Weight of the edge joining two pixels with gradient values g_a, g_b."""
-    return 2.0 - (g_a + g_b) + w_min
+    return 2.0 - (g_a + g_b) + W_MIN
 
 
-def path_cost(field: np.ndarray, path: np.ndarray, w_min: float) -> float:
+def path_cost(field: np.ndarray, path: np.ndarray) -> float:
     """Total weight of a left-to-right path, endpoint edges included."""
     cols = field.shape[1]
-    cost = 2.0 * w_min
+    cost = 2.0 * W_MIN
     for c in range(cols - 1):
-        cost += edge_weight(field[path[c], c], field[path[c + 1], c + 1], w_min)
+        cost += edge_weight(field[path[c], c], field[path[c + 1], c + 1])
     return cost
 
 
-def _column_search(field: np.ndarray, w_min: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _column_search(field: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Minimum-weight path restricted per column to rows [lo[c], hi[c]).
 
     Every edge runs from column c to column c+1, so distances follow a
@@ -72,14 +77,14 @@ def _column_search(field: np.ndarray, w_min: float, lo: np.ndarray, hi: np.ndarr
     outside = (row_idx < lo[:, None]) | (row_idx >= hi[:, None])
     g_pad = np.pad(field, ((1, 1), (0, 0)))
     d_pad = np.full(rows + 2, np.inf)
-    dist = np.where(outside[0], np.inf, w_min)
+    dist = np.where(outside[0], np.inf, W_MIN)
     step = np.zeros((cols, rows), dtype=np.int8)  # predecessor row offset
     for c in range(1, cols):
         d_pad[1:-1] = dist
         best = best_d = np.full(rows, np.inf)
         for k in (-1, 0, 1):
             d = d_pad[1 + k : 1 + k + rows]
-            cand = d + 2.0 - (g_pad[1 + k : 1 + k + rows, c - 1] + field[:, c]) + w_min
+            cand = d + 2.0 - (g_pad[1 + k : 1 + k + rows, c - 1] + field[:, c]) + W_MIN
             take = (cand < best) | ((cand == best) & (d < best_d))
             best, best_d = np.where(take, cand, best), np.where(take, d, best_d)
             step[c, take] = k
@@ -94,7 +99,7 @@ def _column_search(field: np.ndarray, w_min: float, lo: np.ndarray, hi: np.ndarr
     return path
 
 
-def shortest_layer_path(field: np.ndarray, w_min: float = DEFAULT_W_MIN) -> np.ndarray:
+def shortest_layer_path(field: np.ndarray) -> np.ndarray:
     """Minimum-total-weight left-to-right path over the full field."""
     f = np.asarray(field, dtype=np.float64)
     if f.size == 0:
@@ -102,7 +107,7 @@ def shortest_layer_path(field: np.ndarray, w_min: float = DEFAULT_W_MIN) -> np.n
     rows, cols = f.shape
     lo = np.zeros(cols, dtype=np.int64)
     hi = np.full(cols, rows, dtype=np.int64)
-    return _column_search(f, w_min, lo, hi)
+    return _column_search(f, lo, hi)
 
 
 def classify_layer(image: np.ndarray, path: np.ndarray) -> LayerKind:
@@ -122,9 +127,7 @@ def classify_layer(image: np.ndarray, path: np.ndarray) -> LayerKind:
     return LayerKind.ISM if mean_above > mean_below else LayerKind.ILM
 
 
-def segment_layers(
-    image: np.ndarray, w_min: float = DEFAULT_W_MIN
-) -> tuple[np.ndarray, np.ndarray]:
+def segment_layers(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extract both boundaries; returns (ilm, ism) with ilm above ism.
 
     The first path is found on the full graph and classified; the second is
@@ -141,7 +144,7 @@ def segment_layers(
     if not field.any():
         raise OctCystError("gradient field is identically zero")
 
-    first = shortest_layer_path(field, w_min)
+    first = shortest_layer_path(field)
     kind = classify_layer(img, first)
     if kind is LayerKind.ISM:
         lo = np.zeros(cols, dtype=np.int64)
@@ -151,7 +154,7 @@ def segment_layers(
         hi = np.full(cols, rows, dtype=np.int64)
     if int((hi - lo).min()) < 3:
         raise OctCystError("cut leaves fewer than 3 rows to search")
-    second = _column_search(field, w_min, lo, hi)
+    second = _column_search(field, lo, hi)
 
     ilm, ism = (second, first) if kind is LayerKind.ISM else (first, second)
     if not np.all(ilm < ism):

@@ -21,7 +21,7 @@ import numpy as np
 from .dataio.formats import atomic_write_bytes, read_float_raster, write_float_raster
 from .errors import InvalidConfig, OctCystError
 from .preprocess import DEFAULT_SIGMA_D, denoise
-from .retinagraph import DEFAULT_W_MIN, roi_mask, segment_layers
+from .retinagraph import roi_mask, segment_layers
 
 
 @dataclass(frozen=True)
@@ -86,26 +86,21 @@ def crop_from_reference(
 
 
 def extract_layers(
-    image: np.ndarray,
-    sigma_d: float = DEFAULT_SIGMA_D,
-    w_min: float = DEFAULT_W_MIN,
+    image: np.ndarray, sigma_d: float = DEFAULT_SIGMA_D
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The layer stage: (denoised, ilm, ism, roi), where ilm/ism hold one
     boundary row per column and roi is the uint8 {0,1} strict interior
     between them, in scan coordinates."""
     denoised = denoise(image, sigma_d)
-    ilm, ism = segment_layers(denoised, w_min)
+    ilm, ism = segment_layers(denoised)
     return denoised, ilm, ism, roi_mask(ilm, ism, *denoised.shape)
 
 
 def prepare_sample(
-    image: np.ndarray,
-    ref: ReferenceDims,
-    sigma_d: float = DEFAULT_SIGMA_D,
-    w_min: float = DEFAULT_W_MIN,
+    image: np.ndarray, ref: ReferenceDims, sigma_d: float = DEFAULT_SIGMA_D
 ) -> Sample:
     """Full preparation: the layer stage, then normalize, stack, pad."""
-    denoised, _, _, roi = extract_layers(image, sigma_d, w_min)
+    denoised, _, _, roi = extract_layers(image, sigma_d)
     values, offset = pad_to_reference(np.stack([normalize(denoised), roi]), ref)
     return Sample(values, offset, denoised.shape)
 
@@ -135,4 +130,10 @@ def load_sample(path) -> Sample:
     if m is None:
         raise OctCystError(f"{path}.meta: malformed sidecar line: {text!r}")
     r0, c0, rows, cols = (int(g) for g in m.groups())
+    frame = values.shape[1:]
+    centered = ((frame[0] - rows) // 2, (frame[1] - cols) // 2)
+    if not (0 < rows <= frame[0] and 0 < cols <= frame[1]) or (r0, c0) != centered:
+        raise OctCystError(
+            f"{path}.meta: window {rows}x{cols} at {r0},{c0} is not centered in {frame}"
+        )
     return Sample(values, (r0, c0), (rows, cols))

@@ -172,23 +172,16 @@ def train(
     return Checkpoint(unet_cfg, params.values())
 
 
-def predict(
-    cp: Checkpoint,
-    sample: Sample,
-    threshold: float = 0.5,
-    roi_clamp: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
+def predict(cp: Checkpoint, sample: Sample) -> tuple[np.ndarray, np.ndarray]:
     """Probability map and binary mask, both in the scan's original dims.
 
-    The mask thresholds sigmoid(logits) at `threshold` (>= rule) and, when
-    roi_clamp is on, is intersected with the sample's ROI channel support."""
+    The mask is sigmoid(logits) >= 0.5 intersected with the sample's ROI
+    channel support; any other cut-off is applied to the probability map."""
     with no_grad():
         logits = cp.network.forward(sample.values, training=False)
     prob = _sigmoid_data(crop_from_reference(logits.data[0], sample.offset, sample.orig_dims))
-    mask = (prob >= threshold).astype(np.uint8)
-    if roi_clamp:
-        roi = crop_from_reference(sample.roi_channel, sample.offset, sample.orig_dims)
-        mask &= roi != 0
+    roi = crop_from_reference(sample.roi_channel, sample.offset, sample.orig_dims)
+    mask = ((prob >= 0.5) & (roi != 0)).astype(np.uint8)
     return prob.astype(np.float32), mask
 
 

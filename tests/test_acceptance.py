@@ -18,7 +18,7 @@ from octcyst.preprocess import (
     bilateral_filter,
     estimate_sigma_r,
 )
-from octcyst.retinagraph import path_cost, segment_layers, shortest_layer_path
+from octcyst.retinagraph import W_MIN, path_cost, segment_layers, shortest_layer_path
 from octcyst.rng import SplitMix64, derive_seed
 from octcyst.samplekit import (
     ReferenceDims,
@@ -83,10 +83,10 @@ def test_criterion_02_dijkstra_oracle():
     rng = np.random.default_rng(123)
     for _ in range(50):
         field = rng.random((6, 8))
-        path = shortest_layer_path(field, 1e-5)
-        cost = path_cost(field, path, 1e-5)
-        assert abs(cost - enumerate_min_cost(field, 1e-5)) <= 1e-12
-        oracle_path, _ = dp_tiebreak_path(field, 1e-5)
+        path = shortest_layer_path(field)
+        cost = path_cost(field, path)
+        assert abs(cost - enumerate_min_cost(field, W_MIN)) <= 1e-12
+        oracle_path, _ = dp_tiebreak_path(field, W_MIN)
         assert np.array_equal(path, oracle_path)
     _report(2, "50 random 6x8 fields: cost equals exhaustive enumeration "
                "within 1e-12, exact path match under the tie-break")
@@ -266,7 +266,7 @@ def test_criterion_09_end_to_end_desk_run():
 
     dices = []
     for sample, _, mask in holdout:
-        _, pred_mask = predict(checkpoint, sample, threshold=0.5, roi_clamp=True)
+        _, pred_mask = predict(checkpoint, sample)
         dices.append(score_pair(pred_mask, mask)[3])
     mean_dice, std_dice = aggregate_stats(dices)
     elapsed = time.perf_counter() - t0
@@ -287,7 +287,7 @@ def test_criterion_10_layer_segmentation_sanity():
         spec, img, _, ilm_true, ism_true = _desk_phantom(seed, i)
         sigma_r = estimate_sigma_r(img, background_rows(img.shape[0]))
         denoised = bilateral_filter(img, BilateralParams(2.0, sigma_r, 4))
-        ilm, ism = segment_layers(denoised, 1e-5)
+        ilm, ism = segment_layers(denoised)
         total_cols += img.shape[1]
         good_ilm += int(np.sum(np.abs(ilm - ilm_true) <= 1))
         good_ism += int(np.sum(np.abs(ism - ism_true) <= 1))

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from octcyst.cli import Config, parse_config, run
 from octcyst.dataio import read_mask_pgm, read_pgm, write_mask_pgm
+from octcyst.dataio.formats import format_settings, read_float_raster, write_float_raster
 from octcyst.errors import InvalidConfig
 from octcyst.samplekit import crop_from_reference, load_sample
 
@@ -85,10 +88,9 @@ def test_parse_config_bad_value(tmp_path):
 
 def test_parse_config_lists_and_booleans(tmp_path):
     p = tmp_path / "c.cfg"
-    p.write_text("aspp_rates = 1,2,4\nroi_clamp = off\ndropout = 0.1,0.2,0.3\n")
+    p.write_text("aspp_rates = 1,2,4\ndropout = 0.1,0.2,0.3\n")
     cfg = parse_config(p)
     assert cfg.aspp_rates == (1, 2, 4)
-    assert cfg.roi_clamp is False
     assert cfg.dropout == (0.1, 0.2, 0.3)
 
 
@@ -142,22 +144,17 @@ def test_parse_config_not_utf8(tmp_path):
         b"ref_rows = 0\n",
         b"seed = 3\nseed = 4\n",
         b"seed = 3\n# \xff\n",
-        b"threshold = nan\n",
-        b"threshold = inf\n",
-        b"threshold = 1.5\n",
-        b"threshold = -1\n",
-        b"w_min = nan\n",
-        b"w_min = inf\n",
-        b"w_min = -1e-5\n",
+        b"w_min = 1e-5\n",
+        b"threshold = 0.5\n",
+        b"roi_clamp = on\n",
         b"learning_rate = nan\n",
         b"learning_rate = inf\n",
         b"epochs = 0\n",
         b"epochs = -3\n",
     ],
     ids=["batch_size", "learning_rate", "sigma_d-zero", "sigma_d-nan", "sigma_d-inf",
-         "ref_rows", "repeated-key", "not-utf8", "threshold-nan", "threshold-inf",
-         "threshold-above-1", "threshold-negative", "w_min-nan", "w_min-inf",
-         "w_min-negative", "learning_rate-nan", "learning_rate-inf", "epochs-0",
+         "ref_rows", "repeated-key", "not-utf8", "removed-w_min", "removed-threshold",
+         "removed-roi_clamp", "learning_rate-nan", "learning_rate-inf", "epochs-0",
          "epochs-negative"],
 )
 def test_config_value_error_exits_2_before_out_exists(tmp_path, text):
@@ -168,6 +165,11 @@ def test_config_value_error_exits_2_before_out_exists(tmp_path, text):
     code = run(["phantom", "--config", str(p), "--count", "1", "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+def test_readme_lists_every_key_with_its_production_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"```ini\n{format_settings(Config())}```\n" in readme
 
 
 def test_train_config_value_error_exits_2(tmp_path):
@@ -210,6 +212,7 @@ def test_train_and_predict_take_exactly_one_input(tmp_path, command):
         ["denoise", "--in", "x.pgm"],
         ["layers", "--in", "x.pgm"],
         ["prepare", "--manifest", "m.txt"],
+        ["train", "--samples", "s"],
         ["predict", "--checkpoint", "c.bin", "--samples", "s"],
         ["evaluate", "--manifest", "m.txt", "--pred", "p"],
         ["iov", "--manifest", "m.txt"],
@@ -396,6 +399,24 @@ def test_mask_whose_dims_differ_from_its_scan_is_rejected(tmp_path, capsys, comm
     assert not (out / "img_001.octf").exists() and not (out / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize(
+    "target", [np.zeros((2, 32, 32)), np.full((1, 32, 32), 7.5)], ids=["two-channels", "not-0/1"]
+)
+def test_train_rejects_a_prepared_target_that_is_not_a_mask(tmp_path, capsys, target):
+    cfg = _write_config(tmp_path)
+    data = _make_phantoms(tmp_path, count=2)
+    prep = tmp_path / "prep"
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"), "--config", cfg,
+                "--out", str(prep)]) == 0
+    write_float_raster(target.astype(np.float32), prep / "img_001_target.octf")
+    out = tmp_path / "model"
+    assert run(["train", "--samples", str(prep), "--config", cfg, "--out", str(out)]) == 1
+    assert "img_001_target.octf: a target must be one channel of 0/1 values" in (
+        capsys.readouterr().err
+    )
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_predict_from_manifest(tmp_path):
     cfg = _write_config(tmp_path)
     data = _make_phantoms(tmp_path, count=2)
@@ -422,6 +443,23 @@ def test_evaluate_perfect_predictions_dice_one(tmp_path):
                 "--pred", str(pred), "--out", str(rep)]) == 0
     text = (rep / "report.txt").read_text()
     assert "mean dice=1.000000 std=0.000000" in text
+
+
+@pytest.mark.parametrize("grader", [1, 2], ids=["report", "report_intersection"])
+def test_evaluate_names_the_scan_whose_masks_differ_in_dims(tmp_path, capsys, grader):
+    data = _make_phantoms(tmp_path, count=2)
+    manifest = _two_grader_manifest(data, 2)
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for i in range(2):
+        write_mask_pgm(read_mask_pgm(data / f"mask_{i:03d}.pgm"), pred / f"img_{i:03d}_mask.pgm")
+    # the second grader's mask feeds the intersection report
+    truth = data / ("mask_000.pgm" if grader == 1 else "mask2_000.pgm")
+    write_mask_pgm(np.zeros((10, 10), dtype=np.uint8), truth)
+    rep = tmp_path / "rep"
+    assert run(["evaluate", "--manifest", str(manifest),
+                "--pred", str(pred), "--out", str(rep)]) == 1
+    assert "img_000: mask dims differ" in capsys.readouterr().err
 
 
 def test_train_from_manifest_matches_samples_dir(tmp_path):
@@ -471,6 +509,15 @@ def test_iov_command(tmp_path):
     text = (out / "iov_report.txt").read_text()
     assert text.count("image=") == 2
     assert "mean dice=" in text
+
+
+def test_iov_names_the_scan_whose_masks_differ_in_dims(tmp_path, capsys):
+    data = _make_phantoms(tmp_path, count=2)
+    manifest = _two_grader_manifest(data, 2)
+    write_mask_pgm(np.zeros((10, 10), dtype=np.uint8), data / "mask2_001.pgm")
+    out = tmp_path / "iov"
+    assert run(["iov", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert "img_001: mask dims differ" in capsys.readouterr().err
 
 
 def test_iov_requires_second_mask(tmp_path):

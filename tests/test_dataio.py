@@ -245,6 +245,17 @@ def test_manifest_missing_reference(tmp_path):
         read_manifest(mf)
 
 
+def test_manifest_rejects_a_repeated_image_stem(tmp_path):
+    # each scan's outputs are named after its stem, so the second would overwrite the first
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        _touch(tmp_path / d, "img_000.pgm", "mask_000.pgm")
+    mf = tmp_path / "m.txt"
+    mf.write_text("a/img_000.pgm\ta/mask_000.pgm\n# b\nb/img_000.pgm\tb/mask_000.pgm\n")
+    with pytest.raises(OctCystError, match=r"m.txt:3: image stem 'img_000' repeats line 1"):
+        read_manifest(mf)
+
+
 def test_manifest_preserves_order(tmp_path):
     names = [f"x{i}.pgm" for i in range(6)]
     _touch(tmp_path, *names)

@@ -5,6 +5,7 @@ import pytest
 
 from octcyst.errors import OctCystError
 from octcyst.retinagraph import (
+    W_MIN,
     LayerKind,
     _column_search,
     classify_layer,
@@ -124,9 +125,9 @@ def test_gradient_needs_three_rows():
 
 
 def test_edge_weight_values():
-    assert edge_weight(1.0, 1.0, 1e-5) == pytest.approx(1e-5, abs=1e-12)
-    assert edge_weight(0.0, 0.0, 1e-5) == pytest.approx(2.00001, abs=1e-12)
-    assert edge_weight(0.5, 0.25, 1e-5) == pytest.approx(1.25001, abs=1e-12)
+    assert edge_weight(1.0, 1.0) == pytest.approx(1e-5, abs=1e-12)
+    assert edge_weight(0.0, 0.0) == pytest.approx(2.00001, abs=1e-12)
+    assert edge_weight(0.5, 0.25) == pytest.approx(1.25001, abs=1e-12)
 
 
 # --- shortest path ----------------------------------------------------------
@@ -134,23 +135,23 @@ def test_edge_weight_values():
 
 def test_single_row_field():
     field = np.random.default_rng(0).random((1, 7))
-    path = shortest_layer_path(field, 1e-5)
+    path = shortest_layer_path(field)
     assert np.array_equal(path, np.zeros(7, dtype=np.int64))
     expected = 2e-5 + sum(
-        edge_weight(field[0, c], field[0, c + 1], 1e-5) for c in range(6)
+        edge_weight(field[0, c], field[0, c + 1]) for c in range(6)
     )
-    assert path_cost(field, path, 1e-5) == pytest.approx(expected, abs=1e-12)
+    assert path_cost(field, path) == pytest.approx(expected, abs=1e-12)
 
 
 def test_uniform_field_topmost_path():
     field = np.full((6, 9), 0.3)
-    path = shortest_layer_path(field, 1e-5)
+    path = shortest_layer_path(field)
     assert np.array_equal(path, np.zeros(9, dtype=np.int64))
 
 
 def test_empty_field_rejected():
     with pytest.raises(OctCystError, match="empty gradient field"):
-        shortest_layer_path(np.empty((0, 0)), 1e-5)
+        shortest_layer_path(np.empty((0, 0)))
 
 
 def test_dijkstra_matches_enumeration_on_random_fields():
@@ -163,10 +164,10 @@ def test_dijkstra_matches_enumeration_on_random_fields():
     for make_field in (rng.random, quantized):
         for _ in range(50):
             field = make_field((6, 8))
-            path = shortest_layer_path(field, 1e-5)
-            cost = path_cost(field, path, 1e-5)
-            assert abs(cost - enumerate_min_cost(field, 1e-5)) <= 1e-12
-            oracle_path, oracle_cost = dp_tiebreak_path(field, 1e-5)
+            path = shortest_layer_path(field)
+            cost = path_cost(field, path)
+            assert abs(cost - enumerate_min_cost(field, W_MIN)) <= 1e-12
+            oracle_path, oracle_cost = dp_tiebreak_path(field, W_MIN)
             assert abs(cost - oracle_cost) <= 1e-12
             assert np.array_equal(path, oracle_path)
             assert np.all(np.abs(np.diff(path)) <= 1)
@@ -179,16 +180,16 @@ def test_dijkstra_matches_enumeration_on_random_fields():
             walk = np.clip(3 + np.cumsum(rng.integers(-1, 2, size=8)), 0, 7)
             lo = np.maximum(walk - rng.integers(0, 3, size=8), 0)
             hi = np.minimum(walk + rng.integers(1, 4, size=8), 8)
-            path = _column_search(field, 1e-5, lo, hi)
-            oracle_path, oracle_cost = dp_tiebreak_path(field, 1e-5, lo, hi)
+            path = _column_search(field, lo, hi)
+            oracle_path, oracle_cost = dp_tiebreak_path(field, W_MIN, lo, hi)
             assert np.array_equal(path, oracle_path)
-            assert abs(path_cost(field, path, 1e-5) - oracle_cost) <= 1e-12
+            assert abs(path_cost(field, path) - oracle_cost) <= 1e-12
             assert np.all((lo <= path) & (path < hi))
     # a window closed in one column admits no path
     hi[4] = lo[4]
-    assert dp_tiebreak_path(field, 1e-5, lo, hi)[0] is None
+    assert dp_tiebreak_path(field, W_MIN, lo, hi)[0] is None
     with pytest.raises(OctCystError, match="no admissible path"):
-        _column_search(field, 1e-5, lo, hi)
+        _column_search(field, lo, hi)
 
 
 def test_dijkstra_matches_enumeration_across_sizes():
@@ -196,16 +197,9 @@ def test_dijkstra_matches_enumeration_across_sizes():
     for rows, cols in ((1, 7), (3, 5), (8, 8), (5, 2), (8, 3)):
         for _ in range(4):
             field = rng.random((rows, cols))
-            path = shortest_layer_path(field, 1e-5)
-            cost = path_cost(field, path, 1e-5)
-            assert abs(cost - enumerate_min_cost(field, 1e-5)) <= 1e-12
-
-
-def test_shifted_w_min_keeps_path():
-    field = np.random.default_rng(77).random((7, 9))
-    a = shortest_layer_path(field, 1e-5)
-    b = shortest_layer_path(field, 0.5)
-    assert np.array_equal(a, b)
+            path = shortest_layer_path(field)
+            cost = path_cost(field, path)
+            assert abs(cost - enumerate_min_cost(field, W_MIN)) <= 1e-12
 
 
 # --- classification ---------------------------------------------------------
@@ -253,10 +247,10 @@ def _layered_image(rows, cols, ilm, ism, vitreous, band, tail):
 def test_segment_layers_ism_contrast_stronger():
     # ILM step 20->150 (contrast 130), ISM step 20->220 (contrast 200)
     img = _layered_image(60, 12, 10, 40, vitreous=20, band=150, tail=220)
-    first = shortest_layer_path(vertical_gradient(img), 1e-5)
+    first = shortest_layer_path(vertical_gradient(img))
     assert classify_layer(img, first) is LayerKind.ISM
     assert np.all(np.abs(first - 40) <= 1)
-    ilm, ism = segment_layers(img, 1e-5)
+    ilm, ism = segment_layers(img)
     assert np.all(np.abs(ilm - 10) <= 1)
     assert np.all(np.abs(ism - 40) <= 1)
 
@@ -264,22 +258,22 @@ def test_segment_layers_ism_contrast_stronger():
 def test_segment_layers_ilm_contrast_stronger():
     # ILM step 10->200 (contrast 190), ISM step 10->150 (contrast 140)
     img = _layered_image(60, 12, 10, 40, vitreous=10, band=200, tail=150)
-    first = shortest_layer_path(vertical_gradient(img), 1e-5)
+    first = shortest_layer_path(vertical_gradient(img))
     assert classify_layer(img, first) is LayerKind.ILM
     assert np.all(np.abs(first - 10) <= 1)
-    ilm, ism = segment_layers(img, 1e-5)
+    ilm, ism = segment_layers(img)
     assert np.all(np.abs(ilm - 10) <= 1)
     assert np.all(np.abs(ism - 40) <= 1)
 
 
 def test_segment_layers_flat_image():
     with pytest.raises(OctCystError, match="gradient field is identically zero"):
-        segment_layers(np.full((20, 10), 50, dtype=np.uint8), 1e-5)
+        segment_layers(np.full((20, 10), 50, dtype=np.uint8))
 
 
 def test_segment_layers_minimum_rows():
     with pytest.raises(OctCystError, match="need at least 5 rows, got 4"):
-        segment_layers(np.zeros((4, 10), dtype=np.uint8), 1e-5)
+        segment_layers(np.zeros((4, 10), dtype=np.uint8))
 
 
 def test_segment_layers_thin_subgraph():
@@ -287,7 +281,7 @@ def test_segment_layers_thin_subgraph():
     col = np.array([180, 20, 20, 180, 180, 20, 20, 20], dtype=np.uint8)
     img = np.tile(col[:, None], (1, 10))
     with pytest.raises(OctCystError, match="cut leaves fewer than 3 rows"):
-        segment_layers(img, 1e-5)
+        segment_layers(img)
 
 
 def test_segment_layers_ordering_always_holds():
@@ -296,7 +290,7 @@ def test_segment_layers_ordering_always_holds():
         img = _layered_image(50, 9, 8 + seed, 32 + seed, vitreous=20, band=170, tail=210)
         noise = rng.integers(-5, 6, size=img.shape)
         noisy = np.clip(img.astype(int) + noise, 0, 255).astype(np.uint8)
-        ilm, ism = segment_layers(noisy, 1e-5)
+        ilm, ism = segment_layers(noisy)
         assert np.all(ilm < ism)
 
 

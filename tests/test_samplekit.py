@@ -182,6 +182,23 @@ def test_load_sample_rejects_wrong_channels(tmp_path):
         load_sample(p)
 
 
+@pytest.mark.parametrize(
+    "meta",
+    ["offset=0,0 orig=10,10", "offset=32,48 orig=0,0", "offset=0,0 orig=65,96",
+     "offset=0,0 orig=64,97", "offset=0,0 orig=62,96", "offset=0,0 orig=64,94"],
+    ids=["off-center", "zero-dims", "too-many-rows", "too-many-cols", "row-offset",
+         "col-offset"],
+)
+def test_load_sample_rejects_a_window_pad_to_reference_would_not_give(tmp_path, meta):
+    from octcyst.dataio import write_float_raster
+
+    p = tmp_path / "s.octf"
+    write_float_raster(np.zeros((2, 64, 96), dtype=np.float32), p)
+    (tmp_path / "s.octf.meta").write_text(meta + "\n")
+    with pytest.raises(OctCystError, match=r"is not centered in \(64, 96\)"):
+        load_sample(p)
+
+
 def test_load_sample_meta_not_utf8_is_dim_mismatch(tmp_path):
     from octcyst.dataio import write_float_raster
 

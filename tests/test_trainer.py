@@ -283,20 +283,13 @@ def test_predict_zero_weights_mask_equals_roi():
     img, _, _, _ = gen_phantom(spec)
     sample = prepare_sample(img, ref)
     cp = _zero_checkpoint(_tiny_cfg())
-    prob, mask = predict(cp, sample, threshold=0.5, roi_clamp=True)
+    prob, mask = predict(cp, sample)
     assert prob.shape == (16, 16) and mask.shape == (16, 16)
     assert np.all(prob == 0.5)  # p = sigmoid(0), thresholded with >= rule
     from octcyst.samplekit import crop_from_reference
 
     roi = crop_from_reference(sample.roi_channel, sample.offset, sample.orig_dims)
     assert np.array_equal(mask, (roi != 0).astype(np.uint8))
-
-
-def test_predict_without_roi_clamp_fills_frame():
-    ref = ReferenceDims(16, 16)
-    sample = Sample(np.zeros((2, 16, 16), dtype=np.float32), (0, 0), (16, 16))
-    prob, mask = predict(_zero_checkpoint(_tiny_cfg()), sample, roi_clamp=False)
-    assert np.all(mask == 1)  # 0.5 >= 0.5
 
 
 def test_predict_mask_subset_of_roi():
