@@ -27,12 +27,7 @@ from .dataio import (
     write_mask_pgm,
     write_pgm,
 )
-from .dataio.formats import (
-    atomic_write_bytes,
-    parse_settings,
-    read_float_raster,
-    write_float_raster,
-)
+from .dataio.formats import atomic_write_bytes, parse_settings, write_float_raster
 from .errors import InvalidConfig, OctCystError
 from .preprocess import DEFAULT_SIGMA_D, BilateralParams, default_radius, denoise
 from .rng import SplitMix64, derive_seed
@@ -165,60 +160,42 @@ def _cmd_layers(args, cfg: Config, out: Path) -> int:
     return 0
 
 
-def _prepare_one(image_path: Path, cfg: Config) -> Sample:
-    ref = ReferenceDims(cfg.ref_rows, cfg.ref_cols)
-    return prepare_sample(read_pgm(image_path), ref, cfg.sigma_d)
-
-
-def _padded_target(path: Path, sample: Sample, cfg: Config) -> np.ndarray:
-    """A target raster written by `prepare`, or the mask PGM of `sample`'s
-    scan padded into the reference frame; the mask must have the scan's dims."""
-    if path.suffix == ".octf":
-        target = read_float_raster(path)
-        if target.shape[0] != 1 or not np.isin(target, (0, 1)).all():
-            raise OctCystError(f"{path}: a target must be one channel of 0/1 values")
-        return target[0]
-    mask = read_mask_pgm(path)
-    if mask.shape != sample.orig_dims:
-        raise OctCystError(
-            f"{path}: mask dims {mask.shape} differ from its scan's {sample.orig_dims}"
-        )
-    ref = ReferenceDims(cfg.ref_rows, cfg.ref_cols)
-    padded, _ = pad_to_reference(mask.astype(np.float32), ref)
-    return padded
-
-
 def _cmd_prepare(args, cfg: Config, out: Path) -> int:
+    ref = ReferenceDims(cfg.ref_rows, cfg.ref_cols)
     for record in read_manifest(args.manifest):
         stem = record.image_path.stem
-        sample = _prepare_one(record.image_path, cfg)
-        target = _padded_target(record.mask_path, sample, cfg)
+        sample = prepare_sample(read_pgm(record.image_path), ref, cfg.sigma_d)
+        # padded on its own, a mask of other dims would sit off its scan in the frame
+        mask = read_mask_pgm(record.mask_path)
+        if mask.shape != sample.orig_dims:
+            raise OctCystError(
+                f"{record.mask_path}: mask dims {mask.shape} differ from its scan's "
+                f"{sample.orig_dims}"
+            )
         save_sample(sample, out / f"{stem}.octf")
-        write_float_raster(target, out / f"{stem}_target.octf")
+        write_mask_pgm(pad_to_reference(mask, ref)[0], out / f"{stem}_target.pgm")
     return 0
 
 
-def _inputs(args, cfg: Config) -> list[tuple[str, Sample, Path]]:
-    """(stem, sample, target location) for each scan of --manifest, prepared
-    in memory, or each sample `prepare` wrote to --samples."""
-    if args.manifest:
-        return [
-            (r.image_path.stem, _prepare_one(r.image_path, cfg), r.mask_path)
-            for r in read_manifest(args.manifest)
-        ]
-    paths = sorted(
-        p for p in Path(args.samples).glob("*.octf")
-        if not p.stem.endswith("_target")
-    )
+def _load_samples(samples_dir) -> list[tuple[Path, Sample]]:
+    """(path, sample) for each `<stem>.octf` that `prepare` wrote to samples_dir."""
+    paths = sorted(Path(samples_dir).glob("*.octf"))
     if not paths:
-        raise OctCystError(f"no prepared samples in {args.samples}")
-    return [(p.stem, load_sample(p), p.with_name(p.stem + "_target.octf")) for p in paths]
+        raise OctCystError(f"no prepared samples in {samples_dir}")
+    return [(p, load_sample(p)) for p in paths]
 
 
 def _cmd_train(args, cfg: Config, out: Path) -> int:
-    data = [
-        (sample, _padded_target(target, sample, cfg)) for _, sample, target in _inputs(args, cfg)
-    ]
+    data = []
+    for path, sample in _load_samples(args.samples):
+        target_path = path.with_name(f"{path.stem}_target.pgm")
+        target = read_mask_pgm(target_path)
+        if target.shape != sample.values.shape[1:]:
+            raise OctCystError(
+                f"{target_path}: target dims {target.shape} differ from its sample's "
+                f"{sample.values.shape[1:]}"
+            )
+        data.append((sample, target.astype(np.float32)))
     log_lines = []
     checkpoint = train(
         data, _unet_config(cfg), _train_config(cfg),
@@ -231,10 +208,10 @@ def _cmd_train(args, cfg: Config, out: Path) -> int:
 
 def _cmd_predict(args, cfg: Config, out: Path) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    for stem, sample, _ in _inputs(args, cfg):
+    for path, sample in _load_samples(args.samples):
         prob, mask = predict(checkpoint, sample)
-        write_float_raster(prob, out / f"{stem}_prob.octf")
-        write_mask_pgm(mask, out / f"{stem}_mask.pgm")
+        write_float_raster(prob, out / f"{path.stem}_prob.octf")
+        write_mask_pgm(mask, out / f"{path.stem}_mask.pgm")
     return 0
 
 
@@ -286,19 +263,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, manifest=False):
+    def command(name, func, help, manifest=False, samples=False):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--out", required=True, help="output directory")
         if manifest:
             p.add_argument("--manifest", required=True, help="dataset manifest file")
+        if samples:
+            p.add_argument("--samples", required=True, help="directory that prepare wrote")
         p.set_defaults(func=func)
         return p
-
-    def one_input(p):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--manifest", help="dataset manifest file; scans are prepared in memory")
-        group.add_argument("--samples", help="directory of prepared samples")
 
     p = command("phantom", _cmd_phantom, "generate synthetic scans with ground truth")
     p.add_argument("--seed", type=int, help="override the config seed")
@@ -318,11 +292,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("prepare", _cmd_prepare, "build two-channel samples from a manifest", manifest=True)
 
-    one_input(command("train", _cmd_train, "train the segmentation network"))
+    command("train", _cmd_train, "train the segmentation network", samples=True)
 
-    p = command("predict", _cmd_predict, "run inference")
+    p = command("predict", _cmd_predict, "run inference", samples=True)
     p.add_argument("--checkpoint", required=True)
-    one_input(p)
 
     p = command("evaluate", _cmd_evaluate, "score predictions against ground truth", manifest=True)
     p.add_argument("--pred", required=True, help="directory of prediction masks")

@@ -1,11 +1,13 @@
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from octcyst.cli import Config, parse_config, run
+from octcyst.cli import Config, _build_parser, parse_config, run
 from octcyst.dataio import read_mask_pgm, read_pgm, write_mask_pgm
-from octcyst.dataio.formats import format_settings, read_float_raster, write_float_raster
+from octcyst.dataio.formats import format_settings
 from octcyst.errors import InvalidConfig
 from octcyst.samplekit import crop_from_reference, load_sample
 
@@ -167,17 +169,38 @@ def test_config_value_error_exits_2_before_out_exists(tmp_path, text):
     assert not out.exists()
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
 def test_readme_lists_every_key_with_its_production_default():
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     assert f"```ini\n{format_settings(Config())}```\n" in readme
+
+
+def test_every_readme_command_line_parses():
+    # a flag the program no longer takes must not linger in the walkthrough
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = [
+        line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("octcyst ")
+    ]
+    assert len(lines) == 7
+    parser = _build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_train_config_value_error_exits_2(tmp_path):
     data = _make_phantoms(tmp_path, count=2)
+    prep = tmp_path / "prep"
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"),
+                "--config", _write_config(tmp_path), "--out", str(prep)]) == 0
     out = tmp_path / "model"
     cfg = _write_config(tmp_path, TINY_CONFIG.replace("batch_size = 4", "batch_size = 0"))
-    assert run(["train", "--manifest", str(data / "manifest.txt"), "--config", cfg,
-                "--out", str(out)]) == 2
+    assert run(["train", "--samples", str(prep), "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -197,13 +220,13 @@ def test_manifest_is_required(tmp_path, argv):
 @pytest.mark.parametrize("command", [["train"], ["predict", "--checkpoint", "c.bin"]],
                          ids=lambda a: a[0])
 def test_train_and_predict_take_exactly_one_input(tmp_path, command):
+    # --samples is required, and preparing in memory from --manifest is gone
     out = tmp_path / "o"
     manifest, samples = ["--manifest", str(tmp_path / "m.txt")], ["--samples", str(tmp_path)]
-    for inputs in ([], manifest + samples, samples + manifest):
+    for inputs in ([], manifest, manifest + samples, samples + manifest):
         assert run(command + inputs + ["--out", str(out)]) == 2
     assert not out.exists()
-    for inputs in (manifest, samples):
-        assert run(command + inputs + ["--out", str(out)]) == 1
+    assert run(command + samples + ["--out", str(out)]) == 1
 
 
 @pytest.mark.parametrize(
@@ -348,7 +371,7 @@ def test_full_pipeline(tmp_path):
                 "--config", cfg, "--out", str(prep)]) == 0
     assert (prep / "img_000.octf").is_file()
     assert (prep / "img_000.octf.meta").is_file()
-    assert (prep / "img_000_target.octf").is_file()
+    assert (prep / "img_000_target.pgm").is_file()
 
     model = tmp_path / "model"
     assert run(["train", "--samples", str(prep), "--config", cfg,
@@ -379,12 +402,12 @@ def test_prepare_writes_one_target_per_record(tmp_path):
     assert run(["prepare", "--manifest", str(_two_grader_manifest(data, 2)),
                 "--config", cfg, "--out", str(prep)]) == 0
     expected = {
-        f"img_{i:03d}{suffix}" for i in range(2) for suffix in (".octf", ".octf.meta", "_target.octf")
+        f"img_{i:03d}{suffix}" for i in range(2) for suffix in (".octf", ".octf.meta", "_target.pgm")
     }
     assert {p.name for p in prep.iterdir()} == expected
 
 
-@pytest.mark.parametrize("command", ["prepare", "train"])
+@pytest.mark.parametrize("command", ["prepare"])
 @pytest.mark.parametrize("crop", [(32, 30), (20, 32)], ids=["narrower", "shorter"])
 def test_mask_whose_dims_differ_from_its_scan_is_rejected(tmp_path, capsys, command, crop):
     # padded on its own, such a mask would sit off its scan in the frame
@@ -396,39 +419,47 @@ def test_mask_whose_dims_differ_from_its_scan_is_rejected(tmp_path, capsys, comm
     assert run([command, "--manifest", str(data / "manifest.txt"), "--config", cfg,
                 "--out", str(out)]) == 1
     assert f"{mask}: mask dims {crop} differ from its scan's (32, 32)" in capsys.readouterr().err
-    assert not (out / "img_001.octf").exists() and not (out / "checkpoint.bin").exists()
+    assert not (out / "img_001.octf").exists()
 
 
-@pytest.mark.parametrize(
-    "target", [np.zeros((2, 32, 32)), np.full((1, 32, 32), 7.5)], ids=["two-channels", "not-0/1"]
-)
-def test_train_rejects_a_prepared_target_that_is_not_a_mask(tmp_path, capsys, target):
+def test_a_scan_named_like_another_scans_target_keeps_both_samples(tmp_path):
+    # prepared targets are mask PGMs, so no scan stem can collide with them
+    cfg = _write_config(tmp_path)
+    data = _make_phantoms(tmp_path, count=2)
+    (data / "img_001.pgm").rename(data / "img_000_target.pgm")
+    (data / "manifest.txt").write_text(
+        "img_000.pgm\tmask_000.pgm\nimg_000_target.pgm\tmask_001.pgm\n"
+    )
+    prep, model, pred = tmp_path / "prep", tmp_path / "model", tmp_path / "pred"
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"), "--config", cfg,
+                "--out", str(prep)]) == 0
+    for stem, mask in (("img_000", "mask_000"), ("img_000_target", "mask_001")):
+        sample = load_sample(prep / f"{stem}.octf")
+        target = read_mask_pgm(prep / f"{stem}_target.pgm")
+        assert np.array_equal(crop_from_reference(target, sample.offset, sample.orig_dims),
+                              read_mask_pgm(data / f"{mask}.pgm"))
+    assert run(["train", "--samples", str(prep), "--config", cfg, "--out", str(model)]) == 0
+    assert run(["predict", "--checkpoint", str(model / "checkpoint.bin"),
+                "--samples", str(prep), "--config", cfg, "--out", str(pred)]) == 0
+    assert sorted(p.name for p in pred.glob("*_mask.pgm")) == [
+        "img_000_mask.pgm", "img_000_target_mask.pgm"
+    ]
+
+
+def test_train_names_a_prepared_target_of_the_wrong_dims(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     data = _make_phantoms(tmp_path, count=2)
     prep = tmp_path / "prep"
     assert run(["prepare", "--manifest", str(data / "manifest.txt"), "--config", cfg,
                 "--out", str(prep)]) == 0
-    write_float_raster(target.astype(np.float32), prep / "img_001_target.octf")
+    target = prep / "img_001_target.pgm"
+    write_mask_pgm(np.zeros((16, 16), dtype=np.uint8), target)
     out = tmp_path / "model"
     assert run(["train", "--samples", str(prep), "--config", cfg, "--out", str(out)]) == 1
-    assert "img_001_target.octf: a target must be one channel of 0/1 values" in (
+    assert f"{target}: target dims (16, 16) differ from its sample's (32, 32)" in (
         capsys.readouterr().err
     )
     assert not (out / "checkpoint.bin").exists()
-
-
-def test_predict_from_manifest(tmp_path):
-    cfg = _write_config(tmp_path)
-    data = _make_phantoms(tmp_path, count=2)
-    model = tmp_path / "model"
-    assert run(["train", "--manifest", str(data / "manifest.txt"), "--config", cfg,
-                "--out", str(model)]) == 0
-    pred = tmp_path / "pred"
-    assert run(["predict", "--checkpoint", str(model / "checkpoint.bin"),
-                "--manifest", str(data / "manifest.txt"), "--config", cfg,
-                "--out", str(pred)]) == 0
-    assert (pred / "img_000_mask.pgm").is_file()
-    assert (pred / "img_001_prob.octf").is_file()
 
 
 def test_evaluate_perfect_predictions_dice_one(tmp_path):
@@ -462,28 +493,15 @@ def test_evaluate_names_the_scan_whose_masks_differ_in_dims(tmp_path, capsys, gr
     assert "img_000: mask dims differ" in capsys.readouterr().err
 
 
-def test_train_from_manifest_matches_samples_dir(tmp_path):
-    cfg = _write_config(tmp_path)
-    data = _make_phantoms(tmp_path, count=3)
-    prep = tmp_path / "prep"
-    run(["prepare", "--manifest", str(data / "manifest.txt"), "--config", cfg,
-         "--out", str(prep)])
-    m1 = tmp_path / "m1"
-    m2 = tmp_path / "m2"
-    assert run(["train", "--manifest", str(data / "manifest.txt"), "--config", cfg,
-                "--out", str(m1)]) == 0
-    assert run(["train", "--samples", str(prep), "--config", cfg,
-                "--out", str(m2)]) == 0
-    assert (m1 / "checkpoint.bin").read_bytes() == (m2 / "checkpoint.bin").read_bytes()
-
-
 def test_pipeline_reproducible(tmp_path):
     cfg = _write_config(tmp_path)
     for sub in ("a", "b"):
         base = tmp_path / sub
         data = _make_phantoms(base, count=3, seed=17)
-        run(["train", "--manifest", str(data / "manifest.txt"), "--config", cfg,
-             "--out", str(base / "model")])
+        assert run(["prepare", "--manifest", str(data / "manifest.txt"), "--config", cfg,
+                    "--out", str(base / "prep")]) == 0
+        assert run(["train", "--samples", str(base / "prep"), "--config", cfg,
+                    "--out", str(base / "model")]) == 0
     a = (tmp_path / "a/model/checkpoint.bin").read_bytes()
     b = (tmp_path / "b/model/checkpoint.bin").read_bytes()
     assert a == b

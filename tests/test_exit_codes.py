@@ -107,13 +107,12 @@ def test_every_exception_type_is_caught_somewhere_in_the_program():
         (["denoise", "--in", "{bad}"], 1),
         (["layers", "--in", "{bad}"], 1),
         (["prepare", "--manifest", "{bad}"], 1),
-        (["train", "--manifest", "{bad}"], 1),
         (["train", "--samples", "{samples}"], 1),
         (["predict", "--checkpoint", "{bad}", "--samples", "{samples}"], 1),
         (["evaluate", "--manifest", "{bad}", "--pred", "{samples}"], 1),
         (["iov", "--manifest", "{bad}"], 1),
     ],
-    ids=["phantom", "denoise", "layers", "prepare", "train-manifest", "train-samples",
+    ids=["phantom", "denoise", "layers", "prepare", "train-samples",
          "predict", "evaluate", "iov"],
 )
 def test_every_subcommand_rejects_a_corrupt_input_without_a_traceback(tmp_path, argv, code):
