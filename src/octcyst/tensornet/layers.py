@@ -10,49 +10,84 @@ from ..rng import uniform_at_least
 from .tensor import Tensor, _accum, _attach, concat, mul, relu, sigmoid
 
 
-# Column buffer budget of one row tile; bounds the memory a convolution
-# adds beyond its input and output.
+# Scratch budget of one row tile: its MEC tap matrix plus the product
+# buffer its output rows accumulate through.  Bounds the memory a
+# convolution adds beyond its input and output.
 _COL_BYTES = 16 << 20
 
 
-def _im2col_tiles(x: np.ndarray, k: int, r: int):
-    """Yield (i0, i1, cols) over blocks of output rows: cols is the
-    (C*k*k, (i1-i0)*W) matrix whose row (c, a, b) holds the zero-padded
-    input x[c, i + r*(a - k//2), j + r*(b - k//2)] for i0 <= i < i1."""
+def _mec_tiles(x: np.ndarray, k: int, r: int, f: int):
+    """Yield (i0, i1, taps) over blocks of output rows i0 <= i < i1.
+
+    MEC lowering (Cho & Brand 2017): taps is the (C*k, (n+2p)*W) matrix,
+    n = i1 - i0 and p = r*(k//2), whose row (c, b) holds input channel c
+    shifted by horizontal tap b: column t*W + j is the zero-padded
+    x[c, i0 - p + t, j + r*(b - k//2)].  Vertical tap a of the tile's
+    output rows is then the contiguous column range a*r*W .. a*r*W + n*W.
+    Tiles are sized so the matrix and an f-row product of the tile's
+    output pixels fit in _COL_BYTES.  A 1x1 kernel needs no copy: the one
+    tile is x itself."""
     C, H, W = x.shape
     if k == 1:
         yield 0, H, x.reshape(C, H * W)
         return
-    pad = r * (k // 2)
-    h = max(1, min(H, _COL_BYTES // (C * k * k * W * x.itemsize)))
-    buf = np.empty(C * k * k * h * W, dtype=x.dtype)
-    rows = np.zeros((C, h + 2 * pad, W + 2 * pad), dtype=x.dtype)
+    p = r * (k // 2)
+    h = max(1, min(H, (_COL_BYTES // (W * x.itemsize) - 2 * p * C * k) // (C * k + f)))
+    # the zeros beside each tap's valid columns are never overwritten;
+    # rows outside the input are zeroed per tile, since a row's place in
+    # the buffer maps to a different input row in every tile
+    buf = np.zeros((C, k, h + 2 * p, W), dtype=x.dtype)
     for i0 in range(0, H, h):
         i1 = min(i0 + h, H)
         n = i1 - i0
-        # input rows i0 - pad .. i1 + pad, zero outside x; the zeros above
-        # row 0 and beside the columns are never overwritten, as tiles
-        # move down, but rows below H may hold the previous tile's input
-        lo, hi = max(i0 - pad, 0), min(i1 + pad, H)
-        top = lo - (i0 - pad)
-        rows[:, top : top + hi - lo, pad : pad + W] = x[:, lo:hi]
-        rows[:, top + hi - lo :] = 0
-        cols = buf[: C * k * k * n * W].reshape(C, k, k, n, W)
-        for a in range(k):
-            for b in range(k):
-                cols[:, a, b] = rows[:, a * r : a * r + n, b * r : b * r + W]
-        yield i0, i1, cols.reshape(C * k * k, n * W)
+        lo, hi = max(i0 - p, 0), min(i1 + p, H)
+        top, bot = lo - (i0 - p), hi - (i0 - p)
+        buf[:, :, :top] = 0
+        buf[:, :, bot : n + 2 * p] = 0
+        for b in range(k):
+            d = r * (b - k // 2)
+            if abs(d) < W:
+                buf[:, b, top:bot, max(-d, 0) : W - max(d, 0)] = x[:, lo:hi, max(d, 0) : W + min(d, 0)]
+        yield i0, i1, buf.reshape(C * k, (h + 2 * p) * W)[:, : (n + 2 * p) * W]
 
 
 def _conv(x: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
-    """Bias-free same-padded convolution of arrays, one GEMM per row tile."""
-    F, _, k, _ = w.shape
+    """Bias-free same-padded convolution of arrays: per row tile, the sum
+    over vertical taps a of w[:, :, a, :] times tap window a."""
+    F, C, k, _ = w.shape
     _, H, W = x.shape
-    w2 = w.reshape(F, -1)
+    wa = [w[:, :, a, :].reshape(F, C * k) for a in range(k)]
     y = np.empty((F, H * W), dtype=x.dtype)
-    for i0, i1, cols in _im2col_tiles(x, k, r):
-        np.matmul(w2, cols, out=y[:, i0 * W : i1 * W])
+    prod = None
+    for i0, i1, taps in _mec_tiles(x, k, r, F):
+        n = (i1 - i0) * W
+        yt = y[:, i0 * W : i1 * W]
+        np.matmul(wa[0], taps[:, :n], out=yt)
+        for a in range(1, k):
+            if prod is None:  # the first tile is the tallest
+                prod = np.empty((F, n), dtype=x.dtype)
+            p = prod[:, :n]
+            np.matmul(wa[a], taps[:, a * r * W : a * r * W + n], out=p)
+            yt += p
     return y.reshape(F, H, W)
+
+
+def _conv_weight_grad(x: np.ndarray, go: np.ndarray, k: int, r: int) -> np.ndarray:
+    """Weight gradient of _conv: tap a's slice sums, over row tiles, tap
+    window a times the tile's output gradient.  Each product is taken as
+    window @ go.T and transposed: on the frame's long, flat operands
+    OpenBLAS ran that about twice as fast as go @ window.T."""
+    F, H, W = go.shape
+    C = x.shape[0]
+    go2 = go.reshape(F, H * W)
+    dw = np.zeros((k, C * k, F), dtype=x.dtype)
+    for i0, i1, taps in _mec_tiles(x, k, r, 0):
+        n = (i1 - i0) * W
+        gt = go2[:, i0 * W : i1 * W].T
+        for a in range(k):
+            dw[a] += taps[:, a * r * W : a * r * W + n] @ gt
+    # dw[a, (c, b), f] -> (f, c, a, b)
+    return np.ascontiguousarray(dw.reshape(k, C, k, F).transpose(3, 1, 0, 2))
 
 
 def conv2d(
@@ -63,9 +98,11 @@ def conv2d(
     x: (C, H, W); w: (F, C, k, k) with odd k; b: (F,) or None.  Output
     location i sums x[i + dilation*t] * w[t] over taps t centered on i,
     with zero padding, so spatial dims are preserved for any dilation.
-    Forward and weight gradient are one GEMM per row tile of im2col
-    columns; the input gradient is the same convolution of the output
-    gradient with the kernel flipped and its channel axes swapped.
+    Forward is k GEMMs per row tile of the MEC tap matrix (see
+    _mec_tiles), one per vertical tap, summed through one reused product
+    buffer; the weight gradient multiplies the same tap windows by the
+    output gradient; the input gradient is the same convolution of the
+    output gradient with the kernel flipped and its channel axes swapped.
 
     relu=True returns max(conv + b, 0), bit for bit relu(conv2d(x, w, b)),
     as one op: the bias and the ReLU are applied in place on the GEMM
@@ -73,7 +110,7 @@ def conv2d(
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise OctCystError(f"conv2d expects 3-D input and 4-D kernel, got {x.data.shape}, {w.data.shape}")
-    C, H, W = x.data.shape
+    C = x.data.shape[0]
     F, Cw, k, k2 = w.data.shape
     if Cw != C or k != k2 or k % 2 == 0:
         raise OctCystError(f"kernel {w.data.shape} incompatible with input {x.data.shape}")
@@ -100,11 +137,7 @@ def conv2d(
         if x.requires_grad:
             _accum(x, _conv(go, w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], r), fresh=True)
         if w.requires_grad:
-            go2 = go.reshape(F, H * W)
-            dw = np.zeros((F, C * k * k), dtype=w.data.dtype)
-            for i0, i1, cols in _im2col_tiles(x.data, k, r):
-                dw += go2[:, i0 * W : i1 * W] @ cols.T
-            _accum(w, dw.reshape(w.data.shape), fresh=True)
+            _accum(w, _conv_weight_grad(x.data, go, k, r), fresh=True)
 
     parents = (x, w) if b is None else (x, w, b)
     return _attach(out, parents, _bw)

@@ -140,23 +140,43 @@ def test_conv_gradients_match_fd():
 
 @pytest.mark.parametrize("k, r", [(3, 1), (3, 2), (3, 8), (3, 12), (1, 1)])
 def test_conv_row_tiles_match_naive_and_fd(monkeypatch, k, r):
-    # a budget of two rows of columns tiles the 9 output rows as 2,2,2,2,1;
-    # at r = 8 whole taps leave the 6 columns, at r = 12 also the 9 rows
-    C, H, W = 2, 9, 6
-    monkeypatch.setattr(layers, "_COL_BYTES", 2 * C * k * k * W * 8)
+    # a budget of the tap matrix of two output rows (C*k rows of 2 + 2p
+    # input rows) plus their F-row product tiles the forward's 9 output rows
+    # as 2,2,2,2,1; the input and weight gradients, whose channel counts
+    # differ, tile as they fit.  At r = 8 whole taps leave the 6 columns,
+    # at r = 12 also the 9 rows
+    C, F, H, W = 2, 3, 9, 6
+    p = r * (k // 2)
+    monkeypatch.setattr(layers, "_COL_BYTES", (C * k * (2 + 2 * p) + F * 2) * W * 8)
+    heights = []
+    mec_tiles = layers._mec_tiles
+
+    def recorded(*args):
+        heights.append([])
+        for i0, i1, taps in mec_tiles(*args):
+            heights[-1].append(i1 - i0)
+            yield i0, i1, taps
+
+    monkeypatch.setattr(layers, "_mec_tiles", recorded)
     store = ParamStore()
     x = store.add("x", Tensor(_rand((C, H, W), 70)))
-    w = store.add("w", Tensor(_rand((3, C, k, k), 71)))
-    b = store.add("b", Tensor(_rand((3,), 72)))
-    weights = Tensor(_rand((3, H, W), 73))
+    w = store.add("w", Tensor(_rand((F, C, k, k), 71)))
+    b = store.add("b", Tensor(_rand((F,), 72)))
+    weights = Tensor(_rand((F, H, W), 73))
     out = conv2d(x, w, b, dilation=r)
     assert np.max(np.abs(out.data - naive_conv2d(x.data, w.data, b.data, r))) < 1e-12
+    # a 1x1 kernel multiplies the input directly, in one tile
+    assert heights == [[2, 2, 2, 2, 1] if k > 1 else [H]]
 
     def loss_fn():
         return mean(conv2d(x, w, b, dilation=r) * weights).item()
 
     store.zero_grad()
+    heights.clear()
     backward(mean(conv2d(x, w, b, dilation=r) * weights))
+    # forward, input gradient and weight gradient
+    assert len(heights) == 3 and all(len(h) > 1 or k == 1 for h in heights)
+    assert all(sum(h) == H for h in heights)
     assert max_rel_error_fd(store, loss_fn) <= 1e-6
 
 
@@ -176,6 +196,30 @@ def test_conv_forward_memory_stays_within_one_column_tile():
         tracemalloc.stop()
     assert out.data.dtype == np.float32
     assert peak <= x.data.nbytes + out.data.nbytes + budget + budget // 4
+
+
+def test_conv_backward_memory_stays_within_one_column_tile():
+    # the whole-frame tap matrices of the input and of the output gradient
+    # would each be at least twice the budget
+    budget = layers._COL_BYTES
+    C, F, k, W = 16, 16, 3, 256
+    H = -(-2 * budget // (C * k * W * 4))
+    rng = np.random.default_rng(75)
+    x = Tensor(rng.random((C, H, W), dtype=np.float32), requires_grad=True)
+    w = Tensor(rng.random((F, C, k, k), dtype=np.float32), requires_grad=True)
+    out = conv2d(x, w)
+    # x, w and the output exist before tracing starts, so the bound
+    # counts only what backward adds: the output gradient, dx, dw and one
+    # tile's scratch
+    tracemalloc.start()
+    try:
+        out.grad = rng.random((F, H, W), dtype=np.float32)
+        out._backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.dtype == w.grad.dtype == np.float32
+    assert peak <= out.grad.nbytes + x.grad.nbytes + w.grad.nbytes + budget + budget // 4
 
 
 # --- conv2d with the fused ReLU -----------------------------------------------
