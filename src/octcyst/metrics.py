@@ -75,11 +75,6 @@ def aggregate_stats(values) -> tuple[float, float]:
     return m, math.sqrt(var)
 
 
-def grader_iov(gt1: np.ndarray, gt2: np.ndarray) -> float:
-    """Inter-observer variability: Dice between two graders' masks."""
-    return score_pair(gt1, gt2)[3]
-
-
 def intersect_masks(masks) -> np.ndarray:
     """Pixelwise AND over two or more masks of identical dims."""
     masks = list(masks)

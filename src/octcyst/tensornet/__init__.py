@@ -10,12 +10,15 @@ from .tensor import (
     Tensor,
     backward,
     concat,
+    keep_large_blocks_on_heap,
     mean,
     no_grad,
     relu,
     sigmoid,
 )
 from .unet import ParamStore, UNet, UNetConfig, build_unet
+
+keep_large_blocks_on_heap()
 
 __all__ = [
     "ParamStore",

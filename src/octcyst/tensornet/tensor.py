@@ -24,11 +24,32 @@ the whole computation in float64, which the gradient checks rely on.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from ..errors import OctCystError
 
 _recording = True
+
+
+def keep_large_blocks_on_heap() -> None:
+    """Keep frame-size arrays on glibc's malloc heap, so that one freed is
+    reused rather than mmapped, faulted in and zeroed again every step.
+
+    M_MMAP_THRESHOLD (adaptive up to 32 MiB, below a 40 MiB level-1 array)
+    goes to 1 GiB, and M_TRIM_THRESHOLD to the int maximum, or free() hands
+    the heap top back to be faulted in again.  Process-global: freed memory
+    stays with the process until it exits.  Does nothing without a C
+    library, without mallopt, or where mallopt returns 0 (musl)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(-1, 2**31 - 1):  # M_TRIM_THRESHOLD
+        mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
 
 
 class no_grad:

@@ -7,7 +7,6 @@ from octcyst.metrics import (
     evaluate_pairs,
     format_report,
     format_report_tsv,
-    grader_iov,
     intersect_masks,
     score_pair,
 )
@@ -111,9 +110,12 @@ def test_aggregate_empty_rejected():
         aggregate_stats([])
 
 
+# inter-grader variability is the Dice of the two graders' masks
+
+
 def test_iov_identical_masks():
     m = (np.random.default_rng(3).random((5, 5)) > 0.4).astype(np.uint8)
-    assert grader_iov(m, m) == 1.0
+    assert score_pair(m, m)[3] == 1.0
 
 
 def test_iov_symmetric():
@@ -121,12 +123,12 @@ def test_iov_symmetric():
     for _ in range(20):
         a = (rng.random((6, 6)) > 0.5).astype(np.uint8)
         b = (rng.random((6, 6)) > 0.5).astype(np.uint8)
-        assert grader_iov(a, b) == grader_iov(b, a)
+        assert score_pair(a, b)[3] == score_pair(b, a)[3]
 
 
 def test_iov_equals_score_pair_dice():
-    pred, gt = _fixture_masks()
-    assert grader_iov(pred, gt) == score_pair(pred, gt)[3]
+    gt1, gt2 = _fixture_masks()
+    assert evaluate_pairs([("graders", gt1, gt2)]).scores[0].dice == score_pair(gt1, gt2)[3]
 
 
 def test_intersect_identical():

@@ -1,6 +1,8 @@
+import ctypes
 import gc
 import hashlib
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -19,6 +21,7 @@ from octcyst.tensornet import (
     concat,
     conv2d,
     dropout,
+    keep_large_blocks_on_heap,
     max_pool2,
     mean,
     no_grad,
@@ -181,10 +184,10 @@ def test_conv_row_tiles_match_naive_and_fd(monkeypatch, k, r):
 
 
 def test_conv_forward_memory_stays_within_one_column_tile():
-    # the whole-frame column matrix would be at least twice the budget
+    # the whole-frame tap matrix would be at least twice the budget
     budget = layers._COL_BYTES
     C, F, k, W = 16, 16, 3, 256
-    H = -(-2 * budget // (C * k * k * W * 4))
+    H = -(-2 * budget // (C * k * W * 4))
     rng = np.random.default_rng(74)
     w = Tensor(rng.random((F, C, k, k), dtype=np.float32))
     tracemalloc.start()
@@ -930,3 +933,50 @@ def test_first_gradient_is_an_owned_copy_in_the_tensor_dtype():
     _accum(t, g, fresh=True)
     assert t.grad is not g and t.grad.dtype == np.float32
     assert np.array_equal(t.grad, [9.0, -0.5, 2.0])
+
+
+# --- malloc settings ----------------------------------------------------------
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [
+        (name, ctypes.c_size_t)
+        for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd",
+            "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost",
+        )
+    ]
+
+
+def test_frame_size_arrays_are_not_mmapped():
+    # importing octcyst.tensornet raised glibc's mmap threshold above a
+    # 16-channel 640x1024 float32 activation; hblkhd counts mmapped bytes
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (OSError, TypeError, AttributeError):
+        pytest.skip("libc has no mallinfo2")
+    mallinfo2.argtypes = ()
+    mallinfo2.restype = _MallInfo2
+    before = mallinfo2().hblkhd
+    a = np.empty((16, 640, 1024), dtype=np.float32)
+    assert mallinfo2().hblkhd - before < a.nbytes
+
+
+@pytest.mark.parametrize("libc", ["none", "without mallopt", "musl"])
+def test_heap_setting_is_a_no_op_without_glibc(monkeypatch, libc):
+    calls = []
+
+    def mallopt(param, value):  # musl's accepts nothing
+        calls.append((param, value))
+        return 0
+
+    def cdll(name):
+        if libc == "none":
+            raise OSError("no C library")
+        return types.SimpleNamespace(**({"mallopt": mallopt} if libc == "musl" else {}))
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    keep_large_blocks_on_heap()
+    # a refused trim threshold leaves the mmap threshold alone: raising it
+    # by itself made frame-size arrays fault more, not less
+    assert calls == ([(-1, 2**31 - 1)] if libc == "musl" else [])
