@@ -29,7 +29,7 @@ from .dataio import (
 )
 from .dataio.formats import atomic_write_bytes, parse_settings, write_float_raster
 from .errors import InvalidConfig, OctCystError
-from .preprocess import DEFAULT_SIGMA_D, BilateralParams, default_radius, denoise
+from .preprocess import DEFAULT_SIGMA_D, default_radius, denoise
 from .rng import SplitMix64, derive_seed
 from .samplekit import (
     ReferenceDims,
@@ -230,7 +230,7 @@ def _cmd_evaluate(args, cfg: Config, out: Path) -> int:
         truth2 = [read_mask_pgm(r.second_mask_path) for r in records]
         reports["report_gt2"] = metrics.evaluate_pairs(zip(stems, preds, truth2))
         # both graders' masks now match the prediction's dims, so they intersect
-        both = map(metrics.intersect_masks, zip(truth, truth2))
+        both = map(metrics.intersect_masks, truth, truth2)
         reports["report_intersection"] = metrics.evaluate_pairs(zip(stems, preds, both))
     for name, report in reports.items():
         _write_text(out / f"{name}.txt", metrics.format_report(report))
@@ -242,14 +242,12 @@ def _cmd_iov(args, cfg: Config, out: Path) -> int:
     def graders(record):
         if record.second_mask_path is None:
             raise OctCystError(f"{record.image_path.name}: no second grader mask")
-        masks = read_mask_pgm(record.mask_path), read_mask_pgm(record.second_mask_path)
+        masks = read_mask_pgm(record.second_mask_path), read_mask_pgm(record.mask_path)
         return (record.image_path.stem, *masks)
 
-    # inter-observer variability is the Dice of grader 1's mask against grader 2's
-    report = metrics.evaluate_pairs(map(graders, read_manifest(args.manifest)))
-    lines = [f"image={s.name} dice={s.dice:.6f}" for s in report.scores]
-    lines.append(f"mean dice={report.mean_dice:.6f} std={report.std_dice:.6f}")
-    _write_text(out / "iov_report.txt", "\n".join(lines) + "\n")
+    # inter-observer variability: grader 2's mask scored against grader 1's
+    scores = metrics.evaluate_pairs(map(graders, read_manifest(args.manifest)))
+    _write_text(out / "iov_report.txt", metrics.format_report(scores))
     return 0
 
 
@@ -319,11 +317,10 @@ def run(argv) -> int:
         _unet_config(cfg)  # cross-field checks (depth vs dropout)
         if cfg.ref_rows % 2**cfg.depth or cfg.ref_cols % 2**cfg.depth:
             raise InvalidConfig(f"reference frame is not divisible by 2**depth = {2**cfg.depth}")
-        # the other settings objects the subcommands build check their own values;
-        # sigma_r is estimated per scan and never below 1
+        # the other settings objects the subcommands build check their own values
         _train_config(cfg)
         ReferenceDims(cfg.ref_rows, cfg.ref_cols)
-        BilateralParams(cfg.sigma_d, 1.0, default_radius(cfg.sigma_d))
+        default_radius(cfg.sigma_d)
         if args.command == "phantom":
             _phantom_specs(args, cfg)
         out = Path(args.out)

@@ -75,10 +75,10 @@ def read_pgm(path) -> np.ndarray:
             fields.append(tok)
     except StopIteration:
         raise OctCystError(f"{path}: incomplete header") from None
-    try:
-        cols, rows, maxval = (int(t) for t in fields)
-    except ValueError:
-        raise OctCystError(f"{path}: non-numeric header fields") from None
+    # int() alone would also take signs and underscores
+    if not all(t.isdigit() for t in fields):
+        raise OctCystError(f"{path}: non-numeric header fields")
+    cols, rows, maxval = (int(t) for t in fields)
     if cols < 1 or rows < 1:
         raise OctCystError(f"{path}: bad dimensions {cols}x{rows}")
     if maxval != 255:

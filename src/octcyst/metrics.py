@@ -27,17 +27,6 @@ class ImageScore:
     dice: float
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    scores: tuple[ImageScore, ...]
-    mean_recall: float
-    std_recall: float
-    mean_precision: float
-    std_precision: float
-    mean_dice: float
-    std_dice: float
-
-
 def _ratio(num: int, den: int) -> float:
     # 0/0 means both sets were empty: perfect agreement by convention
     return 1.0 if den == 0 else num / den
@@ -75,22 +64,17 @@ def aggregate_stats(values) -> tuple[float, float]:
     return m, math.sqrt(var)
 
 
-def intersect_masks(masks) -> np.ndarray:
-    """Pixelwise AND over two or more masks of identical dims."""
-    masks = list(masks)
-    if len(masks) < 2:
-        raise OctCystError(f"need at least 2 masks, got {len(masks)}")
-    out = (np.asarray(masks[0]) != 0).astype(np.uint8)
-    for m in masks[1:]:
-        m = np.asarray(m)
-        if m.shape != out.shape:
-            raise OctCystError(f"mask dims differ: {m.shape} vs {out.shape}")
-        out &= m != 0
-    return out
+def intersect_masks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pixelwise AND of two masks of identical dims, as uint8 {0,1}."""
+    a, b = np.asarray(a), np.asarray(b)
+    # without this check a (1, n) mask would broadcast silently
+    if a.shape != b.shape:
+        raise OctCystError(f"mask dims differ: {b.shape} vs {a.shape}")
+    return ((a != 0) & (b != 0)).astype(np.uint8)
 
 
-def evaluate_pairs(named_pairs) -> EvalReport:
-    """Score (name, pred, gt) triples and aggregate per-image metrics; errors name the pair."""
+def evaluate_pairs(named_pairs) -> tuple[ImageScore, ...]:
+    """Score (name, pred, gt) triples, one ImageScore each; errors name the pair."""
     scores = []
     for name, pred, gt in named_pairs:
         try:
@@ -100,40 +84,37 @@ def evaluate_pairs(named_pairs) -> EvalReport:
         scores.append(ImageScore(name, counts, recall, precision, dice))
     if not scores:
         raise OctCystError("no image pairs to evaluate")
-    mr, sr = aggregate_stats([s.recall for s in scores])
-    mp, sp = aggregate_stats([s.precision for s in scores])
-    md, sd = aggregate_stats([s.dice for s in scores])
-    return EvalReport(tuple(scores), mr, sr, mp, sp, md, sd)
+    return tuple(scores)
 
 
-def format_report(report: EvalReport) -> str:
+_METRICS = ("recall", "precision", "dice")
+
+
+def _stats(scores) -> dict[str, tuple[float, float]]:
+    """(mean, std) of each metric over the scores."""
+    return {k: aggregate_stats([getattr(s, k) for s in scores]) for k in _METRICS}
+
+
+def format_report(scores) -> str:
     lines = [
         f"image={s.name} recall={s.recall:.6f} precision={s.precision:.6f} "
         f"dice={s.dice:.6f}"
-        for s in report.scores
+        for s in scores
     ]
-    lines.append(f"mean recall={report.mean_recall:.6f} std={report.std_recall:.6f}")
-    lines.append(
-        f"mean precision={report.mean_precision:.6f} std={report.std_precision:.6f}"
-    )
-    lines.append(f"mean dice={report.mean_dice:.6f} std={report.std_dice:.6f}")
+    for k, (mean, std) in _stats(scores).items():
+        lines.append(f"mean {k}={mean:.6f} std={std:.6f}")
     return "\n".join(lines) + "\n"
 
 
-def format_report_tsv(report: EvalReport) -> str:
+def format_report_tsv(scores) -> str:
     lines = ["image\trecall\tprecision\tdice\ttp\tfp\tfn\ttn"]
-    for s in report.scores:
+    for s in scores:
         c = s.counts
         lines.append(
             f"{s.name}\t{s.recall:.6f}\t{s.precision:.6f}\t{s.dice:.6f}"
             f"\t{c.tp}\t{c.fp}\t{c.fn}\t{c.tn}"
         )
-    lines.append(
-        f"mean\t{report.mean_recall:.6f}\t{report.mean_precision:.6f}"
-        f"\t{report.mean_dice:.6f}\t\t\t\t"
-    )
-    lines.append(
-        f"std\t{report.std_recall:.6f}\t{report.std_precision:.6f}"
-        f"\t{report.std_dice:.6f}\t\t\t\t"
-    )
+    stats = _stats(scores).values()
+    lines.append("mean" + "".join(f"\t{m:.6f}" for m, _ in stats) + "\t\t\t\t")
+    lines.append("std" + "".join(f"\t{sd:.6f}" for _, sd in stats) + "\t\t\t\t")
     return "\n".join(lines) + "\n"

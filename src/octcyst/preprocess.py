@@ -8,7 +8,6 @@ that itself runs on the denoised image.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,23 +16,11 @@ from .errors import InvalidConfig
 DEFAULT_SIGMA_D = 2.0
 
 
-@dataclass(frozen=True)
-class BilateralParams:
-    sigma_d: float
-    sigma_r: float
-    radius: int
-
-    def __post_init__(self):
-        if not (0 < self.sigma_d < math.inf and 0 < self.sigma_r < math.inf):
-            raise InvalidConfig("sigma_d and sigma_r must be finite and > 0")
-        if self.radius < 1:
-            raise InvalidConfig("radius must be >= 1")
-
-
 def default_radius(sigma_d: float) -> int:
-    """Conventional 2-sigma truncation of the spatial Gaussian."""
-    if not math.isfinite(sigma_d):
-        raise InvalidConfig(f"sigma_d must be finite, got {sigma_d}")
+    """Conventional 2-sigma truncation of the spatial Gaussian; the one
+    range check on sigma_d, which must be finite and > 0."""
+    if not 0 < sigma_d < math.inf:
+        raise InvalidConfig(f"sigma_d must be finite and > 0, got {sigma_d}")
     return max(1, math.ceil(2.0 * sigma_d))
 
 
@@ -55,10 +42,12 @@ def denoise(image: np.ndarray, sigma_d: float = DEFAULT_SIGMA_D) -> np.ndarray:
     """The denoising stage: bilateral filter with sigma_r estimated from the
     background band and the default radius for sigma_d."""
     sigma_r = estimate_sigma_r(image, background_rows(image.shape[0]))
-    return bilateral_filter(image, BilateralParams(sigma_d, sigma_r, default_radius(sigma_d)))
+    return bilateral_filter(image, sigma_d, sigma_r, default_radius(sigma_d))
 
 
-def bilateral_filter(image: np.ndarray, params: BilateralParams) -> np.ndarray:
+def bilateral_filter(
+    image: np.ndarray, sigma_d: float, sigma_r: float, radius: int
+) -> np.ndarray:
     """Edge-preserving smoothing.
 
     Each output pixel is the normalized sum over the (2*radius+1)^2 window
@@ -69,14 +58,13 @@ def bilateral_filter(image: np.ndarray, params: BilateralParams) -> np.ndarray:
     """
     img = np.asarray(image, dtype=np.float64)
     rows, cols = img.shape
-    r = params.radius
-    inv_2sd2 = 1.0 / (2.0 * params.sigma_d * params.sigma_d)
-    inv_2sr2 = 1.0 / (2.0 * params.sigma_r * params.sigma_r)
+    inv_2sd2 = 1.0 / (2.0 * sigma_d * sigma_d)
+    inv_2sr2 = 1.0 / (2.0 * sigma_r * sigma_r)
 
     num = np.zeros_like(img)
     den = np.zeros_like(img)
-    for di in range(-r, r + 1):
-        for dj in range(-r, r + 1):
+    for di in range(-radius, radius + 1):
+        for dj in range(-radius, radius + 1):
             w_spatial = math.exp(-(di * di + dj * dj) * inv_2sd2)
             # region of centers whose (di, dj) neighbor is in bounds
             r0, r1 = max(0, -di), rows - max(0, di)

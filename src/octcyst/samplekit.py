@@ -6,8 +6,8 @@ the ROI strictly between them.
 Scans from different devices keep their native size: the denoised image is
 normalized to [0,1], stacked with the ROI indicator, and the pair is
 embedded centered in a fixed reference frame by zero-padding into a
-two-channel sample.  The padding offset and original dims ride along so
-predictions can be cropped back to scan coordinates.
+two-channel sample.  The original dims ride along; with the frame they give
+the padding offset, so predictions can be cropped back to scan coordinates.
 """
 
 from __future__ import annotations
@@ -39,12 +39,22 @@ class Sample:
     """Two-channel network input: normalized image + ROI indicator."""
 
     values: np.ndarray  # float32 (2, rows, cols), zeros outside the window
-    offset: tuple[int, int]
     orig_dims: tuple[int, int]
+
+    @property
+    def offset(self) -> tuple[int, int]:
+        """Where the scan sits in the frame: centered, as pad_to_reference put it."""
+        return centered_offset(self.values.shape[-2:], self.orig_dims)
 
     @property
     def roi_channel(self) -> np.ndarray:
         return self.values[1]
+
+
+def centered_offset(frame: tuple[int, int], dims: tuple[int, int]) -> tuple[int, int]:
+    """Top-left corner of a `dims` window centered (floor) in `frame`; an
+    odd remainder goes to the bottom and right."""
+    return (frame[0] - dims[0]) // 2, (frame[1] - dims[1]) // 2
 
 
 def normalize(image: np.ndarray) -> np.ndarray:
@@ -65,8 +75,7 @@ def pad_to_reference(
     rows, cols = img.shape[-2:]
     if rows > ref.rows or cols > ref.cols:
         raise OctCystError(f"image {rows}x{cols} exceeds reference {ref.rows}x{ref.cols}")
-    row_off = (ref.rows - rows) // 2
-    col_off = (ref.cols - cols) // 2
+    row_off, col_off = centered_offset((ref.rows, ref.cols), (rows, cols))
     padded = np.zeros(img.shape[:-2] + (ref.rows, ref.cols), dtype=np.float32)
     padded[..., row_off : row_off + rows, col_off : col_off + cols] = img
     return padded, (row_off, col_off)
@@ -101,39 +110,34 @@ def prepare_sample(
 ) -> Sample:
     """Full preparation: the layer stage, then normalize, stack, pad."""
     denoised, _, _, roi = extract_layers(image, sigma_d)
-    values, offset = pad_to_reference(np.stack([normalize(denoised), roi]), ref)
-    return Sample(values, offset, denoised.shape)
+    values, _ = pad_to_reference(np.stack([normalize(denoised), roi]), ref)
+    return Sample(values, denoised.shape)
 
 
-_META_RE = re.compile(r"^offset=(\d+),(\d+) orig=(\d+),(\d+)$")
+_META_RE = re.compile(r"orig=([0-9]+),([0-9]+)\n")
 
 
 def save_sample(sample: Sample, path) -> None:
     """Persist as a 2-channel OCTF raster plus a one-line .meta sidecar."""
     write_float_raster(sample.values, path)
-    meta = (
-        f"offset={sample.offset[0]},{sample.offset[1]} "
-        f"orig={sample.orig_dims[0]},{sample.orig_dims[1]}\n"
-    )
+    meta = f"orig={sample.orig_dims[0]},{sample.orig_dims[1]}\n"
     atomic_write_bytes(str(path) + ".meta", meta.encode("utf-8"))
 
 
 def load_sample(path) -> Sample:
+    """Read what save_sample wrote; the sidecar must be exactly its one line."""
     values = read_float_raster(path)
     if values.shape[0] != 2:
         raise OctCystError(f"{path}: expected 2 channels, got {values.shape[0]}")
     try:
-        text = Path(str(path) + ".meta").read_text(encoding="utf-8").strip()
+        text = Path(str(path) + ".meta").read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
         raise OctCystError(f"{path}.meta: not UTF-8 text: {e}") from e
-    m = _META_RE.match(text)
+    m = _META_RE.fullmatch(text)
     if m is None:
         raise OctCystError(f"{path}.meta: malformed sidecar line: {text!r}")
-    r0, c0, rows, cols = (int(g) for g in m.groups())
+    rows, cols = int(m[1]), int(m[2])
     frame = values.shape[1:]
-    centered = ((frame[0] - rows) // 2, (frame[1] - cols) // 2)
-    if not (0 < rows <= frame[0] and 0 < cols <= frame[1]) or (r0, c0) != centered:
-        raise OctCystError(
-            f"{path}.meta: window {rows}x{cols} at {r0},{c0} is not centered in {frame}"
-        )
-    return Sample(values, (r0, c0), (rows, cols))
+    if not (0 < rows <= frame[0] and 0 < cols <= frame[1]):
+        raise OctCystError(f"{path}.meta: window {rows}x{cols} does not fit in {frame}")
+    return Sample(values, (rows, cols))

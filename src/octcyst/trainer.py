@@ -188,9 +188,10 @@ def predict(cp: Checkpoint, sample: Sample) -> tuple[np.ndarray, np.ndarray]:
 def save_checkpoint(cp: Checkpoint, path) -> None:
     """Binary layout: magic, version, the config as format_settings text,
     then tensors in lexicographic name order as (name, rank, dims, float32
-    values).  A tensor holding a NaN or inf raises OctCystError naming
-    it, and nothing is written."""
+    values).  A tensor holding a NaN or inf, or a config whose text would not
+    read back as itself, raises OctCystError, and nothing is written."""
     config = format_settings(cp.config).encode("utf-8")
+    _parse_config_block(config, path)
     parts = [
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),
@@ -226,7 +227,8 @@ class _Reader:
 
 
 def _parse_config_block(block: bytes, path) -> UNetConfig:
-    """The UNetConfig of a checkpoint: every field exactly once, nothing else."""
+    """The UNetConfig of a checkpoint: every field exactly once, nothing
+    else, in exactly the text save_checkpoint writes for it."""
     try:
         values = parse_settings(block.decode("utf-8"), UNetConfig(), "config block")
         missing = [f.name for f in fields(UNetConfig) if f.name not in values]
@@ -235,6 +237,11 @@ def _parse_config_block(block: bytes, path) -> UNetConfig:
         cfg = UNetConfig(**values)
     except (UnicodeDecodeError, InvalidConfig) as e:
         raise OctCystError(f"{path}: bad checkpoint config: {e}") from e
+    canonical = format_settings(cfg).encode("utf-8")
+    if block != canonical:
+        raise OctCystError(
+            f"{path}: bad checkpoint config: {block!r} is not the canonical text {canonical!r}"
+        )
     return cfg
 
 

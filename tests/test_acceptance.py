@@ -13,7 +13,6 @@ from fdcheck import max_rel_error_fd
 from octcyst.dataio import PhantomSpec, gen_phantom
 from octcyst.metrics import aggregate_stats, score_pair
 from octcyst.preprocess import (
-    BilateralParams,
     background_rows,
     bilateral_filter,
     estimate_sigma_r,
@@ -97,8 +96,7 @@ def test_criterion_03_bilateral_oracle():
     worst = 0.0
     for _ in range(20):
         img = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        params = BilateralParams(2.0, 25.0, 4)
-        out = bilateral_filter(img, params).astype(np.float64)
+        out = bilateral_filter(img, 2.0, 25.0, 4).astype(np.float64)
         oracle = naive_bilateral(img, 2.0, 25.0, 4)
         worst = max(worst, float(np.max(np.abs(out - oracle))))
     assert worst <= 0.5
@@ -286,7 +284,7 @@ def test_criterion_10_layer_segmentation_sanity():
     for i in range(50):
         spec, img, _, ilm_true, ism_true = _desk_phantom(seed, i)
         sigma_r = estimate_sigma_r(img, background_rows(img.shape[0]))
-        denoised = bilateral_filter(img, BilateralParams(2.0, sigma_r, 4))
+        denoised = bilateral_filter(img, 2.0, sigma_r, 4)
         ilm, ism = segment_layers(denoised)
         total_cols += img.shape[1]
         good_ilm += int(np.sum(np.abs(ilm - ilm_true) <= 1))

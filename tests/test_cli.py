@@ -9,6 +9,7 @@ from octcyst.cli import Config, _build_parser, parse_config, run
 from octcyst.dataio import read_mask_pgm, read_pgm, write_mask_pgm
 from octcyst.dataio.formats import format_settings
 from octcyst.errors import InvalidConfig
+from octcyst.metrics import aggregate_stats
 from octcyst.samplekit import crop_from_reference, load_sample
 
 
@@ -524,9 +525,17 @@ def test_iov_command(tmp_path):
     (data / "manifest2.txt").write_text("".join(l + "\n" for l in lines))
     out = tmp_path / "iov"
     assert run(["iov", "--manifest", str(data / "manifest2.txt"), "--out", str(out)]) == 0
-    text = (out / "iov_report.txt").read_text()
-    assert text.count("image=") == 2
-    assert "mean dice=" in text
+    lines = (out / "iov_report.txt").read_text().splitlines()
+    # grader 2 scored against grader 1: it marks nothing that grader 1 left out
+    n = [int(read_mask_pgm(data / f"mask_{i:03d}.pgm").sum()) for i in range(2)]
+    dices = [2 * (k - 1) / (2 * k - 1) for k in n]
+    for i, (line, dice) in enumerate(zip(lines, dices)):
+        assert line.startswith(f"image=img_{i:03d} ") and line.endswith(f" dice={dice:.6f}")
+    assert lines[2:] == [
+        "mean recall={:.6f} std={:.6f}".format(*aggregate_stats([(k - 1) / k for k in n])),
+        "mean precision=1.000000 std=0.000000",
+        "mean dice={:.6f} std={:.6f}".format(*aggregate_stats(dices)),
+    ]
 
 
 def test_iov_names_the_scan_whose_masks_differ_in_dims(tmp_path, capsys):

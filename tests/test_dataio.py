@@ -108,6 +108,19 @@ def test_pgm_comment_in_header(tmp_path):
     assert np.array_equal(read_pgm(p), np.array([[1, 2], [3, 4]], dtype=np.uint8))
 
 
+@pytest.mark.parametrize(
+    "header",
+    [b"P5\n+4 2_0\n25_5\n", b"P5\n+4 20\n255\n", b"P5\n4 2_0\n255\n"],
+    ids=["signs-and-underscores", "sign", "underscore"],
+)
+def test_pgm_header_numbers_are_ascii_digits_only(tmp_path, header):
+    # int() would read "+4" as 4 and "2_0" as 20; write_pgm writes plain digits
+    p = tmp_path / "a.pgm"
+    p.write_bytes(header + bytes(80))
+    with pytest.raises(OctCystError, match="non-numeric header fields"):
+        read_pgm(p)
+
+
 # --- OCTF -------------------------------------------------------------------
 
 

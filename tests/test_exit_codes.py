@@ -100,6 +100,54 @@ def test_every_exception_type_is_caught_somewhere_in_the_program():
     assert not uncaught, f"errors.py defines types that no except clause catches: {uncaught}"
 
 
+def _public_definitions(tree):
+    """Public module-level function, class and constant names of `tree`."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                    yield name.id
+
+
+def _loaded_names(tree):
+    """Names that `tree` reads, bare or as an attribute; imports and strings
+    such as `__all__` entries are not reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_public_name_in_src_is_used_by_the_program():
+    # a public name earns its place only through program or bench code that reads it
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "octcyst").rglob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in package}
+    trees.update(
+        (p, ast.parse(p.read_text(encoding="utf-8"))) for p in sorted((root / "bench").glob("*.py"))
+    )
+    used = {name for tree in trees.values() for name in _loaded_names(tree)}
+    defined = {
+        f"{p.relative_to(root / 'src').with_suffix('').as_posix().replace('/', '.')}.{name}": name
+        for p in package
+        for name in _public_definitions(trees[p])
+    }
+    # the exhaustive-enumeration oracle of acceptance criterion 2 scores
+    # candidate paths; the program itself only ever needs the best one
+    allowed = {"octcyst.retinagraph.path_cost"}
+    unused = sorted(q for q, name in defined.items() if name not in used and q not in allowed)
+    assert not unused, f"public names that nothing in src/ or bench/ reads: {unused}"
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

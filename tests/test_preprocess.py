@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from octcyst.errors import InvalidConfig
 from octcyst.preprocess import (
-    BilateralParams,
     background_rows,
     bilateral_filter,
     default_radius,
@@ -34,20 +34,19 @@ def naive_bilateral(img, sigma_d, sigma_r, radius):
 
 def test_constant_image_unchanged():
     img = np.full((9, 9), 7, dtype=np.uint8)
-    out = bilateral_filter(img, BilateralParams(2.0, 10.0, 4))
+    out = bilateral_filter(img, 2.0, 10.0, 4)
     assert np.array_equal(out, img)
 
 
 def test_single_pixel_unchanged():
     img = np.array([[42]], dtype=np.uint8)
-    out = bilateral_filter(img, BilateralParams(2.0, 30.0, 1))
+    out = bilateral_filter(img, 2.0, 30.0, 1)
     assert np.array_equal(out, img)
 
 
 def test_center_pixel_matches_naive_oracle():
     img = np.array([[0, 0, 0], [0, 90, 0], [0, 0, 0]], dtype=np.uint8)
-    params = BilateralParams(2.0, 30.0, 1)
-    out = bilateral_filter(img, params)
+    out = bilateral_filter(img, 2.0, 30.0, 1)
     oracle = naive_bilateral(img, 2.0, 30.0, 1)
     assert abs(float(out[1, 1]) - oracle[1, 1]) <= 0.5
 
@@ -56,8 +55,7 @@ def test_matches_naive_oracle_everywhere():
     rng = np.random.default_rng(42)
     for _ in range(3):
         img = rng.integers(0, 256, size=(10, 12), dtype=np.uint8)
-        params = BilateralParams(2.0, 25.0, 3)
-        out = bilateral_filter(img, params).astype(np.float64)
+        out = bilateral_filter(img, 2.0, 25.0, 3).astype(np.float64)
         oracle = naive_bilateral(img, 2.0, 25.0, 3)
         assert np.max(np.abs(out - oracle)) <= 0.5
 
@@ -66,7 +64,7 @@ def test_output_within_window_range():
     rng = np.random.default_rng(7)
     img = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
     radius = 2
-    out = bilateral_filter(img, BilateralParams(1.5, 40.0, radius))
+    out = bilateral_filter(img, 1.5, 40.0, radius)
     rows, cols = img.shape
     for r in range(rows):
         for c in range(cols):
@@ -79,19 +77,15 @@ def test_output_within_window_range():
 def test_commutes_with_intensity_shift():
     rng = np.random.default_rng(3)
     img = rng.integers(0, 200, size=(12, 12), dtype=np.uint8)
-    params = BilateralParams(2.0, 20.0, 2)
-    shifted = bilateral_filter((img + 30).astype(np.uint8), params).astype(int)
-    base = bilateral_filter(img, params).astype(int) + 30
+    shifted = bilateral_filter((img + 30).astype(np.uint8), 2.0, 20.0, 2).astype(int)
+    base = bilateral_filter(img, 2.0, 20.0, 2).astype(int) + 30
     assert np.max(np.abs(shifted - base)) <= 1
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        BilateralParams(0.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        BilateralParams(1.0, -1.0, 1)
-    with pytest.raises(ValueError):
-        BilateralParams(1.0, 1.0, 0)
+@pytest.mark.parametrize("sigma_d", [0.0, -1.0, math.inf, math.nan], ids=["0", "-1", "inf", "nan"])
+def test_default_radius_rejects_sigma_d_out_of_range(sigma_d):
+    with pytest.raises(InvalidConfig, match="sigma_d must be finite and > 0"):
+        default_radius(sigma_d)
 
 
 def test_default_radius_is_two_sigma():

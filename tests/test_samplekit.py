@@ -7,6 +7,7 @@ from octcyst.preprocess import denoise
 from octcyst.retinagraph import roi_mask, segment_layers
 from octcyst.samplekit import (
     ReferenceDims,
+    Sample,
     crop_from_reference,
     extract_layers,
     load_sample,
@@ -164,46 +165,82 @@ def test_sample_save_load_round_trip(tmp_path):
     s = prepare_sample(img, ReferenceDims(80, 112))
     p = tmp_path / "s.octf"
     save_sample(s, p)
-    meta = (tmp_path / "s.octf.meta").read_text()
-    assert meta == "offset=8,8 orig=64,96\n"
+    meta = (tmp_path / "s.octf.meta").read_bytes()
+    assert meta == b"orig=64,96\n"
     back = load_sample(p)
     assert np.array_equal(back.values, s.values)
-    assert back.offset == s.offset
+    assert back.offset == s.offset == (8, 8)
     assert back.orig_dims == s.orig_dims
 
 
-def test_load_sample_rejects_wrong_channels(tmp_path):
+def test_sample_offset_is_the_pad_to_reference_offset():
+    # odd remainders: 3 spare rows and 5 spare columns, floor-centered
+    values = np.zeros((2, 7, 10), dtype=np.float32)
+    _, offset = pad_to_reference(np.zeros((4, 5), dtype=np.float32), ReferenceDims(7, 10))
+    assert Sample(values, (4, 5)).offset == offset == (1, 2)
+
+
+def _write_sample(tmp_path, meta: bytes, channels=2):
     from octcyst.dataio import write_float_raster
 
-    p = tmp_path / "bad.octf"
-    write_float_raster(np.zeros((3, 4, 4), dtype=np.float32), p)
-    (tmp_path / "bad.octf.meta").write_text("offset=0,0 orig=4,4\n")
+    p = tmp_path / "s.octf"
+    write_float_raster(np.zeros((channels, 64, 96), dtype=np.float32), p)
+    (tmp_path / "s.octf.meta").write_bytes(meta)
+    return p
+
+
+def test_load_sample_rejects_wrong_channels(tmp_path):
+    p = _write_sample(tmp_path, b"orig=64,96\n", channels=3)
     with pytest.raises(OctCystError, match="expected 2 channels, got 3"):
         load_sample(p)
 
 
 @pytest.mark.parametrize(
     "meta",
-    ["offset=0,0 orig=10,10", "offset=32,48 orig=0,0", "offset=0,0 orig=65,96",
-     "offset=0,0 orig=64,97", "offset=0,0 orig=62,96", "offset=0,0 orig=64,94"],
-    ids=["off-center", "zero-dims", "too-many-rows", "too-many-cols", "row-offset",
-         "col-offset"],
+    ["orig=0,0", "orig=65,96", "orig=64,97"],
+    ids=["zero-dims", "too-many-rows", "too-many-cols"],
 )
 def test_load_sample_rejects_a_window_pad_to_reference_would_not_give(tmp_path, meta):
-    from octcyst.dataio import write_float_raster
-
-    p = tmp_path / "s.octf"
-    write_float_raster(np.zeros((2, 64, 96), dtype=np.float32), p)
-    (tmp_path / "s.octf.meta").write_text(meta + "\n")
-    with pytest.raises(OctCystError, match=r"is not centered in \(64, 96\)"):
+    p = _write_sample(tmp_path, meta.encode() + b"\n")
+    with pytest.raises(OctCystError, match=r"does not fit in \(64, 96\)"):
         load_sample(p)
 
 
-def test_load_sample_meta_not_utf8_is_dim_mismatch(tmp_path):
-    from octcyst.dataio import write_float_raster
+@pytest.mark.parametrize(
+    "meta",
+    ["offset=0,0 orig=10,10", "offset=0,0 orig=62,96", "offset=0,0 orig=64,94",
+     "offset=0,0 orig=64,96"],
+    ids=["off-center", "row-offset", "col-offset", "centered"],
+)
+def test_load_sample_rejects_the_old_offset_sidecar(tmp_path, meta):
+    # the offset is derived from the frame and the dims; a sidecar that
+    # stores it predates that and must be prepared again
+    p = _write_sample(tmp_path, meta.encode() + b"\n")
+    with pytest.raises(OctCystError, match="malformed sidecar line"):
+        load_sample(p)
 
-    p = tmp_path / "s.octf"
-    write_float_raster(np.zeros((2, 4, 4), dtype=np.float32), p)
-    (tmp_path / "s.octf.meta").write_bytes(b"offset=0,0 orig=4,4\xff\n")
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        "\n\n  offset=\u0660,\u0660 orig=\u0666\u0664,\u0669\u0666  \n\n",
+        "orig=\u0666\u0664,\u0669\u0666\n",
+        "  orig=64,96  \n",
+        "orig=64,96",
+        "orig=64,96\n\n",
+        "orig=64,96\r\n",
+        "orig=+64,96\n",
+    ],
+    ids=["old-format-arabic-indic-padded", "arabic-indic-digits", "spaces", "no-newline",
+         "blank-line", "crlf", "sign"],
+)
+def test_load_sample_accepts_only_the_line_save_sample_writes(tmp_path, meta):
+    p = _write_sample(tmp_path, meta.encode("utf-8"))
+    with pytest.raises(OctCystError, match="malformed sidecar line"):
+        load_sample(p)
+
+
+def test_load_sample_rejects_a_sidecar_that_is_not_utf8(tmp_path):
+    p = _write_sample(tmp_path, b"orig=64,96\xff\n")
     with pytest.raises(OctCystError, match="not UTF-8"):
         load_sample(p)

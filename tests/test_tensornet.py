@@ -699,7 +699,7 @@ def test_forward_output_shape_and_range():
     x = np.random.default_rng(1).random((2, 16, 24)).astype(np.float32)
     out = net.forward(x)
     assert out.data.shape == (1, 16, 24)
-    prob, _ = predict(Checkpoint(cfg, store.values()), Sample(x, (0, 0), (16, 24)))
+    prob, _ = predict(Checkpoint(cfg, store.values()), Sample(x, (16, 24)))
     assert prob.shape == (16, 24)
     assert prob.min() > 0.0 and prob.max() < 1.0
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -178,7 +179,7 @@ def test_train_empty_dataset():
 def test_train_dim_mismatch():
     ref = ReferenceDims(16, 16)
     data = _phantom_dataset(1, ref)
-    bad = Sample(np.zeros((2, 24, 24), dtype=np.float32), (0, 0), (24, 24))
+    bad = Sample(np.zeros((2, 24, 24), dtype=np.float32), (24, 24))
     with pytest.raises(OctCystError, match=r"sample 1 has dims \(2, 24, 24\), expected"):
         train(data + [(bad, np.zeros((24, 24), dtype=np.float32))], _tiny_cfg(), TrainConfig(epochs=1))
 
@@ -221,7 +222,7 @@ from octcyst.trainer import TrainConfig, save_checkpoint, train
 rng = np.random.default_rng(12)
 data = [
     (
-        Sample(rng.random((2, 64, 96), dtype=np.float32), (0, 0), (64, 96)),
+        Sample(rng.random((2, 64, 96), dtype=np.float32), (64, 96)),
         (rng.random((64, 96)) > 0.8).astype(np.float32),
     )
     for _ in range(4)
@@ -253,7 +254,7 @@ def test_train_stops_on_non_finite_loss():
     sample, target = data[1]
     values = sample.values.copy()
     values[0, 8, 8] = np.nan
-    data[1] = (Sample(values, sample.offset, sample.orig_dims), target)
+    data[1] = (Sample(values, sample.orig_dims), target)
     with pytest.raises(OctCystError, match=r"epoch 0, batch [01]: non-finite"):
         train(data, _tiny_cfg(), TrainConfig(batch_size=1, epochs=2, seed=1))
 
@@ -305,7 +306,7 @@ def test_predict_mask_subset_of_roi():
 
 
 def test_predict_dim_mismatch():
-    sample = Sample(np.zeros((2, 18, 18), dtype=np.float32), (0, 0), (18, 18))
+    sample = Sample(np.zeros((2, 18, 18), dtype=np.float32), (18, 18))
     with pytest.raises(OctCystError, match="spatial dims 18x18 not divisible by 4"):
         predict(_zero_checkpoint(_tiny_cfg()), sample)
 
@@ -324,7 +325,7 @@ def test_predict_builds_the_network_once_per_checkpoint(tmp_path, monkeypatch):
     _, store = build_unet(cfg)
     save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
     cp = load_checkpoint(tmp_path / "cp.bin")
-    sample = Sample(np.zeros((2, 16, 16), dtype=np.float32), (0, 0), (16, 16))
+    sample = Sample(np.zeros((2, 16, 16), dtype=np.float32), (16, 16))
     probs = [predict(cp, sample)[0] for _ in range(3)]
     assert len(calls) == 1
     assert all(np.array_equal(p, probs[0]) for p in probs)
@@ -535,6 +536,34 @@ def test_checkpoint_config_block_rejected(tmp_path, edit, message):
     with pytest.raises(OctCystError, match=message) as err:
         load_checkpoint(_with_config_block(tmp_path, edit))
     assert not isinstance(err.value, InvalidConfig)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda block: block.replace(b"seed=3", "seed=\u0663".encode()),
+        lambda block: block.replace(b"depth=2", b"depth=+2"),
+        lambda block: block.replace(b"base_channels=2", b"base_channels=0_2"),
+        lambda block: b"# saved by hand\n" + block,
+        lambda block: b"\n" + block.replace(b"\n", b"\n\n"),
+        lambda block: block.replace(b"seed=3", b"seed = 3"),
+    ],
+    ids=["arabic-indic-digit", "sign", "underscore", "comment", "blank-lines", "spaces"],
+)
+def test_checkpoint_config_block_must_be_the_text_save_checkpoint_writes(tmp_path, edit):
+    # each edit parses to the same config, but save_checkpoint never writes it
+    with pytest.raises(OctCystError, match="is not the canonical text") as err:
+        load_checkpoint(_with_config_block(tmp_path, edit))
+    assert not isinstance(err.value, InvalidConfig)
+
+
+def test_save_checkpoint_refuses_a_config_that_would_not_read_back(tmp_path):
+    # an int dropout rate writes as "0" but reads back as 0.0, which writes as "0.0"
+    cfg = replace(_tiny_cfg(), dropout_per_level=(0, 0.1, 0.2))
+    _, store = build_unet(cfg)
+    with pytest.raises(OctCystError, match="is not the canonical text"):
+        save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_tensor_name_not_utf8_rejected(tmp_path):
