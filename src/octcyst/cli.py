@@ -38,7 +38,6 @@ from .samplekit import (
     load_sample,
     pad_to_reference,
     prepare_sample,
-    save_sample,
 )
 from .tensornet import UNetConfig
 from .trainer import TrainConfig, load_checkpoint, predict, save_checkpoint, train
@@ -161,10 +160,11 @@ def _cmd_layers(args, cfg: Config, out: Path) -> int:
 
 
 def _cmd_prepare(args, cfg: Config, out: Path) -> int:
-    ref = ReferenceDims(cfg.ref_rows, cfg.ref_cols)
     for record in read_manifest(args.manifest):
         stem = record.image_path.stem
-        sample = prepare_sample(read_pgm(record.image_path), ref, cfg.sigma_d)
+        image = read_pgm(record.image_path)
+        # stored in a frame of the scan's own dims; train and predict pad it
+        sample = prepare_sample(image, ReferenceDims(*image.shape), cfg.sigma_d)
         # padded on its own, a mask of other dims would sit off its scan in the frame
         mask = read_mask_pgm(record.mask_path)
         if mask.shape != sample.orig_dims:
@@ -172,30 +172,44 @@ def _cmd_prepare(args, cfg: Config, out: Path) -> int:
                 f"{record.mask_path}: mask dims {mask.shape} differ from its scan's "
                 f"{sample.orig_dims}"
             )
-        save_sample(sample, out / f"{stem}.octf")
-        write_mask_pgm(pad_to_reference(mask, ref)[0], out / f"{stem}_target.pgm")
+        write_float_raster(sample.values, out / f"{stem}.octf")
+        write_mask_pgm(mask, out / f"{stem}_target.pgm")
     return 0
 
 
-def _load_samples(samples_dir) -> list[tuple[Path, Sample]]:
-    """(path, sample) for each `<stem>.octf` that `prepare` wrote to samples_dir."""
+def _load_samples(samples_dir, ref: ReferenceDims) -> list[tuple[Path, Sample]]:
+    """(path, sample padded into `ref`) for each `<stem>.octf` that
+    `prepare` wrote to samples_dir."""
+    # read as scans, the padded samples of older versions would give frame-size masks
+    stale = sorted(Path(samples_dir).glob("*.octf.meta"))
+    if stale:
+        raise OctCystError(f"{stale[0]}: prepared by an older version; run prepare again")
     paths = sorted(Path(samples_dir).glob("*.octf"))
     if not paths:
         raise OctCystError(f"no prepared samples in {samples_dir}")
-    return [(p, load_sample(p)) for p in paths]
+    samples = []
+    for path in paths:
+        sample = load_sample(path)
+        try:
+            values, _ = pad_to_reference(sample.values, ref)
+        except OctCystError as e:
+            raise OctCystError(f"{path}: {e}") from e
+        samples.append((path, Sample(values, sample.orig_dims)))
+    return samples
 
 
 def _cmd_train(args, cfg: Config, out: Path) -> int:
+    ref = ReferenceDims(cfg.ref_rows, cfg.ref_cols)
     data = []
-    for path, sample in _load_samples(args.samples):
+    for path, sample in _load_samples(args.samples, ref):
         target_path = path.with_name(f"{path.stem}_target.pgm")
         target = read_mask_pgm(target_path)
-        if target.shape != sample.values.shape[1:]:
+        if target.shape != sample.orig_dims:
             raise OctCystError(
                 f"{target_path}: target dims {target.shape} differ from its sample's "
-                f"{sample.values.shape[1:]}"
+                f"{sample.orig_dims}"
             )
-        data.append((sample, target.astype(np.float32)))
+        data.append((sample, pad_to_reference(target, ref)[0]))
     log_lines = []
     checkpoint = train(
         data, _unet_config(cfg), _train_config(cfg),
@@ -208,7 +222,7 @@ def _cmd_train(args, cfg: Config, out: Path) -> int:
 
 def _cmd_predict(args, cfg: Config, out: Path) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    for path, sample in _load_samples(args.samples):
+    for path, sample in _load_samples(args.samples, ReferenceDims(cfg.ref_rows, cfg.ref_cols)):
         prob, mask = predict(checkpoint, sample)
         write_float_raster(prob, out / f"{path.stem}_prob.octf")
         write_mask_pgm(mask, out / f"{path.stem}_mask.pgm")

@@ -9,6 +9,7 @@ losslessly and are written atomically (temp file + rename).
 from __future__ import annotations
 
 import os
+import re
 import struct
 import tempfile
 from dataclasses import fields
@@ -142,6 +143,8 @@ def read_float_raster(path) -> np.ndarray:
     version, rows, cols, channels = struct.unpack("<4I", data[4:20])
     if version != OCTF_VERSION:
         raise OctCystError(f"{path}: version {version}, expected {OCTF_VERSION}")
+    if 0 in (rows, cols, channels):
+        raise OctCystError(f"{path}: bad dimensions {channels}x{rows}x{cols}")
     count = rows * cols * channels
     raster = data[20:]
     if len(raster) < 4 * count:
@@ -154,23 +157,25 @@ def read_float_raster(path) -> np.ndarray:
     return values
 
 
+# int() and float() alone would also take signs, underscores and non-ASCII digits
+_INT_RE = re.compile(r"-?[0-9]+")
+_FLOAT_RE = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|-?inf|nan")
+
+
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "on" if value else "off"
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
     return str(value)
 
 
 def _parse_value(text: str, default):
-    """`text` as the type of `default`: bool on/off, int, float, or a
-    comma-separated tuple of the type of the default's first element."""
-    if isinstance(default, bool):
-        if text not in ("on", "off"):
-            raise ValueError(f"expected on/off, got {text!r}")
-        return text == "on"
+    """`text` as the type of `default`: int, float, or a comma-separated
+    tuple of the type of the default's first element."""
     if isinstance(default, tuple):
-        return tuple(_parse_value(part, default[0]) for part in text.split(","))
+        return tuple(_parse_value(part.strip(), default[0]) for part in text.split(","))
+    spelling = _FLOAT_RE if isinstance(default, float) else _INT_RE
+    if spelling.fullmatch(text) is None:
+        raise ValueError(f"expected {type(default).__name__}, got {text!r}")
     return type(default)(text)
 
 

@@ -22,6 +22,8 @@ from ..rng import SplitMix64, gaussian_array
 _MAX_ATTEMPTS_PER_CYST = 200
 
 VITREOUS_MEAN = 20.0
+DARK_ROWS_ABOVE_ISM = 3
+BRIGHT_ROWS_BELOW_ISM = 4
 RETINA_MEAN = 180.0
 CYST_MEAN = 30.0
 
@@ -36,8 +38,6 @@ class PhantomSpec:
     cyst_axis_range: tuple[int, int] = (2, 6)
     speckle_sigma: float = 0.06
     seed: int = 0
-    dark_rows_above_ism: int = 3
-    bright_rows_below_ism: int = 4
 
     def __post_init__(self):
         if not (0 < self.ilm_row < self.ism_row < self.rows):
@@ -62,14 +62,14 @@ class PhantomSpec:
     def _cyst_row_range(self, b: int) -> tuple[int, int]:
         """Valid center rows for a cyst of row-semiaxis b (inclusive)."""
         band_top = self.ilm_row + 1
-        band_bot = self.ism_row - self.dark_rows_above_ism - 1
+        band_bot = self.ism_row - DARK_ROWS_ABOVE_ISM - 1
         return band_top + b, band_bot - b
 
 
 def _base_intensities(spec: PhantomSpec) -> np.ndarray:
     img = np.full((spec.rows, spec.cols), VITREOUS_MEAN, dtype=np.float64)
-    strip_top = spec.ism_row - spec.dark_rows_above_ism
-    band_end = min(spec.rows, spec.ism_row + spec.bright_rows_below_ism)
+    strip_top = spec.ism_row - DARK_ROWS_ABOVE_ISM
+    band_end = min(spec.rows, spec.ism_row + BRIGHT_ROWS_BELOW_ISM)
     img[spec.ilm_row : strip_top, :] = RETINA_MEAN
     img[spec.ism_row : band_end, :] = RETINA_MEAN
     return img

@@ -6,19 +6,19 @@ the ROI strictly between them.
 Scans from different devices keep their native size: the denoised image is
 normalized to [0,1], stacked with the ROI indicator, and the pair is
 embedded centered in a fixed reference frame by zero-padding into a
-two-channel sample.  The original dims ride along; with the frame they give
-the padding offset, so predictions can be cropped back to scan coordinates.
+two-channel sample.  `prepare` stores samples in a frame of the scan's own
+dims; training and prediction pad them into the reference frame.  The
+original dims ride along; with the frame they give the padding offset, so
+predictions can be cropped back to scan coordinates.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataio.formats import atomic_write_bytes, read_float_raster, write_float_raster
+from .dataio.formats import read_float_raster
 from .errors import InvalidConfig, OctCystError
 from .preprocess import DEFAULT_SIGMA_D, denoise
 from .retinagraph import roi_mask, segment_layers
@@ -114,30 +114,10 @@ def prepare_sample(
     return Sample(values, denoised.shape)
 
 
-_META_RE = re.compile(r"orig=([0-9]+),([0-9]+)\n")
-
-
-def save_sample(sample: Sample, path) -> None:
-    """Persist as a 2-channel OCTF raster plus a one-line .meta sidecar."""
-    write_float_raster(sample.values, path)
-    meta = f"orig={sample.orig_dims[0]},{sample.orig_dims[1]}\n"
-    atomic_write_bytes(str(path) + ".meta", meta.encode("utf-8"))
-
-
 def load_sample(path) -> Sample:
-    """Read what save_sample wrote; the sidecar must be exactly its one line."""
+    """Read a two-channel OCTF raster as a sample in its own frame: its
+    dims are the scan's, its offset (0, 0)."""
     values = read_float_raster(path)
     if values.shape[0] != 2:
         raise OctCystError(f"{path}: expected 2 channels, got {values.shape[0]}")
-    try:
-        text = Path(str(path) + ".meta").read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise OctCystError(f"{path}.meta: not UTF-8 text: {e}") from e
-    m = _META_RE.fullmatch(text)
-    if m is None:
-        raise OctCystError(f"{path}.meta: malformed sidecar line: {text!r}")
-    rows, cols = int(m[1]), int(m[2])
-    frame = values.shape[1:]
-    if not (0 < rows <= frame[0] and 0 < cols <= frame[1]):
-        raise OctCystError(f"{path}.meta: window {rows}x{cols} does not fit in {frame}")
-    return Sample(values, (rows, cols))
+    return Sample(values, values.shape[1:])

@@ -5,12 +5,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from octcyst.cli import Config, _build_parser, parse_config, run
-from octcyst.dataio import read_mask_pgm, read_pgm, write_mask_pgm
+from octcyst.cli import (
+    Config, _build_parser, _load_samples, _train_config, _unet_config, parse_config, run,
+)
+from octcyst.dataio import (
+    read_float_raster, read_mask_pgm, read_pgm, write_float_raster, write_mask_pgm,
+)
 from octcyst.dataio.formats import format_settings
 from octcyst.errors import InvalidConfig
 from octcyst.metrics import aggregate_stats
-from octcyst.samplekit import crop_from_reference, load_sample
+from octcyst.samplekit import (
+    ReferenceDims, crop_from_reference, load_sample, pad_to_reference, prepare_sample,
+)
+from octcyst.trainer import predict, save_checkpoint, train
 
 
 TINY_CONFIG = """\
@@ -154,11 +161,15 @@ def test_parse_config_not_utf8(tmp_path):
         b"learning_rate = inf\n",
         b"epochs = 0\n",
         b"epochs = -3\n",
+        "seed = \u0665\n".encode("utf-8"),
+        b"epochs = 1_0\n",
+        b"learning_rate = +1e-3\n",
     ],
     ids=["batch_size", "learning_rate", "sigma_d-zero", "sigma_d-nan", "sigma_d-inf",
          "ref_rows", "repeated-key", "not-utf8", "removed-w_min", "removed-threshold",
          "removed-roi_clamp", "learning_rate-nan", "learning_rate-inf", "epochs-0",
-         "epochs-negative"],
+         "epochs-negative", "seed-arabic-indic-digit", "epochs-underscore",
+         "learning_rate-plus-sign"],
 )
 def test_config_value_error_exits_2_before_out_exists(tmp_path, text):
     p = tmp_path / "c.cfg"
@@ -354,7 +365,8 @@ def test_layers_roi_matches_prepared_roi_channel(tmp_path):
         assert run(["layers", "--in", str(data / f"{stem}.pgm"),
                     "--config", cfg, "--out", str(lay)]) == 0
         roi = read_mask_pgm(lay / f"{stem}_roi.pgm")
-        sample = load_sample(prep / f"{stem}.octf")
+        # framed as train and predict frame it
+        sample = dict(_load_samples(prep, ReferenceDims(40, 44)))[prep / f"{stem}.octf"]
         assert sample.offset == (4, 6)
         prepared = crop_from_reference(sample.roi_channel, sample.offset, sample.orig_dims)
         assert roi.any()
@@ -371,7 +383,6 @@ def test_full_pipeline(tmp_path):
     assert run(["prepare", "--manifest", str(data / "manifest.txt"),
                 "--config", cfg, "--out", str(prep)]) == 0
     assert (prep / "img_000.octf").is_file()
-    assert (prep / "img_000.octf.meta").is_file()
     assert (prep / "img_000_target.pgm").is_file()
 
     model = tmp_path / "model"
@@ -403,7 +414,7 @@ def test_prepare_writes_one_target_per_record(tmp_path):
     assert run(["prepare", "--manifest", str(_two_grader_manifest(data, 2)),
                 "--config", cfg, "--out", str(prep)]) == 0
     expected = {
-        f"img_{i:03d}{suffix}" for i in range(2) for suffix in (".octf", ".octf.meta", "_target.pgm")
+        f"img_{i:03d}{suffix}" for i in range(2) for suffix in (".octf", "_target.pgm")
     }
     assert {p.name for p in prep.iterdir()} == expected
 
@@ -461,6 +472,103 @@ def test_train_names_a_prepared_target_of_the_wrong_dims(tmp_path, capsys):
         capsys.readouterr().err
     )
     assert not (out / "checkpoint.bin").exists()
+
+
+def test_prepared_sample_has_its_scans_dims_and_no_sidecar(tmp_path):
+    # the frame of the config is not stored: it is applied by train and predict
+    text = TINY_CONFIG.replace("ref_rows = 32\nref_cols = 32", "ref_rows = 40\nref_cols = 44")
+    data = _make_phantoms(tmp_path, count=2)
+    prep = tmp_path / "prep"
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"),
+                "--config", _write_config(tmp_path, text), "--out", str(prep)]) == 0
+    assert sorted(p.name for p in prep.iterdir()) == [
+        "img_000.octf", "img_000_target.pgm", "img_001.octf", "img_001_target.pgm"
+    ]
+    for i in range(2):
+        image = read_pgm(data / f"img_{i:03d}.pgm")
+        sample = load_sample(prep / f"img_{i:03d}.octf")
+        assert sample.values.shape == (2, 32, 32) and sample.offset == (0, 0)
+        assert sample.values.tobytes() == prepare_sample(image, ReferenceDims(32, 32)).values.tobytes()
+        assert np.array_equal(read_mask_pgm(prep / f"img_{i:03d}_target.pgm"),
+                              read_mask_pgm(data / f"mask_{i:03d}.pgm"))
+
+
+def test_cli_pipeline_equals_training_on_samples_framed_in_memory(tmp_path):
+    # scans 32x32 in a 40x44 frame: the CLI frames what prepare stored
+    text = TINY_CONFIG.replace("ref_rows = 32\nref_cols = 32", "ref_rows = 40\nref_cols = 44")
+    cfg_path = _write_config(tmp_path, text)
+    data = _make_phantoms(tmp_path, count=3)
+    prep, model, pred = tmp_path / "prep", tmp_path / "model", tmp_path / "pred"
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"), "--config", cfg_path,
+                "--out", str(prep)]) == 0
+    assert run(["train", "--samples", str(prep), "--config", cfg_path, "--out", str(model)]) == 0
+    assert run(["predict", "--checkpoint", str(model / "checkpoint.bin"), "--samples", str(prep),
+                "--config", cfg_path, "--out", str(pred)]) == 0
+
+    cfg, ref = parse_config(cfg_path), ReferenceDims(40, 44)
+    pairs = []
+    for i in range(3):
+        sample = prepare_sample(read_pgm(data / f"img_{i:03d}.pgm"), ref)
+        target, _ = pad_to_reference(read_mask_pgm(data / f"mask_{i:03d}.pgm"), ref)
+        pairs.append((sample, target))
+    checkpoint = train(pairs, _unet_config(cfg), _train_config(cfg))
+    save_checkpoint(checkpoint, tmp_path / "memory.bin")
+    assert (tmp_path / "memory.bin").read_bytes() == (model / "checkpoint.bin").read_bytes()
+    for i, (sample, _) in enumerate(pairs):
+        prob, mask = predict(checkpoint, sample)
+        assert mask.shape == (32, 32)
+        assert np.array_equal(read_mask_pgm(pred / f"img_{i:03d}_mask.pgm"), mask)
+        assert read_float_raster(pred / f"img_{i:03d}_prob.octf")[0].tobytes() == prob.tobytes()
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_a_sample_directory_from_an_older_version_is_named(tmp_path, capsys, command):
+    # an old padded raster would otherwise read as a frame-size scan
+    cfg = _write_config(tmp_path)
+    data = _make_phantoms(tmp_path, count=2)
+    prep = tmp_path / "prep"
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"), "--config", cfg,
+                "--out", str(prep)]) == 0
+    (prep / "img_001.octf.meta").write_text("orig=32,32\n")
+    out = tmp_path / "o"
+    argv = [command, "--samples", str(prep), "--config", cfg, "--out", str(out)]
+    if command == "predict":
+        argv += ["--checkpoint", str(_checkpoint(tmp_path, cfg))]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{prep / 'img_001.octf.meta'}: prepared by an older version; run prepare again" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.parametrize("dims", [(36, 32), (32, 36)], ids=["taller", "wider"])
+def test_a_sample_larger_than_the_frame_is_named(tmp_path, capsys, command, dims):
+    cfg = _write_config(tmp_path)
+    data = _make_phantoms(tmp_path, count=2)
+    prep = tmp_path / "prep"
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"), "--config", cfg,
+                "--out", str(prep)]) == 0
+    big = prep / "img_001.octf"
+    write_float_raster(np.zeros((2, *dims), dtype=np.float32), big)
+    write_mask_pgm(np.zeros(dims, dtype=np.uint8), prep / "img_001_target.pgm")
+    out = tmp_path / "o"
+    argv = [command, "--samples", str(prep), "--config", cfg, "--out", str(out)]
+    if command == "predict":
+        argv += ["--checkpoint", str(_checkpoint(tmp_path, cfg))]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{big}: image {dims[0]}x{dims[1]} exceeds reference 32x32" in err
+    assert list(out.iterdir()) == []
+
+
+def _checkpoint(tmp_path, cfg):
+    """A checkpoint trained by the CLI on phantoms of its own."""
+    data = _make_phantoms(tmp_path / "ckpt", count=2, seed=9)
+    prep, model = tmp_path / "ckpt" / "prep", tmp_path / "ckpt" / "model"
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"), "--config", cfg,
+                "--out", str(prep)]) == 0
+    assert run(["train", "--samples", str(prep), "--config", cfg, "--out", str(model)]) == 0
+    return model / "checkpoint.bin"
 
 
 def test_evaluate_perfect_predictions_dice_one(tmp_path):

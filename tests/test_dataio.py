@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 from collections import deque
@@ -293,27 +294,35 @@ def test_manifest_not_utf8_is_bad_record(tmp_path):
 class _Settings:
     rate: float = 0.5
     count: int = 3
-    flag: bool = True
     sizes: tuple[int, ...] = (1, 2)
     probs: tuple[float, ...] = (0.25,)
 
 
 def test_format_settings_one_line_per_field_in_order():
-    text = format_settings(_Settings(flag=False, sizes=(np.int64(4), 8), probs=(np.float64(0.1),)))
-    assert text == "rate=0.5\ncount=3\nflag=off\nsizes=4,8\nprobs=0.1\n"
+    text = format_settings(_Settings(sizes=(np.int64(4), 8), probs=(np.float64(0.1),)))
+    assert text == "rate=0.5\ncount=3\nsizes=4,8\nprobs=0.1\n"
 
 
 def test_parse_settings_round_trips_format_settings():
-    s = _Settings(rate=1e-5, count=-7, flag=False, sizes=(16,), probs=(0.1, 0.2, 0.3))
+    s = _Settings(rate=1e-5, count=-7, sizes=(16,), probs=(0.1, 0.2, 0.3))
     values = parse_settings(format_settings(s), _Settings(), "s")
     assert _Settings(**values) == s
     assert type(values["count"]) is int and type(values["probs"][0]) is float
 
 
+@pytest.mark.parametrize(
+    "rate", [1e16, 1.5e-300, 5e-324, -2.5, 0.0, -0.0, 123456789.0, math.inf, -math.inf, math.nan]
+)
+def test_parse_settings_reads_back_every_float_spelling_format_settings_writes(rate):
+    text = format_settings(_Settings(rate=rate))
+    back = parse_settings(text, _Settings(), "s")["rate"]
+    assert repr(back) == repr(rate)
+
+
 def test_parse_settings_types_from_defaults_and_skips_comments():
-    text = "# comment\n\n  rate = 2 \nflag = on\nsizes = 3, 5,7\n"
+    text = "# comment\n\n  rate = 2 \nsizes = 3, 5,7\n"
     values = parse_settings(text, _Settings(), "s")
-    assert values == {"rate": 2.0, "flag": True, "sizes": (3, 5, 7)}
+    assert values == {"rate": 2.0, "sizes": (3, 5, 7)}
     assert type(values["rate"]) is float
 
 
@@ -324,12 +333,25 @@ def test_parse_settings_types_from_defaults_and_skips_comments():
         ("count = 1\ncount = 2\n", "s:2: count set twice"),
         ("count\n", "s:1: expected name = value"),
         ("count = 1.5\n", "s:1: bad value for count"),
-        ("flag = yes\n", "s:1: bad value for flag"),
         ("sizes = 1,,2\n", "s:1: bad value for sizes"),
     ],
 )
 def test_parse_settings_rejects(text, message):
     with pytest.raises(InvalidConfig, match=message):
+        parse_settings(text, _Settings(), "s")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["count = \u0663\n", "count = 1_0\n", "count = +3\n", "count = 3 4\n",
+     "rate = +0.5\n", "rate = 1_0.5\n", "rate = \u0661.5\n", "rate = Infinity\n",
+     "rate = NaN\n", "rate = 0x10\n", "sizes = 1,\u0662\n"],
+    ids=["int-arabic-indic", "int-underscore", "int-plus", "int-inner-space", "float-plus",
+         "float-underscore", "float-arabic-indic", "float-infinity", "float-capital-nan",
+         "float-hex", "tuple-arabic-indic"],
+)
+def test_parse_settings_reads_only_ascii_number_spellings(text):
+    with pytest.raises(InvalidConfig, match="s:1: bad value for"):
         parse_settings(text, _Settings(), "s")
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from octcyst.dataio import PhantomSpec, gen_phantom
+from octcyst.dataio import PhantomSpec, gen_phantom, write_float_raster
 from octcyst.errors import OctCystError
 from octcyst.preprocess import denoise
 from octcyst.retinagraph import roi_mask, segment_layers
@@ -14,7 +14,6 @@ from octcyst.samplekit import (
     normalize,
     pad_to_reference,
     prepare_sample,
-    save_sample,
 )
 
 
@@ -161,16 +160,16 @@ def test_prepare_sample_values_in_unit_interval():
 
 
 def test_sample_save_load_round_trip(tmp_path):
+    # prepare stores a sample in a frame of its scan's dims, with no sidecar
     _, img = _phantom_image(seed=5)
-    s = prepare_sample(img, ReferenceDims(80, 112))
+    s = prepare_sample(img, ReferenceDims(64, 96))
     p = tmp_path / "s.octf"
-    save_sample(s, p)
-    meta = (tmp_path / "s.octf.meta").read_bytes()
-    assert meta == b"orig=64,96\n"
+    write_float_raster(s.values, p)
     back = load_sample(p)
     assert np.array_equal(back.values, s.values)
-    assert back.offset == s.offset == (8, 8)
-    assert back.orig_dims == s.orig_dims
+    assert back.offset == s.offset == (0, 0)
+    assert back.orig_dims == s.orig_dims == (64, 96)
+    assert [q.name for q in tmp_path.iterdir()] == ["s.octf"]
 
 
 def test_sample_offset_is_the_pad_to_reference_offset():
@@ -180,67 +179,17 @@ def test_sample_offset_is_the_pad_to_reference_offset():
     assert Sample(values, (4, 5)).offset == offset == (1, 2)
 
 
-def _write_sample(tmp_path, meta: bytes, channels=2):
-    from octcyst.dataio import write_float_raster
-
-    p = tmp_path / "s.octf"
-    write_float_raster(np.zeros((channels, 64, 96), dtype=np.float32), p)
-    (tmp_path / "s.octf.meta").write_bytes(meta)
-    return p
-
-
 def test_load_sample_rejects_wrong_channels(tmp_path):
-    p = _write_sample(tmp_path, b"orig=64,96\n", channels=3)
+    p = tmp_path / "s.octf"
+    write_float_raster(np.zeros((3, 64, 96), dtype=np.float32), p)
     with pytest.raises(OctCystError, match="expected 2 channels, got 3"):
         load_sample(p)
 
 
-@pytest.mark.parametrize(
-    "meta",
-    ["orig=0,0", "orig=65,96", "orig=64,97"],
-    ids=["zero-dims", "too-many-rows", "too-many-cols"],
-)
-def test_load_sample_rejects_a_window_pad_to_reference_would_not_give(tmp_path, meta):
-    p = _write_sample(tmp_path, meta.encode() + b"\n")
-    with pytest.raises(OctCystError, match=r"does not fit in \(64, 96\)"):
-        load_sample(p)
-
-
-@pytest.mark.parametrize(
-    "meta",
-    ["offset=0,0 orig=10,10", "offset=0,0 orig=62,96", "offset=0,0 orig=64,94",
-     "offset=0,0 orig=64,96"],
-    ids=["off-center", "row-offset", "col-offset", "centered"],
-)
-def test_load_sample_rejects_the_old_offset_sidecar(tmp_path, meta):
-    # the offset is derived from the frame and the dims; a sidecar that
-    # stores it predates that and must be prepared again
-    p = _write_sample(tmp_path, meta.encode() + b"\n")
-    with pytest.raises(OctCystError, match="malformed sidecar line"):
-        load_sample(p)
-
-
-@pytest.mark.parametrize(
-    "meta",
-    [
-        "\n\n  offset=\u0660,\u0660 orig=\u0666\u0664,\u0669\u0666  \n\n",
-        "orig=\u0666\u0664,\u0669\u0666\n",
-        "  orig=64,96  \n",
-        "orig=64,96",
-        "orig=64,96\n\n",
-        "orig=64,96\r\n",
-        "orig=+64,96\n",
-    ],
-    ids=["old-format-arabic-indic-padded", "arabic-indic-digits", "spaces", "no-newline",
-         "blank-line", "crlf", "sign"],
-)
-def test_load_sample_accepts_only_the_line_save_sample_writes(tmp_path, meta):
-    p = _write_sample(tmp_path, meta.encode("utf-8"))
-    with pytest.raises(OctCystError, match="malformed sidecar line"):
-        load_sample(p)
-
-
-def test_load_sample_rejects_a_sidecar_that_is_not_utf8(tmp_path):
-    p = _write_sample(tmp_path, b"orig=64,96\xff\n")
-    with pytest.raises(OctCystError, match="not UTF-8"):
+@pytest.mark.parametrize("dims", [(0, 96), (64, 0)], ids=["zero-rows", "zero-cols"])
+def test_load_sample_rejects_an_empty_raster(tmp_path, dims):
+    # a sample's dims are its scan's, so an empty raster has no scan to frame
+    p = tmp_path / "s.octf"
+    write_float_raster(np.zeros((2, *dims), dtype=np.float32), p)
+    with pytest.raises(OctCystError, match=rf"bad dimensions 2x{dims[0]}x{dims[1]}"):
         load_sample(p)

@@ -160,9 +160,8 @@ def _phantom_dataset(n, ref, seed0=50):
     data = []
     for i in range(n):
         spec = PhantomSpec(
-            rows=16, cols=16, ilm_row=3, ism_row=12, n_cysts=1,
-            cyst_axis_range=(1, 2), dark_rows_above_ism=2,
-            bright_rows_below_ism=2, seed=seed0 + i,
+            rows=16, cols=16, ilm_row=2, ism_row=11, n_cysts=1,
+            cyst_axis_range=(1, 2), seed=seed0 + i,
         )
         img, mask, _, _ = gen_phantom(spec)
         sample = prepare_sample(img, ref)
@@ -278,9 +277,8 @@ def _zero_checkpoint(cfg):
 
 def test_predict_zero_weights_mask_equals_roi():
     ref = ReferenceDims(24, 24)
-    spec = PhantomSpec(rows=16, cols=16, ilm_row=3, ism_row=12, n_cysts=1,
-                       cyst_axis_range=(1, 2), dark_rows_above_ism=2,
-                       bright_rows_below_ism=2, seed=77)
+    spec = PhantomSpec(rows=16, cols=16, ilm_row=2, ism_row=11, n_cysts=1,
+                       cyst_axis_range=(1, 2), seed=77)
     img, _, _, _ = gen_phantom(spec)
     sample = prepare_sample(img, ref)
     cp = _zero_checkpoint(_tiny_cfg())
@@ -539,20 +537,22 @@ def test_checkpoint_config_block_rejected(tmp_path, edit, message):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, message",
     [
-        lambda block: block.replace(b"seed=3", "seed=\u0663".encode()),
-        lambda block: block.replace(b"depth=2", b"depth=+2"),
-        lambda block: block.replace(b"base_channels=2", b"base_channels=0_2"),
-        lambda block: b"# saved by hand\n" + block,
-        lambda block: b"\n" + block.replace(b"\n", b"\n\n"),
-        lambda block: block.replace(b"seed=3", b"seed = 3"),
+        (lambda block: block.replace(b"seed=3", "seed=\u0663".encode()), "bad value for seed"),
+        (lambda block: block.replace(b"depth=2", b"depth=+2"), "bad value for depth"),
+        (lambda block: block.replace(b"base_channels=2", b"base_channels=0_2"),
+         "bad value for base_channels"),
+        (lambda block: b"# saved by hand\n" + block, "is not the canonical text"),
+        (lambda block: b"\n" + block.replace(b"\n", b"\n\n"), "is not the canonical text"),
+        (lambda block: block.replace(b"seed=3", b"seed = 3"), "is not the canonical text"),
     ],
     ids=["arabic-indic-digit", "sign", "underscore", "comment", "blank-lines", "spaces"],
 )
-def test_checkpoint_config_block_must_be_the_text_save_checkpoint_writes(tmp_path, edit):
-    # each edit parses to the same config, but save_checkpoint never writes it
-    with pytest.raises(OctCystError, match="is not the canonical text") as err:
+def test_checkpoint_config_block_must_be_the_text_save_checkpoint_writes(tmp_path, edit, message):
+    # save_checkpoint never writes any of these: a number spelling the codec
+    # does not read is a bad value, and the layouts parse to the same config
+    with pytest.raises(OctCystError, match=message) as err:
         load_checkpoint(_with_config_block(tmp_path, edit))
     assert not isinstance(err.value, InvalidConfig)
 
