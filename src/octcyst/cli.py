@@ -160,11 +160,18 @@ def _cmd_layers(args, cfg: Config, out: Path) -> int:
 
 
 def _cmd_prepare(args, cfg: Config, out: Path) -> int:
-    for record in read_manifest(args.manifest):
+    records = read_manifest(args.manifest)
+    for i, record in enumerate(records):
         stem = record.image_path.stem
         image = read_pgm(record.image_path)
         # stored in a frame of the scan's own dims; train and predict pad it
-        sample = prepare_sample(image, ReferenceDims(*image.shape), cfg.sigma_d)
+        try:
+            sample = prepare_sample(image, ReferenceDims(*image.shape), cfg.sigma_d)
+        except OctCystError as e:
+            raise OctCystError(
+                f"{record.image_path}: {e} ({i} of {len(records)} scans prepared; "
+                "the rest were not)"
+            ) from e
         # padded on its own, a mask of other dims would sit off its scan in the frame
         mask = read_mask_pgm(record.mask_path)
         if mask.shape != sample.orig_dims:

@@ -12,7 +12,6 @@ from .tensor import (
     concat,
     keep_large_blocks_on_heap,
     mean,
-    no_grad,
     relu,
     sigmoid,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "dropout",
     "max_pool2",
     "mean",
-    "no_grad",
     "relu",
     "sigmoid",
     "transposed_conv2d",

@@ -135,9 +135,9 @@ def conv2d(
         if b is not None and b.requires_grad:
             _accum(b, go.sum(axis=(1, 2)))
         if x.requires_grad:
-            _accum(x, _conv(go, w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], r), fresh=True)
+            _accum(x, _conv(go, w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], r))
         if w.requires_grad:
-            _accum(w, _conv_weight_grad(x.data, go, k, r), fresh=True)
+            _accum(w, _conv_weight_grad(x.data, go, k, r))
 
     parents = (x, w) if b is None else (x, w, b)
     return _attach(out, parents, _bw)
@@ -164,9 +164,9 @@ def transposed_conv2d(x: Tensor, w: Tensor) -> Tensor:
     def _bw():
         g2 = out.grad.reshape(F, H, 2, W, 2).transpose(0, 2, 4, 1, 3).reshape(4 * F, H * W)
         if w.requires_grad:
-            _accum(w, (x.data.reshape(C, H * W) @ g2.T).reshape(w.data.shape), fresh=True)
+            _accum(w, (x.data.reshape(C, H * W) @ g2.T).reshape(w.data.shape))
         if x.requires_grad:
-            _accum(x, (w2 @ g2).reshape(C, H, W), fresh=True)
+            _accum(x, (w2 @ g2).reshape(C, H, W))
 
     return _attach(out, (x, w), _bw)
 
@@ -201,7 +201,7 @@ def max_pool2(x: Tensor) -> Tensor:
         gx = np.zeros_like(x.data)
         for k, (di, dj) in enumerate(_QUADRANTS):
             np.copyto(gx[:, di::2, dj::2], out.grad, where=idx == k)
-        _accum(x, gx, fresh=True)
+        _accum(x, gx)
 
     return _attach(out, (x,), _bw)
 
@@ -217,7 +217,7 @@ def dropout(x: Tensor, p: float, seed: int) -> Tensor:
     out = Tensor(x.data * mask)
 
     def _bw():
-        _accum(x, out.grad * mask, fresh=True)
+        _accum(x, out.grad * mask)
 
     return _attach(out, (x,), _bw)
 

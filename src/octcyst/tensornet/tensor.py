@@ -1,22 +1,20 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-Each operation returns a new Tensor holding its result; when grad mode is
-on and an input requires gradients, the output also records its parents
-and a closure that pushes the upstream gradient to them.  `backward`
-topologically sorts the recorded graph from the loss and runs the
-closures, accumulating into `.grad` of every tensor that requires it.
+Each operation returns a new Tensor holding its result; when an input
+requires gradients, the output also records its parents and a closure that
+pushes the upstream gradient to them.  `backward` topologically sorts the
+recorded graph from the loss and runs the closures, accumulating into
+`.grad` of every tensor that requires it.
 After `backward` only leaves (tensors without a recorded closure, such as
 parameters) and the loss keep `.grad`: each interior tensor drops its
 gradient once its closure has consumed it, and its activation is freed
 once the closures of all its consumers have run.
 
-A gradient is owned by the tensor it is accumulated into.  `_accum` keeps
-the array a closure hands it without copying only when the call site
-passes `fresh=True`, which says that the closure built the array itself and
-holds no other reference to it; anything else, such as `add`'s upstream
-gradient, which goes to both parents, or `concat`'s views of one array, is
-copied on first arrival.  A closure may then consume its own output's
-gradient in place, since `backward` drops it right after.
+A gradient is owned by the tensor it is accumulated into: `_accum` takes
+the first array a closure hands it, so no closure may hand overlapping
+memory to two tensors.  `add` gives one parent a copy, and `concat` gives
+each parent a disjoint view.  A closure may therefore consume its own
+output's gradient in place, since `backward` drops it right after.
 
 Storage is float32 by default; building a graph from float64 tensors runs
 the whole computation in float64, which the gradient checks rely on.
@@ -29,8 +27,6 @@ import ctypes
 import numpy as np
 
 from ..errors import OctCystError
-
-_recording = True
 
 
 def keep_large_blocks_on_heap() -> None:
@@ -50,21 +46,6 @@ def keep_large_blocks_on_heap() -> None:
     mallopt.restype = ctypes.c_int
     if mallopt(-1, 2**31 - 1):  # M_TRIM_THRESHOLD
         mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
-
-
-class no_grad:
-    """Context manager that disables graph recording."""
-
-    def __enter__(self):
-        global _recording
-        self._prev = _recording
-        _recording = False
-        return self
-
-    def __exit__(self, *exc):
-        global _recording
-        _recording = self._prev
-        return False
 
 
 class Tensor:
@@ -101,22 +82,18 @@ class Tensor:
         return mul(self, other)
 
 
-def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    """Add `g` into t.grad.  The first gradient is copied in t's dtype
-    unless the caller passes fresh=True for an array it built and holds no
-    other reference to; that array, if its dtype matches, becomes t.grad."""
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` into t.grad.  The first gradient becomes t.grad, cast to t's
+    dtype only if it differs, so the caller hands over `g` for good."""
     if t.grad is None:
-        if fresh and g.dtype == t.data.dtype:
-            t.grad = g
-        else:
-            t.grad = np.array(g, dtype=t.data.dtype)
+        t.grad = np.asarray(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
 
 def _attach(out: Tensor, parents: tuple, backward_fn) -> Tensor:
-    """Record the graph edge if recording is on and any parent needs grads."""
-    if _recording and any(p.requires_grad for p in parents):
+    """Record the graph edge if any parent needs grads."""
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
@@ -144,10 +121,12 @@ def add(x: Tensor, y) -> Tensor:
     out = Tensor(x.data + y.data)
 
     def _bw():
+        g = out.grad
         if x.requires_grad:
-            _accum(x, _unbroadcast(out.grad, x.data.shape))
+            # y, if it needs a gradient too, takes g itself, so x gets a copy
+            _accum(x, _unbroadcast(g.copy() if y.requires_grad else g, x.data.shape))
         if y.requires_grad:
-            _accum(y, _unbroadcast(out.grad, y.data.shape))
+            _accum(y, _unbroadcast(g, y.data.shape))
 
     return _attach(out, (x, y), _bw)
 
@@ -159,9 +138,9 @@ def mul(x: Tensor, y) -> Tensor:
 
     def _bw():
         if x.requires_grad:
-            _accum(x, _unbroadcast(out.grad * y.data, x.data.shape), fresh=True)
+            _accum(x, _unbroadcast(out.grad * y.data, x.data.shape))
         if y.requires_grad:
-            _accum(y, _unbroadcast(out.grad * x.data, y.data.shape), fresh=True)
+            _accum(y, _unbroadcast(out.grad * x.data, y.data.shape))
 
     return _attach(out, (x, y), _bw)
 
@@ -170,7 +149,7 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0))
 
     def _bw():
-        _accum(x, out.grad * (x.data > 0), fresh=True)
+        _accum(x, out.grad * (x.data > 0))
 
     return _attach(out, (x,), _bw)
 
@@ -188,7 +167,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = Tensor(_sigmoid_data(x.data))
 
     def _bw():
-        _accum(x, out.grad * out.data * (1.0 - out.data), fresh=True)
+        _accum(x, out.grad * out.data * (1.0 - out.data))
 
     return _attach(out, (x,), _bw)
 
@@ -197,7 +176,7 @@ def mean(x: Tensor) -> Tensor:
     out = Tensor(np.asarray(x.data.mean(), dtype=x.data.dtype))
 
     def _bw():
-        _accum(x, np.full_like(x.data, out.grad / x.data.size), fresh=True)
+        _accum(x, np.full_like(x.data, out.grad / x.data.size))
 
     return _attach(out, (x,), _bw)
 
@@ -210,6 +189,7 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def _bw():
+        # each parent takes its own disjoint view of the upstream array
         parts = np.split(out.grad, splits, axis=axis)
         for t, g in zip(tensors, parts):
             if t.requires_grad:
@@ -225,8 +205,8 @@ def backward(loss: Tensor, grad: float = 1.0) -> None:
     and a second call on `loss` raises OctCystError."""
     if not loss._parents and loss._backward is None:
         raise OctCystError(
-            "tensor has no recorded graph; run the forward pass with "
-            "grad mode enabled"
+            "tensor has no recorded graph; run the forward pass on tensors "
+            "that require gradients"
         )
     topo: list[Tensor] = []
     seen: set[int] = set()

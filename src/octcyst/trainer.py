@@ -22,7 +22,7 @@ from .dataio.formats import atomic_write_bytes, format_settings, parse_settings
 from .errors import InvalidConfig, OctCystError
 from .rng import SplitMix64, derive_seed
 from .samplekit import Sample, crop_from_reference
-from .tensornet import ParamStore, Tensor, UNet, UNetConfig, backward, build_unet, no_grad
+from .tensornet import ParamStore, Tensor, UNet, UNetConfig, backward, build_unet
 from .tensornet.tensor import _accum, _attach, _sigmoid_data
 
 CHECKPOINT_MAGIC = b"UNCK"
@@ -61,7 +61,7 @@ def bce_loss(logits: Tensor, target: np.ndarray) -> Tensor:
     out = Tensor(np.asarray(per_pixel.mean(), dtype=z.dtype))
 
     def _bw():
-        _accum(logits, (_sigmoid_data(z) - t) * (out.grad / z.size), fresh=True)
+        _accum(logits, (_sigmoid_data(z) - t) * (out.grad / z.size))
 
     return _attach(out, (logits,), _bw)
 
@@ -109,11 +109,14 @@ class Checkpoint:
 
     @cached_property
     def network(self) -> UNet:
-        """The network holding these weights, built once on first use.
-        Raises OctCystError unless the tensors are exactly those of
-        build_unet(config)."""
+        """The inference network holding these weights, built once on first
+        use; its parameters require no gradients, so its forward pass records
+        no graph.  Raises OctCystError unless the tensors are exactly those
+        of build_unet(config)."""
         net, params = build_unet(self.config)
         params.set_values(self.values)
+        for _, t in params.items():
+            t.requires_grad = False
         return net
 
 
@@ -177,8 +180,7 @@ def predict(cp: Checkpoint, sample: Sample) -> tuple[np.ndarray, np.ndarray]:
 
     The mask is sigmoid(logits) >= 0.5 intersected with the sample's ROI
     channel support; any other cut-off is applied to the probability map."""
-    with no_grad():
-        logits = cp.network.forward(sample.values, training=False)
+    logits = cp.network.forward(sample.values, training=False)
     prob = _sigmoid_data(crop_from_reference(logits.data[0], sample.offset, sample.orig_dims))
     roi = crop_from_reference(sample.roi_channel, sample.offset, sample.orig_dims)
     mask = ((prob >= 0.5) & (roi != 0)).astype(np.uint8)

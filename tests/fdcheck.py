@@ -2,35 +2,38 @@
 
 import numpy as np
 
-from octcyst.tensornet import no_grad
-
 
 def max_rel_error_fd(params, loss_fn, h=1e-5, floor=1e-6):
     """Worst relative error between analytic grads already stored in the
     parameters and central finite differences of loss_fn.
 
     Perturbs every scalar of every parameter in place; loss_fn() must
-    recompute the scalar loss from current parameter values.  The
+    recompute the scalar loss from current parameter values.  It runs with
+    requires_grad off on every parameter, so it records no graph.  The
     denominator is floored at the central-difference round-off scale
     (|loss|*eps/h ~ 1e-11 absolute at h=1e-5 in float64), so gradients
     smaller than what FD can resolve are compared on absolute terms.
     """
     worst = 0.0
     for _, tensor in params.items():
-        flat = tensor.data.reshape(-1)
-        an = tensor.grad.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            with no_grad():
+        tensor.requires_grad = False
+    try:
+        for _, tensor in params.items():
+            flat = tensor.data.reshape(-1)
+            an = tensor.grad.reshape(-1)
+            for k in range(flat.size):
+                orig = flat[k]
+                flat[k] = orig + h
                 fp = loss_fn()
-            flat[k] = orig - h
-            with no_grad():
+                flat[k] = orig - h
                 fm = loss_fn()
-            flat[k] = orig
-            fd = (fp - fm) / (2.0 * h)
-            denom = max(abs(fd), abs(an[k]), floor)
-            worst = max(worst, abs(fd - an[k]) / denom)
+                flat[k] = orig
+                fd = (fp - fm) / (2.0 * h)
+                denom = max(abs(fd), abs(an[k]), floor)
+                worst = max(worst, abs(fd - an[k]) / denom)
+    finally:
+        for _, tensor in params.items():
+            tensor.requires_grad = True
     return worst
 
 

@@ -21,6 +21,7 @@ from octcyst.retinagraph import W_MIN, path_cost, segment_layers, shortest_layer
 from octcyst.rng import SplitMix64, derive_seed
 from octcyst.samplekit import (
     ReferenceDims,
+    Sample,
     crop_from_reference,
     pad_to_reference,
     prepare_sample,
@@ -263,16 +264,29 @@ def test_criterion_09_end_to_end_desk_run():
     assert losses[-1] < 0.25 * losses[0]
 
     dices = []
+    # the network must use the ROI prior: zeroing that channel must cost
+    # Dice, scored on the masks prob >= 0.5 because predict clamps its own
+    # mask to the ROI
+    prior_dices = {"as prepared": [], "zeroed": []}
     for sample, _, mask in holdout:
         _, pred_mask = predict(checkpoint, sample)
         dices.append(score_pair(pred_mask, mask)[3])
+        no_prior = sample.values.copy()
+        no_prior[1] = 0.0
+        for key, s in (("as prepared", sample), ("zeroed", Sample(no_prior, sample.orig_dims))):
+            prob, _ = predict(checkpoint, s)
+            prior_dices[key].append(score_pair(prob >= 0.5, mask)[3])
     mean_dice, std_dice = aggregate_stats(dices)
+    with_prior, without_prior = (float(np.mean(d)) for d in prior_dices.values())
     elapsed = time.perf_counter() - t0
     assert mean_dice >= 0.60
+    assert with_prior - without_prior >= 0.3
     assert elapsed <= 15 * 60
     _report(9, f"40+10 phantom run: held-out mean Dice {mean_dice:.3f} "
                f"(std {std_dice:.3f}) >= 0.60, final loss "
-               f"{losses[-1] / losses[0]:.1%} of initial, {elapsed:.0f}s")
+               f"{losses[-1] / losses[0]:.1%} of initial; unclamped Dice "
+               f"{with_prior:.3f} with the ROI channel, {without_prior:.3f} "
+               f"with it zeroed; {elapsed:.0f}s")
 
 
 def test_criterion_10_layer_segmentation_sanity():

@@ -9,7 +9,7 @@ from octcyst.cli import (
     Config, _build_parser, _load_samples, _train_config, _unet_config, parse_config, run,
 )
 from octcyst.dataio import (
-    read_float_raster, read_mask_pgm, read_pgm, write_float_raster, write_mask_pgm,
+    read_float_raster, read_mask_pgm, read_pgm, write_float_raster, write_mask_pgm, write_pgm,
 )
 from octcyst.dataio.formats import format_settings
 from octcyst.errors import InvalidConfig
@@ -432,6 +432,20 @@ def test_mask_whose_dims_differ_from_its_scan_is_rejected(tmp_path, capsys, comm
                 "--out", str(out)]) == 1
     assert f"{mask}: mask dims {crop} differ from its scan's (32, 32)" in capsys.readouterr().err
     assert not (out / "img_001.octf").exists()
+
+
+def test_prepare_names_the_scan_it_failed_on_and_what_became_of_the_rest(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    data = _make_phantoms(tmp_path, count=2)
+    flat = data / "img_001.pgm"
+    write_pgm(np.full((32, 32), 128, dtype=np.uint8), flat)
+    out = tmp_path / "o"
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"), "--config", cfg,
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{flat}: gradient field is identically zero (1 of 2 scans prepared; " \
+           "the rest were not)" in err
+    assert {p.name for p in out.iterdir()} == {"img_000.octf", "img_000_target.pgm"}
 
 
 def test_a_scan_named_like_another_scans_target_keeps_both_samples(tmp_path):

@@ -148,6 +148,19 @@ def test_every_public_name_in_src_is_used_by_the_program():
     assert not unused, f"public names that nothing in src/ or bench/ reads: {unused}"
 
 
+def test_no_module_of_the_program_rebinds_a_global():
+    # a function that rebinds a module global is a hidden mode that every
+    # later call depends on; state belongs to the objects that carry it
+    package = Path(errors.__file__).parent
+    found = sorted(
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in package.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    )
+    assert not found, f"global statements in src/octcyst: {found}"
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

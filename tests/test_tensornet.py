@@ -24,7 +24,6 @@ from octcyst.tensornet import (
     keep_large_blocks_on_heap,
     max_pool2,
     mean,
-    no_grad,
     relu,
     sigmoid,
     transposed_conv2d,
@@ -751,9 +750,10 @@ def test_backward_requires_recorded_graph():
     t = Tensor(np.zeros((2, 2)))
     with pytest.raises(OctCystError, match="tensor has no recorded graph"):
         backward(t)
-    net, _ = build_unet(_tiny_cfg())
-    with no_grad():
-        out = net.forward(np.zeros((2, 8, 8), dtype=np.float32))
+    # a checkpoint's network is for inference: its forward records nothing
+    cfg = _tiny_cfg()
+    _, store = build_unet(cfg)
+    out = Checkpoint(cfg, store.values()).network.forward(np.zeros((2, 8, 8), dtype=np.float32))
     with pytest.raises(OctCystError, match="tensor has no recorded graph"):
         backward(out)
 
@@ -907,32 +907,37 @@ def test_full_network_gradients_match_fd():
     assert max_rel_error_fd(store, loss_fn) <= 1e-4
 
 
-def test_first_gradient_is_an_owned_copy_in_the_tensor_dtype():
+def test_first_gradient_is_taken_in_the_tensor_dtype_and_cast_otherwise():
     from octcyst.tensornet.tensor import _accum
 
-    t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-    g = np.array([1.0, -0.5, 2.0])
-    _accum(t, g)
-    g[0] = 9.0
-    assert t.grad.dtype == np.float32
-    assert np.array_equal(t.grad, [1.0, -0.5, 2.0])
-    _accum(t, np.ones(3))
-    assert np.array_equal(t.grad, [2.0, 0.5, 3.0])
-    assert np.array_equal(g, [9.0, -0.5, 2.0])
-
-    # a fresh array in the tensor's dtype is taken over; in another dtype
-    # it is still copied
+    # an array in the tensor's dtype becomes its gradient, and later ones add in
     owned = np.array([1.0, -0.5, 2.0], dtype=np.float32)
     t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-    _accum(t, owned, fresh=True)
+    _accum(t, owned)
     assert t.grad is owned
-    _accum(t, np.ones(3, dtype=np.float32), fresh=True)
+    _accum(t, np.ones(3, dtype=np.float32))
     assert t.grad is owned
     assert np.array_equal(owned, [2.0, 0.5, 3.0])
+
+    # one in another dtype is cast, so the caller's array is left alone
+    g = np.array([1.0, -0.5, 2.0])
     t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-    _accum(t, g, fresh=True)
+    _accum(t, g)
     assert t.grad is not g and t.grad.dtype == np.float32
-    assert np.array_equal(t.grad, [9.0, -0.5, 2.0])
+    _accum(t, np.ones(3))
+    assert np.array_equal(t.grad, [2.0, 0.5, 3.0])
+    assert np.array_equal(g, [1.0, -0.5, 2.0])
+
+
+def test_concat_gives_each_parent_its_own_view_of_one_gradient():
+    a = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    b = Tensor(np.array([3.0, 4.0, 5.0], dtype=np.float32), requires_grad=True)
+    u = Tensor(np.arange(1.0, 6.0, dtype=np.float32))
+    backward(mean(concat([a, b]) * u))
+    assert a.grad.base is not None and a.grad.base is b.grad.base
+    assert not np.shares_memory(a.grad, b.grad)
+    g = np.full(5, 0.2, dtype=np.float32) * u.data
+    assert np.array_equal(a.grad, g[:2]) and np.array_equal(b.grad, g[2:])
 
 
 # --- malloc settings ----------------------------------------------------------

@@ -13,7 +13,7 @@ import octcyst
 from octcyst.dataio import PhantomSpec, gen_phantom
 from octcyst.errors import InvalidConfig, OctCystError
 from octcyst.samplekit import ReferenceDims, Sample, pad_to_reference, prepare_sample
-from octcyst.tensornet import ParamStore, Tensor, UNetConfig, backward, build_unet, no_grad
+from octcyst.tensornet import ParamStore, Tensor, UNetConfig, backward, build_unet
 from octcyst.trainer import (
     AdamState,
     Checkpoint,
@@ -340,12 +340,10 @@ def test_checkpoint_round_trip_forward_bitwise(tmp_path):
     loaded = load_checkpoint(tmp_path / "cp.bin")
 
     x = np.random.default_rng(4).random((2, 8, 8)).astype(np.float32)
-    with no_grad():
-        a = net.forward(x).data
+    a = net.forward(x).data
     net2, store2 = build_unet(loaded.config)
     store2.set_values(loaded.values)
-    with no_grad():
-        b = net2.forward(x).data
+    b = net2.forward(x).data
     assert np.array_equal(a, b)
 
 
