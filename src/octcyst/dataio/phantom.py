@@ -45,6 +45,12 @@ class PhantomSpec:
                 f"need 0 < ilm_row < ism_row < rows, got "
                 f"ilm={self.ilm_row} ism={self.ism_row} rows={self.rows}"
             )
+        if self.ism_row + BRIGHT_ROWS_BELOW_ISM >= self.rows:
+            # the layer stage needs a dark row below the tail
+            raise InvalidConfig(
+                f"the {BRIGHT_ROWS_BELOW_ISM}-row bright tail below the ISM at row "
+                f"{self.ism_row} leaves no dark row in {self.rows} rows"
+            )
         amin, amax = self.cyst_axis_range
         if not (1 <= amin <= amax):
             raise InvalidConfig(f"bad cyst_axis_range {self.cyst_axis_range}")

@@ -6,8 +6,8 @@ can be asserted byte-for-byte in tests.  Gaussian variates use Box-Muller
 on two consecutive outputs.
 
 The state after n steps is seed + n*GOLDEN (mod 2^64), which makes the
-sequence indexable: `uniform_array` / `gaussian_array` produce the exact
-same values as repeated calls on a `SplitMix64` instance.
+sequence indexable: `uniform_array` / `gaussian_array` compute their draws
+from the same outputs that `SplitMix64.next_u64` steps through one at a time.
 """
 
 from __future__ import annotations
@@ -56,16 +56,6 @@ class SplitMix64:
         self.state = (self.state + _GOLDEN) & _MASK
         return mix64(self.state)
 
-    def uniform(self) -> float:
-        """Uniform in [0, 1)."""
-        return (self.next_u64() >> 11) * _INV_2_53
-
-    def gaussian(self) -> float:
-        """Standard normal via Box-Muller on two consecutive outputs."""
-        u1 = ((self.next_u64() >> 11) + 1) * _INV_2_53  # (0, 1]
-        u2 = (self.next_u64() >> 11) * _INV_2_53
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
     def below(self, n: int) -> int:
         """Integer in [0, n)."""
         return self.next_u64() % n
@@ -99,7 +89,7 @@ def _u64_block(seed: int, start: int, n: int) -> np.ndarray:
 
 
 def uniform_array(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """n uniforms in [0, 1), identical to n `uniform()` calls after `start`."""
+    """n uniforms in [0, 1), the top 53 bits of outputs start+1 .. start+n."""
     bits = _u64_block(seed, start, n)
     return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
@@ -125,7 +115,7 @@ def uniform_at_least(seed: int, n: int, p: float) -> np.ndarray:
 
 
 def gaussian_array(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """n standard normals, identical to n `gaussian()` calls after `start`."""
+    """n standard normals, by Box-Muller on output pairs from start+1 on."""
     bits = _u64_block(seed, start, 2 * n)
     u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
     u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53

@@ -12,8 +12,6 @@ from .tensor import (
     concat,
     keep_large_blocks_on_heap,
     mean,
-    relu,
-    sigmoid,
 )
 from .unet import ParamStore, UNet, UNetConfig, build_unet
 
@@ -33,7 +31,5 @@ __all__ = [
     "dropout",
     "max_pool2",
     "mean",
-    "relu",
-    "sigmoid",
     "transposed_conv2d",
 ]

@@ -7,7 +7,7 @@ import numpy as np
 
 from ..errors import OctCystError
 from ..rng import uniform_at_least
-from .tensor import Tensor, _accum, _attach, concat, mul, relu, sigmoid
+from .tensor import Tensor, _accum, _attach, _sigmoid_data, concat
 
 
 # Scratch budget of one row tile: its MEC tap matrix plus the product
@@ -72,6 +72,12 @@ def _conv(x: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
     return y.reshape(F, H, W)
 
 
+def _flip(w: np.ndarray) -> np.ndarray:
+    """The kernel whose convolution is the input gradient of one with w:
+    channel axes swapped, taps reversed."""
+    return w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+
+
 def _conv_weight_grad(x: np.ndarray, go: np.ndarray, k: int, r: int) -> np.ndarray:
     """Weight gradient of _conv: tap a's slice sums, over row tiles, tap
     window a times the tile's output gradient.  Each product is taken as
@@ -104,9 +110,9 @@ def conv2d(
     output gradient; the input gradient is the same convolution of the
     output gradient with the kernel flipped and its channel axes swapped.
 
-    relu=True returns max(conv + b, 0), bit for bit relu(conv2d(x, w, b)),
-    as one op: the bias and the ReLU are applied in place on the GEMM
-    output, so only the rectified activation is kept for backward.
+    relu=True returns max(conv + b, 0), bit for bit np.maximum of the
+    unrectified output: the bias and the ReLU are applied in place on the
+    GEMM output, so only the rectified activation is kept for backward.
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise OctCystError(f"conv2d expects 3-D input and 4-D kernel, got {x.data.shape}, {w.data.shape}")
@@ -135,7 +141,7 @@ def conv2d(
         if b is not None and b.requires_grad:
             _accum(b, go.sum(axis=(1, 2)))
         if x.requires_grad:
-            _accum(x, _conv(go, w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], r))
+            _accum(x, _conv(go, _flip(w.data), r))
         if w.requires_grad:
             _accum(w, _conv_weight_grad(x.data, go, k, r))
 
@@ -225,20 +231,53 @@ def dropout(x: Tensor, p: float, seed: int) -> Tensor:
 def attention_gate(
     x_l: Tensor, g: Tensor, w_x: Tensor, w_g: Tensor, b_xg: Tensor, psi: Tensor, b_psi: Tensor
 ) -> Tensor:
-    """Scale skip features by a learned coefficient in (0,1).
+    """Scale skip features by a learned coefficient in (0,1), as one op.
 
     w_x (F_int, C_skip, 1, 1) and w_g (F_int, C_gate, 1, 1) project the
     skip and gating maps to an inner width; psi (1, F_int, 1, 1) projects
     that to the coefficient logit.  alpha = sigmoid(psi(relu(Wx*x_l + Wg*g
     + b_xg)) + b_psi), broadcast over the channels of x_l; returns
-    alpha * x_l."""
+    alpha * x_l.  Only the rectified inner map and alpha are kept for the
+    closed-form backward."""
     if x_l.data.shape[1:] != g.data.shape[1:]:
         raise OctCystError(
             f"skip {x_l.data.shape} and gating {g.data.shape} spatial dims differ"
         )
-    inner = relu(conv2d(x_l, w_x) + conv2d(g, w_g, b_xg))
-    alpha = sigmoid(conv2d(inner, psi, b_psi))
-    return mul(x_l, alpha)
+    inner = _conv(g.data, w_g.data, 1)
+    inner += b_xg.data[:, None, None]
+    inner += _conv(x_l.data, w_x.data, 1)
+    np.maximum(inner, 0, out=inner)
+    z = _conv(inner, psi.data, 1)
+    z += b_psi.data[:, None, None]
+    alpha = _sigmoid_data(z)
+    out = Tensor(x_l.data * alpha)
+
+    def _bw():
+        go = out.grad
+        ga = (go * x_l.data).sum(axis=0, keepdims=True)
+        if x_l.requires_grad:
+            # safe in place, as conv2d's fused ReLU mask is: backward drops
+            # out.grad right after this closure and gives the loss a copy
+            _accum(x_l, np.multiply(go, alpha, out=go))
+        gz = ga * alpha * (1.0 - alpha)
+        if b_psi.requires_grad:
+            _accum(b_psi, gz.sum(axis=(1, 2)))
+        if psi.requires_grad:
+            _accum(psi, _conv_weight_grad(inner, gz, 1, 1))
+        # the ReLU's mask: inner > 0 exactly where the sum was, as the ReLU
+        # keeps a NaN sum and NaN > 0 is false
+        gs = _conv(gz, _flip(psi.data), 1) * (inner > 0)
+        if b_xg.requires_grad:
+            _accum(b_xg, gs.sum(axis=(1, 2)))
+        # both of x_l's gradients from the gate arrive before max_pool2's,
+        # which backward runs later, so x_l sums its three in one order
+        for x, w in ((x_l, w_x), (g, w_g)):
+            if x.requires_grad:
+                _accum(x, _conv(gs, _flip(w.data), 1))
+            if w.requires_grad:
+                _accum(w, _conv_weight_grad(x.data, gs, 1, 1))
+
+    return _attach(out, (x_l, g, w_x, w_g, b_xg, psi, b_psi), _bw)
 
 
 def aspp(

@@ -12,9 +12,10 @@ once the closures of all its consumers have run.
 
 A gradient is owned by the tensor it is accumulated into: `_accum` takes
 the first array a closure hands it, so no closure may hand overlapping
-memory to two tensors.  `add` gives one parent a copy, and `concat` gives
-each parent a disjoint view.  A closure may therefore consume its own
-output's gradient in place, since `backward` drops it right after.
+memory to two tensors.  Every closure hands each parent an array of its
+own, except `concat`, whose parents take disjoint views of its upstream
+gradient.  A closure may therefore consume its own output's gradient in
+place, since `backward` drops it right after.
 
 Storage is float32 by default; building a graph from float64 tensors runs
 the whole computation in float64, which the gradient checks rely on.
@@ -75,12 +76,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     """Add `g` into t.grad.  The first gradient becomes t.grad, cast to t's
@@ -100,60 +95,6 @@ def _attach(out: Tensor, parents: tuple, backward_fn) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient back down to `shape` after numpy broadcasting."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def _const(value, like: Tensor) -> np.ndarray:
-    return np.asarray(value, dtype=like.data.dtype)
-
-
-def add(x: Tensor, y) -> Tensor:
-    if not isinstance(y, Tensor):
-        y = Tensor(_const(y, x))
-    out = Tensor(x.data + y.data)
-
-    def _bw():
-        g = out.grad
-        if x.requires_grad:
-            # y, if it needs a gradient too, takes g itself, so x gets a copy
-            _accum(x, _unbroadcast(g.copy() if y.requires_grad else g, x.data.shape))
-        if y.requires_grad:
-            _accum(y, _unbroadcast(g, y.data.shape))
-
-    return _attach(out, (x, y), _bw)
-
-
-def mul(x: Tensor, y) -> Tensor:
-    if not isinstance(y, Tensor):
-        y = Tensor(_const(y, x))
-    out = Tensor(x.data * y.data)
-
-    def _bw():
-        if x.requires_grad:
-            _accum(x, _unbroadcast(out.grad * y.data, x.data.shape))
-        if y.requires_grad:
-            _accum(y, _unbroadcast(out.grad * x.data, y.data.shape))
-
-    return _attach(out, (x, y), _bw)
-
-
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0))
-
-    def _bw():
-        _accum(x, out.grad * (x.data > 0))
-
-    return _attach(out, (x,), _bw)
-
-
 def _sigmoid_data(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -161,15 +102,6 @@ def _sigmoid_data(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = Tensor(_sigmoid_data(x.data))
-
-    def _bw():
-        _accum(x, out.grad * out.data * (1.0 - out.data))
-
-    return _attach(out, (x,), _bw)
 
 
 def mean(x: Tensor) -> Tensor:
@@ -225,7 +157,8 @@ def backward(loss: Tensor, grad: float = 1.0) -> None:
                 stack.append((p, False))
     _accum(loss, np.full_like(loss.data, grad))
     # a closure may consume its output's gradient in place (conv2d's fused
-    # ReLU masks it), so the loss keeps its own and its closure gets a copy
+    # ReLU masks it, the attention gate scales it), so the loss keeps its
+    # own and its closure gets a copy
     seed = loss.grad
     loss.grad = seed.copy()
     # popping drops the list's reference, so a node is freed as soon as the

@@ -1,6 +1,22 @@
-"""Central finite-difference gradient checking shared by the test modules."""
+"""Central finite-difference gradient checking, and a weighted-sum loss,
+shared by the test modules."""
 
 import numpy as np
+
+from octcyst.tensornet import Tensor
+from octcyst.tensornet.tensor import _accum, _attach
+
+
+def weighted_sum(x, weights):
+    """Scalar loss sum(x * weights), as one op: the upstream gradient of x
+    is the weights themselves, times backward's seed."""
+    w = np.asarray(weights, dtype=x.data.dtype)
+    out = Tensor(np.asarray((x.data * w).sum(), dtype=x.data.dtype))
+
+    def _bw():
+        _accum(x, w * out.grad)
+
+    return _attach(out, (x,), _bw)
 
 
 def max_rel_error_fd(params, loss_fn, h=1e-5, floor=1e-6):

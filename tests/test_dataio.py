@@ -434,6 +434,14 @@ def test_phantom_placement_failure():
         gen_phantom(spec)
 
 
+def test_phantom_spec_rejects_a_bright_tail_that_reaches_the_bottom_edge():
+    # the tail below the ISM fills rows 12..15 of a 16-row scan, so the
+    # layer stage finds no dark row under it and cannot segment the scan
+    with pytest.raises(InvalidConfig, match="bright tail below the ISM"):
+        PhantomSpec(rows=16, cols=16, ilm_row=3, ism_row=12, n_cysts=1, cyst_axis_range=(1, 2))
+    PhantomSpec(rows=16, cols=16, ilm_row=2, ism_row=11, n_cysts=1, cyst_axis_range=(1, 2))
+
+
 def test_phantom_spec_validation():
     with pytest.raises(ValueError):
         PhantomSpec(rows=64, cols=96, ilm_row=40, ism_row=12, n_cysts=0)

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fdcheck import max_rel_error_fd
+from fdcheck import max_rel_error_fd, weighted_sum
 from octcyst.errors import InvalidConfig, OctCystError
 from octcyst.tensornet import (
     ParamStore,
@@ -24,8 +24,6 @@ from octcyst.tensornet import (
     keep_large_blocks_on_heap,
     max_pool2,
     mean,
-    relu,
-    sigmoid,
     transposed_conv2d,
 )
 from octcyst.rng import uniform_array
@@ -164,18 +162,18 @@ def test_conv_row_tiles_match_naive_and_fd(monkeypatch, k, r):
     x = store.add("x", Tensor(_rand((C, H, W), 70)))
     w = store.add("w", Tensor(_rand((F, C, k, k), 71)))
     b = store.add("b", Tensor(_rand((F,), 72)))
-    weights = Tensor(_rand((F, H, W), 73))
+    weights = _rand((F, H, W), 73)
     out = conv2d(x, w, b, dilation=r)
     assert np.max(np.abs(out.data - naive_conv2d(x.data, w.data, b.data, r))) < 1e-12
     # a 1x1 kernel multiplies the input directly, in one tile
     assert heights == [[2, 2, 2, 2, 1] if k > 1 else [H]]
 
     def loss_fn():
-        return mean(conv2d(x, w, b, dilation=r) * weights).item()
+        return weighted_sum(conv2d(x, w, b, dilation=r), weights).item()
 
     store.zero_grad()
     heights.clear()
-    backward(mean(conv2d(x, w, b, dilation=r) * weights))
+    backward(weighted_sum(conv2d(x, w, b, dilation=r), weights))
     # forward, input gradient and weight gradient
     assert len(heights) == 3 and all(len(h) > 1 or k == 1 for h in heights)
     assert all(sum(h) == H for h in heights)
@@ -244,10 +242,13 @@ def _conv_relu_inputs(seed):
 
 def _conv_relu_run(fused, x, w, b, g, r):
     """Output, the masked gradient the conv's closure consumes, and the x,
-    w, b gradients of mean(relu(conv) * g)."""
+    w, b gradients of sum(relu(conv) * g).  Unfused, the numpy reference:
+    np.maximum of conv2d(relu=False), whose backward is seeded with g
+    masked where that conv is positive."""
     xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
     conv = conv2d(xt, wt, bt, dilation=r, relu=fused)
-    out = conv if fused else relu(conv)
+    data = conv.data.copy() if fused else np.maximum(conv.data, 0)
+    seed = g if fused else g * (conv.data > 0)
     consumed = []
     closure = conv._backward
 
@@ -257,8 +258,7 @@ def _conv_relu_run(fused, x, w, b, g, r):
         closure()
 
     conv._backward = probe
-    data = out.data.copy()
-    backward(mean(out * Tensor(g)))
+    backward(weighted_sum(conv, seed))
     return data, consumed[0], xt.grad, wt.grad, bt.grad
 
 
@@ -283,7 +283,7 @@ def test_fused_conv_relu_gradient_is_released_so_its_in_place_mask_stays_unseen(
     x, w, b, g = _conv_relu_inputs(83)
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
     h = conv2d(xt, wt, bt, relu=True)
-    backward(mean(h * Tensor(g)))
+    backward(weighted_sum(h, g))
     assert h.grad is None
 
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
@@ -295,41 +295,22 @@ def test_fused_conv_relu_gradient_is_released_so_its_in_place_mask_stays_unseen(
     assert np.array_equal(bt.grad, (np.float32(0.5) * mask).sum(axis=(1, 2)))
 
 
-@pytest.mark.parametrize("op", ["x + x", "x * x", "concat([x, x])"])
+@pytest.mark.parametrize("op", ["concat([x, x])", "attention_gate(x, x)"])
 def test_a_tensor_used_twice_by_one_op_gets_both_gradients(op):
-    # x is interior, so its first gradient is taken over where the closure
-    # says it is fresh; the two contributions must still both arrive
-    a = Tensor(np.array([-1.5, 0.5, 2.0, -0.25], dtype=np.float32), requires_grad=True)
-    c = np.array([3.0, -2.0, 0.5, 1.25], dtype=np.float32)
-    x = a * Tensor(c)
-    y = {"x + x": lambda: x + x, "x * x": lambda: x * x, "concat([x, x])": lambda: concat([x, x])}[op]()
-    u = np.arange(1.0, 1.0 + y.data.size, dtype=np.float32) * np.float32(-0.75)
-    backward(mean(y * Tensor(u)))
-    gy = np.full(y.shape, 1.0 / y.data.size, dtype=np.float32) * u
-    if op == "x + x":
-        gx = gy + gy
-    elif op == "x * x":
-        gx = gy * x.data + gy * x.data
-    else:
-        gx = gy[:4] + gy[4:]
-    assert np.array_equal(a.grad, gx * c)
-
-
-def test_two_fused_convs_summed_each_mask_only_their_own_gradient():
-    # add hands one upstream array to both parents; if both took it over,
-    # the first fused backward to run would mask the other's gradient
-    x, w, b, g = _conv_relu_inputs(84)
-    w2 = -w[:, ::-1].copy()
-    grads = []
-    for fused in (True, False):
-        xt, wt, bt, w2t = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b, w2))
-        if fused:
-            s = conv2d(xt, wt, bt, relu=True) + conv2d(xt, w2t, bt, relu=True)
-        else:
-            s = relu(conv2d(xt, wt, bt)) + relu(conv2d(xt, w2t, bt))
-        backward(mean(s * Tensor(g)))
-        grads.append([t.grad.tobytes() for t in (xt, wt, bt, w2t)])
-    assert grads[0] == grads[1]
+    # the first gradient x is handed becomes x.grad and the second adds into
+    # it, so x gets, bit for bit, the sum of what two copies of x would get
+    data = _rand((4, 3, 3), 90)
+    gate = _gate_params(4, 4, 2, 91)
+    run = {
+        "concat([x, x])": lambda a, b: concat([a, b]),
+        "attention_gate(x, x)": lambda a, b: attention_gate(a, b, **gate),
+    }[op]
+    x, a, b = (Tensor(data.copy(), requires_grad=True) for _ in range(3))
+    y = run(x, x)
+    u = _rand(y.shape, 92)
+    backward(weighted_sum(y, u))
+    backward(weighted_sum(run(a, b), u))
+    assert x.grad.tobytes() == (a.grad + b.grad).tobytes()
 
 
 # --- transposed conv ----------------------------------------------------------
@@ -450,9 +431,8 @@ def test_max_pool_values_and_routed_gradient_match_the_argmax_oracle(case):
     x = Tensor(data, requires_grad=True)
     out = max_pool2(x)
     g = rng.standard_normal(out.data.shape).astype(data.dtype)
-    # the pooled size is a power of two, so mean's 1/size scaling is exact
-    backward(mean(out * Tensor(g)))
-    want_out, want_grad = _pool_oracle(data, g / g.size)
+    backward(weighted_sum(out, g))
+    want_out, want_grad = _pool_oracle(data, g)
     assert out.data.dtype == data.dtype
     assert out.data.tobytes() == want_out.tobytes()
     assert x.grad.tobytes() == want_grad.tobytes()
@@ -497,6 +477,13 @@ def test_gate_alpha_strictly_in_unit_interval():
             alpha = out.data / x.data
         alpha = alpha[np.isfinite(alpha)]
         assert alpha.min() > 0.0 and alpha.max() < 1.0
+
+
+def test_gate_records_one_node_over_its_operands():
+    x, g = (Tensor(_rand((4, 3, 3), seed), requires_grad=True) for seed in (34, 35))
+    p = _gate_params(4, 4, 2, 36)
+    out = attention_gate(x, g, **p)
+    assert out._parents == (x, g, p["w_x"], p["w_g"], p["b_xg"], p["psi"], p["b_psi"])
 
 
 def test_gate_spatial_mismatch_rejected():
@@ -761,8 +748,8 @@ def test_backward_requires_recorded_graph():
 def test_backward_frees_the_graph_without_the_cycle_collector():
     gc.disable()
     try:
-        x = Tensor(np.arange(-1.0, 3.0), requires_grad=True)
-        h = relu(x * 2.0)
+        x = Tensor(np.arange(-1.0, 3.0).reshape(1, 1, 4), requires_grad=True)
+        h = conv2d(x, Tensor(np.full((1, 1, 1, 1), 2.0)), relu=True)
         h_data = weakref.ref(h.data)
         loss = mean(h)
         del h
@@ -770,18 +757,18 @@ def test_backward_frees_the_graph_without_the_cycle_collector():
         assert h_data() is None
     finally:
         gc.enable()
-    assert np.array_equal(x.grad, [0.0, 0.0, 0.5, 0.5])
+    assert np.array_equal(x.grad, [[[0.0, 0.0, 0.5, 0.5]]])
 
 
 def _chain_backward_peak(n_ops):
     """tracemalloc peak while `backward` runs through a chain of n_ops
-    element-wise ops over a 1 MiB float32 tensor; the forward activations
-    were allocated before tracing starts."""
-    x = Tensor(np.random.default_rng(3).random(1 << 18, dtype=np.float32), requires_grad=True)
-    ops = (lambda t: t * 1.5, lambda t: t + 0.25, relu, sigmoid)
+    dropouts and rectified 1x1 convolutions over a 1 MiB float32 tensor;
+    the forward activations were allocated before tracing starts."""
+    x = Tensor(np.random.default_rng(3).random((1, 512, 512), dtype=np.float32), requires_grad=True)
+    w = Tensor(np.full((1, 1, 1, 1), 0.75, dtype=np.float32))
     h = x
     for i in range(n_ops):
-        h = ops[i % 4](h)
+        h = conv2d(h, w, relu=True) if i % 2 else dropout(h, 0.25, i)
     loss = mean(h)
     del h
     tracemalloc.start()
@@ -803,12 +790,13 @@ def test_backward_frees_activations_before_it_returns():
     # must already be gone, not held until backward returns
     gc.disable()
     try:
-        x = Tensor(np.arange(-2.0, 2.0), requires_grad=True)
-        first = x * 2.0
+        x = Tensor(np.arange(-2.0, 2.0).reshape(1, 1, 4), requires_grad=True)
+        w, b = Tensor(np.full((1, 1, 1, 1), 2.0)), Tensor(np.full(1, 0.5))
+        first = conv2d(x, w)
         h = first
         later = []
         for _ in range(5):
-            h = relu(h + 0.5)
+            h = conv2d(h, w, b, relu=True)
             later.append(weakref.ref(h.data))
         loss = mean(h)
         del h
@@ -827,28 +815,29 @@ def test_backward_frees_activations_before_it_returns():
 
 
 def test_backward_keeps_gradients_only_on_leaves_and_the_loss():
-    x = Tensor(np.array([-1.0, -0.25, 0.5, 2.0], dtype=np.float32), requires_grad=True)
-    w = Tensor(np.array([3.0, -2.0, 0.5, 1.5], dtype=np.float32), requires_grad=True)
-    a = x * w
-    b = relu(a + 0.5)
-    c = b * 3.0
+    x = Tensor(np.array([[[-1.0, -0.25, 0.5, 2.0]]], dtype=np.float32), requires_grad=True)
+    w = Tensor(np.full((1, 1, 1, 1), 3.0, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.full(1, 0.5, dtype=np.float32), requires_grad=True)
+    a = conv2d(x, w, b, relu=True)
+    c = conv2d(a, Tensor(np.full((1, 1, 1, 1), 3.0, dtype=np.float32)))
     loss = mean(c)
     backward(loss)
-    assert a.grad is None and b.grad is None and c.grad is None
+    assert a.grad is None and c.grad is None
     assert loss.grad == 1.0
-    # the closures' own arithmetic, in their order
-    g = (np.full(4, 0.25, dtype=np.float32) * np.float32(3.0)) * (a.data + np.float32(0.5) > 0)
-    assert np.array_equal(x.grad, g * w.data)
-    assert np.array_equal(w.grad, g * x.data)
+    # every product and sum of the closures is exact here
+    g = np.float32(0.75) * (a.data > 0)
+    assert np.array_equal(b.grad, [g.sum()])
+    assert np.array_equal(x.grad, g * w.data[0, 0, 0, 0])
+    assert np.array_equal(w.grad, [[[[np.sum(g * x.data)]]]])
 
 
 def test_second_backward_on_consumed_graph_raises():
     x = Tensor(np.arange(4.0), requires_grad=True)
-    loss = mean(x * 2.0)
+    loss = mean(x)
     backward(loss)
     with pytest.raises(OctCystError, match="tensor has no recorded graph"):
         backward(loss)
-    assert np.array_equal(x.grad, np.full(4, 0.5))
+    assert np.array_equal(x.grad, np.full(4, 0.25))
 
 
 def test_backward_linearity_in_loss_scale():
@@ -861,7 +850,7 @@ def test_backward_linearity_in_loss_scale():
     g1 = {n: t.grad.copy() for n, t in store.items()}
 
     store.zero_grad()
-    backward(bce_loss(net.forward(x), target) * 3.0)
+    backward(bce_loss(net.forward(x), target), grad=3.0)
     for n, t in store.items():
         denom = np.maximum(np.abs(t.grad), 1e-12)
         assert np.max(np.abs(t.grad - 3.0 * g1[n]) / denom) <= 1e-6
@@ -932,12 +921,11 @@ def test_first_gradient_is_taken_in_the_tensor_dtype_and_cast_otherwise():
 def test_concat_gives_each_parent_its_own_view_of_one_gradient():
     a = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
     b = Tensor(np.array([3.0, 4.0, 5.0], dtype=np.float32), requires_grad=True)
-    u = Tensor(np.arange(1.0, 6.0, dtype=np.float32))
-    backward(mean(concat([a, b]) * u))
+    u = np.arange(1.0, 6.0, dtype=np.float32)
+    backward(weighted_sum(concat([a, b]), u))
     assert a.grad.base is not None and a.grad.base is b.grad.base
     assert not np.shares_memory(a.grad, b.grad)
-    g = np.full(5, 0.2, dtype=np.float32) * u.data
-    assert np.array_equal(a.grad, g[:2]) and np.array_equal(b.grad, g[2:])
+    assert np.array_equal(a.grad, u[:2]) and np.array_equal(b.grad, u[2:])
 
 
 # --- malloc settings ----------------------------------------------------------

@@ -247,6 +247,45 @@ def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+# Prints the core type that numpy's bundled OpenBLAS runs, or nothing where
+# numpy.libs holds no such library or it exports no core-name function.
+_CORENAME_SCRIPT = """
+import ctypes
+from pathlib import Path
+import numpy as np
+for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so")):
+    try:
+        corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        continue
+    corename.restype = ctypes.c_char_p
+    print(corename().decode())
+    break
+"""
+
+
+def test_checkpoint_bytes_repeat_under_a_forced_blas_core_type(tmp_path):
+    # the bytes depend on the OpenBLAS kernel, so another CPU gives other
+    # hashes; each run must still repeat itself under its own kernel
+    src = str(Path(octcyst.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE="Haswell")
+    probe = subprocess.run(
+        [sys.executable, "-c", _CORENAME_SCRIPT],
+        env=env, check=True, capture_output=True, text=True, timeout=60,
+    )
+    core = probe.stdout.strip()
+    if core != "Haswell":
+        pytest.skip(f"numpy's OpenBLAS does not run the Haswell kernel on request (probe: {core!r})")
+    paths = []
+    for run in ("first", "second"):
+        path = tmp_path / f"{run}.bin"
+        subprocess.run(
+            [sys.executable, "-c", _TRAIN_SCRIPT, str(path)], env=env, check=True, timeout=300
+        )
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_train_stops_on_non_finite_loss():
     ref = ReferenceDims(16, 16)
     data = _phantom_dataset(2, ref)
