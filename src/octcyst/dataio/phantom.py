@@ -45,6 +45,9 @@ class PhantomSpec:
                 f"need 0 < ilm_row < ism_row < rows, got "
                 f"ilm={self.ilm_row} ism={self.ism_row} rows={self.rows}"
             )
+        if self.cols < 2:
+            # one column gives every layer path the same cost
+            raise InvalidConfig(f"need cols >= 2, got {self.cols}")
         if self.ism_row + BRIGHT_ROWS_BELOW_ISM >= self.rows:
             # the layer stage needs a dark row below the tail
             raise InvalidConfig(

@@ -18,9 +18,9 @@ DEFAULT_SIGMA_D = 2.0
 
 def default_radius(sigma_d: float) -> int:
     """Conventional 2-sigma truncation of the spatial Gaussian; the one
-    range check on sigma_d, which must be finite and > 0."""
-    if not 0 < sigma_d < math.inf:
-        raise InvalidConfig(f"sigma_d must be finite and > 0, got {sigma_d}")
+    range check on sigma_d, which must be > 0 with 2*sigma_d finite."""
+    if not 0 < 2.0 * sigma_d < math.inf:
+        raise InvalidConfig(f"sigma_d must be finite and > 0, as must 2*sigma_d, got {sigma_d}")
     return max(1, math.ceil(2.0 * sigma_d))
 
 
@@ -63,14 +63,14 @@ def bilateral_filter(
 
     num = np.zeros_like(img)
     den = np.zeros_like(img)
-    for di in range(-radius, radius + 1):
-        for dj in range(-radius, radius + 1):
+    # offsets at or beyond an image dimension reach no pixel
+    ri, rj = min(radius, rows - 1), min(radius, cols - 1)
+    for di in range(-ri, ri + 1):
+        for dj in range(-rj, rj + 1):
             w_spatial = math.exp(-(di * di + dj * dj) * inv_2sd2)
             # region of centers whose (di, dj) neighbor is in bounds
             r0, r1 = max(0, -di), rows - max(0, di)
             c0, c1 = max(0, -dj), cols - max(0, dj)
-            if r0 >= r1 or c0 >= c1:
-                continue
             center = img[r0:r1, c0:c1]
             neigh = img[r0 + di : r1 + di, c0 + dj : c1 + dj]
             w = w_spatial * np.exp(-((neigh - center) ** 2) * inv_2sr2)

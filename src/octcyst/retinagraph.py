@@ -49,20 +49,6 @@ def vertical_gradient(image: np.ndarray) -> np.ndarray:
     return (d - lo) / (hi - lo)
 
 
-def edge_weight(g_a: float, g_b: float) -> float:
-    """Weight of the edge joining two pixels with gradient values g_a, g_b."""
-    return 2.0 - (g_a + g_b) + W_MIN
-
-
-def path_cost(field: np.ndarray, path: np.ndarray) -> float:
-    """Total weight of a left-to-right path, endpoint edges included."""
-    cols = field.shape[1]
-    cost = 2.0 * W_MIN
-    for c in range(cols - 1):
-        cost += edge_weight(field[path[c], c], field[path[c + 1], c + 1])
-    return cost
-
-
 def _column_search(field: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Minimum-weight path restricted per column to rows [lo[c], hi[c]).
 

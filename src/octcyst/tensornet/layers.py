@@ -134,9 +134,8 @@ def conv2d(
         go = out.grad
         if relu:
             # safe in place: backward drops out.grad as soon as this closure
-            # returns, and gives the loss a copy, so no caller ever sees the
-            # masked array.  A multiply, unlike assigning zeros, keeps the
-            # -0.0 signs that go * mask gives.
+            # returns, so no caller ever sees the masked array.  A multiply,
+            # unlike assigning zeros, keeps the -0.0 signs that go * mask gives.
             np.multiply(go, out.data > 0, out=go)
         if b is not None and b.requires_grad:
             _accum(b, go.sum(axis=(1, 2)))
@@ -257,7 +256,7 @@ def attention_gate(
         ga = (go * x_l.data).sum(axis=0, keepdims=True)
         if x_l.requires_grad:
             # safe in place, as conv2d's fused ReLU mask is: backward drops
-            # out.grad right after this closure and gives the loss a copy
+            # out.grad right after this closure
             _accum(x_l, np.multiply(go, alpha, out=go))
         gz = ga * alpha * (1.0 - alpha)
         if b_psi.requires_grad:

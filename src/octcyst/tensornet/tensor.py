@@ -6,7 +6,7 @@ pushes the upstream gradient to them.  `backward` topologically sorts the
 recorded graph from the loss and runs the closures, accumulating into
 `.grad` of every tensor that requires it.
 After `backward` only leaves (tensors without a recorded closure, such as
-parameters) and the loss keep `.grad`: each interior tensor drops its
+parameters) keep `.grad`: every other tensor, the loss included, drops its
 gradient once its closure has consumed it, and its activation is freed
 once the closures of all its consumers have run.
 
@@ -133,8 +133,9 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
 def backward(loss: Tensor, grad: float = 1.0) -> None:
     """Backpropagate from `loss`, accumulating into .grad of every leaf
     that requires gradients.  `grad` seeds the upstream gradient.  The graph
-    is released as it runs: interior gradients are dropped once consumed,
-    and a second call on `loss` raises OctCystError."""
+    is released as it runs: every gradient but a leaf's, the loss's
+    included, is dropped once consumed, and a second call on `loss` raises
+    OctCystError."""
     if not loss._parents and loss._backward is None:
         raise OctCystError(
             "tensor has no recorded graph; run the forward pass on tensors "
@@ -156,11 +157,6 @@ def backward(loss: Tensor, grad: float = 1.0) -> None:
             if p.requires_grad:
                 stack.append((p, False))
     _accum(loss, np.full_like(loss.data, grad))
-    # a closure may consume its output's gradient in place (conv2d's fused
-    # ReLU masks it, the attention gate scales it), so the loss keeps its
-    # own and its closure gets a copy
-    seed = loss.grad
-    loss.grad = seed.copy()
     # popping drops the list's reference, so a node is freed as soon as the
     # closures of all its consumers, which ran before it, are released
     while topo:
@@ -171,4 +167,3 @@ def backward(loss: Tensor, grad: float = 1.0) -> None:
         # closure -> output tensor -> closure: only releasing breaks the cycle
         node._backward = None
         node._parents = ()
-    loss.grad = seed

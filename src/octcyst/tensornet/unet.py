@@ -71,10 +71,6 @@ class ParamStore:
         """(name, tensor) pairs in name order."""
         return sorted(self._params.items())
 
-    def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.grad = np.zeros_like(t.data)
-
     def values(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self._params.items()}
 

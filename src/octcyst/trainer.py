@@ -82,9 +82,9 @@ class AdamState:
 
 
 def adam_step(params: ParamStore, state: AdamState, cfg: TrainConfig) -> None:
-    """Bias-corrected Adam update from the gradients currently in `params`.
-
-    Gradients are left untouched; the caller zeroes them between steps."""
+    """Bias-corrected Adam update that consumes the gradients in `params`:
+    every `.grad` is None after it, and a parameter without one counts as a
+    zero gradient."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
@@ -100,6 +100,7 @@ def adam_step(params: ParamStore, state: AdamState, cfg: TrainConfig) -> None:
         m += (1.0 - b1) * (g - m)
         v += (1.0 - b2) * (g * g - v)
         tensor.data = tensor.data - cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        tensor.grad = None
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,6 @@ def train(
         epoch_losses = []
         for batch_no, start in enumerate(range(0, n, train_cfg.batch_size)):
             batch = order[start : start + train_cfg.batch_size]
-            params.zero_grad()
             for k, idx in enumerate(batch):
                 sample, target = data[idx]
                 out = net.forward(

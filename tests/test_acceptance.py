@@ -17,7 +17,7 @@ from octcyst.preprocess import (
     bilateral_filter,
     estimate_sigma_r,
 )
-from octcyst.retinagraph import W_MIN, path_cost, segment_layers, shortest_layer_path
+from octcyst.retinagraph import W_MIN, segment_layers, shortest_layer_path
 from octcyst.rng import SplitMix64, derive_seed
 from octcyst.samplekit import (
     ReferenceDims,
@@ -48,7 +48,7 @@ from octcyst.trainer import (
 )
 
 from test_preprocess import naive_bilateral
-from test_retinagraph import dp_tiebreak_path, enumerate_min_cost
+from test_retinagraph import dp_tiebreak_path, enumerate_min_cost, path_cost
 
 
 def _report(n, text):
@@ -68,7 +68,6 @@ def test_criterion_01_gradient_correctness():
     def loss_fn():
         return bce_loss(net.forward(x), target).item()
 
-    params.zero_grad()
     backward(bce_loss(net.forward(x), target))
     worst = max_rel_error_fd(params, loss_fn, h=1e-5)
     elapsed = time.perf_counter() - t0
@@ -217,8 +216,7 @@ def test_criterion_08_bce_and_adam_fixtures():
 
     store = ParamStore()
     store.add("theta", Tensor(np.zeros(1, dtype=np.float64)))
-    store.zero_grad()
-    store["theta"].grad[0] = 1.0
+    store["theta"].grad = np.array([1.0])
     state = AdamState.for_params(store)
     adam_step(store, state, TrainConfig(epochs=1, learning_rate=1e-3))
     assert abs(abs(store["theta"].data[0]) - 1e-3) <= 1e-9

@@ -1,10 +1,14 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import octcyst
 from octcyst.cli import (
     Config, _build_parser, _load_samples, _train_config, _unet_config, parse_config, run,
 )
@@ -179,6 +183,30 @@ def test_config_value_error_exits_2_before_out_exists(tmp_path, text):
     code = run(["phantom", "--config", str(p), "--count", "1", "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+def test_sigma_d_whose_window_radius_overflows_exits_2_naming_it(tmp_path, capsys):
+    # 2 * 1e308 is inf, so the window radius has no integer value
+    cfg = _write_config(tmp_path, "sigma_d = 1e308\n")
+    out = tmp_path / "o"
+    assert run(["denoise", "--config", cfg, "--in", str(tmp_path / "x.pgm"), "--out", str(out)]) == 2
+    assert "sigma_d" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_denoise_with_a_window_far_larger_than_the_scan_finishes(tmp_path):
+    # radius 2e9 on an 8x8 scan: only the offsets inside the scan are visited
+    scan = tmp_path / "scan.pgm"
+    write_pgm(np.random.default_rng(4).integers(0, 256, (8, 8), dtype=np.uint8), scan)
+    cfg = _write_config(tmp_path, "sigma_d = 1e9\n")
+    out = tmp_path / "o"
+    src = str(Path(octcyst.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-c", "from octcyst.cli import main; main()",
+         "denoise", "--config", cfg, "--in", str(scan), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), check=True, timeout=30,
+    )
+    assert read_pgm(out / "scan_denoised.pgm").shape == (8, 8)
 
 
 README = Path(__file__).parents[1] / "README.md"

@@ -82,10 +82,19 @@ def test_commutes_with_intensity_shift():
     assert np.max(np.abs(shifted - base)) <= 1
 
 
-@pytest.mark.parametrize("sigma_d", [0.0, -1.0, math.inf, math.nan], ids=["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize(
+    "sigma_d", [0.0, -1.0, math.inf, math.nan, 1e308], ids=["0", "-1", "inf", "nan", "1e308"]
+)
 def test_default_radius_rejects_sigma_d_out_of_range(sigma_d):
     with pytest.raises(InvalidConfig, match="sigma_d must be finite and > 0"):
         default_radius(sigma_d)
+
+
+def test_radius_beyond_the_image_matches_radius_at_the_image_edge():
+    # an offset of a whole dimension or more reaches no pixel
+    img = np.random.default_rng(11).integers(0, 256, size=(6, 9), dtype=np.uint8)
+    edge = bilateral_filter(img, 3.0, 25.0, 8)
+    assert bilateral_filter(img, 3.0, 25.0, 10**9).tobytes() == edge.tobytes()
 
 
 def test_default_radius_is_two_sigma():

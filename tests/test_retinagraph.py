@@ -9,8 +9,6 @@ from octcyst.retinagraph import (
     LayerKind,
     _column_search,
     classify_layer,
-    edge_weight,
-    path_cost,
     roi_mask,
     segment_layers,
     shortest_layer_path,
@@ -19,6 +17,19 @@ from octcyst.retinagraph import (
 
 
 # --- oracles ----------------------------------------------------------------
+
+
+def edge_weight(g_a, g_b):
+    """Weight of the edge joining two pixels with gradient values g_a, g_b."""
+    return 2.0 - (g_a + g_b) + W_MIN
+
+
+def path_cost(field, path):
+    """Total weight of a left-to-right path, endpoint edges included."""
+    cost = 2.0 * W_MIN
+    for c in range(field.shape[1] - 1):
+        cost += edge_weight(field[path[c], c], field[path[c + 1], c + 1])
+    return cost
 
 
 def enumerate_min_cost(field, w_min):

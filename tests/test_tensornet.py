@@ -129,7 +129,6 @@ def test_conv_gradients_match_fd():
     store = ParamStore()
     w = store.add("w", Tensor(_rand((3, 2, 3, 3), 8)))
     b = store.add("b", Tensor(_rand((3,), 9)))
-    store.zero_grad()
 
     def loss_fn():
         return mean(conv2d(x, w, b, dilation=2)).item()
@@ -171,7 +170,6 @@ def test_conv_row_tiles_match_naive_and_fd(monkeypatch, k, r):
     def loss_fn():
         return weighted_sum(conv2d(x, w, b, dilation=r), weights).item()
 
-    store.zero_grad()
     heights.clear()
     backward(weighted_sum(conv2d(x, w, b, dilation=r), weights))
     # forward, input gradient and weight gradient
@@ -278,8 +276,8 @@ def test_fused_conv_relu_matches_relu_of_conv_byte_for_byte(r):
 
 def test_fused_conv_relu_gradient_is_released_so_its_in_place_mask_stays_unseen():
     # the fused backward masks out.grad in place; that is safe only because
-    # backward drops an interior gradient once its closure has run and
-    # hands the loss's closure a copy of the loss's own gradient
+    # backward drops every gradient but a leaf's once its closure has run,
+    # the loss's own included
     x, w, b, g = _conv_relu_inputs(83)
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
     h = conv2d(xt, wt, bt, relu=True)
@@ -290,7 +288,7 @@ def test_fused_conv_relu_gradient_is_released_so_its_in_place_mask_stays_unseen(
     loss = conv2d(xt, wt, bt, relu=True)
     assert np.any(loss.data == 0)
     backward(loss, grad=0.5)
-    assert np.array_equal(loss.grad, np.full(loss.shape, 0.5, dtype=np.float32))
+    assert loss.grad is None
     mask = (loss.data > 0).astype(np.float32)
     assert np.array_equal(bt.grad, (np.float32(0.5) * mask).sum(axis=(1, 2)))
 
@@ -386,7 +384,6 @@ def test_max_pool_gradient_matches_fd():
     data = _rand((1, 4, 4), 17)
     store = ParamStore()
     x = store.add("x", Tensor(data))
-    store.zero_grad()
 
     def loss_fn():
         return mean(max_pool2(x)).item()
@@ -506,7 +503,6 @@ def test_gate_gradients_match_fd():
         psi=store.add("psi", Tensor(_rand((1, 2, 1, 1), 46))),
         b_psi=store.add("b_psi", Tensor(_rand((1,), 47))),
     )
-    store.zero_grad()
 
     def loss_fn():
         return mean(attention_gate(x, g, **p)).item()
@@ -814,7 +810,7 @@ def test_backward_frees_activations_before_it_returns():
     assert freed == [[True] * 5]
 
 
-def test_backward_keeps_gradients_only_on_leaves_and_the_loss():
+def test_backward_keeps_gradients_only_on_leaves():
     x = Tensor(np.array([[[-1.0, -0.25, 0.5, 2.0]]], dtype=np.float32), requires_grad=True)
     w = Tensor(np.full((1, 1, 1, 1), 3.0, dtype=np.float32), requires_grad=True)
     b = Tensor(np.full(1, 0.5, dtype=np.float32), requires_grad=True)
@@ -822,8 +818,7 @@ def test_backward_keeps_gradients_only_on_leaves_and_the_loss():
     c = conv2d(a, Tensor(np.full((1, 1, 1, 1), 3.0, dtype=np.float32)))
     loss = mean(c)
     backward(loss)
-    assert a.grad is None and c.grad is None
-    assert loss.grad == 1.0
+    assert a.grad is None and c.grad is None and loss.grad is None
     # every product and sum of the closures is exact here
     g = np.float32(0.75) * (a.data > 0)
     assert np.array_equal(b.grad, [g.sum()])
@@ -845,11 +840,10 @@ def test_backward_linearity_in_loss_scale():
     x = np.random.default_rng(5).random((2, 8, 8))
     target = (np.random.default_rng(6).random((1, 8, 8)) > 0.7).astype(float)
 
-    store.zero_grad()
     backward(bce_loss(net.forward(x), target))
-    g1 = {n: t.grad.copy() for n, t in store.items()}
-
-    store.zero_grad()
+    g1 = {n: t.grad for n, t in store.items()}
+    for _, t in store.items():
+        t.grad = None
     backward(bce_loss(net.forward(x), target), grad=3.0)
     for n, t in store.items():
         denom = np.maximum(np.abs(t.grad), 1e-12)
@@ -864,7 +858,6 @@ def test_backward_head_gradient_closed_form():
         t.data[...] = 0.0
     x = np.random.default_rng(7).random((2, 8, 8))
     target = np.zeros((1, 8, 8))
-    store.zero_grad()
     out = net.forward(x)
     backward(bce_loss(out, target))
     p = 1.0 / (1.0 + np.exp(-out.data))
@@ -891,7 +884,6 @@ def test_full_network_gradients_match_fd():
     def loss_fn():
         return bce_loss(net.forward(x), target).item()
 
-    store.zero_grad()
     backward(bce_loss(net.forward(x), target))
     assert max_rel_error_fd(store, loss_fn) <= 1e-4
 

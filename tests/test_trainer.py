@@ -102,7 +102,6 @@ def _scalar_store(value=0.0):
 
 def test_adam_zero_gradient_is_identity():
     store = _scalar_store(1.5)
-    store.zero_grad()
     state = AdamState.for_params(store)
     cfg = TrainConfig(epochs=1)
     adam_step(store, state, cfg)
@@ -112,8 +111,7 @@ def test_adam_zero_gradient_is_identity():
 
 def test_adam_first_step_magnitude():
     store = _scalar_store(0.0)
-    store.zero_grad()
-    store["theta"].grad[0] = 1.0
+    store["theta"].grad = np.array([1.0])
     state = AdamState.for_params(store)
     adam_step(store, state, TrainConfig(epochs=1, learning_rate=1e-3))
     expected = -1e-3 * 1.0 / (1.0 + 1e-8)
@@ -138,16 +136,33 @@ def test_adam_ten_step_trajectory_matches_recurrence_oracle():
     cfg = TrainConfig(epochs=1, learning_rate=lr)
     got = []
     for g in grads:
-        store.zero_grad()
-        store["theta"].grad[0] = g
+        store["theta"].grad = np.array([g])
         adam_step(store, state, cfg)
         got.append(float(store["theta"].data[0]))
     assert np.max(np.abs(np.array(got) - np.array(expected))) <= 1e-12
 
 
+def test_adam_step_consumes_the_gradients_it_applies():
+    # each batch then starts as the first one does, with no gradients, so a
+    # later backward's gradient is its own and not a sum over batches
+    net, store = build_unet(_tiny_cfg(), dtype=np.float64)
+    x = np.random.default_rng(3).random((2, 8, 8))
+    target = (np.random.default_rng(4).random((1, 8, 8)) > 0.7).astype(float)
+    state = AdamState.for_params(store)
+    backward(bce_loss(net.forward(x), target))
+    adam_step(store, state, TrainConfig(epochs=1))
+    assert all(t.grad is None for _, t in store.items())
+
+    backward(bce_loss(net.forward(x), target))
+    fresh_net, fresh = build_unet(_tiny_cfg(), dtype=np.float64)
+    fresh.set_values(store.values())
+    backward(bce_loss(fresh_net.forward(x), target))
+    for (name, t), (_, f) in zip(store.items(), fresh.items()):
+        assert t.grad.tobytes() == f.grad.tobytes(), name
+
+
 def test_adam_state_shape_mismatch():
     store = _scalar_store()
-    store.zero_grad()
     state = AdamState()  # missing entries
     with pytest.raises(OctCystError, match="optimizer state missing or wrong shape"):
         adam_step(store, state, TrainConfig(epochs=1))
