@@ -175,7 +175,7 @@ def _parse_value(text: str, default):
         return tuple(_parse_value(part.strip(), default[0]) for part in text.split(","))
     spelling = _FLOAT_RE if isinstance(default, float) else _INT_RE
     if spelling.fullmatch(text) is None:
-        raise ValueError(f"expected {type(default).__name__}, got {text!r}")
+        raise InvalidConfig(f"expected {type(default).__name__}, got {text!r}")
     return type(default)(text)
 
 

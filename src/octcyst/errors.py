@@ -1,4 +1,5 @@
-"""The two exception types, one per way the CLI handles a failure.
+"""The two exception types, one per way the CLI handles a failure, and
+the only exceptions the program raises itself.
 
 Every error carries a message that says what went wrong.  An InvalidConfig
 is a bad flag, config key or setting value and exits 2; every other

@@ -18,30 +18,28 @@ DEFAULT_SIGMA_D = 2.0
 
 def default_radius(sigma_d: float) -> int:
     """Conventional 2-sigma truncation of the spatial Gaussian; the one
-    range check on sigma_d, which must be > 0 with 2*sigma_d finite."""
-    if not 0 < 2.0 * sigma_d < math.inf:
-        raise InvalidConfig(f"sigma_d must be finite and > 0, as must 2*sigma_d, got {sigma_d}")
+    range check on sigma_d, which must be > 0 with 2*sigma_d finite and
+    1/(2*sigma_d^2), the spatial weights' factor, finite too."""
+    two_sd2 = 2.0 * sigma_d * sigma_d
+    if not (0 < 2.0 * sigma_d < math.inf and two_sd2 > 0 and 1.0 / two_sd2 < math.inf):
+        raise InvalidConfig(
+            f"sigma_d must be finite and > 0, as must 2*sigma_d, and 1/(2*sigma_d^2) finite, got {sigma_d}"
+        )
     return max(1, math.ceil(2.0 * sigma_d))
 
 
-def estimate_sigma_r(image: np.ndarray, top_rows: int) -> float:
-    """Population std of the top `top_rows` rows, floored at 1.0."""
+def estimate_sigma_r(image: np.ndarray) -> float:
+    """Population std of the top 10% of rows, at least 8 (all rows of a
+    shorter scan), floored at 1.0."""
     rows = image.shape[0]
-    if not 1 <= top_rows <= rows:
-        raise ValueError(f"top_rows must be in [1, {rows}], got {top_rows}")
-    band = np.asarray(image[:top_rows], dtype=np.float64)
+    band = np.asarray(image[: min(rows, max(8, rows // 10))], dtype=np.float64)
     return max(1.0, float(band.std()))
-
-
-def background_rows(rows: int) -> int:
-    """Top band used for sigma_r estimation: 10% of rows, at least 8."""
-    return min(rows, max(8, rows // 10))
 
 
 def denoise(image: np.ndarray, sigma_d: float = DEFAULT_SIGMA_D) -> np.ndarray:
     """The denoising stage: bilateral filter with sigma_r estimated from the
     background band and the default radius for sigma_d."""
-    sigma_r = estimate_sigma_r(image, background_rows(image.shape[0]))
+    sigma_r = estimate_sigma_r(image)
     return bilateral_filter(image, sigma_d, sigma_r, default_radius(sigma_d))
 
 

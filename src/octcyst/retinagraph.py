@@ -32,12 +32,10 @@ class LayerKind(Enum):
 
 def vertical_gradient(image: np.ndarray) -> np.ndarray:
     """Dark-to-light response I(r+1,c) - I(r-1,c), clamped at 0, min-max
-    normalized to [0,1].  Border rows copy the nearest interior row; a
-    constant response field normalizes to all zeros."""
+    normalized to [0,1], of an image of at least 3 rows.  Border rows copy
+    the nearest interior row; a constant response field normalizes to all
+    zeros."""
     img = np.asarray(image, dtype=np.float64)
-    rows = img.shape[0]
-    if rows < 3:
-        raise OctCystError(f"need at least 3 rows, got {rows}")
     d = np.empty_like(img)
     d[1:-1] = img[2:] - img[:-2]
     d[0] = d[1]
@@ -87,13 +85,10 @@ def _column_search(field: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
 
 def shortest_layer_path(field: np.ndarray) -> np.ndarray:
     """Minimum-total-weight left-to-right path over the full field."""
-    f = np.asarray(field, dtype=np.float64)
-    if f.size == 0:
-        raise OctCystError("empty gradient field")
-    rows, cols = f.shape
+    rows, cols = field.shape
     lo = np.zeros(cols, dtype=np.int64)
     hi = np.full(cols, rows, dtype=np.int64)
-    return _column_search(f, lo, hi)
+    return _column_search(field, lo, hi)
 
 
 def classify_layer(image: np.ndarray, path: np.ndarray) -> LayerKind:
@@ -142,19 +137,10 @@ def segment_layers(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise OctCystError("cut leaves fewer than 3 rows to search")
     second = _column_search(field, lo, hi)
 
-    ilm, ism = (second, first) if kind is LayerKind.ISM else (first, second)
-    if not np.all(ilm < ism):
-        raise OctCystError("extracted boundaries touch or cross")
-    return ilm, ism
+    return (second, first) if kind is LayerKind.ISM else (first, second)
 
 
-def roi_mask(ilm: np.ndarray, ism: np.ndarray, rows: int, cols: int) -> np.ndarray:
+def roi_mask(ilm: np.ndarray, ism: np.ndarray, rows: int) -> np.ndarray:
     """uint8 {0,1} mask of the strict interior between the two boundaries."""
-    ilm = np.asarray(ilm, dtype=np.int64)
-    ism = np.asarray(ism, dtype=np.int64)
-    if ilm.shape != (cols,) or ism.shape != (cols,):
-        raise ValueError("paths do not match the requested column count")
-    if not np.all(ilm < ism):
-        raise OctCystError("ilm must lie strictly above ism in every column")
     row_idx = np.arange(rows)[:, None]
     return ((row_idx > ilm[None, :]) & (row_idx < ism[None, :])).astype(np.uint8)

@@ -114,9 +114,9 @@ def uniform_at_least(seed: int, n: int, p: float) -> np.ndarray:
     return out
 
 
-def gaussian_array(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """n standard normals, by Box-Muller on output pairs from start+1 on."""
-    bits = _u64_block(seed, start, 2 * n)
+def gaussian_array(seed: int, n: int) -> np.ndarray:
+    """n standard normals, by Box-Muller on output pairs from 1 on."""
+    bits = _u64_block(seed, 0, 2 * n)
     u1 = ((bits[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
     u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

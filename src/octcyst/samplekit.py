@@ -102,7 +102,7 @@ def extract_layers(
     between them, in scan coordinates."""
     denoised = denoise(image, sigma_d)
     ilm, ism = segment_layers(denoised)
-    return denoised, ilm, ism, roi_mask(ilm, ism, *denoised.shape)
+    return denoised, ilm, ism, roi_mask(ilm, ism, denoised.shape[0])
 
 
 def prepare_sample(

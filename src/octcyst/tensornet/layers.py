@@ -213,8 +213,6 @@ def max_pool2(x: Tensor) -> Tensor:
 
 def dropout(x: Tensor, p: float, seed: int) -> Tensor:
     """Inverted dropout: kept activations are scaled by 1/(1-p)."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return x
     keep = uniform_at_least(seed, x.data.size, p).reshape(x.data.shape)
@@ -287,4 +285,4 @@ def aspp(
     branches: one (w (C, C, 3, 3), b (C,), dilation rate) triple per
     branch; fuse_w: (C, len(branches)*C, 1, 1)."""
     outs = [conv2d(x, w, b, dilation=r) for w, b, r in branches]
-    return conv2d(concat(outs, axis=0), fuse_w, fuse_b)
+    return conv2d(concat(outs), fuse_w, fuse_b)

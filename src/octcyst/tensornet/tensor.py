@@ -113,16 +113,14 @@ def mean(x: Tensor) -> Tensor:
     return _attach(out, (x,), _bw)
 
 
-def concat(tensors: list, axis: int = 0) -> Tensor:
-    if not tensors:
-        raise OctCystError("concat of zero tensors")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+def concat(tensors: list) -> Tensor:
+    """Concatenate along the first (channel) axis."""
+    out = Tensor(np.concatenate([t.data for t in tensors]))
+    splits = np.cumsum([t.data.shape[0] for t in tensors])[:-1]
 
     def _bw():
         # each parent takes its own disjoint view of the upstream array
-        parts = np.split(out.grad, splits, axis=axis)
+        parts = np.split(out.grad, splits)
         for t, g in zip(tensors, parts):
             if t.requires_grad:
                 _accum(t, g)

@@ -58,8 +58,6 @@ class ParamStore:
         self._params: dict[str, Tensor] = {}
 
     def add(self, name: str, t: Tensor) -> Tensor:
-        if name in self._params:
-            raise InvalidConfig(f"duplicate parameter name: {name}")
         t.requires_grad = True
         self._params[name] = t
         return t
@@ -141,7 +139,7 @@ class UNet:
             g = transposed_conv2d(cur, s[f"dec{lvl}.up.w"])
             gate = (s[f"dec{lvl}.gate.{n}"] for n in ("wx", "wg", "bxg", "psi", "bpsi"))
             gated = attention_gate(skips[lvl - 1], g, *gate)
-            cur = concat([gated, g], axis=0)
+            cur = concat([gated, g])
             cur = conv2d(cur, s[f"dec{lvl}.conv1.w"], s[f"dec{lvl}.conv1.b"], relu=True)
             cur = conv2d(cur, s[f"dec{lvl}.conv2.w"], s[f"dec{lvl}.conv2.b"], relu=True)
 

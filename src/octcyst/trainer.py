@@ -93,10 +93,7 @@ def adam_step(params: ParamStore, state: AdamState, cfg: TrainConfig) -> None:
         g = tensor.grad
         if g is None:
             g = np.zeros_like(tensor.data)
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None or m.shape != tensor.data.shape:
-            raise OctCystError(f"optimizer state missing or wrong shape for {name}")
+        m, v = state.m[name], state.v[name]
         m += (1.0 - b1) * (g - m)
         v += (1.0 - b2) * (g * g - v)
         tensor.data = tensor.data - cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
@@ -127,22 +124,12 @@ def train(
     train_cfg: TrainConfig,
     log_fn: Optional[Callable[[int, float], None]] = None,
 ) -> Checkpoint:
-    """Train on (sample, target) pairs; targets are {0,1} masks padded to
-    the same reference frame as the samples.  Calls log_fn(epoch, mean_loss)
+    """Train on (sample, target) pairs; each target is a {0,1} mask in its
+    sample's frame, which bce_loss checks.  Calls log_fn(epoch, mean_loss)
     after each epoch and returns the final checkpoint.  A non-finite loss or
     gradient raises OctCystError naming the epoch and batch."""
     if len(data) == 0:
         raise OctCystError("no training samples")
-    ref_shape = data[0][0].values.shape
-    for i, (sample, target) in enumerate(data):
-        if sample.values.shape != ref_shape:
-            raise OctCystError(
-                f"sample {i} has dims {sample.values.shape}, expected {ref_shape}"
-            )
-        if target.shape != ref_shape[1:]:
-            raise OctCystError(
-                f"target {i} has dims {target.shape}, expected {ref_shape[1:]}"
-            )
 
     net, params = build_unet(unet_cfg)
     state = AdamState.for_params(params)

@@ -13,7 +13,6 @@ from fdcheck import max_rel_error_fd
 from octcyst.dataio import PhantomSpec, gen_phantom
 from octcyst.metrics import aggregate_stats, score_pair
 from octcyst.preprocess import (
-    background_rows,
     bilateral_filter,
     estimate_sigma_r,
 )
@@ -295,7 +294,7 @@ def test_criterion_10_layer_segmentation_sanity():
     ordered = 0
     for i in range(50):
         spec, img, _, ilm_true, ism_true = _desk_phantom(seed, i)
-        sigma_r = estimate_sigma_r(img, background_rows(img.shape[0]))
+        sigma_r = estimate_sigma_r(img)
         denoised = bilateral_filter(img, 2.0, sigma_r, 4)
         ilm, ism = segment_layers(denoised)
         total_cols += img.shape[1]

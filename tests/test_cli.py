@@ -194,6 +194,18 @@ def test_sigma_d_whose_window_radius_overflows_exits_2_naming_it(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma_d", ["1e-200", "1e-160"])
+def test_sigma_d_whose_spatial_weights_are_not_finite_exits_2_naming_it(tmp_path, capsys, sigma_d):
+    # 2*sigma_d^2 underflows to 0 at 1e-200; at 1e-160 its reciprocal is inf
+    scan = tmp_path / "scan.pgm"
+    write_pgm(np.random.default_rng(4).integers(0, 256, (8, 8), dtype=np.uint8), scan)
+    cfg = _write_config(tmp_path, f"sigma_d = {sigma_d}\n")
+    out = tmp_path / "o"
+    assert run(["denoise", "--config", cfg, "--in", str(scan), "--out", str(out)]) == 2
+    assert "sigma_d" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_denoise_with_a_window_far_larger_than_the_scan_finishes(tmp_path):
     # radius 2e9 on an 8x8 scan: only the offsets inside the scan are visited
     scan = tmp_path / "scan.pgm"

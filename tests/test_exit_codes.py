@@ -167,6 +167,24 @@ def test_no_module_of_the_program_rebinds_a_global():
     assert not found, f"global statements in src/octcyst: {found}"
 
 
+def test_every_raise_in_the_program_is_one_of_the_two_error_types():
+    # the CLI maps exactly these two types to exit codes 2 and 1
+    package = Path(errors.__file__).parent
+    allowed = {"OctCystError", "InvalidConfig"}
+
+    def named(exc):
+        target = exc.func if isinstance(exc, ast.Call) else exc
+        return getattr(target, "id", getattr(target, "attr", None)) in allowed
+
+    found = sorted(
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in package.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None and not named(node.exc)
+    )
+    assert not found, f"raises of other exception types in src/octcyst: {found}"
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

@@ -5,9 +5,9 @@ import pytest
 
 from octcyst.errors import InvalidConfig
 from octcyst.preprocess import (
-    background_rows,
     bilateral_filter,
     default_radius,
+    denoise,
     estimate_sigma_r,
 )
 
@@ -83,11 +83,21 @@ def test_commutes_with_intensity_shift():
 
 
 @pytest.mark.parametrize(
-    "sigma_d", [0.0, -1.0, math.inf, math.nan, 1e308], ids=["0", "-1", "inf", "nan", "1e308"]
+    "sigma_d",
+    [0.0, -1.0, math.inf, math.nan, 1e308, 1e-200, 1e-160],
+    ids=["0", "-1", "inf", "nan", "1e308", "1e-200", "1e-160"],
 )
 def test_default_radius_rejects_sigma_d_out_of_range(sigma_d):
+    # 2*sigma_d^2 is 0 at 1e-200 and a subnormal with an infinite
+    # reciprocal at 1e-160
     with pytest.raises(InvalidConfig, match="sigma_d must be finite and > 0"):
         default_radius(sigma_d)
+
+
+def test_smallest_accepted_sigma_d_gives_the_identity_filter():
+    # 1/(2*sigma_d^2) = 5e299 is finite: every neighbor's weight is 0
+    img = np.random.default_rng(12).integers(0, 256, size=(6, 9), dtype=np.uint8)
+    assert denoise(img, 1e-150).tobytes() == img.tobytes()
 
 
 def test_radius_beyond_the_image_matches_radius_at_the_image_edge():
@@ -104,43 +114,37 @@ def test_default_radius_is_two_sigma():
 
 def test_sigma_r_floor_on_constant_band():
     img = np.full((20, 10), 55, dtype=np.uint8)
-    assert estimate_sigma_r(img, 5) == 1.0
+    assert estimate_sigma_r(img) == 1.0
 
 
 def test_sigma_r_alternating_band():
     img = np.zeros((8, 10), dtype=np.uint8)
     img[0::2] = 0
     img[1::2] = 10
-    assert estimate_sigma_r(img, 8) == pytest.approx(5.0, abs=0)
+    assert estimate_sigma_r(img) == pytest.approx(5.0, abs=0)
 
 
 def test_sigma_r_matches_two_pass_oracle():
     rng = np.random.default_rng(5)
-    img = rng.integers(0, 256, size=(30, 17), dtype=np.uint8)
-    top = 12
-    band = img[:top].astype(np.float64).ravel()
+    img = rng.integers(0, 256, size=(120, 17), dtype=np.uint8)
+    band = img[:12].astype(np.float64).ravel()  # 10% of 120 rows
     mean = band.sum() / band.size
     var = ((band - mean) ** 2).sum() / band.size
-    assert estimate_sigma_r(img, top) == pytest.approx(math.sqrt(var), abs=1e-9)
+    assert estimate_sigma_r(img) == pytest.approx(math.sqrt(var), abs=1e-9)
 
 
 def test_sigma_r_row_permutation_invariant():
     rng = np.random.default_rng(9)
     img = rng.integers(0, 256, size=(10, 8), dtype=np.uint8)
     perm = img.copy()
-    perm[:6] = img[:6][::-1]
-    assert estimate_sigma_r(img, 6) == estimate_sigma_r(perm, 6)
+    perm[:8] = img[:8][::-1]  # the 8-row band of a 10-row scan
+    assert estimate_sigma_r(img) == estimate_sigma_r(perm)
 
 
-def test_sigma_r_bounds_checked():
-    img = np.zeros((5, 5), dtype=np.uint8)
-    with pytest.raises(ValueError):
-        estimate_sigma_r(img, 0)
-    with pytest.raises(ValueError):
-        estimate_sigma_r(img, 6)
-
-
-def test_background_rows_rule():
-    assert background_rows(640) == 64
-    assert background_rows(50) == 8
-    assert background_rows(5) == 5
+def test_sigma_r_band_rule():
+    # row r holds r, so the std tells how many top rows were taken:
+    # 10% of the rows, at least 8, or all rows of a shorter scan
+    for rows, band in ((640, 64), (50, 8), (5, 5)):
+        img = np.repeat(np.arange(rows, dtype=np.float64)[:, None], 3, axis=1)
+        expected = np.arange(band, dtype=np.float64).std()
+        assert estimate_sigma_r(img) == pytest.approx(expected, abs=1e-9)

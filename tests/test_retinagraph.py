@@ -127,11 +127,6 @@ def test_gradient_inverted_bands_clamp_to_zero():
     assert not vertical_gradient(img).any()
 
 
-def test_gradient_needs_three_rows():
-    with pytest.raises(OctCystError, match="need at least 3 rows, got 2"):
-        vertical_gradient(np.zeros((2, 5), dtype=np.uint8))
-
-
 # --- edge weight ------------------------------------------------------------
 
 
@@ -158,11 +153,6 @@ def test_uniform_field_topmost_path():
     field = np.full((6, 9), 0.3)
     path = shortest_layer_path(field)
     assert np.array_equal(path, np.zeros(9, dtype=np.int64))
-
-
-def test_empty_field_rejected():
-    with pytest.raises(OctCystError, match="empty gradient field"):
-        shortest_layer_path(np.empty((0, 0)))
 
 
 def test_dijkstra_matches_enumeration_on_random_fields():
@@ -309,13 +299,13 @@ def test_segment_layers_ordering_always_holds():
 
 
 def test_roi_strict_interior():
-    r = roi_mask(np.array([2, 2]), np.array([5, 5]), 8, 2)
+    r = roi_mask(np.array([2, 2]), np.array([5, 5]), 8)
     assert set(np.where(r[:, 0])[0].tolist()) == {3, 4}
     assert set(np.where(r[:, 1])[0].tolist()) == {3, 4}
 
 
 def test_roi_adjacent_paths_empty():
-    r = roi_mask(np.array([2]), np.array([3]), 6, 1)
+    r = roi_mask(np.array([2]), np.array([3]), 6)
     assert r.sum() == 0
 
 
@@ -324,11 +314,6 @@ def test_roi_bit_count_closed_form():
     rows, cols = 30, 15
     ilm = rng.integers(0, 10, size=cols)
     ism = ilm + rng.integers(1, 15, size=cols)
-    r = roi_mask(ilm, ism, rows, cols)
+    r = roi_mask(ilm, ism, rows)
     expected = int(np.sum(np.maximum(0, ism - ilm - 1)))
     assert int(r.sum()) == expected
-
-
-def test_roi_ordering_violation():
-    with pytest.raises(OctCystError, match="ilm must lie strictly above ism"):
-        roi_mask(np.array([5, 5]), np.array([5, 6]), 10, 2)

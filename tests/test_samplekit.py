@@ -118,7 +118,7 @@ def test_prepare_sample_equals_channelwise_padding():
     ref = ReferenceDims(75, 101)  # odd margins: 11 rows, 5 columns
     denoised = denoise(img)
     ilm, ism = segment_layers(denoised)
-    roi = roi_mask(ilm, ism, *img.shape)
+    roi = roi_mask(ilm, ism, img.shape[0])
     padded_img, offset = pad_to_reference(normalize(denoised), ref)
     padded_roi, _ = pad_to_reference(roi.astype(np.float32), ref)
 

@@ -161,13 +161,6 @@ def test_adam_step_consumes_the_gradients_it_applies():
         assert t.grad.tobytes() == f.grad.tobytes(), name
 
 
-def test_adam_state_shape_mismatch():
-    store = _scalar_store()
-    state = AdamState()  # missing entries
-    with pytest.raises(OctCystError, match="optimizer state missing or wrong shape"):
-        adam_step(store, state, TrainConfig(epochs=1))
-
-
 # --- training loop --------------------------------------------------------------
 
 
@@ -191,11 +184,12 @@ def test_train_empty_dataset():
 
 
 def test_train_dim_mismatch():
+    # a target whose dims differ from its sample's is caught by the loss
     ref = ReferenceDims(16, 16)
-    data = _phantom_dataset(1, ref)
-    bad = Sample(np.zeros((2, 24, 24), dtype=np.float32), (24, 24))
-    with pytest.raises(OctCystError, match=r"sample 1 has dims \(2, 24, 24\), expected"):
-        train(data + [(bad, np.zeros((24, 24), dtype=np.float32))], _tiny_cfg(), TrainConfig(epochs=1))
+    (sample, _), = _phantom_dataset(1, ref)
+    bad = np.zeros((24, 24), dtype=np.float32)
+    with pytest.raises(OctCystError, match=r"logits \(1, 16, 16\) vs target \(1, 24, 24\)"):
+        train([(sample, bad)], _tiny_cfg(), TrainConfig(epochs=1))
 
 
 def test_train_loss_decreases_on_single_sample():
