@@ -9,7 +9,6 @@ from .layers import (
 from .tensor import (
     Tensor,
     backward,
-    concat,
     keep_large_blocks_on_heap,
     mean,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "attention_gate",
     "backward",
     "build_unet",
-    "concat",
     "conv2d",
     "dropout",
     "max_pool2",

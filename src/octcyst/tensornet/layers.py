@@ -7,7 +7,7 @@ import numpy as np
 
 from ..errors import OctCystError
 from ..rng import uniform_at_least
-from .tensor import Tensor, _accum, _attach, _sigmoid_data, concat
+from .tensor import Tensor, _accum, _attach, _sigmoid_data
 
 
 # Scratch budget of one row tile: its MEC tap matrix plus the product
@@ -16,27 +16,28 @@ from .tensor import Tensor, _accum, _attach, _sigmoid_data, concat
 _COL_BYTES = 16 << 20
 
 
-def _mec_tiles(x: np.ndarray, k: int, r: int, f: int):
+def _mec_tiles(xs: tuple[np.ndarray, ...], k: int, r: int, f: int):
     """Yield (i0, i1, taps) over blocks of output rows i0 <= i < i1.
 
-    MEC lowering (Cho & Brand 2017): taps is the (C*k, (n+2p)*W) matrix,
-    n = i1 - i0 and p = r*(k//2), whose row (c, b) holds input channel c
-    shifted by horizontal tap b: column t*W + j is the zero-padded
+    MEC lowering (Cho & Brand 2017) of x, the channels of the groups xs in
+    order: taps is the (C*k, (n+2p)*W) matrix, n = i1 - i0 and p = r*(k//2),
+    whose row (c, b) holds input channel c, copied from its group, shifted
+    by horizontal tap b: column t*W + j is the zero-padded
     x[c, i0 - p + t, j + r*(b - k//2)].  Vertical tap a of the tile's
     output rows is then the contiguous column range a*r*W .. a*r*W + n*W.
     Tiles are sized so the matrix and an f-row product of the tile's
-    output pixels fit in _COL_BYTES.  A 1x1 kernel needs no copy: the one
-    tile is x itself."""
-    C, H, W = x.shape
+    output pixels fit in _COL_BYTES.  A 1x1 kernel copies only several
+    groups, into one transient array: one group is the one tile itself."""
+    (_, H, W), C = xs[0].shape, sum(map(len, xs))
     if k == 1:
-        yield 0, H, x.reshape(C, H * W)
+        yield 0, H, (np.concatenate(xs) if len(xs) > 1 else xs[0]).reshape(C, H * W)
         return
     p = r * (k // 2)
-    h = max(1, min(H, (_COL_BYTES // (W * x.itemsize) - 2 * p * C * k) // (C * k + f)))
+    h = max(1, min(H, (_COL_BYTES // (W * xs[0].itemsize) - 2 * p * C * k) // (C * k + f)))
     # the zeros beside each tap's valid columns are never overwritten;
     # rows outside the input are zeroed per tile, since a row's place in
     # the buffer maps to a different input row in every tile
-    buf = np.zeros((C, k, h + 2 * p, W), dtype=x.dtype)
+    buf = np.zeros((C, k, h + 2 * p, W), dtype=xs[0].dtype)
     for i0 in range(0, H, h):
         i1 = min(i0 + h, H)
         n = i1 - i0
@@ -44,22 +45,25 @@ def _mec_tiles(x: np.ndarray, k: int, r: int, f: int):
         top, bot = lo - (i0 - p), hi - (i0 - p)
         buf[:, :, :top] = 0
         buf[:, :, bot : n + 2 * p] = 0
-        for b in range(k):
-            d = r * (b - k // 2)
-            if abs(d) < W:
-                buf[:, b, top:bot, max(-d, 0) : W - max(d, 0)] = x[:, lo:hi, max(d, 0) : W + min(d, 0)]
+        c1 = 0
+        for g in xs:  # each group's rows at its channel offset
+            c0, c1 = c1, c1 + len(g)
+            for b in range(k):
+                d = r * (b - k // 2)
+                if abs(d) < W:
+                    buf[c0:c1, b, top:bot, max(-d, 0) : W - max(d, 0)] = g[:, lo:hi, max(d, 0) : W + min(d, 0)]
         yield i0, i1, buf.reshape(C * k, (h + 2 * p) * W)[:, : (n + 2 * p) * W]
 
 
-def _conv(x: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
-    """Bias-free same-padded convolution of arrays: per row tile, the sum
-    over vertical taps a of w[:, :, a, :] times tap window a."""
+def _conv(x: np.ndarray, w: np.ndarray, r: int, more: tuple | list = ()) -> np.ndarray:
+    """Bias-free same-padded convolution of arrays x, *more: per row tile,
+    the sum over vertical taps a of w[:, :, a, :] times tap window a."""
     F, C, k, _ = w.shape
     _, H, W = x.shape
     wa = [w[:, :, a, :].reshape(F, C * k) for a in range(k)]
     y = np.empty((F, H * W), dtype=x.dtype)
     prod = None
-    for i0, i1, taps in _mec_tiles(x, k, r, F):
+    for i0, i1, taps in _mec_tiles((x, *more), k, r, F):
         n = (i1 - i0) * W
         yt = y[:, i0 * W : i1 * W]
         np.matmul(wa[0], taps[:, :n], out=yt)
@@ -78,16 +82,16 @@ def _flip(w: np.ndarray) -> np.ndarray:
     return w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
 
 
-def _conv_weight_grad(x: np.ndarray, go: np.ndarray, k: int, r: int) -> np.ndarray:
+def _conv_weight_grad(x: np.ndarray, go: np.ndarray, k: int, r: int, more: tuple | list = ()) -> np.ndarray:
     """Weight gradient of _conv: tap a's slice sums, over row tiles, tap
     window a times the tile's output gradient.  Each product is taken as
     window @ go.T and transposed: on the frame's long, flat operands
     OpenBLAS ran that about twice as fast as go @ window.T."""
     F, H, W = go.shape
-    C = x.shape[0]
+    C = sum(map(len, (x, *more)))
     go2 = go.reshape(F, H * W)
     dw = np.zeros((k, C * k, F), dtype=x.dtype)
-    for i0, i1, taps in _mec_tiles(x, k, r, 0):
+    for i0, i1, taps in _mec_tiles((x, *more), k, r, 0):
         n = (i1 - i0) * W
         gt = go2[:, i0 * W : i1 * W].T
         for a in range(k):
@@ -97,7 +101,8 @@ def _conv_weight_grad(x: np.ndarray, go: np.ndarray, k: int, r: int) -> np.ndarr
 
 
 def conv2d(
-    x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1, relu: bool = False
+    x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1, relu: bool = False,
+    *, more: tuple[Tensor, ...] = (),
 ) -> Tensor:
     """Same-padded 2-D cross-correlation with dilation.
 
@@ -110,20 +115,26 @@ def conv2d(
     output gradient; the input gradient is the same convolution of the
     output gradient with the kernel flipped and its channel axes swapped.
 
+    more: channel groups (Ci, H, W) after x's, counted in C; the result is
+    their concatenation's, bit for bit, with no joined copy ever kept.
+
     relu=True returns max(conv + b, 0), bit for bit np.maximum of the
     unrectified output: the bias and the ReLU are applied in place on the
     GEMM output, so only the rectified activation is kept for backward.
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise OctCystError(f"conv2d expects 3-D input and 4-D kernel, got {x.data.shape}, {w.data.shape}")
-    C = x.data.shape[0]
+    xs = (x, *more)
+    for t in more:  # a group of another rank differs here too
+        if t.data.shape[1:] != x.data.shape[1:]:
+            raise OctCystError(f"group {t.data.shape} and input {x.data.shape} spatial dims differ")
+    groups = [t.data for t in more]
     F, Cw, k, k2 = w.data.shape
-    if Cw != C or k != k2 or k % 2 == 0:
-        raise OctCystError(f"kernel {w.data.shape} incompatible with input {x.data.shape}")
+    if Cw != sum(map(len, (x.data, *groups))) or k != k2 or k % 2 == 0:
+        raise OctCystError(f"kernel {w.data.shape} incompatible with input {' + '.join(str(t.shape) for t in xs)}")
     if b is not None and b.data.shape != (F,):
         raise OctCystError(f"bias shape {b.data.shape} != ({F},)")
-    r = dilation
-    y = _conv(x.data, w.data, r)
+    y = _conv(x.data, w.data, dilation, groups)
     if b is not None:
         y += b.data[:, None, None]
     if relu:
@@ -139,12 +150,16 @@ def conv2d(
             np.multiply(go, out.data > 0, out=go)
         if b is not None and b.requires_grad:
             _accum(b, go.sum(axis=(1, 2)))
-        if x.requires_grad:
-            _accum(x, _conv(go, _flip(w.data), r))
+        if any(t.requires_grad for t in xs):
+            gx, c1 = _conv(go, _flip(w.data), dilation), 0
+            for t in xs:  # each group takes its own disjoint view of gx
+                c0, c1 = c1, c1 + len(t.data)
+                if t.requires_grad:
+                    _accum(t, gx[c0:c1])
         if w.requires_grad:
-            _accum(w, _conv_weight_grad(x.data, go, k, r))
+            _accum(w, _conv_weight_grad(x.data, go, k, dilation, groups))
 
-    parents = (x, w) if b is None else (x, w, b)
+    parents = (*xs, w) if b is None else (*xs, w, b)
     return _attach(out, parents, _bw)
 
 
@@ -190,13 +205,14 @@ def max_pool2(x: Tensor) -> Tensor:
         raise OctCystError(f"max_pool2 needs even spatial dims, got {H}x{W}")
     quads = [x.data[:, di::2, dj::2] for di, dj in _QUADRANTS]
     y = quads[0].copy()
-    idx = np.zeros(y.shape, dtype=np.uint8)
-    wins = np.empty(y.shape, dtype=bool)
+    if x.requires_grad:
+        idx, wins = np.zeros(y.shape, dtype=np.uint8), np.empty(y.shape, dtype=bool)
     for k in (1, 2, 3):
-        # only a strictly greater value takes the window, so the first
-        # maximum wins; k grows, so the winner is the largest k that won
-        np.greater(quads[k], y, out=wins)
-        np.maximum(idx, wins * np.uint8(k), out=idx)
+        if x.requires_grad:
+            # only a strictly greater value takes the window, so the first
+            # maximum wins; k grows, so the winner is the largest k that won
+            np.greater(quads[k], y, out=wins)
+            np.maximum(idx, wins * np.uint8(k), out=idx)
         # numpy's maximum returns its second operand on a tie (-0.0 vs 0.0)
         # and propagates NaN
         np.maximum(quads[k], y, out=y)
@@ -215,12 +231,13 @@ def dropout(x: Tensor, p: float, seed: int) -> Tensor:
     """Inverted dropout: kept activations are scaled by 1/(1-p)."""
     if p == 0.0:
         return x
+    # kept as booleans, one byte per element; backward rebuilds keep * scale
     keep = uniform_at_least(seed, x.data.size, p).reshape(x.data.shape)
-    mask = keep * x.data.dtype.type(1.0 / (1.0 - p))
-    out = Tensor(x.data * mask)
+    scale = x.data.dtype.type(1.0 / (1.0 - p))
+    out = Tensor(x.data * (keep * scale))
 
     def _bw():
-        _accum(x, out.grad * mask)
+        _accum(x, out.grad * (keep * scale))
 
     return _attach(out, (x,), _bw)
 
@@ -280,9 +297,10 @@ def attention_gate(
 def aspp(
     x: Tensor, branches: list[tuple[Tensor, Tensor, int]], fuse_w: Tensor, fuse_b: Tensor
 ) -> Tensor:
-    """Parallel 3x3 atrous branches, concatenated and fused by a 1x1 conv.
+    """Parallel 3x3 atrous branches fused by a 1x1 conv over their channels.
 
     branches: one (w (C, C, 3, 3), b (C,), dilation rate) triple per
-    branch; fuse_w: (C, len(branches)*C, 1, 1)."""
+    branch; fuse_w: (C, len(branches)*C, 1, 1).  The fuse takes the
+    branches as its channel groups, so their concatenation is never kept."""
     outs = [conv2d(x, w, b, dilation=r) for w, b, r in branches]
-    return conv2d(concat(outs), fuse_w, fuse_b)
+    return conv2d(outs[0], fuse_w, fuse_b, more=tuple(outs[1:]))

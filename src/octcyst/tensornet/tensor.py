@@ -13,9 +13,9 @@ once the closures of all its consumers have run.
 A gradient is owned by the tensor it is accumulated into: `_accum` takes
 the first array a closure hands it, so no closure may hand overlapping
 memory to two tensors.  Every closure hands each parent an array of its
-own, except `concat`, whose parents take disjoint views of its upstream
-gradient.  A closure may therefore consume its own output's gradient in
-place, since `backward` drops it right after.
+own, except `conv2d`, whose channel groups take disjoint views of its
+one input-gradient array.  A closure may therefore consume its own
+output's gradient in place, since `backward` drops it right after.
 
 Storage is float32 by default; building a graph from float64 tensors runs
 the whole computation in float64, which the gradient checks rely on.
@@ -111,21 +111,6 @@ def mean(x: Tensor) -> Tensor:
         _accum(x, np.full_like(x.data, out.grad / x.data.size))
 
     return _attach(out, (x,), _bw)
-
-
-def concat(tensors: list) -> Tensor:
-    """Concatenate along the first (channel) axis."""
-    out = Tensor(np.concatenate([t.data for t in tensors]))
-    splits = np.cumsum([t.data.shape[0] for t in tensors])[:-1]
-
-    def _bw():
-        # each parent takes its own disjoint view of the upstream array
-        parts = np.split(out.grad, splits)
-        for t, g in zip(tensors, parts):
-            if t.requires_grad:
-                _accum(t, g)
-
-    return _attach(out, tuple(tensors), _bw)
 
 
 def backward(loss: Tensor, grad: float = 1.0) -> None:

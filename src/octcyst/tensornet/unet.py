@@ -18,7 +18,7 @@ from .layers import (
     max_pool2,
     transposed_conv2d,
 )
-from .tensor import Tensor, concat
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,7 @@ class UNet:
             g = transposed_conv2d(cur, s[f"dec{lvl}.up.w"])
             gate = (s[f"dec{lvl}.gate.{n}"] for n in ("wx", "wg", "bxg", "psi", "bpsi"))
             gated = attention_gate(skips[lvl - 1], g, *gate)
-            cur = concat([gated, g])
-            cur = conv2d(cur, s[f"dec{lvl}.conv1.w"], s[f"dec{lvl}.conv1.b"], relu=True)
+            cur = conv2d(gated, s[f"dec{lvl}.conv1.w"], s[f"dec{lvl}.conv1.b"], relu=True, more=(g,))
             cur = conv2d(cur, s[f"dec{lvl}.conv2.w"], s[f"dec{lvl}.conv2.b"], relu=True)
 
         return conv2d(cur, s["head.w"], s["head.b"])

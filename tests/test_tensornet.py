@@ -18,7 +18,6 @@ from octcyst.tensornet import (
     attention_gate,
     backward,
     build_unet,
-    concat,
     conv2d,
     dropout,
     keep_large_blocks_on_heap,
@@ -178,8 +177,11 @@ def test_conv_row_tiles_match_naive_and_fd(monkeypatch, k, r):
     assert max_rel_error_fd(store, loss_fn) <= 1e-6
 
 
-def test_conv_forward_memory_stays_within_one_column_tile():
-    # the whole-frame tap matrix would be at least twice the budget
+def _forward_memory(n_groups):
+    """tracemalloc peak of a conv2d over n_groups channel groups, made
+    while tracing, and the bound: the groups, the output and one tile."""
+    # the whole-frame tap matrix would be at least twice the budget, and
+    # a concatenated copy of the groups would add two thirds of it
     budget = layers._COL_BYTES
     C, F, k, W = 16, 16, 3, 256
     H = -(-2 * budget // (C * k * W * 4))
@@ -187,28 +189,42 @@ def test_conv_forward_memory_stays_within_one_column_tile():
     w = Tensor(rng.random((F, C, k, k), dtype=np.float32))
     tracemalloc.start()
     try:
-        x = Tensor(rng.random((C, H, W), dtype=np.float32))
-        out = conv2d(x, w)
+        xs = [Tensor(rng.random((C // n_groups, H, W), dtype=np.float32)) for _ in range(n_groups)]
+        out = conv2d(xs[0], w, more=tuple(xs[1:]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert out.data.dtype == np.float32
-    assert peak <= x.data.nbytes + out.data.nbytes + budget + budget // 4
+    held = sum(x.data.nbytes for x in xs)
+    return peak, held + out.data.nbytes + budget + budget // 4
 
 
-def test_conv_backward_memory_stays_within_one_column_tile():
+def test_conv_forward_memory_stays_within_one_column_tile():
+    for n_groups in (1, 2):
+        peak, bound = _forward_memory(n_groups)
+        assert peak <= bound, n_groups
+
+
+def _backward_memory(n_groups):
+    """tracemalloc peak of a conv2d's backward over n_groups channel
+    groups, and the bound: what backward adds, with one tile."""
     # the whole-frame tap matrices of the input and of the output gradient
-    # would each be at least twice the budget
+    # would each be at least twice the budget, and a concatenated copy of
+    # the groups would add two thirds of it
     budget = layers._COL_BYTES
     C, F, k, W = 16, 16, 3, 256
     H = -(-2 * budget // (C * k * W * 4))
     rng = np.random.default_rng(75)
-    x = Tensor(rng.random((C, H, W), dtype=np.float32), requires_grad=True)
+    xs = [
+        Tensor(rng.random((C // n_groups, H, W), dtype=np.float32), requires_grad=True)
+        for _ in range(n_groups)
+    ]
     w = Tensor(rng.random((F, C, k, k), dtype=np.float32), requires_grad=True)
-    out = conv2d(x, w)
-    # x, w and the output exist before tracing starts, so the bound
-    # counts only what backward adds: the output gradient, dx, dw and one
-    # tile's scratch
+    out = conv2d(xs[0], w, more=tuple(xs[1:]))
+    # the groups, w and the output exist before tracing starts, so the
+    # bound counts only what backward adds: the output gradient, the one
+    # input-gradient array the groups' views share, dw and one tile's
+    # scratch
     tracemalloc.start()
     try:
         out.grad = rng.random((F, H, W), dtype=np.float32)
@@ -216,8 +232,116 @@ def test_conv_backward_memory_stays_within_one_column_tile():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert x.grad.dtype == w.grad.dtype == np.float32
-    assert peak <= out.grad.nbytes + x.grad.nbytes + w.grad.nbytes + budget + budget // 4
+    assert all(x.grad.dtype == np.float32 for x in xs) and w.grad.dtype == np.float32
+    dx = sum(x.grad.nbytes for x in xs)
+    return peak, out.grad.nbytes + dx + w.grad.nbytes + budget + budget // 4
+
+
+def test_conv_backward_memory_stays_within_one_column_tile():
+    for n_groups in (1, 2):
+        peak, bound = _backward_memory(n_groups)
+        assert peak <= bound, n_groups
+
+
+# --- conv2d over channel groups -------------------------------------------------
+
+
+def _grouped_and_concatenated(monkeypatch, sizes, k, r, seed):
+    """Output and gradients (out, b, w, then each group's) of a float32
+    conv2d over channel groups of the given sizes and of conv2d over their
+    np.concatenate, seeded by the same upstream gradient; also the number
+    of row tiles each _mec_tiles call of the grouped run made."""
+    rng = np.random.default_rng(seed)
+    H, W, F = 11, 7, 3
+    groups = [rng.standard_normal((c, H, W)).astype(np.float32) for c in sizes]
+    w = rng.standard_normal((F, sum(sizes), k, k)).astype(np.float32)
+    b = rng.standard_normal(F).astype(np.float32)
+    u = rng.standard_normal((F, H, W)).astype(np.float32)
+    tiles = []
+    mec_tiles = layers._mec_tiles
+
+    def counted(*args):
+        tiles.append(0)
+        for tile in mec_tiles(*args):
+            tiles[-1] += 1
+            yield tile
+
+    monkeypatch.setattr(layers, "_mec_tiles", counted)
+    runs = []
+    for inputs in (groups, [np.concatenate(groups)]):
+        xs = [Tensor(a.copy(), requires_grad=True) for a in inputs]
+        wt, bt = Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+        out = conv2d(xs[0], wt, bt, dilation=r, relu=k > 1, more=tuple(xs[1:]))
+        data = out.data.copy()
+        backward(weighted_sum(out, u))
+        runs.append([data, bt.grad, wt.grad] + [x.grad for x in xs])
+    grouped, (*whole, dx) = runs
+    return grouped, whole + np.split(dx, np.cumsum(sizes)[:-1]), tiles[:3]
+
+
+@pytest.mark.parametrize(
+    "sizes, k, r", [((5, 3), 3, 1), ((5, 3), 3, 4), ((4, 4, 4, 4, 4), 1, 1)]
+)
+def test_grouped_conv_equals_conv_of_the_concatenated_input_byte_for_byte(monkeypatch, sizes, k, r):
+    # a budget of the tap matrix of three output rows plus their product
+    # makes the 3x3 forward and weight gradient, which copy the groups,
+    # run several row tiles
+    monkeypatch.setattr(layers, "_COL_BYTES", (sum(sizes) * k * (3 + 2 * r) + 3 * 3) * 7 * 4)
+    grouped, whole, tiles = _grouped_and_concatenated(monkeypatch, sizes, k, r, 95 + r)
+    # forward, input gradient and weight gradient
+    fwd, _, dw = tiles
+    assert (fwd > 1 and dw > 1) if k > 1 else tiles == [1, 1, 1]
+    names = ["out", "b.grad", "w.grad"] + [f"group {i} grad" for i in range(len(sizes))]
+    assert len(grouped) == len(whole) == len(names)
+    for name, a, c in zip(names, grouped, whole):
+        assert a.dtype == c.dtype == np.float32, name
+        assert a.shape == c.shape and a.tobytes() == c.tobytes(), name
+
+
+def test_conv_groups_take_disjoint_views_of_one_input_gradient():
+    a, b = (Tensor(_rand((c, 4, 5), 96 + c), requires_grad=True) for c in (2, 3))
+    w = Tensor(_rand((2, 5, 3, 3), 98))
+    u = _rand((2, 4, 5), 99)
+    backward(weighted_sum(conv2d(a, w, more=(b,)), u))
+    assert a.grad.base is not None and a.grad.base is b.grad.base
+    assert not np.shares_memory(a.grad, b.grad)
+    whole = Tensor(np.concatenate([a.data, b.data]), requires_grad=True)
+    backward(weighted_sum(conv2d(whole, w), u))
+    assert a.grad.tobytes() == whole.grad[:2].tobytes()
+    assert b.grad.tobytes() == whole.grad[2:].tobytes()
+
+
+def test_grouped_conv_gradients_match_fd():
+    store = ParamStore()
+    x = store.add("x", Tensor(_rand((2, 6, 5), 100)))
+    g = store.add("g", Tensor(_rand((1, 6, 5), 101)))
+    w = store.add("w", Tensor(_rand((2, 3, 3, 3), 102)))
+    b = store.add("b", Tensor(_rand((2,), 103)))
+    u = _rand((2, 6, 5), 104)
+
+    def loss_fn():
+        return weighted_sum(conv2d(x, w, b, dilation=2, more=(g,)), u).item()
+
+    backward(weighted_sum(conv2d(x, w, b, dilation=2, more=(g,)), u))
+    assert max_rel_error_fd(store, loss_fn) <= 1e-6
+
+
+def test_grouped_conv_rejects_what_concatenation_could_not_join():
+    x, w = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3)))
+    with pytest.raises(OctCystError, match=r"group \(1, 4, 5\) and input \(2, 4, 4\) spatial dims differ"):
+        conv2d(x, w, more=(Tensor(np.zeros((1, 4, 5))),))
+    with pytest.raises(OctCystError, match=r"group \(1, 1, 4, 4\) and input \(2, 4, 4\) spatial dims differ"):
+        conv2d(x, w, more=(Tensor(np.zeros((1, 1, 4, 4))),))
+    # the checks of a single input hold over the groups' channels
+    with pytest.raises(OctCystError, match=r"conv2d expects 3-D input and 4-D kernel"):
+        conv2d(Tensor(np.zeros((4, 4))), w, more=(Tensor(np.zeros((1, 4, 4))),))
+    with pytest.raises(OctCystError, match=r"kernel \(1, 3, 3, 3\) incompatible with input \(2, 4, 4\) \+ \(2, 4, 4\)"):
+        conv2d(x, w, more=(Tensor(np.zeros((2, 4, 4))),))
+    with pytest.raises(OctCystError, match=r"kernel \(1, 3, 2, 2\) incompatible with input"):
+        conv2d(x, Tensor(np.zeros((1, 3, 2, 2))), more=(Tensor(np.zeros((1, 4, 4))),))
+    with pytest.raises(OctCystError, match=r"bias shape \(3,\) != \(1,\)"):
+        conv2d(x, w, Tensor(np.zeros(3)), more=(Tensor(np.zeros((1, 4, 4))),))
+    assert conv2d(x, w, more=(Tensor(np.zeros((1, 4, 4))),)).shape == (1, 4, 4)
 
 
 # --- conv2d with the fused ReLU -----------------------------------------------
@@ -293,14 +417,15 @@ def test_fused_conv_relu_gradient_is_released_so_its_in_place_mask_stays_unseen(
     assert np.array_equal(bt.grad, (np.float32(0.5) * mask).sum(axis=(1, 2)))
 
 
-@pytest.mark.parametrize("op", ["concat([x, x])", "attention_gate(x, x)"])
+@pytest.mark.parametrize("op", ["conv2d(x, w, more=(x,))", "attention_gate(x, x)"])
 def test_a_tensor_used_twice_by_one_op_gets_both_gradients(op):
     # the first gradient x is handed becomes x.grad and the second adds into
     # it, so x gets, bit for bit, the sum of what two copies of x would get
     data = _rand((4, 3, 3), 90)
     gate = _gate_params(4, 4, 2, 91)
+    w = Tensor(_rand((2, 8, 3, 3), 93))
     run = {
-        "concat([x, x])": lambda a, b: concat([a, b]),
+        "conv2d(x, w, more=(x,))": lambda a, b: conv2d(a, w, more=(b,)),
         "attention_gate(x, x)": lambda a, b: attention_gate(a, b, **gate),
     }[op]
     x, a, b = (Tensor(data.copy(), requires_grad=True) for _ in range(3))
@@ -433,6 +558,27 @@ def test_max_pool_values_and_routed_gradient_match_the_argmax_oracle(case):
     assert out.data.dtype == data.dtype
     assert out.data.tobytes() == want_out.tobytes()
     assert x.grad.tobytes() == want_grad.tobytes()
+
+
+def test_max_pool_eval_output_equals_the_recording_output_byte_for_byte():
+    # ties of -0.0 and 0.0, a NaN and equal maxima.  Without a gradient to
+    # route, eval builds no argmax and no comparison buffer (a byte per
+    # output element each): it allocates its output and numpy's
+    # fixed-size loop buffers only
+    rng = np.random.default_rng(64)
+    data = rng.integers(-2, 3, (8, 256, 256)).astype(np.float32)
+    data[data == 0] = rng.choice(np.float32([0.0, -0.0]), int(np.sum(data == 0)))
+    data[1, 5, 6] = np.nan
+    recorded = max_pool2(Tensor(data, requires_grad=True))
+    tracemalloc.start()
+    try:
+        out = max_pool2(Tensor(data))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out._backward is None and recorded._backward is not None
+    assert out.data.tobytes() == recorded.data.tobytes()
+    assert peak <= out.data.nbytes + out.data.size // 2
 
 
 def test_max_pool_nan_in_a_window_gives_nan_out():
@@ -585,6 +731,25 @@ def test_dropout_mask_is_the_uniform_draw_definition_bit_for_bit():
             for p in (0.1, 0.2, 0.5, float(u.flat[0])):
                 mask = ((u >= p) / (1.0 - p)).astype(np.float32)
                 assert np.array_equal(dropout(x, p, seed).data, x.data * mask)
+
+
+def test_dropout_keeps_one_byte_per_element_for_its_backward():
+    # while the graph lives, only the kept booleans stay beside x and out;
+    # backward rebuilds the float mask with the same bits
+    rng = np.random.default_rng(62)
+    x = Tensor(rng.random((4, 128, 128), dtype=np.float32), requires_grad=True)
+    u = rng.standard_normal(x.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = dropout(x, 0.25, 9)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    assert kept - out.data.nbytes <= x.data.size + 4096
+    backward(weighted_sum(out, u))
+    mask = ((uniform_array(9, x.data.size) >= 0.25) / 0.75).astype(np.float32)
+    assert x.grad.tobytes() == (u * mask.reshape(x.shape)).tobytes()
 
 
 def test_dropout_deterministic_per_seed():
@@ -908,16 +1073,6 @@ def test_first_gradient_is_taken_in_the_tensor_dtype_and_cast_otherwise():
     _accum(t, np.ones(3))
     assert np.array_equal(t.grad, [2.0, 0.5, 3.0])
     assert np.array_equal(g, [1.0, -0.5, 2.0])
-
-
-def test_concat_gives_each_parent_its_own_view_of_one_gradient():
-    a = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
-    b = Tensor(np.array([3.0, 4.0, 5.0], dtype=np.float32), requires_grad=True)
-    u = np.arange(1.0, 6.0, dtype=np.float32)
-    backward(weighted_sum(concat([a, b]), u))
-    assert a.grad.base is not None and a.grad.base is b.grad.base
-    assert not np.shares_memory(a.grad, b.grad)
-    assert np.array_equal(a.grad, u[:2]) and np.array_equal(b.grad, u[2:])
 
 
 # --- malloc settings ----------------------------------------------------------
