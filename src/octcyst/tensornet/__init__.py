@@ -2,7 +2,6 @@ from .layers import (
     aspp,
     attention_gate,
     conv2d,
-    dropout,
     max_pool2,
     transposed_conv2d,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "backward",
     "build_unet",
     "conv2d",
-    "dropout",
     "max_pool2",
     "mean",
     "transposed_conv2d",

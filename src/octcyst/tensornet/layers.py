@@ -1,5 +1,5 @@
-"""Differentiable layers: dilated convolution, transposed convolution,
-max pooling, dropout, the attention gate, and the atrous pyramid."""
+"""Differentiable layers: dilated convolution with a fused bias, ReLU and
+dropout, transposed convolution, max pooling, the attention gate, ASPP."""
 
 from __future__ import annotations
 
@@ -102,7 +102,7 @@ def _conv_weight_grad(x: np.ndarray, go: np.ndarray, k: int, r: int, more: tuple
 
 def conv2d(
     x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1, relu: bool = False,
-    *, more: tuple[Tensor, ...] = (),
+    *, more: tuple[Tensor, ...] = (), drop: tuple[float, int] | None = None,
 ) -> Tensor:
     """Same-padded 2-D cross-correlation with dilation.
 
@@ -121,6 +121,12 @@ def conv2d(
     relu=True returns max(conv + b, 0), bit for bit np.maximum of the
     unrectified output: the bias and the ReLU are applied in place on the
     GEMM output, so only the rectified activation is kept for backward.
+
+    drop=(p, seed) needs relu=True and then applies inverted dropout in
+    place: pixels where uniform_array(seed, size) >= p are kept and scaled
+    by 1/(1-p), the rest zeroed.  out > 0 marks exactly the pixels that both
+    the ReLU and the draw passed, so backward keeps neither the draw nor
+    the undropped activation.  p == 0 draws nothing.
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise OctCystError(f"conv2d expects 3-D input and 4-D kernel, got {x.data.shape}, {w.data.shape}")
@@ -134,11 +140,20 @@ def conv2d(
         raise OctCystError(f"kernel {w.data.shape} incompatible with input {' + '.join(str(t.shape) for t in xs)}")
     if b is not None and b.data.shape != (F,):
         raise OctCystError(f"bias shape {b.data.shape} != ({F},)")
+    if drop is not None and not relu:
+        raise OctCystError("conv2d applies dropout only to a rectified output (relu=True)")
     y = _conv(x.data, w.data, dilation, groups)
     if b is not None:
         y += b.data[:, None, None]
     if relu:
         np.maximum(y, 0, out=y)
+    scale = None
+    if drop is not None and drop[0] != 0.0:
+        p, seed = drop
+        scale = y.dtype.type(1.0 / (1.0 - p))
+        # two in-place multiplies: no float temporary, and the draw dies here
+        y *= uniform_at_least(seed, y.size, p).reshape(y.shape)
+        y *= scale
     out = Tensor(y)
 
     def _bw():
@@ -148,6 +163,8 @@ def conv2d(
             # returns, so no caller ever sees the masked array.  A multiply,
             # unlike assigning zeros, keeps the -0.0 signs that go * mask gives.
             np.multiply(go, out.data > 0, out=go)
+        if scale is not None:
+            go *= scale
         if b is not None and b.requires_grad:
             _accum(b, go.sum(axis=(1, 2)))
         if any(t.requires_grad for t in xs):
@@ -223,21 +240,6 @@ def max_pool2(x: Tensor) -> Tensor:
         for k, (di, dj) in enumerate(_QUADRANTS):
             np.copyto(gx[:, di::2, dj::2], out.grad, where=idx == k)
         _accum(x, gx)
-
-    return _attach(out, (x,), _bw)
-
-
-def dropout(x: Tensor, p: float, seed: int) -> Tensor:
-    """Inverted dropout: kept activations are scaled by 1/(1-p)."""
-    if p == 0.0:
-        return x
-    # kept as booleans, one byte per element; backward rebuilds keep * scale
-    keep = uniform_at_least(seed, x.data.size, p).reshape(x.data.shape)
-    scale = x.data.dtype.type(1.0 / (1.0 - p))
-    out = Tensor(x.data * (keep * scale))
-
-    def _bw():
-        _accum(x, out.grad * (keep * scale))
 
     return _attach(out, (x,), _bw)
 

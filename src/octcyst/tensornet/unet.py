@@ -14,7 +14,6 @@ from .layers import (
     aspp,
     attention_gate,
     conv2d,
-    dropout,
     max_pool2,
     transposed_conv2d,
 )
@@ -117,9 +116,8 @@ class UNet:
         cur = x
         for lvl in range(1, cfg.depth + 1):
             cur = conv2d(cur, s[f"enc{lvl}.conv1.w"], s[f"enc{lvl}.conv1.b"], relu=True)
-            cur = conv2d(cur, s[f"enc{lvl}.conv2.w"], s[f"enc{lvl}.conv2.b"], relu=True)
-            if training:
-                cur = dropout(cur, cfg.dropout_per_level[lvl - 1], derive_seed(seed, lvl))
+            drop = (cfg.dropout_per_level[lvl - 1], derive_seed(seed, lvl)) if training else None
+            cur = conv2d(cur, s[f"enc{lvl}.conv2.w"], s[f"enc{lvl}.conv2.b"], relu=True, drop=drop)
             skips.append(cur)
             cur = max_pool2(cur)
 
@@ -129,11 +127,8 @@ class UNet:
             for i, r in enumerate(cfg.aspp_rates)
         ]
         cur = aspp(cur, branches, s["bott.aspp.fuse.w"], s["bott.aspp.fuse.b"])
-        cur = conv2d(cur, s["bott.conv2.w"], s["bott.conv2.b"], relu=True)
-        if training:
-            cur = dropout(
-                cur, cfg.dropout_per_level[cfg.depth], derive_seed(seed, cfg.depth + 1)
-            )
+        drop = (cfg.dropout_per_level[cfg.depth], derive_seed(seed, cfg.depth + 1)) if training else None
+        cur = conv2d(cur, s["bott.conv2.w"], s["bott.conv2.b"], relu=True, drop=drop)
 
         for lvl in range(cfg.depth, 0, -1):
             g = transposed_conv2d(cur, s[f"dec{lvl}.up.w"])

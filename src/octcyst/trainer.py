@@ -261,7 +261,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise OctCystError(f"{path}: tensor {name} appears twice")
         (rank,) = struct.unpack("<B", r.take(1))
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        n = int(np.prod(dims)) if rank else 1
+        n = math.prod(dims)  # exact, where np.prod wraps in int64; 1 for rank 0
         values[name] = (
             np.frombuffer(r.take(4 * n), dtype="<f4").reshape(dims).astype(np.float32)
         )

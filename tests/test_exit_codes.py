@@ -194,17 +194,23 @@ def test_every_raise_in_the_program_is_one_of_the_two_error_types():
         (["prepare", "--manifest", "{bad}"], 1),
         (["train", "--samples", "{samples}"], 1),
         (["predict", "--checkpoint", "{bad}", "--samples", "{samples}"], 1),
+        (["predict", "--checkpoint", "{overflow}", "--samples", "{samples}"], 1),
         (["evaluate", "--manifest", "{bad}", "--pred", "{samples}"], 1),
         (["iov", "--manifest", "{bad}"], 1),
     ],
     ids=["phantom", "denoise", "layers", "prepare", "train-samples",
-         "predict", "evaluate", "iov"],
+         "predict", "predict-overflowing-dims", "evaluate", "iov"],
 )
-def test_every_subcommand_rejects_a_corrupt_input_without_a_traceback(tmp_path, argv, code):
+def test_every_subcommand_rejects_a_corrupt_input_without_a_traceback(
+    tmp_path, capsys, overflowing_checkpoint, argv, code
+):
     bad = tmp_path / "bad"
     bad.write_bytes(b"\xff\x00 not a scan, manifest, config or checkpoint\n")
     samples = tmp_path / "samples"
     samples.mkdir()
     (samples / "s.octf").write_bytes(bad.read_bytes())
-    argv = [a.format(bad=bad, samples=samples) for a in argv]
+    overflow = "{overflow}" in argv
+    argv = [a.format(bad=bad, samples=samples, overflow=overflowing_checkpoint) for a in argv]
     assert run(argv + ["--out", str(tmp_path / "o")]) == code
+    if overflow:
+        assert "truncated at byte" in capsys.readouterr().err

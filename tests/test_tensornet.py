@@ -19,7 +19,6 @@ from octcyst.tensornet import (
     backward,
     build_unet,
     conv2d,
-    dropout,
     keep_large_blocks_on_heap,
     max_pool2,
     mean,
@@ -698,17 +697,33 @@ def test_aspp_equals_naive_composition():
     assert np.max(np.abs(out.data - expected)) <= 1e-6
 
 
-# --- dropout ------------------------------------------------------------------
+# --- dropout, fused into the rectified convolution ---------------------------
 
 
-def test_dropout_zero_rate_is_identity():
-    x = Tensor(_rand((2, 4, 4), 61))
-    assert dropout(x, 0.0, 1) is x
+def _identity(x):
+    """A 1x1 kernel that passes a positive x through the GEMM and the ReLU
+    unchanged, bit for bit."""
+    return Tensor(np.eye(len(x.data), dtype=x.data.dtype)[:, :, None, None])
+
+
+def _dropped(x, p, seed):
+    """conv2d's fused dropout on x itself."""
+    return conv2d(x, _identity(x), relu=True, drop=(p, seed))
+
+
+def test_dropout_zero_rate_is_identity(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a zero rate drew a mask")
+
+    x = Tensor(_rand((2, 4, 4), 61) + 1.5)
+    monkeypatch.setattr(layers, "uniform_at_least", no_draw)
+    out = _dropped(x, 0.0, 1)
+    assert out.data.tobytes() == conv2d(x, _identity(x), relu=True).data.tobytes() == x.data.tobytes()
 
 
 def test_dropout_inverted_scaling_values():
-    x = Tensor(np.ones((8, 8)))
-    out = dropout(x, 0.25, 7)
+    x = Tensor(np.ones((1, 8, 8)))
+    out = _dropped(x, 0.25, 7)
     for v in np.unique(out.data):
         assert v == 0.0 or v == pytest.approx(1.0 / 0.75)
 
@@ -718,45 +733,58 @@ def test_dropout_seeded_expectation_matches_eval():
     acc = np.zeros_like(x.data)
     n = 1000
     for seed in range(n):
-        acc += dropout(x, 0.2, seed).data
+        acc += _dropped(x, 0.2, seed).data
     rel = np.abs(acc / n - x.data) / x.data
     assert rel.max() <= 0.05
 
 
 def test_dropout_mask_is_the_uniform_draw_definition_bit_for_bit():
     for seed in (0, 5, 2**64 - 1):
-        for shape in ((1,), (3, 7), (4, 16, 24)):
+        for shape in ((1, 1, 1), (1, 3, 7), (4, 16, 24)):
             x = Tensor(np.random.default_rng(seed % 97).random(shape, dtype=np.float32) + 0.5)
             u = uniform_array(seed, x.data.size).reshape(shape)
             for p in (0.1, 0.2, 0.5, float(u.flat[0])):
                 mask = ((u >= p) / (1.0 - p)).astype(np.float32)
-                assert np.array_equal(dropout(x, p, seed).data, x.data * mask)
+                assert np.array_equal(_dropped(x, p, seed).data, x.data * mask)
 
 
-def test_dropout_keeps_one_byte_per_element_for_its_backward():
-    # while the graph lives, only the kept booleans stay beside x and out;
-    # backward rebuilds the float mask with the same bits
+def test_dropout_keeps_nothing_beyond_the_output_for_its_backward():
+    # while the graph lives, neither the draw nor the undropped activation
+    # stays: a convolution followed by a separate dropout kept both, 5 more
+    # bytes per element.  Backward equals that two-op composition bit for
+    # bit, rebuilt here as a rectified conv whose loss weights carry the mask
     rng = np.random.default_rng(62)
     x = Tensor(rng.random((4, 128, 128), dtype=np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 4, 3, 3)).astype(np.float32))
     u = rng.standard_normal(x.shape).astype(np.float32)
     tracemalloc.start()
     try:
-        out = dropout(x, 0.25, 9)
+        out = conv2d(x, w, relu=True, drop=(0.25, 9))
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out._backward is not None
-    assert kept - out.data.nbytes <= x.data.size + 4096
+    assert out._backward is not None and np.any(out.data == 0)
+    assert kept - out.data.nbytes <= 4096
     backward(weighted_sum(out, u))
     mask = ((uniform_array(9, x.data.size) >= 0.25) / 0.75).astype(np.float32)
-    assert x.grad.tobytes() == (u * mask.reshape(x.shape)).tobytes()
+    x2 = Tensor(x.data, requires_grad=True)
+    backward(weighted_sum(conv2d(x2, w, relu=True), u * mask.reshape(x.shape)))
+    assert x.grad.tobytes() == x2.grad.tobytes()
 
 
 def test_dropout_deterministic_per_seed():
-    x = Tensor(np.ones((5, 5)))
-    a = dropout(x, 0.3, 123).data
-    b = dropout(x, 0.3, 123).data
+    x = Tensor(np.ones((1, 5, 5)))
+    a = _dropped(x, 0.3, 123).data
+    b = _dropped(x, 0.3, 123).data
     assert np.array_equal(a, b)
+
+
+def test_dropout_needs_a_rectified_output():
+    # backward reads the kept pixels from out > 0: without the ReLU a kept
+    # pixel <= 0 would lose its gradient
+    x = Tensor(np.ones((1, 4, 4)))
+    with pytest.raises(OctCystError, match="only to a rectified output"):
+        conv2d(x, Tensor(np.ones((1, 1, 1, 1))), drop=(0.25, 1))
 
 
 # --- network construction ------------------------------------------------------
@@ -923,13 +951,14 @@ def test_backward_frees_the_graph_without_the_cycle_collector():
 
 def _chain_backward_peak(n_ops):
     """tracemalloc peak while `backward` runs through a chain of n_ops
-    dropouts and rectified 1x1 convolutions over a 1 MiB float32 tensor;
-    the forward activations were allocated before tracing starts."""
+    rectified 1x1 convolutions, every other one with dropout, over a 1 MiB
+    float32 tensor; the forward activations were allocated before tracing
+    starts."""
     x = Tensor(np.random.default_rng(3).random((1, 512, 512), dtype=np.float32), requires_grad=True)
     w = Tensor(np.full((1, 1, 1, 1), 0.75, dtype=np.float32))
     h = x
     for i in range(n_ops):
-        h = conv2d(h, w, relu=True) if i % 2 else dropout(h, 0.25, i)
+        h = conv2d(h, w, relu=True, drop=None if i % 2 else (0.25, i))
     loss = mean(h)
     del h
     tracemalloc.start()

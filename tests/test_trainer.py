@@ -437,6 +437,13 @@ def test_checkpoint_truncated(tmp_path):
             load_checkpoint(tmp_path / "cut.bin")
 
 
+def test_checkpoint_dims_whose_count_overflows_int64_read_as_truncated(overflowing_checkpoint):
+    # an int64 product of the dims is 0 here, which made reshape raise a
+    # bare ValueError instead of the truncation error
+    with pytest.raises(OctCystError, match="truncated at byte"):
+        load_checkpoint(overflowing_checkpoint)
+
+
 def test_checkpoint_missing_tensor_rejected(tmp_path):
     cfg = _tiny_cfg()
     _, store = build_unet(cfg)
