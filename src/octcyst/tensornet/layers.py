@@ -16,7 +16,7 @@ from .tensor import Tensor, _accum, _attach, _sigmoid_data
 _COL_BYTES = 16 << 20
 
 
-def _mec_tiles(xs: tuple[np.ndarray, ...], k: int, r: int, f: int):
+def _mec_tiles(xs: tuple[np.ndarray, ...], k: int, r: int, f: int, gain: np.ndarray | None = None):
     """Yield (i0, i1, taps) over blocks of output rows i0 <= i < i1.
 
     MEC lowering (Cho & Brand 2017) of x, the channels of the groups xs in
@@ -27,9 +27,15 @@ def _mec_tiles(xs: tuple[np.ndarray, ...], k: int, r: int, f: int):
     output rows is then the contiguous column range a*r*W .. a*r*W + n*W.
     Tiles are sized so the matrix and an f-row product of the tile's
     output pixels fit in _COL_BYTES.  A 1x1 kernel copies only several
-    groups, into one transient array: one group is the one tile itself."""
+    groups, into one transient array: one group is the one tile itself.
+
+    gain: a (1, H, W) map that multiplies the first group per pixel as the
+    tile's rows are copied, so the scaled group is never kept; a 1x1
+    kernel multiplies it once, before any join."""
     (_, H, W), C = xs[0].shape, sum(map(len, xs))
     if k == 1:
+        if gain is not None:
+            xs = (xs[0] * gain, *xs[1:])
         yield 0, H, (np.concatenate(xs) if len(xs) > 1 else xs[0]).reshape(C, H * W)
         return
     p = r * (k // 2)
@@ -46,24 +52,32 @@ def _mec_tiles(xs: tuple[np.ndarray, ...], k: int, r: int, f: int):
         buf[:, :, :top] = 0
         buf[:, :, bot : n + 2 * p] = 0
         c1 = 0
-        for g in xs:  # each group's rows at its channel offset
+        for i, g in enumerate(xs):  # each group's rows at its channel offset
             c0, c1 = c1, c1 + len(g)
             for b in range(k):
                 d = r * (b - k // 2)
                 if abs(d) < W:
-                    buf[c0:c1, b, top:bot, max(-d, 0) : W - max(d, 0)] = g[:, lo:hi, max(d, 0) : W + min(d, 0)]
+                    dst = buf[c0:c1, b, top:bot, max(-d, 0) : W - max(d, 0)]
+                    cols = slice(max(d, 0), W + min(d, 0))
+                    if i == 0 and gain is not None:
+                        np.multiply(g[:, lo:hi, cols], gain[:, lo:hi, cols], out=dst)
+                    else:
+                        dst[...] = g[:, lo:hi, cols]
         yield i0, i1, buf.reshape(C * k, (h + 2 * p) * W)[:, : (n + 2 * p) * W]
 
 
-def _conv(x: np.ndarray, w: np.ndarray, r: int, more: tuple | list = ()) -> np.ndarray:
-    """Bias-free same-padded convolution of arrays x, *more: per row tile,
-    the sum over vertical taps a of w[:, :, a, :] times tap window a."""
+def _conv(
+    x: np.ndarray, w: np.ndarray, r: int, more: tuple | list = (), gain: np.ndarray | None = None
+) -> np.ndarray:
+    """Bias-free same-padded convolution of arrays x (times gain, if given),
+    *more: per row tile, the sum over vertical taps a of w[:, :, a, :]
+    times tap window a."""
     F, C, k, _ = w.shape
     _, H, W = x.shape
     wa = [w[:, :, a, :].reshape(F, C * k) for a in range(k)]
     y = np.empty((F, H * W), dtype=x.dtype)
     prod = None
-    for i0, i1, taps in _mec_tiles((x, *more), k, r, F):
+    for i0, i1, taps in _mec_tiles((x, *more), k, r, F, gain):
         n = (i1 - i0) * W
         yt = y[:, i0 * W : i1 * W]
         np.matmul(wa[0], taps[:, :n], out=yt)
@@ -82,16 +96,19 @@ def _flip(w: np.ndarray) -> np.ndarray:
     return w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
 
 
-def _conv_weight_grad(x: np.ndarray, go: np.ndarray, k: int, r: int, more: tuple | list = ()) -> np.ndarray:
+def _conv_weight_grad(
+    x: np.ndarray, go: np.ndarray, k: int, r: int, more: tuple | list = (), gain: np.ndarray | None = None
+) -> np.ndarray:
     """Weight gradient of _conv: tap a's slice sums, over row tiles, tap
-    window a times the tile's output gradient.  Each product is taken as
+    window a times the tile's output gradient.  The tap windows are the
+    forward's, x's rows times the same gain.  Each product is taken as
     window @ go.T and transposed: on the frame's long, flat operands
     OpenBLAS ran that about twice as fast as go @ window.T."""
     F, H, W = go.shape
     C = sum(map(len, (x, *more)))
     go2 = go.reshape(F, H * W)
     dw = np.zeros((k, C * k, F), dtype=x.dtype)
-    for i0, i1, taps in _mec_tiles((x, *more), k, r, 0):
+    for i0, i1, taps in _mec_tiles((x, *more), k, r, 0, gain):
         n = (i1 - i0) * W
         gt = go2[:, i0 * W : i1 * W].T
         for a in range(k):
@@ -102,7 +119,7 @@ def _conv_weight_grad(x: np.ndarray, go: np.ndarray, k: int, r: int, more: tuple
 
 def conv2d(
     x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1, relu: bool = False,
-    *, more: tuple[Tensor, ...] = (), drop: tuple[float, int] | None = None,
+    *, more: tuple[Tensor, ...] = (), drop: tuple[float, int] | None = None, gain: Tensor | None = None,
 ) -> Tensor:
     """Same-padded 2-D cross-correlation with dilation.
 
@@ -117,6 +134,13 @@ def conv2d(
 
     more: channel groups (Ci, H, W) after x's, counted in C; the result is
     their concatenation's, bit for bit, with no joined copy ever kept.
+
+    gain: a (1, H, W) map that multiplies x per pixel.  The result is the
+    convolution of gain * x, bit for bit, but that product is never kept:
+    x's rows are multiplied as they are copied into the tap matrix, in the
+    forward and again in the weight gradient.  Backward hands x its slice
+    of the input gradient times the gain, and the gain that slice summed
+    over channels against x.
 
     relu=True returns max(conv + b, 0), bit for bit np.maximum of the
     unrectified output: the bias and the ReLU are applied in place on the
@@ -134,6 +158,10 @@ def conv2d(
     for t in more:  # a group of another rank differs here too
         if t.data.shape[1:] != x.data.shape[1:]:
             raise OctCystError(f"group {t.data.shape} and input {x.data.shape} spatial dims differ")
+    gains = () if gain is None else (gain,)
+    a = None if gain is None else gain.data
+    if gain is not None and a.shape != (1, *x.data.shape[1:]):
+        raise OctCystError(f"gain {a.shape} is not a (1, H, W) map of input {x.data.shape}")
     groups = [t.data for t in more]
     F, Cw, k, k2 = w.data.shape
     if Cw != sum(map(len, (x.data, *groups))) or k != k2 or k % 2 == 0:
@@ -142,7 +170,7 @@ def conv2d(
         raise OctCystError(f"bias shape {b.data.shape} != ({F},)")
     if drop is not None and not relu:
         raise OctCystError("conv2d applies dropout only to a rectified output (relu=True)")
-    y = _conv(x.data, w.data, dilation, groups)
+    y = _conv(x.data, w.data, dilation, groups, a)
     if b is not None:
         y += b.data[:, None, None]
     if relu:
@@ -167,16 +195,29 @@ def conv2d(
             go *= scale
         if b is not None and b.requires_grad:
             _accum(b, go.sum(axis=(1, 2)))
-        if any(t.requires_grad for t in xs):
+        if any(t.requires_grad for t in (*xs, *gains)):
             gx, c1 = _conv(go, _flip(w.data), dilation), 0
+            if gain is not None:
+                gx0 = gx[: len(x.data)]
+                if gain.requires_grad:
+                    # the sum over channels of gx0 * x, in row blocks that fit
+                    # _COL_BYTES: numpy's axis-0 reduce adds the channels in
+                    # order, so every blocking gives (gx0 * x).sum(axis=0)'s bits
+                    ga = np.empty_like(a)
+                    h = max(1, _COL_BYTES // gx0[:, 0].nbytes)
+                    for i0 in range(0, a.shape[1], h):
+                        rows = slice(i0, i0 + h)
+                        np.sum(gx0[:, rows] * x.data[:, rows], axis=0, out=ga[0, rows])
+                    _accum(gain, ga)
+                np.multiply(gx0, a, out=gx0)
             for t in xs:  # each group takes its own disjoint view of gx
                 c0, c1 = c1, c1 + len(t.data)
                 if t.requires_grad:
                     _accum(t, gx[c0:c1])
         if w.requires_grad:
-            _accum(w, _conv_weight_grad(x.data, go, k, dilation, groups))
+            _accum(w, _conv_weight_grad(x.data, go, k, dilation, groups, a))
 
-    parents = (*xs, w) if b is None else (*xs, w, b)
+    parents = (*xs, *gains, w) if b is None else (*xs, *gains, w, b)
     return _attach(out, parents, _bw)
 
 
@@ -247,14 +288,16 @@ def max_pool2(x: Tensor) -> Tensor:
 def attention_gate(
     x_l: Tensor, g: Tensor, w_x: Tensor, w_g: Tensor, b_xg: Tensor, psi: Tensor, b_psi: Tensor
 ) -> Tensor:
-    """Scale skip features by a learned coefficient in (0,1), as one op.
+    """The learned coefficient map in (0,1) of a skip, as one op.
 
     w_x (F_int, C_skip, 1, 1) and w_g (F_int, C_gate, 1, 1) project the
     skip and gating maps to an inner width; psi (1, F_int, 1, 1) projects
-    that to the coefficient logit.  alpha = sigmoid(psi(relu(Wx*x_l + Wg*g
-    + b_xg)) + b_psi), broadcast over the channels of x_l; returns
-    alpha * x_l.  Only the rectified inner map and alpha are kept for the
-    closed-form backward."""
+    that to the coefficient logit.  Returns alpha = sigmoid(psi(relu(Wx*x_l
+    + Wg*g + b_xg)) + b_psi), a (1, H, W) map.  The gated skip alpha * x_l
+    is never formed: the decoder convolution takes x_l with alpha as its
+    gain (see conv2d), which scales x_l's rows as it copies them into its
+    tap matrix.  Only the rectified inner map and alpha are kept for the
+    closed-form backward, which starts from alpha's gradient."""
     if x_l.data.shape[1:] != g.data.shape[1:]:
         raise OctCystError(
             f"skip {x_l.data.shape} and gating {g.data.shape} spatial dims differ"
@@ -265,28 +308,24 @@ def attention_gate(
     np.maximum(inner, 0, out=inner)
     z = _conv(inner, psi.data, 1)
     z += b_psi.data[:, None, None]
-    alpha = _sigmoid_data(z)
-    out = Tensor(x_l.data * alpha)
+    out = Tensor(_sigmoid_data(z))
 
     def _bw():
-        go = out.grad
-        ga = (go * x_l.data).sum(axis=0, keepdims=True)
-        if x_l.requires_grad:
-            # safe in place, as conv2d's fused ReLU mask is: backward drops
-            # out.grad right after this closure
-            _accum(x_l, np.multiply(go, alpha, out=go))
-        gz = ga * alpha * (1.0 - alpha)
+        alpha = out.data
+        gz = out.grad * alpha * (1.0 - alpha)
         if b_psi.requires_grad:
             _accum(b_psi, gz.sum(axis=(1, 2)))
         if psi.requires_grad:
             _accum(psi, _conv_weight_grad(inner, gz, 1, 1))
-        # the ReLU's mask: inner > 0 exactly where the sum was, as the ReLU
-        # keeps a NaN sum and NaN > 0 is false
-        gs = _conv(gz, _flip(psi.data), 1) * (inner > 0)
+        # the ReLU's mask, in place as conv2d's is: inner > 0 exactly where
+        # the sum was, as the ReLU keeps a NaN sum and NaN > 0 is false
+        gs = _conv(gz, _flip(psi.data), 1)
+        np.multiply(gs, inner > 0, out=gs)
         if b_xg.requires_grad:
             _accum(b_xg, gs.sum(axis=(1, 2)))
-        # both of x_l's gradients from the gate arrive before max_pool2's,
-        # which backward runs later, so x_l sums its three in one order
+        # x_l's gradient from the decoder convolution arrives first, since
+        # that op reads alpha, and max_pool2's last, so x_l sums its three
+        # in one order
         for x, w in ((x_l, w_x), (g, w_g)):
             if x.requires_grad:
                 _accum(x, _conv(gs, _flip(w.data), 1))

@@ -14,8 +14,10 @@ A gradient is owned by the tensor it is accumulated into: `_accum` takes
 the first array a closure hands it, so no closure may hand overlapping
 memory to two tensors.  Every closure hands each parent an array of its
 own, except `conv2d`, whose channel groups take disjoint views of its
-one input-gradient array.  A closure may therefore consume its own
-output's gradient in place, since `backward` drops it right after.
+one input-gradient array; with a gain, the first group's view is scaled
+by the gain in place before it is handed over.  A closure may therefore
+consume its own output's gradient in place, since `backward` drops it
+right after.
 
 Storage is float32 by default; building a graph from float64 tensors runs
 the whole computation in float64, which the gradient checks rely on.

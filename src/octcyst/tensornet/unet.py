@@ -133,8 +133,9 @@ class UNet:
         for lvl in range(cfg.depth, 0, -1):
             g = transposed_conv2d(cur, s[f"dec{lvl}.up.w"])
             gate = (s[f"dec{lvl}.gate.{n}"] for n in ("wx", "wg", "bxg", "psi", "bpsi"))
-            gated = attention_gate(skips[lvl - 1], g, *gate)
-            cur = conv2d(gated, s[f"dec{lvl}.conv1.w"], s[f"dec{lvl}.conv1.b"], relu=True, more=(g,))
+            skip = skips[lvl - 1]
+            alpha = attention_gate(skip, g, *gate)
+            cur = conv2d(skip, s[f"dec{lvl}.conv1.w"], s[f"dec{lvl}.conv1.b"], relu=True, more=(g,), gain=alpha)
             cur = conv2d(cur, s[f"dec{lvl}.conv2.w"], s[f"dec{lvl}.conv2.b"], relu=True)
 
         return conv2d(cur, s["head.w"], s["head.b"])

@@ -176,54 +176,62 @@ def test_conv_row_tiles_match_naive_and_fd(monkeypatch, k, r):
     assert max_rel_error_fd(store, loss_fn) <= 1e-6
 
 
-def _forward_memory(n_groups):
-    """tracemalloc peak of a conv2d over n_groups channel groups, made
-    while tracing, and the bound: the groups, the output and one tile."""
+def _forward_memory(n_groups, gained):
+    """tracemalloc peak of a conv2d over n_groups channel groups, the first
+    one times a gain if gained, made while tracing, and the bound: the
+    groups, the gain, the output and one tile."""
     # the whole-frame tap matrix would be at least twice the budget, and
-    # a concatenated copy of the groups would add two thirds of it
+    # a concatenated copy of the groups would add two thirds of it; a
+    # gained case is taller, so that its first group alone, and so that
+    # group times the gain, is twice the budget
     budget = layers._COL_BYTES
     C, F, k, W = 16, 16, 3, 256
-    H = -(-2 * budget // (C * k * W * 4))
+    H = -(-2 * budget // ((C // n_groups if gained else C * k) * W * 4))
     rng = np.random.default_rng(74)
     w = Tensor(rng.random((F, C, k, k), dtype=np.float32))
     tracemalloc.start()
     try:
         xs = [Tensor(rng.random((C // n_groups, H, W), dtype=np.float32)) for _ in range(n_groups)]
-        out = conv2d(xs[0], w, more=tuple(xs[1:]))
+        gains = [Tensor(rng.random((1, H, W), dtype=np.float32))] if gained else []
+        out = conv2d(xs[0], w, more=tuple(xs[1:]), gain=gains[0] if gained else None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert out.data.dtype == np.float32
-    held = sum(x.data.nbytes for x in xs)
+    held = sum(x.data.nbytes for x in xs + gains)
     return peak, held + out.data.nbytes + budget + budget // 4
 
 
 def test_conv_forward_memory_stays_within_one_column_tile():
-    for n_groups in (1, 2):
-        peak, bound = _forward_memory(n_groups)
-        assert peak <= bound, n_groups
+    for n_groups, gained in ((1, False), (2, False), (1, True)):
+        peak, bound = _forward_memory(n_groups, gained)
+        assert peak <= bound, (n_groups, gained)
 
 
-def _backward_memory(n_groups):
+def _backward_memory(n_groups, gained):
     """tracemalloc peak of a conv2d's backward over n_groups channel
-    groups, and the bound: what backward adds, with one tile."""
+    groups, the first one times a gain if gained, and the bound: what
+    backward adds, with one tile."""
     # the whole-frame tap matrices of the input and of the output gradient
     # would each be at least twice the budget, and a concatenated copy of
-    # the groups would add two thirds of it
+    # the groups would add two thirds of it; a gained case is taller, so
+    # that its first group alone, and so that group times the gain or
+    # times its gradient, is twice the budget
     budget = layers._COL_BYTES
     C, F, k, W = 16, 16, 3, 256
-    H = -(-2 * budget // (C * k * W * 4))
+    H = -(-2 * budget // ((C // n_groups if gained else C * k) * W * 4))
     rng = np.random.default_rng(75)
     xs = [
         Tensor(rng.random((C // n_groups, H, W), dtype=np.float32), requires_grad=True)
         for _ in range(n_groups)
     ]
+    gains = [Tensor(rng.random((1, H, W), dtype=np.float32), requires_grad=True)] if gained else []
     w = Tensor(rng.random((F, C, k, k), dtype=np.float32), requires_grad=True)
-    out = conv2d(xs[0], w, more=tuple(xs[1:]))
-    # the groups, w and the output exist before tracing starts, so the
-    # bound counts only what backward adds: the output gradient, the one
-    # input-gradient array the groups' views share, dw and one tile's
-    # scratch
+    out = conv2d(xs[0], w, more=tuple(xs[1:]), gain=gains[0] if gained else None)
+    # the groups, the gain, w and the output exist before tracing starts,
+    # so the bound counts only what backward adds: the output gradient, the
+    # one input-gradient array the groups' views share, the gain's
+    # gradient, dw and one tile's scratch
     tracemalloc.start()
     try:
         out.grad = rng.random((F, H, W), dtype=np.float32)
@@ -231,15 +239,15 @@ def _backward_memory(n_groups):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(x.grad.dtype == np.float32 for x in xs) and w.grad.dtype == np.float32
-    dx = sum(x.grad.nbytes for x in xs)
+    assert all(x.grad.dtype == np.float32 for x in xs + gains) and w.grad.dtype == np.float32
+    dx = sum(x.grad.nbytes for x in xs + gains)
     return peak, out.grad.nbytes + dx + w.grad.nbytes + budget + budget // 4
 
 
 def test_conv_backward_memory_stays_within_one_column_tile():
-    for n_groups in (1, 2):
-        peak, bound = _backward_memory(n_groups)
-        assert peak <= bound, n_groups
+    for n_groups, gained in ((1, False), (2, False), (1, True)):
+        peak, bound = _backward_memory(n_groups, gained)
+        assert peak <= bound, (n_groups, gained)
 
 
 # --- conv2d over channel groups -------------------------------------------------
@@ -343,6 +351,75 @@ def test_grouped_conv_rejects_what_concatenation_could_not_join():
     assert conv2d(x, w, more=(Tensor(np.zeros((1, 4, 4))),)).shape == (1, 4, 4)
 
 
+# --- conv2d with a gain on its first group -------------------------------------
+
+
+@pytest.mark.parametrize("k, r", [(3, 1), (3, 4), (1, 1)])
+def test_gained_conv_equals_conv_of_the_scaled_input_byte_for_byte(monkeypatch, k, r):
+    # a budget of three of x's rows makes the 3x3 forward and weight
+    # gradient run one-row tiles, and the gain's gradient reduce in blocks
+    # of three rows
+    rng = np.random.default_rng(110 + k + r)
+    C, H, W, F = 5, 11, 7, 3
+    monkeypatch.setattr(layers, "_COL_BYTES", 3 * C * W * 4)
+    x, grp = (rng.standard_normal((c, H, W)).astype(np.float32) for c in (C, 3))
+    a = rng.random((1, H, W)).astype(np.float32)
+    w = rng.standard_normal((F, C + 3, k, k)).astype(np.float32)
+    b = rng.standard_normal(F).astype(np.float32)
+    u = rng.standard_normal((F, H, W)).astype(np.float32)
+    tiles = []
+    mec_tiles = layers._mec_tiles
+
+    def counted(*args):
+        tiles.append(0)
+        for tile in mec_tiles(*args):
+            tiles[-1] += 1
+            yield tile
+
+    monkeypatch.setattr(layers, "_mec_tiles", counted)
+    runs = []
+    for gain in (Tensor(a.copy(), requires_grad=True), None):
+        xt = Tensor(x.copy() if gain is not None else a * x, requires_grad=True)
+        gt, wt, bt = (Tensor(v.copy(), requires_grad=True) for v in (grp, w, b))
+        out = conv2d(xt, wt, bt, dilation=r, relu=k > 1, more=(gt,), gain=gain)
+        data = out.data.copy()
+        backward(weighted_sum(out, u))
+        runs.append((data, bt.grad, wt.grad, gt.grad, xt.grad, gain))
+    (*gained, dx, gain), (*scaled, dref, _) = runs
+    # forward, input gradient and weight gradient of the gained run
+    fwd, _, dw = tiles[:3]
+    assert (fwd > 1 and dw > 1) if k > 1 else tiles[:3] == [1, 1, 1]
+    for name, p, q in zip(["out", "b.grad", "w.grad", "group grad"], gained, scaled):
+        assert p.dtype == q.dtype == np.float32, name
+        assert p.shape == q.shape and p.tobytes() == q.tobytes(), name
+    assert dx.tobytes() == (dref * a).tobytes()
+    assert gain.grad.shape == (1, H, W)
+    assert gain.grad.tobytes() == (dref * x).sum(axis=0, keepdims=True).tobytes()
+
+
+def test_gained_conv_gradients_match_fd():
+    store = ParamStore()
+    x = store.add("x", Tensor(_rand((2, 6, 5), 105)))
+    g = store.add("g", Tensor(_rand((1, 6, 5), 106)))
+    a = store.add("a", Tensor(_rand((1, 6, 5), 107)))
+    w = store.add("w", Tensor(_rand((2, 3, 3, 3), 108)))
+    u = _rand((2, 6, 5), 109)
+
+    def loss_fn():
+        return weighted_sum(conv2d(x, w, dilation=2, more=(g,), gain=a), u).item()
+
+    backward(weighted_sum(conv2d(x, w, dilation=2, more=(g,), gain=a), u))
+    assert max_rel_error_fd(store, loss_fn) <= 1e-6
+
+
+def test_gained_conv_rejects_a_gain_that_is_not_one_map_of_the_input():
+    x, w = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 3, 3)))
+    for shape in ((2, 4, 4), (1, 4, 5), (4, 4)):
+        with pytest.raises(OctCystError, match=r"is not a \(1, H, W\) map of input \(2, 4, 4\)"):
+            conv2d(x, w, gain=Tensor(np.zeros(shape)))
+    assert conv2d(x, w, gain=Tensor(np.ones((1, 4, 4)))).shape == (1, 4, 4)
+
+
 # --- conv2d with the fused ReLU -----------------------------------------------
 
 
@@ -419,13 +496,18 @@ def test_fused_conv_relu_gradient_is_released_so_its_in_place_mask_stays_unseen(
 @pytest.mark.parametrize("op", ["conv2d(x, w, more=(x,))", "attention_gate(x, x)"])
 def test_a_tensor_used_twice_by_one_op_gets_both_gradients(op):
     # the first gradient x is handed becomes x.grad and the second adds into
-    # it, so x gets, bit for bit, the sum of what two copies of x would get
+    # it, so x gets, bit for bit, the sum of what two copies of x would get.
+    # The gate runs as the decoder runs it, with a conv taking its
+    # coefficient map as the gain of the skip: the skip gets the conv's
+    # gradient and then the gate's, before the gating input gets its own
     data = _rand((4, 3, 3), 90)
     gate = _gate_params(4, 4, 2, 91)
     w = Tensor(_rand((2, 8, 3, 3), 93))
     run = {
         "conv2d(x, w, more=(x,))": lambda a, b: conv2d(a, w, more=(b,)),
-        "attention_gate(x, x)": lambda a, b: attention_gate(a, b, **gate),
+        "attention_gate(x, x)": lambda a, b: conv2d(
+            a, Tensor(w.data[:, :4]), gain=attention_gate(a, b, **gate)
+        ),
     }[op]
     x, a, b = (Tensor(data.copy(), requires_grad=True) for _ in range(3))
     y = run(x, x)
@@ -603,10 +685,14 @@ def _gate_params(c_skip, c_gate, f_int, seed, zero_psi=False):
 
 
 def test_gate_zero_psi_halves_input():
+    # psi = 0 gives alpha = 0.5 exactly, and a 1x1 identity conv taking it
+    # as its gain returns exactly half the input
     x = Tensor(_rand((4, 3, 3), 31))
     g = Tensor(_rand((4, 3, 3), 32))
-    out = attention_gate(x, g, **_gate_params(4, 4, 2, 33, zero_psi=True))
-    assert np.allclose(out.data, 0.5 * x.data, atol=0)
+    alpha = attention_gate(x, g, **_gate_params(4, 4, 2, 33, zero_psi=True))
+    assert np.array_equal(alpha.data, np.full((1, 3, 3), 0.5))
+    out = conv2d(x, Tensor(np.eye(4)[:, :, None, None]), gain=alpha)
+    assert np.array_equal(out.data, 0.5 * x.data)
 
 
 def test_gate_alpha_strictly_in_unit_interval():
@@ -614,10 +700,8 @@ def test_gate_alpha_strictly_in_unit_interval():
         x = Tensor(_rand((4, 3, 3), 100 + seed, spread=3.0))
         g = Tensor(_rand((4, 3, 3), 200 + seed, spread=3.0))
         p = _gate_params(4, 4, 2, 300 + seed)
-        out = attention_gate(x, g, **p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = out.data / x.data
-        alpha = alpha[np.isfinite(alpha)]
+        alpha = attention_gate(x, g, **p).data
+        assert alpha.shape == (1, 3, 3)
         assert alpha.min() > 0.0 and alpha.max() < 1.0
 
 
@@ -625,6 +709,8 @@ def test_gate_records_one_node_over_its_operands():
     x, g = (Tensor(_rand((4, 3, 3), seed), requires_grad=True) for seed in (34, 35))
     p = _gate_params(4, 4, 2, 36)
     out = attention_gate(x, g, **p)
+    # the op's one output is the coefficient map, never a skip-sized array
+    assert out.data.shape == (1, 3, 3)
     assert out._parents == (x, g, p["w_x"], p["w_g"], p["b_xg"], p["psi"], p["b_psi"])
 
 
@@ -638,9 +724,11 @@ def test_gate_spatial_mismatch_rejected():
 
 
 def test_gate_gradients_match_fd():
-    x = Tensor(_rand((1, 4, 3, 3)[1:], 41))
-    g = Tensor(_rand((4, 3, 3), 42))
+    # the decoder's pair: the skip x reaches the loss as the conv's first
+    # group and through the gate's coefficient map, the conv's gain
     store = ParamStore()
+    x = store.add("x", Tensor(_rand((4, 3, 3), 41)))
+    g = store.add("g", Tensor(_rand((4, 3, 3), 42)))
     p = dict(
         w_x=store.add("w_x", Tensor(_rand((2, 4, 1, 1), 43))),
         w_g=store.add("w_g", Tensor(_rand((2, 4, 1, 1), 44))),
@@ -648,11 +736,12 @@ def test_gate_gradients_match_fd():
         psi=store.add("psi", Tensor(_rand((1, 2, 1, 1), 46))),
         b_psi=store.add("b_psi", Tensor(_rand((1,), 47))),
     )
+    w = store.add("w", Tensor(_rand((2, 8, 3, 3), 48)))
 
     def loss_fn():
-        return mean(attention_gate(x, g, **p)).item()
+        return mean(conv2d(x, w, more=(g,), gain=attention_gate(x, g, **p))).item()
 
-    backward(mean(attention_gate(x, g, **p)))
+    backward(mean(conv2d(x, w, more=(g,), gain=attention_gate(x, g, **p))))
     assert max_rel_error_fd(store, loss_fn) <= 1e-4
 
 
