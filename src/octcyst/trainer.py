@@ -26,7 +26,7 @@ from .tensornet import ParamStore, Tensor, UNet, UNetConfig, backward, build_une
 from .tensornet.tensor import _accum, _attach, _sigmoid_data
 
 CHECKPOINT_MAGIC = b"UNCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -100,7 +100,7 @@ def adam_step(params: ParamStore, state: AdamState, cfg: TrainConfig) -> None:
         tensor.grad = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class Checkpoint:
     config: UNetConfig
     values: dict[str, np.ndarray]
@@ -175,44 +175,21 @@ def predict(cp: Checkpoint, sample: Sample) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_checkpoint(cp: Checkpoint, path) -> None:
-    """Binary layout: magic, version, the config as format_settings text,
-    then tensors in lexicographic name order as (name, rank, dims, float32
-    values).  A tensor holding a NaN or inf, or a config whose text would not
-    read back as itself, raises OctCystError, and nothing is written."""
+    """Binary layout: magic, version and config length as two uint32, the
+    config as format_settings text, then each tensor's float32 values in
+    lexicographic name order, all little-endian.  Nothing else is stored:
+    the config fixes every tensor's name and shape.  A tensor holding a NaN
+    or inf, or a config whose text would not read back as itself, raises
+    OctCystError, and nothing is written."""
     config = format_settings(cp.config).encode("utf-8")
     _parse_config_block(config, path)
-    parts = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<I", CHECKPOINT_VERSION),
-        struct.pack("<I", len(config)),
-        config,
-        struct.pack("<I", len(cp.values)),
-    ]
+    parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(config)), config]
     for name in sorted(cp.values):
         arr = np.asarray(cp.values[name], dtype="<f4")
         if not np.all(np.isfinite(arr)):
             raise OctCystError(f"{path}: tensor {name} contains non-finite values")
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.tobytes())
     atomic_write_bytes(path, b"".join(parts))
-
-
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise OctCystError(f"{self.path}: truncated at byte {self.pos}")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
 
 
 def _parse_config_block(block: bytes, path) -> UNetConfig:
@@ -236,39 +213,36 @@ def _parse_config_block(block: bytes, path) -> UNetConfig:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a save_checkpoint file.  The config block must set every
-    UNetConfig field exactly once, the tensors must be exactly those of
-    build_unet(config), each once, name for name and shape for shape, with
-    finite values, and nothing may follow the last one."""
+    UNetConfig field exactly once, the file must then hold exactly the
+    values of the tensors of build_unet(config), and every value must be
+    finite.  That build becomes the checkpoint's network."""
     data = Path(path).read_bytes()
-    if len(data) < 4 or data[:4] != CHECKPOINT_MAGIC:
+    if data[:4] != CHECKPOINT_MAGIC:
         raise OctCystError(f"{path}: not a checkpoint file")
-    r = _Reader(data, path)
-    r.take(4)
-    (version,) = struct.unpack("<I", r.take(4))
+
+    def require(end: int) -> None:
+        if len(data) < end:
+            raise OctCystError(f"{path}: truncated at byte {len(data)}")
+
+    require(12)
+    version, config_len = struct.unpack_from("<II", data, 4)
     if version != CHECKPOINT_VERSION:
         raise OctCystError(f"{path}: checkpoint version {version} unsupported")
-    (config_len,) = struct.unpack("<I", r.take(4))
-    cfg = _parse_config_block(r.take(config_len), path)
-    (count,) = struct.unpack("<I", r.take(4))
-    values: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", r.take(2))
-        try:
-            name = r.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise OctCystError(f"{path}: tensor name is not UTF-8: {e}") from e
-        if name in values:
-            raise OctCystError(f"{path}: tensor {name} appears twice")
-        (rank,) = struct.unpack("<B", r.take(1))
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        n = math.prod(dims)  # exact, where np.prod wraps in int64; 1 for rank 0
-        values[name] = (
-            np.frombuffer(r.take(4 * n), dtype="<f4").reshape(dims).astype(np.float32)
-        )
-        if not np.all(np.isfinite(values[name])):
+    pos = 12 + config_len
+    require(pos)
+    cfg = _parse_config_block(data[12:pos], path)
+    net, params = build_unet(cfg)
+    end = pos + 4 * sum(t.data.size for _, t in params.items())
+    require(end)
+    if len(data) > end:
+        raise OctCystError(f"{path}: {len(data) - end} trailing bytes after the last tensor")
+    for name, t in params.items():
+        n = t.data.size
+        t.data = np.frombuffer(data, "<f4", n, pos).reshape(t.data.shape).astype(np.float32)
+        if not np.all(np.isfinite(t.data)):
             raise OctCystError(f"{path}: tensor {name} contains non-finite values")
-    if r.pos != len(data):
-        raise OctCystError(f"{path}: {len(data) - r.pos} trailing bytes after the last tensor")
-    cp = Checkpoint(cfg, values)
-    cp.network  # checks the tensor table; predict reuses the network
+        t.requires_grad = False
+        pos += 4 * n
+    cp = Checkpoint(cfg, {name: t.data for name, t in params.items()})
+    cp.network = net  # predict reuses this build
     return cp

@@ -9,6 +9,8 @@ import pytest
 
 from octcyst import cli, errors
 from octcyst.cli import run
+from octcyst.tensornet import UNetConfig, build_unet
+from octcyst.trainer import Checkpoint, save_checkpoint
 
 
 def _subclasses(cls):
@@ -185,6 +187,21 @@ def test_every_raise_in_the_program_is_one_of_the_two_error_types():
     assert not found, f"raises of other exception types in src/octcyst: {found}"
 
 
+@pytest.fixture
+def cut_checkpoint(tmp_path):
+    """A checkpoint whose header and config block are whole but whose last
+    tensor's values are cut two bytes short."""
+    cfg = UNetConfig(
+        input_channels=2, base_channels=1, depth=1, bottleneck_channels=2,
+        aspp_rates=(1,), dropout_per_level=(0.1, 0.1),
+    )
+    _, store = build_unet(cfg)
+    path = tmp_path / "cut.bin"
+    save_checkpoint(Checkpoint(cfg, store.values()), path)
+    path.write_bytes(path.read_bytes()[:-2])
+    return path
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -194,23 +211,23 @@ def test_every_raise_in_the_program_is_one_of_the_two_error_types():
         (["prepare", "--manifest", "{bad}"], 1),
         (["train", "--samples", "{samples}"], 1),
         (["predict", "--checkpoint", "{bad}", "--samples", "{samples}"], 1),
-        (["predict", "--checkpoint", "{overflow}", "--samples", "{samples}"], 1),
+        (["predict", "--checkpoint", "{cut}", "--samples", "{samples}"], 1),
         (["evaluate", "--manifest", "{bad}", "--pred", "{samples}"], 1),
         (["iov", "--manifest", "{bad}"], 1),
     ],
     ids=["phantom", "denoise", "layers", "prepare", "train-samples",
-         "predict", "predict-overflowing-dims", "evaluate", "iov"],
+         "predict", "predict-cut-values", "evaluate", "iov"],
 )
 def test_every_subcommand_rejects_a_corrupt_input_without_a_traceback(
-    tmp_path, capsys, overflowing_checkpoint, argv, code
+    tmp_path, capsys, cut_checkpoint, argv, code
 ):
     bad = tmp_path / "bad"
     bad.write_bytes(b"\xff\x00 not a scan, manifest, config or checkpoint\n")
     samples = tmp_path / "samples"
     samples.mkdir()
     (samples / "s.octf").write_bytes(bad.read_bytes())
-    overflow = "{overflow}" in argv
-    argv = [a.format(bad=bad, samples=samples, overflow=overflowing_checkpoint) for a in argv]
+    cut = "{cut}" in argv
+    argv = [a.format(bad=bad, samples=samples, cut=cut_checkpoint) for a in argv]
     assert run(argv + ["--out", str(tmp_path / "o")]) == code
-    if overflow:
+    if cut:
         assert "truncated at byte" in capsys.readouterr().err

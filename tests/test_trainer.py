@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,10 +12,13 @@ import pytest
 import octcyst
 
 from octcyst.dataio import PhantomSpec, gen_phantom
+from octcyst.dataio.formats import format_settings
 from octcyst.errors import InvalidConfig, OctCystError
 from octcyst.samplekit import ReferenceDims, Sample, pad_to_reference, prepare_sample
 from octcyst.tensornet import ParamStore, Tensor, UNetConfig, backward, build_unet
 from octcyst.trainer import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     AdamState,
     Checkpoint,
     TrainConfig,
@@ -414,6 +418,38 @@ def test_checkpoint_order_is_lexicographic(tmp_path):
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
+def test_checkpoint_holds_the_config_and_then_only_the_values(tmp_path):
+    cfg = _tiny_cfg(seed=6)
+    _, store = build_unet(cfg)
+    save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
+    block = format_settings(cfg).encode("utf-8")
+    values = b"".join(np.asarray(t.data, dtype="<f4").tobytes() for _, t in store.items())
+    assert (tmp_path / "cp.bin").read_bytes() == (
+        CHECKPOINT_MAGIC + struct.pack("<II", 2, len(block)) + block + values
+    )
+
+
+def test_checkpoint_version_1_rejected(tmp_path):
+    from octcyst.cli import run
+
+    # version 1 stored a tensor table: a count, then per tensor its name, rank and dims
+    cfg = _tiny_cfg()
+    _, store = build_unet(cfg)
+    block = format_settings(cfg).encode("utf-8")
+    parts = [CHECKPOINT_MAGIC, struct.pack("<II", 1, len(block)), block]
+    parts.append(struct.pack("<I", len(store.items())))
+    for name, t in store.items():
+        parts.append(struct.pack("<H", len(name)) + name.encode("utf-8"))
+        parts.append(struct.pack(f"<B{t.data.ndim}I", t.data.ndim, *t.data.shape))
+        parts.append(np.asarray(t.data, dtype="<f4").tobytes())
+    p = tmp_path / "v1.bin"
+    p.write_bytes(b"".join(parts))
+    with pytest.raises(OctCystError, match="checkpoint version 1 unsupported"):
+        load_checkpoint(p)
+    assert run(["predict", "--checkpoint", str(p), "--samples", str(tmp_path),
+                "--out", str(tmp_path / "pred")]) == 1
+
+
 def test_checkpoint_bad_magic(tmp_path):
     p = tmp_path / "x.bin"
     p.write_bytes(b"NOPE" + bytes(40))
@@ -437,20 +473,13 @@ def test_checkpoint_truncated(tmp_path):
             load_checkpoint(tmp_path / "cut.bin")
 
 
-def test_checkpoint_dims_whose_count_overflows_int64_read_as_truncated(overflowing_checkpoint):
-    # an int64 product of the dims is 0 here, which made reshape raise a
-    # bare ValueError instead of the truncation error
-    with pytest.raises(OctCystError, match="truncated at byte"):
-        load_checkpoint(overflowing_checkpoint)
-
-
 def test_checkpoint_missing_tensor_rejected(tmp_path):
     cfg = _tiny_cfg()
     _, store = build_unet(cfg)
     values = store.values()
     del values["head.w"]
     save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
-    with pytest.raises(OctCystError, match="missing parameters: head.w"):
+    with pytest.raises(OctCystError, match="truncated at byte"):
         load_checkpoint(tmp_path / "cp.bin")
 
 
@@ -460,7 +489,7 @@ def test_checkpoint_wrong_tensor_shape_rejected(tmp_path):
     values = store.values()
     values["head.b"] = np.zeros(2, dtype=np.float32)
     save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
-    with pytest.raises(OctCystError, match=r"head.b: shape \(2,\) != expected"):
+    with pytest.raises(OctCystError, match="4 trailing bytes"):
         load_checkpoint(tmp_path / "cp.bin")
 
 
@@ -474,31 +503,15 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
         load_checkpoint(tmp_path / "long.bin")
 
 
-def test_checkpoint_repeated_tensor_rejected(tmp_path):
-    import struct
-
-    cfg = _tiny_cfg()
-    _, store = build_unet(cfg)
-    save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
-    data = bytearray((tmp_path / "cp.bin").read_bytes())
-    # one more table entry that repeats head.b with another value
-    count_at = 12 + struct.unpack_from("<I", data, 8)[0]
-    struct.pack_into("<I", data, count_at, struct.unpack_from("<I", data, count_at)[0] + 1)
-    data += struct.pack("<H", 6) + b"head.b" + struct.pack("<BI", 1, 1)
-    data += np.full(1, 7.0, dtype="<f4").tobytes()
-    (tmp_path / "dup.bin").write_bytes(bytes(data))
-    with pytest.raises(OctCystError, match="tensor head.b appears twice"):
-        load_checkpoint(tmp_path / "dup.bin")
-
-
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_checkpoint_non_finite_value_rejected_on_load(tmp_path, value):
     cfg = _tiny_cfg()
     _, store = build_unet(cfg)
     save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
     data = bytearray((tmp_path / "cp.bin").read_bytes())
-    # head.b is (1,): its name, rank 1, one u32 dim, then its one float32
-    at = data.index(b"head.b") + 6 + 1 + 4
+    # head.b is (1,): its one float32 follows the values of every name before it
+    at = 12 + struct.unpack_from("<I", data, 8)[0]
+    at += 4 * sum(t.data.size for name, t in store.items() if name < "head.b")
     data[at : at + 4] = np.full(1, value, dtype="<f4").tobytes()
     (tmp_path / "bad.bin").write_bytes(bytes(data))
     with pytest.raises(OctCystError, match="tensor head.b contains non-finite values"):
@@ -516,16 +529,8 @@ def test_save_checkpoint_non_finite_value_raises_and_writes_nothing(tmp_path):
 
 
 def test_checkpoint_config_mismatch(tmp_path):
-    import struct
-
     garbage = b"not_a_key_value_line_without_equals"
-    blob = (
-        b"UNCK"
-        + struct.pack("<I", 1)
-        + struct.pack("<I", len(garbage))
-        + garbage
-        + struct.pack("<I", 0)
-    )
+    blob = b"UNCK" + struct.pack("<II", CHECKPOINT_VERSION, len(garbage)) + garbage
     p = tmp_path / "bad.bin"
     p.write_bytes(blob)
     with pytest.raises(OctCystError, match="bad checkpoint config: .*expected name = value") as err:
@@ -535,8 +540,6 @@ def test_checkpoint_config_mismatch(tmp_path):
 
 def test_checkpoint_config_block_is_the_settings_text():
     # the exact text checkpoints have always carried; numpy scalars write as plain numbers
-    from octcyst.dataio.formats import format_settings
-
     cfg = UNetConfig(
         input_channels=2, base_channels=4, depth=3, bottleneck_channels=32,
         aspp_rates=(np.int64(1), 2, 4), dropout_per_level=(np.float64(0.1), 0.1, 0.2, 0.25),
@@ -555,8 +558,6 @@ def test_checkpoint_config_block_is_the_settings_text():
 
 def _with_config_block(tmp_path, edit):
     """A saved tiny checkpoint whose config block is replaced by edit(block)."""
-    import struct
-
     cfg = _tiny_cfg(seed=3)
     _, store = build_unet(cfg)
     save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
@@ -617,20 +618,6 @@ def test_save_checkpoint_refuses_a_config_that_would_not_read_back(tmp_path):
     with pytest.raises(OctCystError, match="is not the canonical text"):
         save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
     assert list(tmp_path.iterdir()) == []
-
-
-def test_checkpoint_tensor_name_not_utf8_rejected(tmp_path):
-    import struct
-
-    cfg = _tiny_cfg()
-    _, store = build_unet(cfg)
-    save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
-    data = bytearray((tmp_path / "cp.bin").read_bytes())
-    first_name_at = 12 + struct.unpack_from("<I", data, 8)[0] + 4 + 2
-    data[first_name_at] = 0xFF
-    (tmp_path / "bad.bin").write_bytes(bytes(data))
-    with pytest.raises(OctCystError, match="tensor name is not UTF-8"):
-        load_checkpoint(tmp_path / "bad.bin")
 
 
 def test_checkpoint_config_failing_validate_is_a_config_mismatch(tmp_path):
