@@ -11,7 +11,7 @@ from .tensor import (
     keep_large_blocks_on_heap,
     mean,
 )
-from .unet import ParamStore, UNet, UNetConfig, build_unet
+from .unet import ParamStore, UNet, UNetConfig, build_unet, param_layout
 
 keep_large_blocks_on_heap()
 
@@ -27,5 +27,6 @@ __all__ = [
     "conv2d",
     "max_pool2",
     "mean",
+    "param_layout",
     "transposed_conv2d",
 ]

@@ -254,32 +254,31 @@ _QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def max_pool2(x: Tensor) -> Tensor:
-    """2x2 max pooling; backward routes to the first (row-major) argmax.
+    """2x2 max pooling; backward routes to the first (row-major) maximum.
 
     Works on the four strided quadrant views x[:, di::2, dj::2] without
-    copying them.  A NaN in a window pools to NaN."""
+    copying them.  A NaN in a window pools to NaN, and such a window routes
+    no gradient."""
     C, H, W = x.data.shape
     if H % 2 or W % 2:
         raise OctCystError(f"max_pool2 needs even spatial dims, got {H}x{W}")
     quads = [x.data[:, di::2, dj::2] for di, dj in _QUADRANTS]
     y = quads[0].copy()
-    if x.requires_grad:
-        idx, wins = np.zeros(y.shape, dtype=np.uint8), np.empty(y.shape, dtype=bool)
-    for k in (1, 2, 3):
-        if x.requires_grad:
-            # only a strictly greater value takes the window, so the first
-            # maximum wins; k grows, so the winner is the largest k that won
-            np.greater(quads[k], y, out=wins)
-            np.maximum(idx, wins * np.uint8(k), out=idx)
-        # numpy's maximum returns its second operand on a tie (-0.0 vs 0.0)
-        # and propagates NaN
-        np.maximum(quads[k], y, out=y)
+    for q in quads[1:]:
+        # numpy's maximum returns its second operand on a tie (-0.0 vs 0.0),
+        # so the first maximum stays, and propagates NaN
+        np.maximum(q, y, out=y)
     out = Tensor(y)
 
     def _bw():
         gx = np.zeros_like(x.data)
-        for k, (di, dj) in enumerate(_QUADRANTS):
-            np.copyto(gx[:, di::2, dj::2], out.grad, where=idx == k)
+        pending = np.ones(y.shape, dtype=bool)  # windows not yet routed
+        hit = np.empty(y.shape, dtype=bool)
+        for (di, dj), q in zip(_QUADRANTS, quads):
+            np.equal(q, y, out=hit)
+            hit &= pending
+            pending ^= hit
+            np.copyto(gx[:, di::2, dj::2], out.grad, where=hit)
         _accum(x, gx)
 
     return _attach(out, (x,), _bw)

@@ -71,24 +71,9 @@ class ParamStore:
     def values(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self._params.items()}
 
-    def set_values(self, values: dict[str, np.ndarray]) -> None:
-        """Replace every parameter; the names and shapes must match exactly."""
-        missing = sorted(set(self._params) - set(values))
-        if missing:
-            raise OctCystError(f"missing parameters: {', '.join(missing)}")
-        for name, arr in values.items():
-            if name not in self._params:
-                raise OctCystError(f"unknown parameter: {name}")
-            t = self._params[name]
-            if t.data.shape != arr.shape:
-                raise OctCystError(
-                    f"{name}: shape {arr.shape} != expected {t.data.shape}"
-                )
-            t.data = arr.astype(t.data.dtype)
-
 
 class UNet:
-    """Forward network over a ParamStore built by build_unet."""
+    """Forward network over a ParamStore holding param_layout(cfg)."""
 
     def __init__(self, cfg: UNetConfig, store: ParamStore):
         self.cfg = cfg
@@ -141,29 +126,14 @@ class UNet:
         return conv2d(cur, s["head.w"], s["head.b"])
 
 
-def build_unet(cfg: UNetConfig, dtype=np.float32) -> tuple[UNet, ParamStore]:
-    """Create the network and its parameters.
-
-    Weights are He-uniform U(+-sqrt(6/fan_in)) drawn in a fixed order from
-    one SplitMix64 stream seeded by cfg.seed; biases start at zero, so the
-    same seed always yields an identical ParamStore."""
-    store = ParamStore()
-    pos = 0  # draws taken so far
-
-    def weight(name: str, shape: tuple[int, ...], fan_in: int) -> None:
-        nonlocal pos
-        bound = math.sqrt(6.0 / fan_in)
-        n = int(np.prod(shape))
-        vals = (uniform_array(cfg.seed, n, start=pos) * 2.0 - 1.0) * bound
-        pos += n
-        store.add(name, Tensor(vals.reshape(shape).astype(dtype)))
-
-    def zeros(name: str, n: int) -> None:
-        store.add(name, Tensor(np.zeros((n,), dtype=dtype)))
+def param_layout(cfg: UNetConfig) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, fan_in) of every parameter of the network, in the
+    order build_unet draws them; a bias has fan-in 0."""
+    layout = []
 
     def conv(name: str, c_out: int, c_in: int, k: int) -> None:
-        weight(f"{name}.w", (c_out, c_in, k, k), c_in * k * k)
-        zeros(f"{name}.b", c_out)
+        layout.append((f"{name}.w", (c_out, c_in, k, k), c_in * k * k))
+        layout.append((f"{name}.b", (c_out,), 0))
 
     enc_out = [cfg.base_channels * 2**i for i in range(cfg.depth)]
     c_in = cfg.input_channels
@@ -182,17 +152,38 @@ def build_unet(cfg: UNetConfig, dtype=np.float32) -> tuple[UNet, ParamStore]:
     cur = cb
     for lvl in range(cfg.depth, 0, -1):
         half = cur // 2
-        weight(f"dec{lvl}.up.w", (cur, half, 2, 2), cur * 4)
+        layout.append((f"dec{lvl}.up.w", (cur, half, 2, 2), cur * 4))
         c_skip = enc_out[lvl - 1]
         f_int = max(1, c_skip // 2)
-        weight(f"dec{lvl}.gate.wx", (f_int, c_skip, 1, 1), c_skip)
-        weight(f"dec{lvl}.gate.wg", (f_int, half, 1, 1), half)
-        zeros(f"dec{lvl}.gate.bxg", f_int)
-        weight(f"dec{lvl}.gate.psi", (1, f_int, 1, 1), f_int)
-        zeros(f"dec{lvl}.gate.bpsi", 1)
+        layout += [
+            (f"dec{lvl}.gate.wx", (f_int, c_skip, 1, 1), c_skip),
+            (f"dec{lvl}.gate.wg", (f_int, half, 1, 1), half),
+            (f"dec{lvl}.gate.bxg", (f_int,), 0),
+            (f"dec{lvl}.gate.psi", (1, f_int, 1, 1), f_int),
+            (f"dec{lvl}.gate.bpsi", (1,), 0),
+        ]
         conv(f"dec{lvl}.conv1", c_skip, 2 * c_skip, 3)
         conv(f"dec{lvl}.conv2", c_skip, c_skip, 3)
         cur = c_skip
 
     conv("head", 1, cur, 1)
+    return layout
+
+
+def build_unet(cfg: UNetConfig, dtype=np.float32) -> tuple[UNet, ParamStore]:
+    """Create the network and its parameters.
+
+    Weights are He-uniform U(+-sqrt(6/fan_in)) drawn in param_layout's
+    order from one SplitMix64 stream seeded by cfg.seed; biases start at
+    zero, so the same seed always yields an identical ParamStore."""
+    store = ParamStore()
+    pos = 0  # draws taken so far
+    for name, shape, fan_in in param_layout(cfg):
+        n = math.prod(shape)
+        if fan_in:
+            vals = (uniform_array(cfg.seed, n, start=pos) * 2.0 - 1.0) * math.sqrt(6.0 / fan_in)
+            pos += n
+        else:
+            vals = np.zeros(n)
+        store.add(name, Tensor(vals.reshape(shape).astype(dtype)))
     return UNet(cfg, store), store

@@ -22,7 +22,7 @@ from .dataio.formats import atomic_write_bytes, format_settings, parse_settings
 from .errors import InvalidConfig, OctCystError
 from .rng import SplitMix64, derive_seed
 from .samplekit import Sample, crop_from_reference
-from .tensornet import ParamStore, Tensor, UNet, UNetConfig, backward, build_unet
+from .tensornet import ParamStore, Tensor, UNet, UNetConfig, backward, build_unet, param_layout
 from .tensornet.tensor import _accum, _attach, _sigmoid_data
 
 CHECKPOINT_MAGIC = b"UNCK"
@@ -100,22 +100,21 @@ def adam_step(params: ParamStore, state: AdamState, cfg: TrainConfig) -> None:
         tensor.grad = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
     config: UNetConfig
     values: dict[str, np.ndarray]
 
     @cached_property
     def network(self) -> UNet:
-        """The inference network holding these weights, built once on first
-        use; its parameters require no gradients, so its forward pass records
-        no graph.  Raises OctCystError unless the tensors are exactly those
-        of build_unet(config)."""
-        net, params = build_unet(self.config)
-        params.set_values(self.values)
-        for _, t in params.items():
-            t.requires_grad = False
-        return net
+        """The inference network over these very arrays, built once on
+        first use; its parameters require no gradients, so its forward pass
+        records no graph.  `values` must hold every name of
+        param_layout(config)."""
+        store = ParamStore()
+        for name, _, _ in param_layout(self.config):
+            store.add(name, Tensor(self.values[name])).requires_grad = False
+        return UNet(self.config, store)
 
 
 def train(
@@ -213,9 +212,10 @@ def _parse_config_block(block: bytes, path) -> UNetConfig:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a save_checkpoint file.  The config block must set every
-    UNetConfig field exactly once, the file must then hold exactly the
-    values of the tensors of build_unet(config), and every value must be
-    finite.  That build becomes the checkpoint's network."""
+    UNetConfig field exactly once; param_layout(config) then fixes every
+    tensor's name and shape.  The file must be exactly as long as those
+    values, which is checked before any is read, and every value must be
+    finite."""
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
         raise OctCystError(f"{path}: not a checkpoint file")
@@ -231,18 +231,17 @@ def load_checkpoint(path) -> Checkpoint:
     pos = 12 + config_len
     require(pos)
     cfg = _parse_config_block(data[12:pos], path)
-    net, params = build_unet(cfg)
-    end = pos + 4 * sum(t.data.size for _, t in params.items())
+    layout = sorted((name, shape) for name, shape, _ in param_layout(cfg))
+    end = pos + 4 * sum(math.prod(shape) for _, shape in layout)
     require(end)
     if len(data) > end:
         raise OctCystError(f"{path}: {len(data) - end} trailing bytes after the last tensor")
-    for name, t in params.items():
-        n = t.data.size
-        t.data = np.frombuffer(data, "<f4", n, pos).reshape(t.data.shape).astype(np.float32)
-        if not np.all(np.isfinite(t.data)):
+    values = {}
+    for name, shape in layout:
+        n = math.prod(shape)
+        arr = np.frombuffer(data, "<f4", n, pos).reshape(shape).astype(np.float32)
+        if not np.all(np.isfinite(arr)):
             raise OctCystError(f"{path}: tensor {name} contains non-finite values")
-        t.requires_grad = False
+        values[name] = arr
         pos += 4 * n
-    cp = Checkpoint(cfg, {name: t.data for name, t in params.items()})
-    cp.network = net  # predict reuses this build
-    return cp
+    return Checkpoint(cfg, values)

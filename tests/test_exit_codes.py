@@ -3,14 +3,16 @@
 error, and never a traceback."""
 
 import ast
+import struct
 from pathlib import Path
 
 import pytest
 
 from octcyst import cli, errors
 from octcyst.cli import run
+from octcyst.dataio.formats import format_settings
 from octcyst.tensornet import UNetConfig, build_unet
-from octcyst.trainer import Checkpoint, save_checkpoint
+from octcyst.trainer import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Checkpoint, save_checkpoint
 
 
 def _subclasses(cls):
@@ -202,6 +204,20 @@ def cut_checkpoint(tmp_path):
     return path
 
 
+@pytest.fixture
+def huge_checkpoint(tmp_path):
+    """A header and a whole config block, and no values: the config
+    declares 2**40 base channels, whose values would fit in no memory."""
+    cfg = UNetConfig(
+        base_channels=2**40, depth=1, bottleneck_channels=2**41,
+        aspp_rates=(1,), dropout_per_level=(0.1, 0.1),
+    )
+    config = format_settings(cfg).encode("utf-8")
+    path = tmp_path / "huge.bin"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(config)) + config)
+    return path
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -212,22 +228,26 @@ def cut_checkpoint(tmp_path):
         (["train", "--samples", "{samples}"], 1),
         (["predict", "--checkpoint", "{bad}", "--samples", "{samples}"], 1),
         (["predict", "--checkpoint", "{cut}", "--samples", "{samples}"], 1),
+        (["predict", "--checkpoint", "{huge}", "--samples", "{samples}"], 1),
         (["evaluate", "--manifest", "{bad}", "--pred", "{samples}"], 1),
         (["iov", "--manifest", "{bad}"], 1),
     ],
     ids=["phantom", "denoise", "layers", "prepare", "train-samples",
-         "predict", "predict-cut-values", "evaluate", "iov"],
+         "predict", "predict-cut-values", "predict-huge-config", "evaluate", "iov"],
 )
 def test_every_subcommand_rejects_a_corrupt_input_without_a_traceback(
-    tmp_path, capsys, cut_checkpoint, argv, code
+    tmp_path, capsys, cut_checkpoint, huge_checkpoint, argv, code
 ):
     bad = tmp_path / "bad"
     bad.write_bytes(b"\xff\x00 not a scan, manifest, config or checkpoint\n")
     samples = tmp_path / "samples"
     samples.mkdir()
     (samples / "s.octf").write_bytes(bad.read_bytes())
-    cut = "{cut}" in argv
-    argv = [a.format(bad=bad, samples=samples, cut=cut_checkpoint) for a in argv]
+    truncated = "{cut}" in argv or "{huge}" in argv
+    argv = [
+        a.format(bad=bad, samples=samples, cut=cut_checkpoint, huge=huge_checkpoint)
+        for a in argv
+    ]
     assert run(argv + ["--out", str(tmp_path / "o")]) == code
-    if cut:
+    if truncated:
         assert "truncated at byte" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from octcyst.tensornet import (
     attention_gate,
     backward,
     build_unet,
+    param_layout,
     conv2d,
     keep_large_blocks_on_heap,
     max_pool2,
@@ -910,6 +911,16 @@ def test_build_unet_production_init_bits_are_pinned():
     assert h.hexdigest() == "a57f1e1a60009a95a8da3b47335066c8bf00739865715100590a0e5140484319"
 
 
+@pytest.mark.parametrize("cfg", [UNetConfig(seed=1), _tiny_cfg()], ids=["production", "tiny"])
+def test_build_unet_holds_exactly_the_names_and_shapes_of_param_layout(cfg):
+    _, store = build_unet(cfg)
+    layout = param_layout(cfg)
+    assert sorted((n, t.data.shape) for n, t in store.items()) == sorted(
+        (n, shape) for n, shape, _ in layout
+    )
+    assert len(layout) == len(store.items())
+
+
 def test_build_unet_different_seed_differs():
     _, s1 = build_unet(_tiny_cfg(seed=1))
     _, s2 = build_unet(_tiny_cfg(seed=2))
@@ -994,18 +1005,6 @@ def test_forward_rejects_bad_shapes():
         net.forward(np.zeros((3, 8, 8), dtype=np.float32))
     with pytest.raises(OctCystError, match="spatial dims 6x8 not divisible by 4"):
         net.forward(np.zeros((2, 6, 8), dtype=np.float32))
-
-
-def test_set_values_rejects_unknown_missing_and_misshapen_names():
-    _, store = build_unet(_tiny_cfg())
-    values = store.values()
-    with pytest.raises(OctCystError, match="unknown parameter: extra.w"):
-        store.set_values({**values, "extra.w": np.zeros(1, dtype=np.float32)})
-    with pytest.raises(OctCystError, match="missing parameters: head.w"):
-        store.set_values({n: v for n, v in values.items() if n != "head.w"})
-    with pytest.raises(OctCystError, match=r"head.b: shape \(2,\) != expected"):
-        store.set_values({**values, "head.b": np.zeros(2, dtype=np.float32)})
-    store.set_values(values)
 
 
 # --- backward ------------------------------------------------------------------

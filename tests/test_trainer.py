@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from octcyst.dataio import PhantomSpec, gen_phantom
 from octcyst.dataio.formats import format_settings
 from octcyst.errors import InvalidConfig, OctCystError
 from octcyst.samplekit import ReferenceDims, Sample, pad_to_reference, prepare_sample
-from octcyst.tensornet import ParamStore, Tensor, UNetConfig, backward, build_unet
+from octcyst.tensornet import ParamStore, Tensor, UNet, UNetConfig, backward, build_unet
 from octcyst.trainer import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -159,7 +160,8 @@ def test_adam_step_consumes_the_gradients_it_applies():
 
     backward(bce_loss(net.forward(x), target))
     fresh_net, fresh = build_unet(_tiny_cfg(), dtype=np.float64)
-    fresh.set_values(store.values())
+    for name, t in fresh.items():
+        t.data = store[name].data.copy()
     backward(bce_loss(fresh_net.forward(x), target))
     for (name, t), (_, f) in zip(store.items(), fresh.items()):
         assert t.grad.tobytes() == f.grad.tobytes(), name
@@ -366,11 +368,11 @@ def test_predict_builds_the_network_once_per_checkpoint(tmp_path, monkeypatch):
 
     calls = []
 
-    def counting_build(cfg):
+    def counting_unet(cfg, store):
         calls.append(cfg)
-        return build_unet(cfg)
+        return UNet(cfg, store)
 
-    monkeypatch.setattr(trainer_mod, "build_unet", counting_build)
+    monkeypatch.setattr(trainer_mod, "UNet", counting_unet)
     cfg = _tiny_cfg(seed=8)
     _, store = build_unet(cfg)
     save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
@@ -393,9 +395,7 @@ def test_checkpoint_round_trip_forward_bitwise(tmp_path):
 
     x = np.random.default_rng(4).random((2, 8, 8)).astype(np.float32)
     a = net.forward(x).data
-    net2, store2 = build_unet(loaded.config)
-    store2.set_values(loaded.values)
-    b = net2.forward(x).data
+    b = loaded.network.forward(x).data
     assert np.array_equal(a, b)
 
 
@@ -455,6 +455,34 @@ def test_checkpoint_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + bytes(40))
     with pytest.raises(OctCystError, match="not a checkpoint file"):
         load_checkpoint(p)
+
+
+def test_loaded_network_runs_the_checkpoints_own_arrays(tmp_path):
+    cfg = _tiny_cfg(seed=9)
+    _, store = build_unet(cfg)
+    save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
+    cp = load_checkpoint(tmp_path / "cp.bin")
+    params = cp.network.store.items()
+    assert [n for n, _ in params] == sorted(cp.values)
+    for name, t in params:
+        assert t.data is cp.values[name], name
+        assert t.data.dtype == np.float32 and not t.requires_grad
+
+
+def test_checkpoint_cut_short_is_rejected_before_any_value_is_allocated(tmp_path):
+    # the production network holds 1.3 M values, about 5 MiB of float32
+    cfg = UNetConfig(seed=1)
+    _, store = build_unet(cfg)
+    save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
+    (tmp_path / "cut.bin").write_bytes((tmp_path / "cp.bin").read_bytes()[:400])
+    tracemalloc.start()
+    try:
+        with pytest.raises(OctCystError, match="truncated at byte 400"):
+            load_checkpoint(tmp_path / "cut.bin")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_checkpoint_truncated(tmp_path):
