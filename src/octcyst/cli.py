@@ -18,6 +18,7 @@ import numpy as np
 
 from . import metrics
 from .dataio import (
+    ManifestRecord,
     PhantomSpec,
     gen_phantom,
     read_manifest,
@@ -161,6 +162,10 @@ def _cmd_layers(args, cfg: Config, out: Path) -> int:
 
 def _cmd_prepare(args, cfg: Config, out: Path) -> int:
     records = read_manifest(args.manifest)
+    # the listing is written last, so a failed run leaves none for train and predict
+    listing = out / "samples.txt"
+    listing.unlink(missing_ok=True)
+    listed = []
     for i, record in enumerate(records):
         stem = record.image_path.stem
         image = read_pgm(record.image_path)
@@ -179,41 +184,36 @@ def _cmd_prepare(args, cfg: Config, out: Path) -> int:
                 f"{record.mask_path}: mask dims {mask.shape} differ from its scan's "
                 f"{sample.orig_dims}"
             )
-        write_float_raster(sample.values, out / f"{stem}.octf")
-        write_mask_pgm(mask, out / f"{stem}_target.pgm")
+        sample_name, target_name = f"{stem}.octf", f"{stem}_target.pgm"
+        write_float_raster(sample.values, out / sample_name)
+        write_mask_pgm(mask, out / target_name)
+        listed.append((sample_name, target_name))
+    write_manifest(listed, listing)
     return 0
 
 
-def _load_samples(samples_dir, ref: ReferenceDims) -> list[tuple[Path, Sample]]:
-    """(path, sample padded into `ref`) for each `<stem>.octf` that
-    `prepare` wrote to samples_dir."""
-    # read as scans, the padded samples of older versions would give frame-size masks
-    stale = sorted(Path(samples_dir).glob("*.octf.meta"))
-    if stale:
-        raise OctCystError(f"{stale[0]}: prepared by an older version; run prepare again")
-    paths = sorted(Path(samples_dir).glob("*.octf"))
-    if not paths:
-        raise OctCystError(f"no prepared samples in {samples_dir}")
+def _load_samples(samples_dir, ref: ReferenceDims) -> list[tuple[ManifestRecord, Sample]]:
+    """(record, sample padded into `ref`) for each sample and target that
+    `prepare` listed in samples_dir/samples.txt, in listing order."""
     samples = []
-    for path in paths:
-        sample = load_sample(path)
+    for record in read_manifest(Path(samples_dir) / "samples.txt"):
+        sample = load_sample(record.image_path)
         try:
             values, _ = pad_to_reference(sample.values, ref)
         except OctCystError as e:
-            raise OctCystError(f"{path}: {e}") from e
-        samples.append((path, Sample(values, sample.orig_dims)))
+            raise OctCystError(f"{record.image_path}: {e}") from e
+        samples.append((record, Sample(values, sample.orig_dims)))
     return samples
 
 
 def _cmd_train(args, cfg: Config, out: Path) -> int:
     ref = ReferenceDims(cfg.ref_rows, cfg.ref_cols)
     data = []
-    for path, sample in _load_samples(args.samples, ref):
-        target_path = path.with_name(f"{path.stem}_target.pgm")
-        target = read_mask_pgm(target_path)
+    for record, sample in _load_samples(args.samples, ref):
+        target = read_mask_pgm(record.mask_path)
         if target.shape != sample.orig_dims:
             raise OctCystError(
-                f"{target_path}: target dims {target.shape} differ from its sample's "
+                f"{record.mask_path}: target dims {target.shape} differ from its sample's "
                 f"{sample.orig_dims}"
             )
         data.append((sample, pad_to_reference(target, ref)[0]))
@@ -229,10 +229,11 @@ def _cmd_train(args, cfg: Config, out: Path) -> int:
 
 def _cmd_predict(args, cfg: Config, out: Path) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    for path, sample in _load_samples(args.samples, ReferenceDims(cfg.ref_rows, cfg.ref_cols)):
+    for record, sample in _load_samples(args.samples, ReferenceDims(cfg.ref_rows, cfg.ref_cols)):
         prob, mask = predict(checkpoint, sample)
-        write_float_raster(prob, out / f"{path.stem}_prob.octf")
-        write_mask_pgm(mask, out / f"{path.stem}_mask.pgm")
+        stem = record.image_path.stem
+        write_float_raster(prob, out / f"{stem}_prob.octf")
+        write_mask_pgm(mask, out / f"{stem}_mask.pgm")
     return 0
 
 

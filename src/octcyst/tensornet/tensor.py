@@ -98,12 +98,9 @@ def _attach(out: Tensor, parents: tuple, backward_fn) -> Tensor:
 
 
 def _sigmoid_data(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive exponent cannot overflow: 1/(1+e) or e/(1+e)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def mean(x: Tensor) -> Tensor:

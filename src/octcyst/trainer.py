@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -196,9 +196,6 @@ def _parse_config_block(block: bytes, path) -> UNetConfig:
     else, in exactly the text save_checkpoint writes for it."""
     try:
         values = parse_settings(block.decode("utf-8"), UNetConfig(), "config block")
-        missing = [f.name for f in fields(UNetConfig) if f.name not in values]
-        if missing:
-            raise OctCystError(f"{path}: checkpoint config lacks {', '.join(missing)}")
         cfg = UNetConfig(**values)
     except (UnicodeDecodeError, InvalidConfig) as e:
         raise OctCystError(f"{path}: bad checkpoint config: {e}") from e

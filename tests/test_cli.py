@@ -406,7 +406,8 @@ def test_layers_roi_matches_prepared_roi_channel(tmp_path):
                     "--config", cfg, "--out", str(lay)]) == 0
         roi = read_mask_pgm(lay / f"{stem}_roi.pgm")
         # framed as train and predict frame it
-        sample = dict(_load_samples(prep, ReferenceDims(40, 44)))[prep / f"{stem}.octf"]
+        samples = {r.image_path.stem: s for r, s in _load_samples(prep, ReferenceDims(40, 44))}
+        sample = samples[stem]
         assert sample.offset == (4, 6)
         prepared = crop_from_reference(sample.roi_channel, sample.offset, sample.orig_dims)
         assert roi.any()
@@ -456,7 +457,10 @@ def test_prepare_writes_one_target_per_record(tmp_path):
     expected = {
         f"img_{i:03d}{suffix}" for i in range(2) for suffix in (".octf", "_target.pgm")
     }
-    assert {p.name for p in prep.iterdir()} == expected
+    assert {p.name for p in prep.iterdir()} == expected | {"samples.txt"}
+    assert (prep / "samples.txt").read_text() == (
+        "img_000.octf\timg_000_target.pgm\nimg_001.octf\timg_001_target.pgm\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["prepare"])
@@ -536,7 +540,8 @@ def test_prepared_sample_has_its_scans_dims_and_no_sidecar(tmp_path):
     assert run(["prepare", "--manifest", str(data / "manifest.txt"),
                 "--config", _write_config(tmp_path, text), "--out", str(prep)]) == 0
     assert sorted(p.name for p in prep.iterdir()) == [
-        "img_000.octf", "img_000_target.pgm", "img_001.octf", "img_001_target.pgm"
+        "img_000.octf", "img_000_target.pgm", "img_001.octf", "img_001_target.pgm",
+        "samples.txt",
     ]
     for i in range(2):
         image = read_pgm(data / f"img_{i:03d}.pgm")
@@ -575,23 +580,90 @@ def test_cli_pipeline_equals_training_on_samples_framed_in_memory(tmp_path):
         assert read_float_raster(pred / f"img_{i:03d}_prob.octf")[0].tobytes() == prob.tobytes()
 
 
+def _train_or_predict(tmp_path, cfg, command, prep, out):
+    argv = [command, "--samples", str(prep), "--config", cfg, "--out", str(out)]
+    if command == "predict":
+        argv += ["--checkpoint", str(_checkpoint(tmp_path, cfg))]
+    return run(argv)
+
+
 @pytest.mark.parametrize("command", ["train", "predict"])
 def test_a_sample_directory_from_an_older_version_is_named(tmp_path, capsys, command):
-    # an old padded raster would otherwise read as a frame-size scan
+    # older versions wrote padded rasters with .meta sidecars and no listing
     cfg = _write_config(tmp_path)
     data = _make_phantoms(tmp_path, count=2)
     prep = tmp_path / "prep"
     assert run(["prepare", "--manifest", str(data / "manifest.txt"), "--config", cfg,
                 "--out", str(prep)]) == 0
+    (prep / "samples.txt").unlink()
     (prep / "img_001.octf.meta").write_text("orig=32,32\n")
     out = tmp_path / "o"
-    argv = [command, "--samples", str(prep), "--config", cfg, "--out", str(out)]
-    if command == "predict":
-        argv += ["--checkpoint", str(_checkpoint(tmp_path, cfg))]
-    assert run(argv) == 1
-    err = capsys.readouterr().err
-    assert f"{prep / 'img_001.octf.meta'}: prepared by an older version; run prepare again" in err
+    assert _train_or_predict(tmp_path, cfg, command, prep, out) == 1
+    assert f"manifest not found: {prep / 'samples.txt'}" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_a_failed_prepare_leaves_no_set_to_train_or_predict_on(tmp_path, capsys, command, rerun):
+    # a rerun that fails also drops the listing of the run before it
+    cfg = _write_config(tmp_path)
+    data = _make_phantoms(tmp_path, count=3)
+    prep, out = tmp_path / "prep", tmp_path / "o"
+    prepare = ["prepare", "--manifest", str(data / "manifest.txt"), "--config", cfg,
+               "--out", str(prep)]
+    if rerun:
+        assert run(prepare) == 0
+    write_pgm(np.full((32, 32), 128, dtype=np.uint8), data / "img_002.pgm")
+    assert run(prepare) == 1
+    assert (prep / "img_001.octf").is_file()
+    assert not (prep / "samples.txt").exists()
+    capsys.readouterr()
+    assert _train_or_predict(tmp_path, cfg, command, prep, out) == 1
+    assert f"manifest not found: {prep / 'samples.txt'}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("train", "img_001.octf"), ("predict", "img_001.octf"), ("predict", "img_001_target.pgm")],
+    ids=["train-sample", "predict-sample", "predict-target"],
+)
+def test_a_listed_file_that_is_gone_is_named(tmp_path, capsys, command, name):
+    # the listed set is one unit: predict refuses it without its targets too
+    cfg = _write_config(tmp_path)
+    data = _make_phantoms(tmp_path, count=3)
+    prep, out = tmp_path / "prep", tmp_path / "o"
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"), "--config", cfg,
+                "--out", str(prep)]) == 0
+    (prep / name).unlink()
+    assert _train_or_predict(tmp_path, cfg, command, prep, out) == 1
+    assert f"{prep / 'samples.txt'}:2: referenced file missing: {prep / name}" in (
+        capsys.readouterr().err
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_an_unlisted_sample_in_the_directory_is_ignored(tmp_path):
+    cfg = _write_config(tmp_path)
+    data = _make_phantoms(tmp_path, count=3)
+    prep = tmp_path / "prep"
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"), "--config", cfg,
+                "--out", str(prep)]) == 0
+    assert run(["train", "--samples", str(prep), "--config", cfg,
+                "--out", str(tmp_path / "clean")]) == 0
+    for suffix in (".octf", "_target.pgm"):
+        (prep / f"stray{suffix}").write_bytes((prep / f"img_001{suffix}").read_bytes())
+    model, pred = tmp_path / "model", tmp_path / "pred"
+    assert run(["train", "--samples", str(prep), "--config", cfg, "--out", str(model)]) == 0
+    assert (model / "checkpoint.bin").read_bytes() == (
+        tmp_path / "clean" / "checkpoint.bin"
+    ).read_bytes()
+    assert run(["predict", "--checkpoint", str(model / "checkpoint.bin"), "--samples", str(prep),
+                "--config", cfg, "--out", str(pred)]) == 0
+    assert sorted(p.name for p in pred.glob("*_mask.pgm")) == [
+        f"img_{i:03d}_mask.pgm" for i in range(3)
+    ]
 
 
 @pytest.mark.parametrize("command", ["train", "predict"])

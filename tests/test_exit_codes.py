@@ -6,10 +6,12 @@ import ast
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from octcyst import cli, errors
 from octcyst.cli import run
+from octcyst.dataio import write_mask_pgm
 from octcyst.dataio.formats import format_settings
 from octcyst.tensornet import UNetConfig, build_unet
 from octcyst.trainer import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Checkpoint, save_checkpoint
@@ -243,11 +245,17 @@ def test_every_subcommand_rejects_a_corrupt_input_without_a_traceback(
     samples = tmp_path / "samples"
     samples.mkdir()
     (samples / "s.octf").write_bytes(bad.read_bytes())
+    # listed with a valid target, so train reads the corrupt sample itself
+    write_mask_pgm(np.zeros((4, 4), dtype=np.uint8), samples / "s_target.pgm")
+    (samples / "samples.txt").write_text("s.octf\ts_target.pgm\n")
     truncated = "{cut}" in argv or "{huge}" in argv
     argv = [
         a.format(bad=bad, samples=samples, cut=cut_checkpoint, huge=huge_checkpoint)
         for a in argv
     ]
     assert run(argv + ["--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
     if truncated:
-        assert "truncated at byte" in capsys.readouterr().err
+        assert "truncated at byte" in err
+    if argv[0] == "train":
+        assert str(samples / "s.octf") in err

@@ -28,6 +28,7 @@ from octcyst.tensornet import (
 from octcyst.rng import uniform_array
 from octcyst.samplekit import Sample
 from octcyst.tensornet import layers
+from octcyst.tensornet.tensor import _sigmoid_data
 from octcyst.trainer import Checkpoint, bce_loss, predict
 
 
@@ -1130,6 +1131,29 @@ def test_backward_linearity_in_loss_scale():
     for n, t in store.items():
         denom = np.maximum(np.abs(t.grad), 1e-12)
         assert np.max(np.abs(t.grad - 3.0 * g1[n]) / denom) <= 1e-6
+
+
+def _two_branch_sigmoid(z):
+    # 1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z)) elsewhere
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_data_matches_the_two_branch_form_at_the_extremes(dtype):
+    info = np.finfo(dtype)
+    edges = [0.0, -0.0, np.inf, -np.inf, 1e30, -1e30, info.max, -info.max,
+             info.tiny, -info.tiny, info.tiny / 8, -info.tiny / 8, 1e-8, -1e-8,
+             88.7, -88.7, 103.9, -103.9, 709.8, -709.8, 745.2, -745.2]
+    spread = np.random.default_rng(4).standard_normal(20_000) * 40.0
+    z = np.concatenate([np.array(edges), spread]).astype(dtype)
+    got = _sigmoid_data(z)
+    assert got.dtype == dtype
+    assert got.tobytes() == _two_branch_sigmoid(z).tobytes()
 
 
 def test_backward_head_gradient_closed_form():

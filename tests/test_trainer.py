@@ -607,10 +607,9 @@ def test_checkpoint_config_block_edit_helper_keeps_a_valid_checkpoint(tmp_path):
     [
         (lambda block: block + b"bogus=1\n", "unknown key 'bogus'"),
         (lambda block: block + b"seed=99\n", "seed set twice"),
-        (lambda block: block.replace(b"depth=2\n", b""), "lacks depth"),
         (lambda block: block.replace(b"seed=3", b"seed=\xff"), "utf-8"),
     ],
-    ids=["unknown-key", "repeated-key", "missing-key", "not-utf8"],
+    ids=["unknown-key", "repeated-key", "not-utf8"],
 )
 def test_checkpoint_config_block_rejected(tmp_path, edit, message):
     with pytest.raises(OctCystError, match=message) as err:
@@ -628,12 +627,18 @@ def test_checkpoint_config_block_rejected(tmp_path, edit, message):
         (lambda block: b"# saved by hand\n" + block, "is not the canonical text"),
         (lambda block: b"\n" + block.replace(b"\n", b"\n\n"), "is not the canonical text"),
         (lambda block: block.replace(b"seed=3", b"seed = 3"), "is not the canonical text"),
+        (lambda block: block.replace(b"seed=3\n", b""), "is not the canonical text"),
+        (lambda block: block.replace(b"depth=2\n", b""),
+         "bad checkpoint config: bottleneck_channels must equal"),
     ],
-    ids=["arabic-indic-digit", "sign", "underscore", "comment", "blank-lines", "spaces"],
+    ids=["arabic-indic-digit", "sign", "underscore", "comment", "blank-lines", "spaces",
+         "missing-seed", "missing-depth"],
 )
 def test_checkpoint_config_block_must_be_the_text_save_checkpoint_writes(tmp_path, edit, message):
     # save_checkpoint never writes any of these: a number spelling the codec
-    # does not read is a bad value, and the layouts parse to the same config
+    # does not read is a bad value, the layouts parse to the same config, and
+    # a missing key takes its default, which either makes the config invalid
+    # or writes a line the block lacks
     with pytest.raises(OctCystError, match=message) as err:
         load_checkpoint(_with_config_block(tmp_path, edit))
     assert not isinstance(err.value, InvalidConfig)
