@@ -165,7 +165,7 @@ def conv2d(
     groups = [t.data for t in more]
     F, Cw, k, k2 = w.data.shape
     if Cw != sum(map(len, (x.data, *groups))) or k != k2 or k % 2 == 0:
-        raise OctCystError(f"kernel {w.data.shape} incompatible with input {' + '.join(str(t.shape) for t in xs)}")
+        raise OctCystError(f"kernel {w.data.shape} incompatible with input {' + '.join(str(t.data.shape) for t in xs)}")
     if b is not None and b.data.shape != (F,):
         raise OctCystError(f"bias shape {b.data.shape} != ({F},)")
     if drop is not None and not relu:

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -51,25 +52,33 @@ class UNetConfig:
 
 
 class ParamStore:
-    """Named trainable tensors with gradients."""
+    """The tensors of param_layout(cfg), by name.  Each tensor's data is a
+    view into `flat`, one array that holds every value in name order, so
+    an update of `flat` in place updates the network."""
 
-    def __init__(self):
+    def __init__(self, cfg: UNetConfig, flat: np.ndarray):
+        self.flat = flat
         self._params: dict[str, Tensor] = {}
-
-    def add(self, name: str, t: Tensor) -> Tensor:
-        t.requires_grad = True
-        self._params[name] = t
-        return t
+        self._ends: list[int] = []
+        end = 0
+        for name, shape, _ in sorted(param_layout(cfg)):
+            start, end = end, end + math.prod(shape)
+            self._params[name] = Tensor(flat[start:end].reshape(shape))
+            self._ends.append(end)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
     def items(self) -> list[tuple[str, Tensor]]:
         """(name, tensor) pairs in name order."""
-        return sorted(self._params.items())
+        return list(self._params.items())
 
-    def values(self) -> dict[str, np.ndarray]:
-        return {n: t.data.copy() for n, t in self._params.items()}
+    def values(self) -> np.ndarray:
+        return self.flat.copy()
+
+    def name_at(self, index: int) -> str:
+        """The name of the tensor that holds flat[index]."""
+        return list(self._params)[bisect.bisect_right(self._ends, index)]
 
 
 class UNet:
@@ -176,14 +185,14 @@ def build_unet(cfg: UNetConfig, dtype=np.float32) -> tuple[UNet, ParamStore]:
     Weights are He-uniform U(+-sqrt(6/fan_in)) drawn in param_layout's
     order from one SplitMix64 stream seeded by cfg.seed; biases start at
     zero, so the same seed always yields an identical ParamStore."""
-    store = ParamStore()
+    layout = param_layout(cfg)
+    store = ParamStore(cfg, np.zeros(sum(math.prod(shape) for _, shape, _ in layout), dtype))
     pos = 0  # draws taken so far
-    for name, shape, fan_in in param_layout(cfg):
-        n = math.prod(shape)
+    for name, shape, fan_in in layout:
+        t = store[name]
+        t.requires_grad = True
         if fan_in:
-            vals = (uniform_array(cfg.seed, n, start=pos) * 2.0 - 1.0) * math.sqrt(6.0 / fan_in)
-            pos += n
-        else:
-            vals = np.zeros(n)
-        store.add(name, Tensor(vals.reshape(shape).astype(dtype)))
+            draws = uniform_array(cfg.seed, t.data.size, start=pos)
+            t.data[...] = ((draws * 2.0 - 1.0) * math.sqrt(6.0 / fan_in)).reshape(shape)
+            pos += draws.size
     return UNet(cfg, store), store

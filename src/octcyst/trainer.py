@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -68,53 +68,52 @@ def bce_loss(logits: Tensor, target: np.ndarray) -> Tensor:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """Adam's moments, each one array shaped like the values it updates,
+    and the number of steps taken."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: ParamStore) -> "AdamState":
-        state = cls()
-        for name, tensor in params.items():
-            state.m[name] = np.zeros_like(tensor.data)
-            state.v[name] = np.zeros_like(tensor.data)
-        return state
+    def for_values(cls, values: np.ndarray) -> "AdamState":
+        return cls(np.zeros_like(values), np.zeros_like(values))
 
 
-def adam_step(params: ParamStore, state: AdamState, cfg: TrainConfig) -> None:
-    """Bias-corrected Adam update that consumes the gradients in `params`:
-    every `.grad` is None after it, and a parameter without one counts as a
-    zero gradient."""
+def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState, cfg: TrainConfig) -> None:
+    """Bias-corrected Adam update of `values`, in place, by `grad`: one
+    elementwise pass over all of them."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for name, tensor in params.items():
-        g = tensor.grad
-        if g is None:
-            g = np.zeros_like(tensor.data)
-        m, v = state.m[name], state.v[name]
-        m += (1.0 - b1) * (g - m)
-        v += (1.0 - b2) * (g * g - v)
-        tensor.data = tensor.data - cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        tensor.grad = None
+    m, v = state.m, state.v
+    m += (1.0 - b1) * (grad - m)
+    v += (1.0 - b2) * (grad * grad - v)
+    values -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
 class Checkpoint:
     config: UNetConfig
-    values: dict[str, np.ndarray]
+    values: np.ndarray  # every value of param_layout(config), in name order
 
     @cached_property
     def network(self) -> UNet:
-        """The inference network over these very arrays, built once on
+        """The inference network over views of `values`, built once on
         first use; its parameters require no gradients, so its forward pass
-        records no graph.  `values` must hold every name of
-        param_layout(config)."""
-        store = ParamStore()
-        for name, _, _ in param_layout(self.config):
-            store.add(name, Tensor(self.values[name])).requires_grad = False
-        return UNet(self.config, store)
+        records no graph."""
+        return UNet(self.config, ParamStore(self.config, self.values))
+
+
+def _non_finite_tensor(cfg: UNetConfig, flat: np.ndarray) -> Optional[str]:
+    """The name of the tensor that holds the first NaN or inf of `flat`,
+    laid out as the values of param_layout(cfg) in name order, or None if
+    every value is finite."""
+    finite = np.isfinite(flat)
+    if finite.all():
+        return None
+    return ParamStore(cfg, flat).name_at(int(finite.argmin()))
 
 
 def train(
@@ -131,7 +130,8 @@ def train(
         raise OctCystError("no training samples")
 
     net, params = build_unet(unet_cfg)
-    state = AdamState.for_params(params)
+    leaves = [t for _, t in params.items()]
+    state = AdamState.for_values(params.flat)
     n = len(data)
     for epoch in range(train_cfg.epochs):
         order = list(range(n))
@@ -152,10 +152,14 @@ def train(
             where = f"epoch {epoch}, batch {batch_no}"
             if not np.all(np.isfinite(epoch_losses[-len(batch) :])):
                 raise OctCystError(f"{where}: non-finite training loss")
-            for name, tensor in params.items():
-                if not np.all(np.isfinite(tensor.grad)):
-                    raise OctCystError(f"{where}: non-finite gradient of {name}")
-            adam_step(params, state, train_cfg)
+            grad = np.concatenate([t.grad.ravel() for t in leaves])
+            for t in leaves:
+                t.grad = None
+            name = _non_finite_tensor(unet_cfg, grad)
+            if name is not None:
+                raise OctCystError(f"{where}: non-finite gradient of {name}")
+            adam_step(params.flat, grad, state, train_cfg)
+            del grad  # so the next batch's backward runs without it
         if log_fn is not None:
             log_fn(epoch, float(np.mean(epoch_losses)))
     return Checkpoint(unet_cfg, params.values())
@@ -182,13 +186,11 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
     OctCystError, and nothing is written."""
     config = format_settings(cp.config).encode("utf-8")
     _parse_config_block(config, path)
-    parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(config)), config]
-    for name in sorted(cp.values):
-        arr = np.asarray(cp.values[name], dtype="<f4")
-        if not np.all(np.isfinite(arr)):
-            raise OctCystError(f"{path}: tensor {name} contains non-finite values")
-        parts.append(arr.tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    name = _non_finite_tensor(cp.config, cp.values)
+    if name is not None:
+        raise OctCystError(f"{path}: tensor {name} contains non-finite values")
+    header = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(config)) + config
+    atomic_write_bytes(path, header + np.asarray(cp.values, dtype="<f4").tobytes())
 
 
 def _parse_config_block(block: bytes, path) -> UNetConfig:
@@ -228,17 +230,13 @@ def load_checkpoint(path) -> Checkpoint:
     pos = 12 + config_len
     require(pos)
     cfg = _parse_config_block(data[12:pos], path)
-    layout = sorted((name, shape) for name, shape, _ in param_layout(cfg))
-    end = pos + 4 * sum(math.prod(shape) for _, shape in layout)
+    n = sum(math.prod(shape) for _, shape, _ in param_layout(cfg))
+    end = pos + 4 * n
     require(end)
     if len(data) > end:
         raise OctCystError(f"{path}: {len(data) - end} trailing bytes after the last tensor")
-    values = {}
-    for name, shape in layout:
-        n = math.prod(shape)
-        arr = np.frombuffer(data, "<f4", n, pos).reshape(shape).astype(np.float32)
-        if not np.all(np.isfinite(arr)):
-            raise OctCystError(f"{path}: tensor {name} contains non-finite values")
-        values[name] = arr
-        pos += 4 * n
+    values = np.frombuffer(data, "<f4", n, pos).astype(np.float32)
+    name = _non_finite_tensor(cfg, values)
+    if name is not None:
+        raise OctCystError(f"{path}: tensor {name} contains non-finite values")
     return Checkpoint(cfg, values)

@@ -26,7 +26,6 @@ from octcyst.samplekit import (
     prepare_sample,
 )
 from octcyst.tensornet import (
-    ParamStore,
     Tensor,
     UNetConfig,
     attention_gate,
@@ -163,8 +162,7 @@ def test_criterion_06_round_trips(tmp_path):
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
     loaded = load_checkpoint(tmp_path / "a.bin")
-    for name, arr in s1.values().items():
-        assert np.array_equal(loaded.values[name], arr)
+    assert np.array_equal(loaded.values, s1.values())
     save_checkpoint(loaded, tmp_path / "c.bin")
     assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
     _report(6, "pad/crop and checkpoint round trips bitwise exact; "
@@ -211,12 +209,10 @@ def test_criterion_08_bce_and_adam_fixtures():
     loss = bce_loss(Tensor(np.zeros((8, 8))), target)  # logit 0 is p = 0.5
     assert abs(loss.item() - math.log(2.0)) <= 1e-7
 
-    store = ParamStore()
-    store.add("theta", Tensor(np.zeros(1, dtype=np.float64)))
-    store["theta"].grad = np.array([1.0])
-    state = AdamState.for_params(store)
-    adam_step(store, state, TrainConfig(epochs=1, learning_rate=1e-3))
-    assert abs(abs(store["theta"].data[0]) - 1e-3) <= 1e-9
+    theta = np.zeros(1, dtype=np.float64)
+    state = AdamState.for_values(theta)
+    adam_step(theta, np.array([1.0]), state, TrainConfig(epochs=1, learning_rate=1e-3))
+    assert abs(abs(theta[0]) - 1e-3) <= 1e-9
     _report(8, "BCE at uniform p=0.5 equals ln 2 within 1e-7; "
                "Adam first-step magnitude equals lr within 1e-9")
 

@@ -11,7 +11,6 @@ import pytest
 from fdcheck import max_rel_error_fd, weighted_sum
 from octcyst.errors import InvalidConfig, OctCystError
 from octcyst.tensornet import (
-    ParamStore,
     Tensor,
     UNetConfig,
     aspp,
@@ -126,9 +125,9 @@ def test_conv_shape_mismatch():
 
 def test_conv_gradients_match_fd():
     x = Tensor(_rand((2, 5, 6), 7))
-    store = ParamStore()
-    w = store.add("w", Tensor(_rand((3, 2, 3, 3), 8)))
-    b = store.add("b", Tensor(_rand((3,), 9)))
+    w = Tensor(_rand((3, 2, 3, 3), 8), requires_grad=True)
+    b = Tensor(_rand((3,), 9), requires_grad=True)
+    store = {"w": w, "b": b}
 
     def loss_fn():
         return mean(conv2d(x, w, b, dilation=2)).item()
@@ -157,10 +156,10 @@ def test_conv_row_tiles_match_naive_and_fd(monkeypatch, k, r):
             yield i0, i1, taps
 
     monkeypatch.setattr(layers, "_mec_tiles", recorded)
-    store = ParamStore()
-    x = store.add("x", Tensor(_rand((C, H, W), 70)))
-    w = store.add("w", Tensor(_rand((F, C, k, k), 71)))
-    b = store.add("b", Tensor(_rand((F,), 72)))
+    x = Tensor(_rand((C, H, W), 70), requires_grad=True)
+    w = Tensor(_rand((F, C, k, k), 71), requires_grad=True)
+    b = Tensor(_rand((F,), 72), requires_grad=True)
+    store = {"x": x, "w": w, "b": b}
     weights = _rand((F, H, W), 73)
     out = conv2d(x, w, b, dilation=r)
     assert np.max(np.abs(out.data - naive_conv2d(x.data, w.data, b.data, r))) < 1e-12
@@ -321,11 +320,11 @@ def test_conv_groups_take_disjoint_views_of_one_input_gradient():
 
 
 def test_grouped_conv_gradients_match_fd():
-    store = ParamStore()
-    x = store.add("x", Tensor(_rand((2, 6, 5), 100)))
-    g = store.add("g", Tensor(_rand((1, 6, 5), 101)))
-    w = store.add("w", Tensor(_rand((2, 3, 3, 3), 102)))
-    b = store.add("b", Tensor(_rand((2,), 103)))
+    x = Tensor(_rand((2, 6, 5), 100), requires_grad=True)
+    g = Tensor(_rand((1, 6, 5), 101), requires_grad=True)
+    w = Tensor(_rand((2, 3, 3, 3), 102), requires_grad=True)
+    b = Tensor(_rand((2,), 103), requires_grad=True)
+    store = {"x": x, "g": g, "w": w, "b": b}
     u = _rand((2, 6, 5), 104)
 
     def loss_fn():
@@ -350,7 +349,7 @@ def test_grouped_conv_rejects_what_concatenation_could_not_join():
         conv2d(x, Tensor(np.zeros((1, 3, 2, 2))), more=(Tensor(np.zeros((1, 4, 4))),))
     with pytest.raises(OctCystError, match=r"bias shape \(3,\) != \(1,\)"):
         conv2d(x, w, Tensor(np.zeros(3)), more=(Tensor(np.zeros((1, 4, 4))),))
-    assert conv2d(x, w, more=(Tensor(np.zeros((1, 4, 4))),)).shape == (1, 4, 4)
+    assert conv2d(x, w, more=(Tensor(np.zeros((1, 4, 4))),)).data.shape == (1, 4, 4)
 
 
 # --- conv2d with a gain on its first group -------------------------------------
@@ -400,11 +399,11 @@ def test_gained_conv_equals_conv_of_the_scaled_input_byte_for_byte(monkeypatch, 
 
 
 def test_gained_conv_gradients_match_fd():
-    store = ParamStore()
-    x = store.add("x", Tensor(_rand((2, 6, 5), 105)))
-    g = store.add("g", Tensor(_rand((1, 6, 5), 106)))
-    a = store.add("a", Tensor(_rand((1, 6, 5), 107)))
-    w = store.add("w", Tensor(_rand((2, 3, 3, 3), 108)))
+    x = Tensor(_rand((2, 6, 5), 105), requires_grad=True)
+    g = Tensor(_rand((1, 6, 5), 106), requires_grad=True)
+    a = Tensor(_rand((1, 6, 5), 107), requires_grad=True)
+    w = Tensor(_rand((2, 3, 3, 3), 108), requires_grad=True)
+    store = {"x": x, "g": g, "a": a, "w": w}
     u = _rand((2, 6, 5), 109)
 
     def loss_fn():
@@ -419,7 +418,7 @@ def test_gained_conv_rejects_a_gain_that_is_not_one_map_of_the_input():
     for shape in ((2, 4, 4), (1, 4, 5), (4, 4)):
         with pytest.raises(OctCystError, match=r"is not a \(1, H, W\) map of input \(2, 4, 4\)"):
             conv2d(x, w, gain=Tensor(np.zeros(shape)))
-    assert conv2d(x, w, gain=Tensor(np.ones((1, 4, 4)))).shape == (1, 4, 4)
+    assert conv2d(x, w, gain=Tensor(np.ones((1, 4, 4)))).data.shape == (1, 4, 4)
 
 
 # --- conv2d with the fused ReLU -----------------------------------------------
@@ -513,7 +512,7 @@ def test_a_tensor_used_twice_by_one_op_gets_both_gradients(op):
     }[op]
     x, a, b = (Tensor(data.copy(), requires_grad=True) for _ in range(3))
     y = run(x, x)
-    u = _rand(y.shape, 92)
+    u = _rand(y.data.shape, 92)
     backward(weighted_sum(y, u))
     backward(weighted_sum(run(a, b), u))
     assert x.grad.tobytes() == (a.grad + b.grad).tobytes()
@@ -590,8 +589,8 @@ def test_max_pool_tie_breaks_to_first_in_row_major_order():
 
 def test_max_pool_gradient_matches_fd():
     data = _rand((1, 4, 4), 17)
-    store = ParamStore()
-    x = store.add("x", Tensor(data))
+    x = Tensor(data, requires_grad=True)
+    store = {"x": x}
 
     def loss_fn():
         return mean(max_pool2(x)).item()
@@ -728,17 +727,17 @@ def test_gate_spatial_mismatch_rejected():
 def test_gate_gradients_match_fd():
     # the decoder's pair: the skip x reaches the loss as the conv's first
     # group and through the gate's coefficient map, the conv's gain
-    store = ParamStore()
-    x = store.add("x", Tensor(_rand((4, 3, 3), 41)))
-    g = store.add("g", Tensor(_rand((4, 3, 3), 42)))
+    x = Tensor(_rand((4, 3, 3), 41), requires_grad=True)
+    g = Tensor(_rand((4, 3, 3), 42), requires_grad=True)
     p = dict(
-        w_x=store.add("w_x", Tensor(_rand((2, 4, 1, 1), 43))),
-        w_g=store.add("w_g", Tensor(_rand((2, 4, 1, 1), 44))),
-        b_xg=store.add("b_xg", Tensor(_rand((2,), 45))),
-        psi=store.add("psi", Tensor(_rand((1, 2, 1, 1), 46))),
-        b_psi=store.add("b_psi", Tensor(_rand((1,), 47))),
+        w_x=Tensor(_rand((2, 4, 1, 1), 43), requires_grad=True),
+        w_g=Tensor(_rand((2, 4, 1, 1), 44), requires_grad=True),
+        b_xg=Tensor(_rand((2,), 45), requires_grad=True),
+        psi=Tensor(_rand((1, 2, 1, 1), 46), requires_grad=True),
+        b_psi=Tensor(_rand((1,), 47), requires_grad=True),
     )
-    w = store.add("w", Tensor(_rand((2, 8, 3, 3), 48)))
+    w = Tensor(_rand((2, 8, 3, 3), 48), requires_grad=True)
+    store = {"x": x, "g": g, **p, "w": w}
 
     def loss_fn():
         return mean(conv2d(x, w, more=(g,), gain=attention_gate(x, g, **p))).item()
@@ -847,7 +846,7 @@ def test_dropout_keeps_nothing_beyond_the_output_for_its_backward():
     rng = np.random.default_rng(62)
     x = Tensor(rng.random((4, 128, 128), dtype=np.float32), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 4, 3, 3)).astype(np.float32))
-    u = rng.standard_normal(x.shape).astype(np.float32)
+    u = rng.standard_normal(x.data.shape).astype(np.float32)
     tracemalloc.start()
     try:
         out = conv2d(x, w, relu=True, drop=(0.25, 9))
@@ -859,7 +858,7 @@ def test_dropout_keeps_nothing_beyond_the_output_for_its_backward():
     backward(weighted_sum(out, u))
     mask = ((uniform_array(9, x.data.size) >= 0.25) / 0.75).astype(np.float32)
     x2 = Tensor(x.data, requires_grad=True)
-    backward(weighted_sum(conv2d(x2, w, relu=True), u * mask.reshape(x.shape)))
+    backward(weighted_sum(conv2d(x2, w, relu=True), u * mask.reshape(x.data.shape)))
     assert x.grad.tobytes() == x2.grad.tobytes()
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -16,8 +17,11 @@ from octcyst.dataio import PhantomSpec, gen_phantom
 from octcyst.dataio.formats import format_settings
 from octcyst.errors import InvalidConfig, OctCystError
 from octcyst.samplekit import ReferenceDims, Sample, pad_to_reference, prepare_sample
-from octcyst.tensornet import ParamStore, Tensor, UNet, UNetConfig, backward, build_unet
+from octcyst.tensornet import Tensor, UNet, UNetConfig, backward, build_unet, param_layout
 from octcyst.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     AdamState,
@@ -42,6 +46,9 @@ def _tiny_cfg(seed=5):
         dropout_per_level=(0.1, 0.1, 0.2),
         seed=seed,
     )
+
+
+_TINY_NAMES = sorted(name for name, _, _ in param_layout(_tiny_cfg()))
 
 
 # --- BCE ----------------------------------------------------------------------
@@ -99,29 +106,21 @@ def test_bce_nonnegative():
 # --- Adam ---------------------------------------------------------------------
 
 
-def _scalar_store(value=0.0):
-    store = ParamStore()
-    store.add("theta", Tensor(np.array([value], dtype=np.float64)))
-    return store
-
-
 def test_adam_zero_gradient_is_identity():
-    store = _scalar_store(1.5)
-    state = AdamState.for_params(store)
-    cfg = TrainConfig(epochs=1)
-    adam_step(store, state, cfg)
-    assert store["theta"].data[0] == 1.5
+    theta = np.array([1.5], dtype=np.float64)
+    state = AdamState.for_values(theta)
+    adam_step(theta, np.zeros(1), state, TrainConfig(epochs=1))
+    assert theta[0] == 1.5
     assert state.t == 1
 
 
 def test_adam_first_step_magnitude():
-    store = _scalar_store(0.0)
-    store["theta"].grad = np.array([1.0])
-    state = AdamState.for_params(store)
-    adam_step(store, state, TrainConfig(epochs=1, learning_rate=1e-3))
+    theta = np.array([0.0], dtype=np.float64)
+    state = AdamState.for_values(theta)
+    adam_step(theta, np.array([1.0]), state, TrainConfig(epochs=1, learning_rate=1e-3))
     expected = -1e-3 * 1.0 / (1.0 + 1e-8)
-    assert abs(store["theta"].data[0] - expected) <= 1e-9
-    assert abs(abs(store["theta"].data[0]) - 1e-3) <= 1e-9
+    assert abs(theta[0] - expected) <= 1e-9
+    assert abs(abs(theta[0]) - 1e-3) <= 1e-9
 
 
 def test_adam_ten_step_trajectory_matches_recurrence_oracle():
@@ -136,35 +135,87 @@ def test_adam_ten_step_trajectory_matches_recurrence_oracle():
         theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
         expected.append(theta)
 
-    store = _scalar_store(0.3)
-    state = AdamState.for_params(store)
+    values = np.array([0.3], dtype=np.float64)
+    state = AdamState.for_values(values)
     cfg = TrainConfig(epochs=1, learning_rate=lr)
     got = []
     for g in grads:
-        store["theta"].grad = np.array([g])
-        adam_step(store, state, cfg)
-        got.append(float(store["theta"].data[0]))
+        adam_step(values, np.array([g]), state, cfg)
+        got.append(float(values[0]))
     assert np.max(np.abs(np.array(got) - np.array(expected))) <= 1e-12
 
 
-def test_adam_step_consumes_the_gradients_it_applies():
-    # each batch then starts as the first one does, with no gradients, so a
-    # later backward's gradient is its own and not a sum over batches
-    net, store = build_unet(_tiny_cfg(), dtype=np.float64)
-    x = np.random.default_rng(3).random((2, 8, 8))
-    target = (np.random.default_rng(4).random((1, 8, 8)) > 0.7).astype(float)
-    state = AdamState.for_params(store)
-    backward(bce_loss(net.forward(x), target))
-    adam_step(store, state, TrainConfig(epochs=1))
-    assert all(t.grad is None for _, t in store.items())
+def _per_tensor_adam_step(params, grads, m, v, t, lr):
+    """The reference: the bias-corrected update applied one tensor at a
+    time, each tensor's moments in a dict keyed by its name."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    for name in params:
+        g = grads[name]
+        m[name] += (1.0 - b1) * (g - m[name])
+        v[name] += (1.0 - b2) * (g * g - v[name])
+        params[name] = params[name] - lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
 
-    backward(bce_loss(net.forward(x), target))
-    fresh_net, fresh = build_unet(_tiny_cfg(), dtype=np.float64)
-    for name, t in fresh.items():
-        t.data = store[name].data.copy()
-    backward(bce_loss(fresh_net.forward(x), target))
-    for (name, t), (_, f) in zip(store.items(), fresh.items()):
-        assert t.grad.tobytes() == f.grad.tobytes(), name
+
+def test_flat_adam_step_matches_the_per_tensor_update_byte_for_byte():
+    shapes = {"a.b": (4,), "a.w": (4, 3, 3, 3), "b.w": (2, 4, 1, 1), "c": (7,)}
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+
+    def split(flat):
+        return {
+            name: part.reshape(shape)
+            for (name, shape), part in zip(shapes.items(), np.split(flat, ends[:-1]))
+        }
+
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal(ends[-1]).astype(np.float32)
+    params = {name: part.copy() for name, part in split(values).items()}
+    m = {name: np.zeros_like(p) for name, p in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    state = AdamState.for_values(values)
+    cfg = TrainConfig(epochs=1, learning_rate=1e-3)
+    for t in range(1, 201):
+        # magnitudes from 1e-8 to 1e1, of either sign
+        grad = rng.choice([-1.0, 1.0], ends[-1]) * 10.0 ** rng.uniform(-8.0, 1.0, ends[-1])
+        grad = grad.astype(np.float32)
+        adam_step(values, grad, state, cfg)
+        _per_tensor_adam_step(params, split(grad), m, v, t, cfg.learning_rate)
+    assert state.t == 200
+    for flat, per_tensor in ((values, params), (state.m, m), (state.v, v)):
+        assert flat.dtype == np.float32
+        assert flat.tobytes() == b"".join(per_tensor[name].tobytes() for name in shapes)
+
+
+def test_train_consumes_the_gradients_it_applies(monkeypatch):
+    # each batch then starts as the first one does, with no gradients, so a
+    # later batch's gradient is its own and not a sum over batches.  Without
+    # dropout a batch's gradient is one backward at the values it updates.
+    import octcyst.trainer as trainer_mod
+
+    cfg = replace(_tiny_cfg(), dropout_per_level=(0.0, 0.0, 0.0))
+    stores, steps = [], []
+
+    def capturing_build(cfg):
+        net, store = build_unet(cfg)
+        stores.append(store)
+        return net, store
+
+    def recording_step(values, grad, state, train_cfg):
+        assert all(t.grad is None for _, t in stores[0].items())
+        steps.append((values.copy(), grad.copy()))
+        adam_step(values, grad, state, train_cfg)
+
+    monkeypatch.setattr(trainer_mod, "build_unet", capturing_build)
+    monkeypatch.setattr(trainer_mod, "adam_step", recording_step)
+    (sample, target), = _phantom_dataset(1, ReferenceDims(16, 16))
+    train([(sample, target)], cfg, TrainConfig(batch_size=1, epochs=2, seed=1))
+    assert len(steps) == 2
+    for values, grad in steps:
+        net, fresh = build_unet(cfg)
+        fresh.flat[...] = values
+        backward(bce_loss(net.forward(sample.values, training=True), target[None, :, :]))
+        assert grad.tobytes() == b"".join(t.grad.tobytes() for _, t in fresh.items())
 
 
 # --- training loop --------------------------------------------------------------
@@ -312,6 +363,35 @@ def test_train_stops_on_non_finite_loss():
         train(data, _tiny_cfg(), TrainConfig(batch_size=1, epochs=2, seed=1))
 
 
+@pytest.mark.parametrize(
+    "which, at",
+    [(0, 0), (len(_TINY_NAMES) // 2, 0), (len(_TINY_NAMES) // 2, -1), (-1, -1)],
+    ids=["first-name-first-value", "middle-name-first-value", "middle-name-last-value",
+         "last-name-last-value"],
+)
+def test_train_stops_on_non_finite_gradient(monkeypatch, which, at):
+    import octcyst.trainer as trainer_mod
+
+    # the loss stays finite: only the named parameter's gradient is poisoned
+    name = _TINY_NAMES[which]
+    stores = []
+
+    def capturing_build(cfg):
+        net, store = build_unet(cfg)
+        stores.append(store)
+        return net, store
+
+    def poisoning_backward(loss, grad=1.0):
+        backward(loss, grad)
+        stores[0][name].grad.flat[at] = np.inf
+
+    monkeypatch.setattr(trainer_mod, "build_unet", capturing_build)
+    monkeypatch.setattr(trainer_mod, "backward", poisoning_backward)
+    data = _phantom_dataset(1, ReferenceDims(16, 16))
+    with pytest.raises(OctCystError, match=rf"^epoch 0, batch 0: non-finite gradient of {re.escape(name)}$"):
+        train(data, _tiny_cfg(), TrainConfig(batch_size=1, epochs=1, seed=1))
+
+
 def test_train_epoch_log_order():
     ref = ReferenceDims(16, 16)
     data = _phantom_dataset(2, ref)
@@ -326,7 +406,7 @@ def test_train_epoch_log_order():
 
 def _zero_checkpoint(cfg):
     _, store = build_unet(cfg)
-    return Checkpoint(cfg, {n: np.zeros_like(t.data) for n, t in store.items()})
+    return Checkpoint(cfg, np.zeros_like(store.values()))
 
 
 def test_predict_zero_weights_mask_equals_roi():
@@ -408,16 +488,6 @@ def test_checkpoint_same_seed_identical_bytes(tmp_path):
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
-def test_checkpoint_order_is_lexicographic(tmp_path):
-    cfg = _tiny_cfg()
-    _, store = build_unet(cfg)
-    values = store.values()
-    reversed_dict = dict(reversed(list(values.items())))
-    save_checkpoint(Checkpoint(cfg, values), tmp_path / "a.bin")
-    save_checkpoint(Checkpoint(cfg, reversed_dict), tmp_path / "b.bin")
-    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
-
-
 def test_checkpoint_holds_the_config_and_then_only_the_values(tmp_path):
     cfg = _tiny_cfg(seed=6)
     _, store = build_unet(cfg)
@@ -463,10 +533,11 @@ def test_loaded_network_runs_the_checkpoints_own_arrays(tmp_path):
     save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
     cp = load_checkpoint(tmp_path / "cp.bin")
     params = cp.network.store.items()
-    assert [n for n, _ in params] == sorted(cp.values)
+    assert [n for n, _ in params] == sorted(n for n, _, _ in param_layout(cfg))
     for name, t in params:
-        assert t.data is cp.values[name], name
+        assert t.data.base is cp.values, name
         assert t.data.dtype == np.float32 and not t.requires_grad
+    assert b"".join(t.data.tobytes() for _, t in params) == cp.values.tobytes()
 
 
 def test_checkpoint_cut_short_is_rejected_before_any_value_is_allocated(tmp_path):
@@ -504,8 +575,8 @@ def test_checkpoint_truncated(tmp_path):
 def test_checkpoint_missing_tensor_rejected(tmp_path):
     cfg = _tiny_cfg()
     _, store = build_unet(cfg)
-    values = store.values()
-    del values["head.w"]
+    # head.w is the last name, so its values end the array
+    values = store.values()[: -store["head.w"].data.size]
     save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
     with pytest.raises(OctCystError, match="truncated at byte"):
         load_checkpoint(tmp_path / "cp.bin")
@@ -514,8 +585,8 @@ def test_checkpoint_missing_tensor_rejected(tmp_path):
 def test_checkpoint_wrong_tensor_shape_rejected(tmp_path):
     cfg = _tiny_cfg()
     _, store = build_unet(cfg)
-    values = store.values()
-    values["head.b"] = np.zeros(2, dtype=np.float32)
+    # head.b holds one zero; give it two
+    values = np.insert(store.values(), _flat_index(store, "head.b", 0), np.float32(0.0))
     save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
     with pytest.raises(OctCystError, match="4 trailing bytes"):
         load_checkpoint(tmp_path / "cp.bin")
@@ -531,27 +602,53 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
         load_checkpoint(tmp_path / "long.bin")
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_checkpoint_non_finite_value_rejected_on_load(tmp_path, value):
+def _flat_index(store, name, k):
+    """Where value k of tensor `name` sits among all values in name order;
+    a negative k counts from the tensor's end."""
+    start = sum(t.data.size for n, t in store.items() if n < name)
+    return start + k % store[name].data.size
+
+
+# Where a bad value goes: the first value of the first tensor, the last of
+# that tensor (followed by the second), and head.b, which holds one value
+# and is followed by head.w.  Each case must name its own tensor.
+_BAD_POSITIONS = {
+    "first-value": (_TINY_NAMES[0], 0),
+    "last-value": (_TINY_NAMES[0], -1),
+    "head.b": ("head.b", 0),
+}
+
+
+@pytest.mark.parametrize(
+    "value, position",
+    [(v, position) for position in _BAD_POSITIONS for v in (np.nan, np.inf, -np.inf)],
+    ids=[
+        i if position == "head.b" else f"{i}-{position}"
+        for position in _BAD_POSITIONS
+        for i in ("nan", "inf", "-inf")
+    ],
+)
+def test_checkpoint_non_finite_value_rejected_on_load(tmp_path, value, position):
     cfg = _tiny_cfg()
     _, store = build_unet(cfg)
     save_checkpoint(Checkpoint(cfg, store.values()), tmp_path / "cp.bin")
     data = bytearray((tmp_path / "cp.bin").read_bytes())
-    # head.b is (1,): its one float32 follows the values of every name before it
-    at = 12 + struct.unpack_from("<I", data, 8)[0]
-    at += 4 * sum(t.data.size for name, t in store.items() if name < "head.b")
+    name, k = _BAD_POSITIONS[position]
+    at = 12 + struct.unpack_from("<I", data, 8)[0] + 4 * _flat_index(store, name, k)
     data[at : at + 4] = np.full(1, value, dtype="<f4").tobytes()
     (tmp_path / "bad.bin").write_bytes(bytes(data))
-    with pytest.raises(OctCystError, match="tensor head.b contains non-finite values"):
+    with pytest.raises(OctCystError, match=rf"tensor {re.escape(name)} contains non-finite values"):
         load_checkpoint(tmp_path / "bad.bin")
 
 
-def test_save_checkpoint_non_finite_value_raises_and_writes_nothing(tmp_path):
+@pytest.mark.parametrize("position", list(_BAD_POSITIONS))
+def test_save_checkpoint_non_finite_value_raises_and_writes_nothing(tmp_path, position):
     cfg = _tiny_cfg()
     _, store = build_unet(cfg)
     values = store.values()
-    values["head.b"] = np.full(1, np.inf, dtype=np.float32)
-    with pytest.raises(OctCystError, match="tensor head.b contains non-finite values"):
+    name, k = _BAD_POSITIONS[position]
+    values[_flat_index(store, name, k)] = np.inf
+    with pytest.raises(OctCystError, match=rf"tensor {re.escape(name)} contains non-finite values"):
         save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
     assert list(tmp_path.iterdir()) == []
 
