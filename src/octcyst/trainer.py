@@ -10,6 +10,8 @@ bias-corrected Adam update.  Checkpoints round-trip bitwise.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,6 +33,8 @@ CHECKPOINT_VERSION = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_ADAM_BLOCK = 1 << 16  # values per block of adam_step
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -82,15 +86,21 @@ class AdamState:
 
 def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState, cfg: TrainConfig) -> None:
     """Bias-corrected Adam update of `values`, in place, by `grad`: one
-    elementwise pass over all of them."""
+    elementwise pass, a block at a time through two scratch arrays, so
+    that its temporaries stay in cache."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    m, v = state.m, state.v
-    m += (1.0 - b1) * (grad - m)
-    v += (1.0 - b2) * (grad * grad - v)
-    values -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    a = np.empty(min(values.size, _ADAM_BLOCK), state.m.dtype)
+    b = np.empty_like(a)
+    for start in range(0, values.size, _ADAM_BLOCK):
+        x, g, m, v = (arr[start : start + _ADAM_BLOCK] for arr in (values, grad, state.m, state.v))
+        ta, tb = a[: x.size], b[: x.size]
+        m += np.multiply(np.subtract(g, m, out=ta), 1.0 - b1, out=ta)
+        v += np.multiply(np.subtract(np.multiply(g, g, out=ta), v, out=ta), 1.0 - b2, out=ta)
+        np.add(np.sqrt(np.divide(v, c2, out=tb), out=tb), ADAM_EPS, out=tb)
+        x -= np.divide(np.multiply(np.divide(m, c1, out=ta), cfg.learning_rate, out=ta), tb, out=ta)
 
 
 @dataclass(frozen=True)
@@ -116,6 +126,97 @@ def _non_finite_tensor(cfg: UNetConfig, flat: np.ndarray) -> Optional[str]:
     return ParamStore(cfg, flat).name_at(int(finite.argmin()))
 
 
+def _sample_grad(net: UNet, values, target, seed: int, scale: float) -> tuple[float, np.ndarray]:
+    """One sample's training loss and its flat gradient, in name order,
+    scaled by `scale`; every parameter's .grad is None again on return."""
+    loss = bce_loss(net.forward(values, training=True, seed=seed), target[None, :, :])
+    backward(loss, grad=scale)
+    leaves = [t for _, t in net.store.items()]
+    grad = np.concatenate([t.grad.ravel() for t in leaves])
+    for t in leaves:
+        t.grad = None
+    return loss.item(), grad
+
+
+def _core_count() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _train_worker(conn, unet_cfg: UNetConfig) -> None:
+    """A training worker: for each (parameter values, jobs, scale) it
+    receives, it sends back the _sample_grad of each (values, target, seed)
+    job in order, or the text of the exception one raised.  It stops when
+    the parent closes its end of the pipe."""
+    net, params = build_unet(unet_cfg)
+    try:
+        while True:
+            flat, jobs, scale = conn.recv()
+            params.flat[...] = flat
+            try:
+                reply = [_sample_grad(net, *job, scale) for job in jobs]
+            except Exception as e:  # sent back, so that the parent raises it
+                reply = str(e) if isinstance(e, OctCystError) else f"{type(e).__name__}: {e}"
+            conn.send(reply)
+    except (EOFError, ConnectionError):
+        pass
+
+
+def _start_workers(workers: list, count: int, unet_cfg: UNetConfig) -> None:
+    """Start `count` spawned training workers at one BLAS thread each,
+    appending each (process, pipe) to `workers` once it runs; os.environ
+    holds the thread settings only while they start."""
+    ctx = multiprocessing.get_context("spawn")
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        for _ in range(count):
+            conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(target=_train_worker, args=(child_conn, unet_cfg), daemon=True)
+            proc.start()
+            child_conn.close()
+            workers.append((proc, conn))
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                del os.environ[var]
+            else:
+                os.environ[var] = value
+
+
+def _stop_workers(workers: list) -> None:
+    """Close every worker's pipe, which stops it, and join it; one still
+    alive 10 s later is killed."""
+    for proc, conn in workers:
+        conn.close()
+    for proc, _ in workers:
+        proc.join(10.0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+
+
+def _worker_grads(workers: list, flat: np.ndarray, jobs: list, scale: float, where: str) -> list:
+    """The _sample_grad of every job, in job order, each worker taking one
+    contiguous share of the jobs."""
+    n, w = len(jobs), len(workers)
+    # share i starts at job ceil(i n / w), so the larger shares are sent first
+    ends = [-(-i * n // w) for i in range(w + 1)]
+    shares = [(workers[i], jobs[ends[i] : ends[i + 1]]) for i in range(w) if ends[i] < ends[i + 1]]
+    results = []
+    try:
+        for (proc, conn), share in shares:
+            conn.send((flat, share, scale))
+        for (proc, conn), _ in shares:
+            reply = conn.recv()
+            if isinstance(reply, str):
+                raise OctCystError(reply)
+            results += reply
+    except (EOFError, ConnectionError):
+        proc.join(1.0)
+        raise OctCystError(f"{where}: training worker exited with code {proc.exitcode}") from None
+    return results
+
+
 def train(
     data: Sequence[tuple[Sample, np.ndarray]],
     unet_cfg: UNetConfig,
@@ -125,43 +226,53 @@ def train(
     """Train on (sample, target) pairs; each target is a {0,1} mask in its
     sample's frame, which bce_loss checks.  Calls log_fn(epoch, mean_loss)
     after each epoch and returns the final checkpoint.  A non-finite loss or
-    gradient raises OctCystError naming the epoch and batch."""
+    gradient raises OctCystError naming the epoch and batch.
+
+    With more than one usable core and batches of more than one sample,
+    spawned workers, one per core up to the batch and set sizes, compute
+    the samples' gradients; their sum, in sample order, is the same."""
     if len(data) == 0:
         raise OctCystError("no training samples")
 
     net, params = build_unet(unet_cfg)
-    leaves = [t for _, t in params.items()]
     state = AdamState.for_values(params.flat)
     n = len(data)
-    for epoch in range(train_cfg.epochs):
-        order = list(range(n))
-        SplitMix64(derive_seed(train_cfg.seed, epoch)).shuffle(order)
-        epoch_losses = []
-        for batch_no, start in enumerate(range(0, n, train_cfg.batch_size)):
-            batch = order[start : start + train_cfg.batch_size]
-            for k, idx in enumerate(batch):
-                sample, target = data[idx]
-                out = net.forward(
-                    sample.values,
-                    training=True,
-                    seed=derive_seed(train_cfg.seed, epoch, batch_no, k),
-                )
-                loss = bce_loss(out, target[None, :, :])
-                backward(loss, grad=1.0 / len(batch))
-                epoch_losses.append(loss.item())
-            where = f"epoch {epoch}, batch {batch_no}"
-            if not np.all(np.isfinite(epoch_losses[-len(batch) :])):
-                raise OctCystError(f"{where}: non-finite training loss")
-            grad = np.concatenate([t.grad.ravel() for t in leaves])
-            for t in leaves:
-                t.grad = None
-            name = _non_finite_tensor(unet_cfg, grad)
-            if name is not None:
-                raise OctCystError(f"{where}: non-finite gradient of {name}")
-            adam_step(params.flat, grad, state, train_cfg)
-            del grad  # so the next batch's backward runs without it
-        if log_fn is not None:
-            log_fn(epoch, float(np.mean(epoch_losses)))
+    workers: list = []
+    try:
+        count = min(_core_count(), train_cfg.batch_size, n)
+        if count > 1:
+            _start_workers(workers, count, unet_cfg)
+        for epoch in range(train_cfg.epochs):
+            order = list(range(n))
+            SplitMix64(derive_seed(train_cfg.seed, epoch)).shuffle(order)
+            epoch_losses = []
+            for batch_no, start in enumerate(range(0, n, train_cfg.batch_size)):
+                batch = order[start : start + train_cfg.batch_size]
+                where = f"epoch {epoch}, batch {batch_no}"
+                jobs = [
+                    (data[idx][0].values, data[idx][1], derive_seed(train_cfg.seed, epoch, batch_no, k))
+                    for k, idx in enumerate(batch)
+                ]
+                scale = 1.0 / len(batch)
+                if workers:
+                    results = _worker_grads(workers, params.flat, jobs, scale, where)
+                else:
+                    results = (_sample_grad(net, *job, scale) for job in jobs)
+                grad = None
+                for loss, sample_grad in results:
+                    epoch_losses.append(loss)
+                    grad = sample_grad if grad is None else np.add(grad, sample_grad, out=grad)
+                if not np.all(np.isfinite(epoch_losses[-len(batch) :])):
+                    raise OctCystError(f"{where}: non-finite training loss")
+                name = _non_finite_tensor(unet_cfg, grad)
+                if name is not None:
+                    raise OctCystError(f"{where}: non-finite gradient of {name}")
+                adam_step(params.flat, grad, state, train_cfg)
+                del results, sample_grad, grad  # so the next batch's backward runs without them
+            if log_fn is not None:
+                log_fn(epoch, float(np.mean(epoch_losses)))
+    finally:
+        _stop_workers(workers)
     return Checkpoint(unet_cfg, params.values())
 
 
@@ -181,16 +292,24 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
     """Binary layout: magic, version and config length as two uint32, the
     config as format_settings text, then each tensor's float32 values in
     lexicographic name order, all little-endian.  Nothing else is stored:
-    the config fixes every tensor's name and shape.  A tensor holding a NaN
-    or inf, or a config whose text would not read back as itself, raises
+    the config fixes every tensor's name and shape.  Values that are not
+    one array of exactly the config's values, a tensor holding a NaN or
+    inf, or a config whose text would not read back as itself raise
     OctCystError, and nothing is written."""
     config = format_settings(cp.config).encode("utf-8")
     _parse_config_block(config, path)
+    n = _value_count(cp.config)
+    if cp.values.shape != (n,):
+        raise OctCystError(f"{path}: values of shape {cp.values.shape} where the config lays out {n}")
     name = _non_finite_tensor(cp.config, cp.values)
     if name is not None:
         raise OctCystError(f"{path}: tensor {name} contains non-finite values")
     header = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(config)) + config
     atomic_write_bytes(path, header + np.asarray(cp.values, dtype="<f4").tobytes())
+
+
+def _value_count(cfg: UNetConfig) -> int:
+    return sum(math.prod(shape) for _, shape, _ in param_layout(cfg))
 
 
 def _parse_config_block(block: bytes, path) -> UNetConfig:
@@ -230,7 +349,7 @@ def load_checkpoint(path) -> Checkpoint:
     pos = 12 + config_len
     require(pos)
     cfg = _parse_config_block(data[12:pos], path)
-    n = sum(math.prod(shape) for _, shape, _ in param_layout(cfg))
+    n = _value_count(cfg)
     end = pos + 4 * n
     require(end)
     if len(data) > end:

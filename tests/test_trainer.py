@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import re
 import struct
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 import octcyst
-
+import octcyst.trainer as trainer_mod
+from octcyst.cli import run
 from octcyst.dataio import PhantomSpec, gen_phantom
 from octcyst.dataio.formats import format_settings
 from octcyst.errors import InvalidConfig, OctCystError
@@ -187,6 +189,25 @@ def test_flat_adam_step_matches_the_per_tensor_update_byte_for_byte():
         assert flat.tobytes() == b"".join(per_tensor[name].tobytes() for name in shapes)
 
 
+def test_adam_step_over_several_blocks_matches_the_whole_array_update_byte_for_byte():
+    # two full blocks and a short one, against the update written as whole-array expressions
+    size = 2 * trainer_mod._ADAM_BLOCK + 5
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal(size).astype(np.float32)
+    expected, m, v = values.copy(), np.zeros_like(values), np.zeros_like(values)
+    state = AdamState.for_values(values)
+    cfg = TrainConfig(epochs=1, learning_rate=1e-3)
+    for t in range(1, 4):
+        grad = (rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 1.0, size)).astype(np.float32)
+        adam_step(values, grad, state, cfg)
+        c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+        m += (1.0 - ADAM_BETA1) * (grad - m)
+        v += (1.0 - ADAM_BETA2) * (grad * grad - v)
+        expected -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    for got, want in ((values, expected), (state.m, m), (state.v, v)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_train_consumes_the_gradients_it_applies(monkeypatch):
     # each batch then starts as the first one does, with no gradients, so a
     # later batch's gradient is its own and not a sum over batches.  Without
@@ -274,15 +295,20 @@ def test_train_deterministic_checkpoints(tmp_path):
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
-# Trains a small network for a few steps and writes its checkpoint to
-# argv[1].  Its convolution GEMMs (8 output rows, 72-deep, 6144 columns)
-# are large enough for OpenBLAS to split them across threads.
+# Trains a small network for a few steps, with training workers for
+# argv[2] cores, and writes its checkpoint to argv[1].  One core trains
+# in-process, at the BLAS thread count of the environment.  Its convolution
+# GEMMs (8 output rows, 72-deep, 6144 columns) are large enough for
+# OpenBLAS to split them across threads.
 _TRAIN_SCRIPT = """
 import sys
 import numpy as np
+import octcyst.trainer
 from octcyst.samplekit import Sample
 from octcyst.tensornet import UNetConfig
 from octcyst.trainer import TrainConfig, save_checkpoint, train
+
+octcyst.trainer._core_count = lambda: int(sys.argv[2])
 
 rng = np.random.default_rng(12)
 data = [
@@ -301,16 +327,17 @@ save_checkpoint(train(data, cfg, TrainConfig(batch_size=2, epochs=2, seed=4)), s
 
 
 def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # in-process at 1 and at 2 BLAS threads, then 2 workers at 1 thread each
     src = str(Path(octcyst.__file__).resolve().parents[1])
     paths = []
-    for threads in ("1", "2"):
+    for threads, cores in (("1", "1"), ("2", "1"), ("2", "2")):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        path = tmp_path / f"threads{threads}.bin"
+        path = tmp_path / f"threads{threads}-cores{cores}.bin"
         subprocess.run(
-            [sys.executable, "-c", _TRAIN_SCRIPT, str(path)], env=env, check=True, timeout=300
+            [sys.executable, "-c", _TRAIN_SCRIPT, str(path), cores], env=env, check=True, timeout=300
         )
         paths.append(path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
 
 # Prints the core type that numpy's bundled OpenBLAS runs, or nothing where
@@ -346,7 +373,7 @@ def test_checkpoint_bytes_repeat_under_a_forced_blas_core_type(tmp_path):
     for run in ("first", "second"):
         path = tmp_path / f"{run}.bin"
         subprocess.run(
-            [sys.executable, "-c", _TRAIN_SCRIPT, str(path)], env=env, check=True, timeout=300
+            [sys.executable, "-c", _TRAIN_SCRIPT, str(path), "1"], env=env, check=True, timeout=300
         )
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -399,6 +426,206 @@ def test_train_epoch_log_order():
     train(data, _tiny_cfg(), TrainConfig(batch_size=2, epochs=3, seed=1),
           log_fn=lambda e, l: epochs.append(e))
     assert epochs == [0, 1, 2]
+
+
+# --- training workers -----------------------------------------------------------
+
+
+def _use_cores(monkeypatch, count):
+    monkeypatch.setattr(trainer_mod, "_core_count", lambda: count)
+
+
+def _count_worker_batches(monkeypatch):
+    """A list that gets one entry for each batch sent to training workers."""
+    batches = []
+    send = trainer_mod._worker_grads
+
+    def counting(*args):
+        batches.append(len(args[2]))
+        return send(*args)
+
+    monkeypatch.setattr(trainer_mod, "_worker_grads", counting)
+    return batches
+
+
+@pytest.mark.parametrize("batch_size", [2, 3])
+def test_worker_count_does_not_change_a_checkpoint_byte(tmp_path, monkeypatch, batch_size):
+    # 3 samples: batches of 2 put one sample on each of 2 workers and then
+    # the last sample on 1 worker; a batch of 3 splits 2/1 between them
+    data = _phantom_dataset(3, ReferenceDims(16, 16))
+    children = []
+    for cores in (1, 2):
+        _use_cores(monkeypatch, cores)
+        cp = train(
+            data, _tiny_cfg(), TrainConfig(batch_size=batch_size, epochs=3, seed=11),
+            log_fn=lambda e, l: children.append(len(multiprocessing.active_children())),
+        )
+        save_checkpoint(cp, tmp_path / f"cores{cores}.bin")
+    assert children == [0, 0, 0, 2, 2, 2]
+    assert (tmp_path / "cores1.bin").read_bytes() == (tmp_path / "cores2.bin").read_bytes()
+
+
+def test_no_training_worker_outlives_train(monkeypatch):
+    _use_cores(monkeypatch, 2)
+    data = _phantom_dataset(2, ReferenceDims(16, 16))
+    children = []
+
+    def log(epoch, loss):
+        children.append(len(multiprocessing.active_children()))
+        if epoch == 1:
+            raise RuntimeError("log failed")
+
+    train(data, _tiny_cfg(), TrainConfig(batch_size=2, epochs=1, seed=1), log_fn=log)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(RuntimeError, match="log failed"):
+        train(data, _tiny_cfg(), TrainConfig(batch_size=2, epochs=2, seed=1), log_fn=log)
+    assert multiprocessing.active_children() == []
+    assert children == [2, 2, 2]
+
+
+@pytest.mark.skipif(not Path("/proc/self/environ").is_file(), reason="reads /proc/<pid>/environ")
+def test_workers_run_at_one_blas_thread_and_the_environment_is_left_as_it_was(monkeypatch):
+    _use_cores(monkeypatch, 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    started_with = []
+
+    def log(epoch, loss):
+        # a process's initial environment, where the system shows it
+        for proc in multiprocessing.active_children():
+            environ = Path(f"/proc/{proc.pid}/environ").read_bytes().split(b"\0")
+            started_with.append(sorted(v for v in environ if b"_NUM_THREADS=" in v))
+
+    data = _phantom_dataset(2, ReferenceDims(16, 16))
+    train(data, _tiny_cfg(), TrainConfig(batch_size=2, epochs=1, seed=1), log_fn=log)
+    assert dict(os.environ) == before
+    assert started_with == [[b"OMP_NUM_THREADS=1", b"OPENBLAS_NUM_THREADS=1"]] * 2
+
+
+def _kill_training_workers(epoch, loss):
+    for proc in multiprocessing.active_children():
+        proc.kill()
+
+
+def test_a_training_worker_that_dies_stops_train_naming_the_batch(monkeypatch):
+    _use_cores(monkeypatch, 2)
+    data = _phantom_dataset(2, ReferenceDims(16, 16))
+    with pytest.raises(OctCystError, match=r"^epoch 1, batch 0: training worker exited with code -9$"):
+        train(data, _tiny_cfg(), TrainConfig(batch_size=2, epochs=3, seed=1),
+              log_fn=_kill_training_workers)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_non_finite_loss_computed_by_a_worker_stops_train(monkeypatch):
+    _use_cores(monkeypatch, 2)
+    data = _phantom_dataset(2, ReferenceDims(16, 16))
+    sample, target = data[1]
+    values = sample.values.copy()
+    values[0, 8, 8] = np.nan
+    data[1] = (Sample(values, sample.orig_dims), target)
+    batches = _count_worker_batches(monkeypatch)
+    with pytest.raises(OctCystError, match=r"^epoch 0, batch 0: non-finite training loss$"):
+        train(data, _tiny_cfg(), TrainConfig(batch_size=2, epochs=2, seed=1))
+    assert batches == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_in_a_worker_is_raised_with_its_text(monkeypatch):
+    _use_cores(monkeypatch, 2)
+    data = _phantom_dataset(2, ReferenceDims(16, 16))
+    data[1] = (data[1][0], np.zeros((24, 24), dtype=np.float32))
+    batches = _count_worker_batches(monkeypatch)
+    with pytest.raises(OctCystError, match=r"^logits \(1, 16, 16\) vs target \(1, 24, 24\)$"):
+        train(data, _tiny_cfg(), TrainConfig(batch_size=2, epochs=1, seed=1))
+    data[1] = (data[1][0], None)
+    with pytest.raises(OctCystError, match=r"^TypeError: 'NoneType' object is not subscriptable$"):
+        train(data, _tiny_cfg(), TrainConfig(batch_size=2, epochs=1, seed=1))
+    assert batches == [2, 2]
+    assert multiprocessing.active_children() == []
+
+
+# A tiny training set and config whose batches of 2 go to training workers.
+_WORKER_CONFIG = """\
+ref_rows = 32
+ref_cols = 32
+base_channels = 2
+depth = 2
+aspp_rates = 1,2
+dropout = 0.1,0.1,0.2
+batch_size = 2
+epochs = 3
+learning_rate = 0.001
+seed = 3
+"""
+
+
+def _prepared_set(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(_WORKER_CONFIG)
+    data, prep = tmp_path / "data", tmp_path / "prep"
+    assert run(["phantom", "--count", "3", "--seed", "5", "--rows", "32", "--cols", "32",
+                "--n-cysts", "2", "--axis-min", "1", "--axis-max", "2", "--out", str(data)]) == 0
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"), "--config", str(cfg),
+                "--out", str(prep)]) == 0
+    return str(prep), str(cfg)
+
+
+def _cli_env():
+    return dict(os.environ, PYTHONPATH=str(Path(octcyst.__file__).resolve().parents[1]))
+
+
+def test_cli_train_with_workers_writes_the_in_process_checkpoint(tmp_path, monkeypatch):
+    # spawned workers re-import the parent's main module, octcyst.cli here
+    if trainer_mod._core_count() < 2:
+        pytest.skip("training workers need two usable cores")
+    prep, cfg = _prepared_set(tmp_path)
+    done = subprocess.run(
+        [sys.executable, "-m", "octcyst.cli", "train", "--samples", prep, "--config", cfg,
+         "--out", str(tmp_path / "workers")],
+        env=_cli_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    _use_cores(monkeypatch, 1)
+    assert run(["train", "--samples", prep, "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+    assert (tmp_path / "workers" / "checkpoint.bin").read_bytes() == (
+        tmp_path / "serial" / "checkpoint.bin"
+    ).read_bytes()
+
+
+# `octcyst train` with 2 training workers that are killed after epoch 0.
+_KILLED_WORKERS_CLI_SCRIPT = """
+import multiprocessing
+import sys
+import octcyst.cli
+import octcyst.trainer
+
+
+def train(data, unet_cfg, train_cfg, log_fn):
+    def log_and_kill(epoch, loss):
+        log_fn(epoch, loss)
+        for proc in multiprocessing.active_children():
+            proc.kill()
+
+    return octcyst.trainer.train(data, unet_cfg, train_cfg, log_fn=log_and_kill)
+
+
+octcyst.trainer._core_count = lambda: 2
+octcyst.cli.train = train
+sys.exit(octcyst.cli.run(sys.argv[1:]))
+"""
+
+
+def test_cli_exits_1_without_a_traceback_when_a_training_worker_dies(tmp_path):
+    prep, cfg = _prepared_set(tmp_path)
+    done = subprocess.run(
+        [sys.executable, "-c", _KILLED_WORKERS_CLI_SCRIPT, "train", "--samples", prep,
+         "--config", cfg, "--out", str(tmp_path / "model")],
+        env=_cli_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr == "octcyst: error: epoch 1, batch 0: training worker exited with code -9\n"
+    assert not (tmp_path / "model" / "checkpoint.bin").exists()
 
 
 # --- predict --------------------------------------------------------------------
@@ -572,12 +799,20 @@ def test_checkpoint_truncated(tmp_path):
             load_checkpoint(tmp_path / "cut.bin")
 
 
+def _write_values_by_hand(path, cfg, values):
+    """A checkpoint file of `cfg`'s header and these float32 values, which
+    save_checkpoint refuses to write unless they are exactly cfg's."""
+    block = format_settings(cfg).encode("utf-8")
+    header = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(block)) + block
+    path.write_bytes(header + np.asarray(values, dtype="<f4").tobytes())
+
+
 def test_checkpoint_missing_tensor_rejected(tmp_path):
     cfg = _tiny_cfg()
     _, store = build_unet(cfg)
     # head.w is the last name, so its values end the array
     values = store.values()[: -store["head.w"].data.size]
-    save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
+    _write_values_by_hand(tmp_path / "cp.bin", cfg, values)
     with pytest.raises(OctCystError, match="truncated at byte"):
         load_checkpoint(tmp_path / "cp.bin")
 
@@ -587,7 +822,7 @@ def test_checkpoint_wrong_tensor_shape_rejected(tmp_path):
     _, store = build_unet(cfg)
     # head.b holds one zero; give it two
     values = np.insert(store.values(), _flat_index(store, "head.b", 0), np.float32(0.0))
-    save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
+    _write_values_by_hand(tmp_path / "cp.bin", cfg, values)
     with pytest.raises(OctCystError, match="4 trailing bytes"):
         load_checkpoint(tmp_path / "cp.bin")
 
@@ -649,6 +884,22 @@ def test_save_checkpoint_non_finite_value_raises_and_writes_nothing(tmp_path, po
     name, k = _BAD_POSITIONS[position]
     values[_flat_index(store, name, k)] = np.inf
     with pytest.raises(OctCystError, match=rf"tensor {re.escape(name)} contains non-finite values"):
+        save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda v: v[:-3], lambda v: np.append(v, np.float32(np.inf)), lambda v: v.reshape(1, -1)],
+    ids=["short", "long-with-inf", "two-dimensional"],
+)
+def test_save_checkpoint_refuses_values_its_config_does_not_lay_out(tmp_path, edit):
+    cfg = _tiny_cfg()
+    _, store = build_unet(cfg)
+    values = edit(store.values())
+    shape = re.escape(str(values.shape))
+    message = rf"cp\.bin: values of shape {shape} where the config lays out {store.flat.size}$"
+    with pytest.raises(OctCystError, match=message):
         save_checkpoint(Checkpoint(cfg, values), tmp_path / "cp.bin")
     assert list(tmp_path.iterdir()) == []
 
