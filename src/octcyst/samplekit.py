@@ -34,7 +34,7 @@ class ReferenceDims:
             raise InvalidConfig("reference dims must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity: a field is an ndarray
 class Sample:
     """Two-channel network input: normalized image + ROI indicator."""
 

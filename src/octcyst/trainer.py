@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import signal
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,7 +34,6 @@ CHECKPOINT_VERSION = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-_ADAM_BLOCK = 1 << 16  # values per block of adam_step
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -86,24 +86,19 @@ class AdamState:
 
 def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState, cfg: TrainConfig) -> None:
     """Bias-corrected Adam update of `values`, in place, by `grad`: one
-    elementwise pass, a block at a time through two scratch arrays, so
-    that its temporaries stay in cache."""
+    elementwise pass over all of them."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    a = np.empty(min(values.size, _ADAM_BLOCK), state.m.dtype)
-    b = np.empty_like(a)
-    for start in range(0, values.size, _ADAM_BLOCK):
-        x, g, m, v = (arr[start : start + _ADAM_BLOCK] for arr in (values, grad, state.m, state.v))
-        ta, tb = a[: x.size], b[: x.size]
-        m += np.multiply(np.subtract(g, m, out=ta), 1.0 - b1, out=ta)
-        v += np.multiply(np.subtract(np.multiply(g, g, out=ta), v, out=ta), 1.0 - b2, out=ta)
-        np.add(np.sqrt(np.divide(v, c2, out=tb), out=tb), ADAM_EPS, out=tb)
-        x -= np.divide(np.multiply(np.divide(m, c1, out=ta), cfg.learning_rate, out=ta), tb, out=ta)
+    m, v = state.m, state.v
+    m += (1.0 - b1) * (grad - m)
+    v += (1.0 - b2) * (grad * grad - v)
+    denom = np.sqrt(v / c2) + ADAM_EPS  # first, so that at most two temporaries are live
+    values -= cfg.learning_rate * (m / c1) / denom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity: a field is an ndarray
 class Checkpoint:
     config: UNetConfig
     values: np.ndarray  # every value of param_layout(config), in name order
@@ -146,7 +141,9 @@ def _train_worker(conn, unet_cfg: UNetConfig) -> None:
     """A training worker: for each (parameter values, jobs, scale) it
     receives, it sends back the _sample_grad of each (values, target, seed)
     job in order, or the text of the exception one raised.  It stops when
-    the parent closes its end of the pipe."""
+    the parent closes its end of the pipe.  It ignores SIGINT, so that
+    Ctrl-C stops only the parent, which kills it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     net, params = build_unet(unet_cfg)
     try:
         while True:
@@ -184,25 +181,24 @@ def _start_workers(workers: list, count: int, unet_cfg: UNetConfig) -> None:
 
 
 def _stop_workers(workers: list) -> None:
-    """Close every worker's pipe, which stops it, and join it; one still
-    alive 10 s later is killed."""
+    """Close every worker's pipe, kill the worker and join it.  A worker
+    holds no file, lock or shared memory, so it needs no clean exit, and a
+    busy one is not waited for."""
     for proc, conn in workers:
         conn.close()
+        proc.kill()
     for proc, _ in workers:
-        proc.join(10.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
+        proc.join()
 
 
-def _worker_grads(workers: list, flat: np.ndarray, jobs: list, scale: float, where: str) -> list:
+def _worker_grads(workers: list, flat: np.ndarray, jobs: list, scale: float, where: str):
     """The _sample_grad of every job, in job order, each worker taking one
-    contiguous share of the jobs."""
+    contiguous share of the jobs; each share is yielded as its worker's
+    reply arrives."""
     n, w = len(jobs), len(workers)
     # share i starts at job ceil(i n / w), so the larger shares are sent first
     ends = [-(-i * n // w) for i in range(w + 1)]
     shares = [(workers[i], jobs[ends[i] : ends[i + 1]]) for i in range(w) if ends[i] < ends[i + 1]]
-    results = []
     try:
         for (proc, conn), share in shares:
             conn.send((flat, share, scale))
@@ -210,11 +206,11 @@ def _worker_grads(workers: list, flat: np.ndarray, jobs: list, scale: float, whe
             reply = conn.recv()
             if isinstance(reply, str):
                 raise OctCystError(reply)
-            results += reply
+            yield from reply
+            del reply  # so that it is not held while the next one arrives
     except (EOFError, ConnectionError):
         proc.join(1.0)
         raise OctCystError(f"{where}: training worker exited with code {proc.exitcode}") from None
-    return results
 
 
 def train(

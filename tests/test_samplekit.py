@@ -193,3 +193,10 @@ def test_load_sample_rejects_an_empty_raster(tmp_path, dims):
     write_float_raster(np.zeros((2, *dims), dtype=np.float32), p)
     with pytest.raises(OctCystError, match=rf"bad dimensions 2x{dims[0]}x{dims[1]}"):
         load_sample(p)
+
+
+def test_samples_compare_by_identity():
+    sample = Sample(np.zeros((2, 7, 10), dtype=np.float32), (4, 5))
+    other = Sample(sample.values.copy(), sample.orig_dims)
+    assert sample == sample and sample != other
+    assert sample in {sample} and other not in {sample}

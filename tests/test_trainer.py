@@ -2,9 +2,11 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -187,25 +189,6 @@ def test_flat_adam_step_matches_the_per_tensor_update_byte_for_byte():
     for flat, per_tensor in ((values, params), (state.m, m), (state.v, v)):
         assert flat.dtype == np.float32
         assert flat.tobytes() == b"".join(per_tensor[name].tobytes() for name in shapes)
-
-
-def test_adam_step_over_several_blocks_matches_the_whole_array_update_byte_for_byte():
-    # two full blocks and a short one, against the update written as whole-array expressions
-    size = 2 * trainer_mod._ADAM_BLOCK + 5
-    rng = np.random.default_rng(9)
-    values = rng.standard_normal(size).astype(np.float32)
-    expected, m, v = values.copy(), np.zeros_like(values), np.zeros_like(values)
-    state = AdamState.for_values(values)
-    cfg = TrainConfig(epochs=1, learning_rate=1e-3)
-    for t in range(1, 4):
-        grad = (rng.standard_normal(size) * 10.0 ** rng.uniform(-8.0, 1.0, size)).astype(np.float32)
-        adam_step(values, grad, state, cfg)
-        c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
-        m += (1.0 - ADAM_BETA1) * (grad - m)
-        v += (1.0 - ADAM_BETA2) * (grad * grad - v)
-        expected -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    for got, want in ((values, expected), (state.m, m), (state.v, v)):
-        assert got.tobytes() == want.tobytes()
 
 
 def test_train_consumes_the_gradients_it_applies(monkeypatch):
@@ -517,6 +500,37 @@ def test_a_training_worker_that_dies_stops_train_naming_the_batch(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_ctrl_c_reaches_only_the_parent(tmp_path, monkeypatch):
+    # the terminal sends SIGINT to every process of its foreground group;
+    # the workers ignore it and train on
+    data = _phantom_dataset(3, ReferenceDims(16, 16))
+    cfg = TrainConfig(batch_size=2, epochs=3, seed=11)
+
+    def interrupt_workers(epoch, loss):
+        if epoch == 0:
+            for proc in multiprocessing.active_children():
+                os.kill(proc.pid, signal.SIGINT)
+
+    for cores in (1, 2):
+        _use_cores(monkeypatch, cores)
+        cp = train(data, _tiny_cfg(), cfg, log_fn=interrupt_workers)
+        save_checkpoint(cp, tmp_path / f"cores{cores}.bin")
+    assert multiprocessing.active_children() == []
+    assert (tmp_path / "cores1.bin").read_bytes() == (tmp_path / "cores2.bin").read_bytes()
+
+
+def test_stop_workers_kills_a_busy_worker_at_once():
+    ctx = multiprocessing.get_context("spawn")
+    conn, child_conn = ctx.Pipe()
+    proc = ctx.Process(target=time.sleep, args=(60,), daemon=True)
+    proc.start()
+    child_conn.close()
+    started = time.monotonic()
+    trainer_mod._stop_workers([(proc, conn)])
+    assert time.monotonic() - started < 5.0
+    assert not proc.is_alive() and proc.exitcode == -signal.SIGKILL
+
+
 def test_a_non_finite_loss_computed_by_a_worker_stops_train(monkeypatch):
     _use_cores(monkeypatch, 2)
     data = _phantom_dataset(2, ReferenceDims(16, 16))
@@ -704,6 +718,13 @@ def test_checkpoint_round_trip_forward_bitwise(tmp_path):
     a = net.forward(x).data
     b = loaded.network.forward(x).data
     assert np.array_equal(a, b)
+
+
+def test_checkpoints_compare_by_identity():
+    cp = _zero_checkpoint(_tiny_cfg())
+    other = Checkpoint(cp.config, cp.values.copy())
+    assert cp == cp and cp != other
+    assert cp in {cp} and other not in {cp}
 
 
 def test_checkpoint_same_seed_identical_bytes(tmp_path):
