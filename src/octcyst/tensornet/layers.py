@@ -11,8 +11,9 @@ from .tensor import Tensor, _accum, _attach, _sigmoid_data
 
 
 # Scratch budget of one row tile: its MEC tap matrix plus the product
-# buffer its output rows accumulate through.  Bounds the memory a
-# convolution adds beyond its input and output.
+# buffer its output rows accumulate through (and, in a backward that
+# reads both gradients from one tap matrix, the tile's rows of x).
+# Bounds the memory a convolution adds beyond its input and output.
 _COL_BYTES = 16 << 20
 
 
@@ -25,13 +26,14 @@ def _mec_tiles(xs: tuple[np.ndarray, ...], k: int, r: int, f: int, gain: np.ndar
     by horizontal tap b: column t*W + j is the zero-padded
     x[c, i0 - p + t, j + r*(b - k//2)].  Vertical tap a of the tile's
     output rows is then the contiguous column range a*r*W .. a*r*W + n*W.
-    Tiles are sized so the matrix and an f-row product of the tile's
+    Tiles are sized so the matrix and f rows of scratch over the tile's
     output pixels fit in _COL_BYTES.  A 1x1 kernel copies only several
     groups, into one transient array: one group is the one tile itself.
 
     gain: a (1, H, W) map that multiplies the first group per pixel as the
-    tile's rows are copied, so the scaled group is never kept; a 1x1
-    kernel multiplies it once, before any join."""
+    tile's rows are copied, so the scaled group is never kept: once,
+    aligned, into the centre tap, which the other taps then copy shifted.
+    A 1x1 kernel multiplies it once, before any join."""
     (_, H, W), C = xs[0].shape, sum(map(len, xs))
     if k == 1:
         if gain is not None:
@@ -41,28 +43,35 @@ def _mec_tiles(xs: tuple[np.ndarray, ...], k: int, r: int, f: int, gain: np.ndar
     p = r * (k // 2)
     h = max(1, min(H, (_COL_BYTES // (W * xs[0].itemsize) - 2 * p * C * k) // (C * k + f)))
     # the zeros beside each tap's valid columns are never overwritten;
-    # rows outside the input are zeroed per tile, since a row's place in
-    # the buffer maps to a different input row in every tile
+    # rows outside the input are zeroed per later tile, since a row's place
+    # in the buffer maps to a different input row in every tile
     buf = np.zeros((C, k, h + 2 * p, W), dtype=xs[0].dtype)
+    shifts = []  # (tap, its columns, the input columns they hold)
+    for b in range(k):
+        d = r * (b - k // 2)
+        if abs(d) < W:
+            shifts.append((b, slice(max(-d, 0), W - max(d, 0)), slice(max(d, 0), W + min(d, 0))))
     for i0 in range(0, H, h):
         i1 = min(i0 + h, H)
         n = i1 - i0
         lo, hi = max(i0 - p, 0), min(i1 + p, H)
         top, bot = lo - (i0 - p), hi - (i0 - p)
-        buf[:, :, :top] = 0
-        buf[:, :, bot : n + 2 * p] = 0
+        if i0:
+            buf[:, :, :top] = 0
+            buf[:, :, bot : n + 2 * p] = 0
         c1 = 0
         for i, g in enumerate(xs):  # each group's rows at its channel offset
             c0, c1 = c1, c1 + len(g)
-            for b in range(k):
-                d = r * (b - k // 2)
-                if abs(d) < W:
-                    dst = buf[c0:c1, b, top:bot, max(-d, 0) : W - max(d, 0)]
-                    cols = slice(max(d, 0), W + min(d, 0))
-                    if i == 0 and gain is not None:
-                        np.multiply(g[:, lo:hi, cols], gain[:, lo:hi, cols], out=dst)
-                    else:
-                        dst[...] = g[:, lo:hi, cols]
+            src, centre = g[:, lo:hi], None
+            if i == 0 and gain is not None:
+                # multiplied once, aligned, into the centre tap (d = 0); the
+                # other taps copy those products shifted
+                centre = k // 2
+                src = buf[c0:c1, centre, top:bot]
+                np.multiply(g[:, lo:hi], gain[:, lo:hi], out=src)
+            for b, dst, cols in shifts:
+                if b != centre:
+                    buf[c0:c1, b, top:bot, dst] = src[..., cols]
         yield i0, i1, buf.reshape(C * k, (h + 2 * p) * W)[:, : (n + 2 * p) * W]
 
 
@@ -71,23 +80,31 @@ def _conv(
 ) -> np.ndarray:
     """Bias-free same-padded convolution of arrays x (times gain, if given),
     *more: per row tile, the sum over vertical taps a of w[:, :, a, :]
-    times tap window a."""
+    times tap window a.  A 1x1 kernel over x alone is one GEMM."""
     F, C, k, _ = w.shape
     _, H, W = x.shape
-    wa = [w[:, :, a, :].reshape(F, C * k) for a in range(k)]
     y = np.empty((F, H * W), dtype=x.dtype)
+    if k == 1 and not more and gain is None:
+        np.matmul(w.reshape(F, C), x.reshape(C, H * W), out=y)
+        return y.reshape(F, H, W)
+    wk = w.transpose(2, 0, 1, 3).reshape(k, F, C * k)  # tap a's kernel is wk[a]
     prod = None
     for i0, i1, taps in _mec_tiles((x, *more), k, r, F, gain):
-        n = (i1 - i0) * W
-        yt = y[:, i0 * W : i1 * W]
-        np.matmul(wa[0], taps[:, :n], out=yt)
-        for a in range(1, k):
-            if prod is None:  # the first tile is the tallest
-                prod = np.empty((F, n), dtype=x.dtype)
-            p = prod[:, :n]
-            np.matmul(wa[a], taps[:, a * r * W : a * r * W + n], out=p)
-            yt += p
+        if prod is None and k > 1:  # the first tile is the tallest
+            prod = np.empty((F, (i1 - i0) * W), dtype=x.dtype)
+        _tap_sum(wk, taps, r * W, y[:, i0 * W : i1 * W], prod)
     return y.reshape(F, H, W)
+
+
+def _tap_sum(wk: np.ndarray, taps: np.ndarray, step: int, out: np.ndarray, prod) -> None:
+    """out = the sum over vertical taps a of wk[a] @ tap window a, the n
+    columns of taps from a*step, added through the product buffer prod."""
+    n = out.shape[1]
+    np.matmul(wk[0], taps[:, :n], out=out)
+    for a in range(1, len(wk)):
+        p = prod[:, :n]
+        np.matmul(wk[a], taps[:, a * step : a * step + n], out=p)
+        out += p
 
 
 def _flip(w: np.ndarray) -> np.ndarray:
@@ -99,11 +116,15 @@ def _flip(w: np.ndarray) -> np.ndarray:
 def _conv_weight_grad(
     x: np.ndarray, go: np.ndarray, k: int, r: int, more: tuple | list = (), gain: np.ndarray | None = None
 ) -> np.ndarray:
-    """Weight gradient of _conv: tap a's slice sums, over row tiles, tap
-    window a times the tile's output gradient.  The tap windows are the
-    forward's, x's rows times the same gain.  Each product is taken as
-    window @ go.T and transposed: on the frame's long, flat operands
-    OpenBLAS ran that about twice as fast as go @ window.T."""
+    """Weight gradient of _conv alone, from a tap matrix of x: tap a's
+    slice sums, over row tiles, tap window a times the tile's output
+    gradient.  The tap windows are the forward's, x's rows times the same
+    gain.  Each product is taken as window @ go.T and transposed: on the
+    frame's long, flat operands OpenBLAS ran that about twice as fast as
+    go @ window.T.  It serves where no input gradient shares
+    _conv_grads' tap matrix of go: 1x1 kernels (conv2d's and the attention
+    gate's), and a k x k kernel whose inputs need no gradient (the
+    network's first convolution)."""
     F, H, W = go.shape
     C = sum(map(len, (x, *more)))
     go2 = go.reshape(F, H * W)
@@ -117,6 +138,52 @@ def _conv_weight_grad(
     return np.ascontiguousarray(dw.reshape(k, C, k, F).transpose(3, 1, 0, 2))
 
 
+def _conv_grads(
+    go: np.ndarray, w: np.ndarray, r: int, xs: tuple, gain: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Input and weight gradients of _conv(xs[0], w, r, xs[1:], gain) for
+    output gradient go, from one MEC tap matrix, of go.
+
+    Per row tile and vertical tap a, tap window a feeds two GEMMs.  The
+    flipped kernel's tap a times it adds to the input gradient, exactly
+    as _conv(go, _flip(w), r) does.  It times x_tile.T, where x_tile is
+    one (C, n) scratch holding the tile's rows of every group in order,
+    the first times the gain, adds to acc[a] of a (k, F*k, C)
+    accumulator.  Tap (a, b) of go pairs with x at the opposite offset,
+    so acc reversed in both tap axes is the weight gradient; it sums over
+    the rows of x, not of the output as _conv_weight_grad's does, so its
+    bits differ from that one's.  Tiles are sized so the tap matrix, the
+    product buffer and x_tile fit in _COL_BYTES."""
+    F, C, k, _ = w.shape
+    _, H, W = go.shape
+    wk = _flip(w).transpose(2, 0, 1, 3).reshape(k, C, F * k)
+    gx = np.empty((C, H * W), dtype=go.dtype)
+    acc = np.empty((k, F * k, C), dtype=go.dtype)
+    scratch = None
+    for i0, i1, taps in _mec_tiles((go,), k, r, 2 * C):
+        n = (i1 - i0) * W
+        if scratch is None:  # the first tile is the tallest
+            scratch = np.empty((2, C, n), dtype=go.dtype)
+        prod, xt = scratch[0], scratch[1, :, :n]
+        _tap_sum(wk, taps, r * W, gx[:, i0 * W : i1 * W], prod)
+        rows, c1 = xt.reshape(C, i1 - i0, W), 0
+        for i, g in enumerate(xs):
+            c0, c1 = c1, c1 + len(g)
+            if i == 0 and gain is not None:
+                np.multiply(g[:, i0:i1], gain[:, i0:i1], out=rows[c0:c1])
+            else:
+                rows[c0:c1] = g[:, i0:i1]
+        for a in range(k):
+            win = taps[:, a * r * W : a * r * W + n]
+            if i0:
+                acc[a] += win @ xt.T
+            else:
+                np.matmul(win, xt.T, out=acc[a])
+    # acc[a', (f, b'), c] -> dw[f, c, k-1-a', k-1-b']
+    dw = acc.reshape(k, F, k, C)[::-1, :, ::-1].transpose(1, 3, 0, 2)
+    return gx.reshape(C, H, W), np.ascontiguousarray(dw)
+
+
 def conv2d(
     x: Tensor, w: Tensor, b: Tensor | None = None, dilation: int = 1, relu: bool = False,
     *, more: tuple[Tensor, ...] = (), drop: tuple[float, int] | None = None, gain: Tensor | None = None,
@@ -128,19 +195,22 @@ def conv2d(
     with zero padding, so spatial dims are preserved for any dilation.
     Forward is k GEMMs per row tile of the MEC tap matrix (see
     _mec_tiles), one per vertical tap, summed through one reused product
-    buffer; the weight gradient multiplies the same tap windows by the
-    output gradient; the input gradient is the same convolution of the
-    output gradient with the kernel flipped and its channel axes swapped.
+    buffer.  Backward builds one tap matrix, of the output gradient (see
+    _conv_grads): each of its windows gives the input gradient, as the
+    same convolution with the kernel flipped and its channel axes swapped,
+    and, times the tile's rows of x (times the gain), the weight gradient.
+    A 1x1 kernel, or a k x k one whose inputs need no gradient, takes its
+    weight gradient from x's tap matrix instead (_conv_weight_grad).
 
     more: channel groups (Ci, H, W) after x's, counted in C; the result is
     their concatenation's, bit for bit, with no joined copy ever kept.
 
     gain: a (1, H, W) map that multiplies x per pixel.  The result is the
     convolution of gain * x, bit for bit, but that product is never kept:
-    x's rows are multiplied as they are copied into the tap matrix, in the
-    forward and again in the weight gradient.  Backward hands x its slice
-    of the input gradient times the gain, and the gain that slice summed
-    over channels against x.
+    x's rows are multiplied as they are copied, into the tap matrix in the
+    forward and into the weight gradient's x tile in backward.  Backward
+    hands x its slice of the input gradient times the gain, and the gain
+    that slice summed over channels against x.
 
     relu=True returns max(conv + b, 0), bit for bit np.maximum of the
     unrectified output: the bias and the ReLU are applied in place on the
@@ -195,8 +265,13 @@ def conv2d(
             go *= scale
         if b is not None and b.requires_grad:
             _accum(b, go.sum(axis=(1, 2)))
+        dw = None
         if any(t.requires_grad for t in (*xs, *gains)):
-            gx, c1 = _conv(go, _flip(w.data), dilation), 0
+            if k > 1 and w.requires_grad:
+                gx, dw = _conv_grads(go, w.data, dilation, (x.data, *groups), a)
+            else:
+                gx = _conv(go, _flip(w.data), dilation)
+            c1 = 0
             if gain is not None:
                 gx0 = gx[: len(x.data)]
                 if gain.requires_grad:
@@ -215,10 +290,14 @@ def conv2d(
                 if t.requires_grad:
                     _accum(t, gx[c0:c1])
         if w.requires_grad:
-            _accum(w, _conv_weight_grad(x.data, go, k, dilation, groups, a))
+            _accum(w, _conv_weight_grad(x.data, go, k, dilation, groups, a) if dw is None else dw)
 
     parents = (*xs, *gains, w) if b is None else (*xs, *gains, w, b)
     return _attach(out, parents, _bw)
+
+
+# The four positions of a 2x2 window, in row-major order.
+_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def transposed_conv2d(x: Tensor, w: Tensor) -> Tensor:
@@ -235,9 +314,13 @@ def transposed_conv2d(x: Tensor, w: Tensor) -> Tensor:
         raise OctCystError(f"kernel {w.data.shape} incompatible with input {x.data.shape}")
     # rows (f, di, dj) of one GEMM hold output pixels (2i + di, 2j + dj)
     w2 = w.data.reshape(C, 4 * F)
-    z = (w2.T @ x.data.reshape(C, H * W)).astype(x.data.dtype, copy=False)
-    y = z.reshape(F, 2, 2, H, W).transpose(0, 3, 1, 4, 2).reshape(F, 2 * H, 2 * W)
-    out = Tensor(y)
+    z = (w2.T @ x.data.reshape(C, H * W)).reshape(F, 2, 2, H, W)
+    # one copy per (di, dj), each along whole rows: a single interleaving
+    # copy would run its innermost loop over dj, two elements long
+    y = np.empty((F, H, 2, W, 2), dtype=x.data.dtype)
+    for di, dj in _QUADRANTS:
+        y[:, :, di, :, dj] = z[:, di, dj]
+    out = Tensor(y.reshape(F, 2 * H, 2 * W))
 
     def _bw():
         g2 = out.grad.reshape(F, H, 2, W, 2).transpose(0, 2, 4, 1, 3).reshape(4 * F, H * W)
@@ -247,10 +330,6 @@ def transposed_conv2d(x: Tensor, w: Tensor) -> Tensor:
             _accum(x, (w2 @ g2).reshape(C, H, W))
 
     return _attach(out, (x, w), _bw)
-
-
-# The four positions of a 2x2 window, in row-major order.
-_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def max_pool2(x: Tensor) -> Tensor:
@@ -271,14 +350,19 @@ def max_pool2(x: Tensor) -> Tensor:
     out = Tensor(y)
 
     def _bw():
-        gx = np.zeros_like(x.data)
+        # every element of gx is written, as the gradient's bits times the
+        # 0/1 routing mask: exact, with no branch per element, where a
+        # masked copy into zeros ran about twice as long at the frame
+        gx = np.empty_like(x.data)
+        bits = np.dtype(f"u{gx.itemsize}")
+        gxb, gb = gx.view(bits), out.grad.view(bits)
         pending = np.ones(y.shape, dtype=bool)  # windows not yet routed
         hit = np.empty(y.shape, dtype=bool)
         for (di, dj), q in zip(_QUADRANTS, quads):
             np.equal(q, y, out=hit)
             hit &= pending
             pending ^= hit
-            np.copyto(gx[:, di::2, dj::2], out.grad, where=hit)
+            np.multiply(gb, hit, out=gxb[:, di::2, dj::2])
         _accum(x, gx)
 
     return _attach(out, (x,), _bw)

@@ -54,6 +54,27 @@ def naive_conv2d(x, w, b, r):
     return y
 
 
+def naive_conv2d_grads(x, w, go, r):
+    """Input and weight gradients of naive_conv2d(x, w, None, r) for the
+    upstream gradient go."""
+    F, C, k, _ = w.shape
+    H, W = x.shape[1:]
+    half = k // 2
+    dx, dw = np.zeros(x.shape), np.zeros(w.shape)
+    for f in range(F):
+        for i in range(H):
+            for j in range(W):
+                for c in range(C):
+                    for a in range(k):
+                        for bb in range(k):
+                            ii = i + r * (a - half)
+                            jj = j + r * (bb - half)
+                            if 0 <= ii < H and 0 <= jj < W:
+                                dx[c, ii, jj] += go[f, i, j] * w[f, c, a, bb]
+                                dw[f, c, a, bb] += go[f, i, j] * x[c, ii, jj]
+    return dx, dw
+
+
 def conv_stride2(y, w):
     """Plain stride-2 2x2 convolution, the map whose adjoint is tconv."""
     C, F, _, _ = w.shape
@@ -163,16 +184,17 @@ def test_conv_row_tiles_match_naive_and_fd(monkeypatch, k, r):
     weights = _rand((F, H, W), 73)
     out = conv2d(x, w, b, dilation=r)
     assert np.max(np.abs(out.data - naive_conv2d(x.data, w.data, b.data, r))) < 1e-12
-    # a 1x1 kernel multiplies the input directly, in one tile
-    assert heights == [[2, 2, 2, 2, 1] if k > 1 else [H]]
+    # a 1x1 kernel over one group multiplies the input directly, untiled
+    assert heights == ([[2, 2, 2, 2, 1]] if k > 1 else [])
 
     def loss_fn():
         return weighted_sum(conv2d(x, w, b, dilation=r), weights).item()
 
     heights.clear()
     backward(weighted_sum(conv2d(x, w, b, dilation=r), weights))
-    # forward, input gradient and weight gradient
-    assert len(heights) == 3 and all(len(h) > 1 or k == 1 for h in heights)
+    # the forward, then one tap matrix of the output gradient for both
+    # gradients; a 1x1 kernel tiles only its weight gradient, in one tile
+    assert len(heights) == (2 if k > 1 else 1) and all(len(h) > 1 or k == 1 for h in heights)
     assert all(sum(h) == H for h in heights)
     assert max_rel_error_fd(store, loss_fn) <= 1e-6
 
@@ -254,6 +276,22 @@ def test_conv_backward_memory_stays_within_one_column_tile():
 # --- conv2d over channel groups -------------------------------------------------
 
 
+def _count_mec_tiles(monkeypatch):
+    """Wrap layers._mec_tiles; returns the list that gets each later call's
+    number of row tiles."""
+    tiles = []
+    mec_tiles = layers._mec_tiles
+
+    def counted(*args):
+        tiles.append(0)
+        for tile in mec_tiles(*args):
+            tiles[-1] += 1
+            yield tile
+
+    monkeypatch.setattr(layers, "_mec_tiles", counted)
+    return tiles
+
+
 def _grouped_and_concatenated(monkeypatch, sizes, k, r, seed):
     """Output and gradients (out, b, w, then each group's) of a float32
     conv2d over channel groups of the given sizes and of conv2d over their
@@ -265,26 +303,19 @@ def _grouped_and_concatenated(monkeypatch, sizes, k, r, seed):
     w = rng.standard_normal((F, sum(sizes), k, k)).astype(np.float32)
     b = rng.standard_normal(F).astype(np.float32)
     u = rng.standard_normal((F, H, W)).astype(np.float32)
-    tiles = []
-    mec_tiles = layers._mec_tiles
-
-    def counted(*args):
-        tiles.append(0)
-        for tile in mec_tiles(*args):
-            tiles[-1] += 1
-            yield tile
-
-    monkeypatch.setattr(layers, "_mec_tiles", counted)
-    runs = []
+    tiles = _count_mec_tiles(monkeypatch)
+    runs, calls = [], []
     for inputs in (groups, [np.concatenate(groups)]):
+        tiles.clear()
         xs = [Tensor(a.copy(), requires_grad=True) for a in inputs]
         wt, bt = Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
         out = conv2d(xs[0], wt, bt, dilation=r, relu=k > 1, more=tuple(xs[1:]))
         data = out.data.copy()
         backward(weighted_sum(out, u))
         runs.append([data, bt.grad, wt.grad] + [x.grad for x in xs])
+        calls.append(list(tiles))
     grouped, (*whole, dx) = runs
-    return grouped, whole + np.split(dx, np.cumsum(sizes)[:-1]), tiles[:3]
+    return grouped, whole + np.split(dx, np.cumsum(sizes)[:-1]), calls[0]
 
 
 @pytest.mark.parametrize(
@@ -292,13 +323,16 @@ def _grouped_and_concatenated(monkeypatch, sizes, k, r, seed):
 )
 def test_grouped_conv_equals_conv_of_the_concatenated_input_byte_for_byte(monkeypatch, sizes, k, r):
     # a budget of the tap matrix of three output rows plus their product
-    # makes the 3x3 forward and weight gradient, which copy the groups,
-    # run several row tiles
+    # makes the 3x3 forward, which copies the groups, and the backward,
+    # which copies their rows beside its one tap matrix, run several row
+    # tiles
     monkeypatch.setattr(layers, "_COL_BYTES", (sum(sizes) * k * (3 + 2 * r) + 3 * 3) * 7 * 4)
     grouped, whole, tiles = _grouped_and_concatenated(monkeypatch, sizes, k, r, 95 + r)
-    # forward, input gradient and weight gradient
-    fwd, _, dw = tiles
-    assert (fwd > 1 and dw > 1) if k > 1 else tiles == [1, 1, 1]
+    # the forward, then one tap matrix for both gradients; a 1x1 kernel
+    # joins its groups for the forward and the weight gradient, and its
+    # input gradient is one GEMM
+    fwd, bwd = tiles
+    assert (fwd > 1 and bwd > 1) if k > 1 else tiles == [1, 1]
     names = ["out", "b.grad", "w.grad"] + [f"group {i} grad" for i in range(len(sizes))]
     assert len(grouped) == len(whole) == len(names)
     for name, a, c in zip(names, grouped, whole):
@@ -357,9 +391,8 @@ def test_grouped_conv_rejects_what_concatenation_could_not_join():
 
 @pytest.mark.parametrize("k, r", [(3, 1), (3, 4), (1, 1)])
 def test_gained_conv_equals_conv_of_the_scaled_input_byte_for_byte(monkeypatch, k, r):
-    # a budget of three of x's rows makes the 3x3 forward and weight
-    # gradient run one-row tiles, and the gain's gradient reduce in blocks
-    # of three rows
+    # a budget of three of x's rows makes the 3x3 forward and backward run
+    # one-row tiles, and the gain's gradient reduce in blocks of three rows
     rng = np.random.default_rng(110 + k + r)
     C, H, W, F = 5, 11, 7, 3
     monkeypatch.setattr(layers, "_COL_BYTES", 3 * C * W * 4)
@@ -368,28 +401,23 @@ def test_gained_conv_equals_conv_of_the_scaled_input_byte_for_byte(monkeypatch, 
     w = rng.standard_normal((F, C + 3, k, k)).astype(np.float32)
     b = rng.standard_normal(F).astype(np.float32)
     u = rng.standard_normal((F, H, W)).astype(np.float32)
-    tiles = []
-    mec_tiles = layers._mec_tiles
-
-    def counted(*args):
-        tiles.append(0)
-        for tile in mec_tiles(*args):
-            tiles[-1] += 1
-            yield tile
-
-    monkeypatch.setattr(layers, "_mec_tiles", counted)
-    runs = []
+    tiles = _count_mec_tiles(monkeypatch)
+    runs, calls = [], []
     for gain in (Tensor(a.copy(), requires_grad=True), None):
+        tiles.clear()
         xt = Tensor(x.copy() if gain is not None else a * x, requires_grad=True)
         gt, wt, bt = (Tensor(v.copy(), requires_grad=True) for v in (grp, w, b))
         out = conv2d(xt, wt, bt, dilation=r, relu=k > 1, more=(gt,), gain=gain)
         data = out.data.copy()
         backward(weighted_sum(out, u))
         runs.append((data, bt.grad, wt.grad, gt.grad, xt.grad, gain))
+        calls.append(list(tiles))
     (*gained, dx, gain), (*scaled, dref, _) = runs
-    # forward, input gradient and weight gradient of the gained run
-    fwd, _, dw = tiles[:3]
-    assert (fwd > 1 and dw > 1) if k > 1 else tiles[:3] == [1, 1, 1]
+    # the gained run's forward, then one tap matrix for both gradients; a
+    # 1x1 kernel copies for the forward and the weight gradient, and its
+    # input gradient is one GEMM
+    fwd, bwd = calls[0]
+    assert (fwd > 1 and bwd > 1) if k > 1 else calls[0] == [1, 1]
     for name, p, q in zip(["out", "b.grad", "w.grad", "group grad"], gained, scaled):
         assert p.dtype == q.dtype == np.float32, name
         assert p.shape == q.shape and p.tobytes() == q.tobytes(), name
@@ -419,6 +447,77 @@ def test_gained_conv_rejects_a_gain_that_is_not_one_map_of_the_input():
         with pytest.raises(OctCystError, match=r"is not a \(1, H, W\) map of input \(2, 4, 4\)"):
             conv2d(x, w, gain=Tensor(np.zeros(shape)))
     assert conv2d(x, w, gain=Tensor(np.ones((1, 4, 4)))).data.shape == (1, 4, 4)
+
+
+# --- conv2d backward from one tap matrix ---------------------------------------
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["one tile", "row tiles"])
+def test_conv_backward_builds_one_tap_matrix_for_both_gradients(monkeypatch, rows):
+    C, F, k, H, W = 3, 4, 3, 12, 10
+    if rows is not None:
+        # the output gradient's tap matrix of three output rows (F*k rows
+        # of 3 + 2 input rows), their product and their rows of x
+        monkeypatch.setattr(layers, "_COL_BYTES", (F * k * (rows + 2) + 2 * C * rows) * W * 8)
+    x = Tensor(_rand((C, H, W), 120), requires_grad=True)
+    w = Tensor(_rand((F, C, k, k), 121), requires_grad=True)
+    out = conv2d(x, w)
+    tiles = _count_mec_tiles(monkeypatch)
+    backward(weighted_sum(out, _rand((F, H, W), 122)))
+    assert tiles == ([1] if rows is None else [-(-H // rows)])
+    assert x.grad.shape == x.data.shape and w.grad.shape == w.data.shape
+
+
+def test_conv_backward_without_an_input_gradient_builds_one_tap_matrix(monkeypatch):
+    # the input's own tap matrix, for the weight gradient alone
+    x = Tensor(_rand((2, 8, 9), 123))
+    w = Tensor(_rand((4, 2, 3, 3), 124), requires_grad=True)
+    u = _rand((4, 8, 9), 125)
+    out = conv2d(x, w, dilation=2)
+    tiles = _count_mec_tiles(monkeypatch)
+    backward(weighted_sum(out, u))
+    assert tiles == [1] and x.grad is None
+    _, dw = naive_conv2d_grads(x.data, w.data, u, 2)
+    assert np.max(np.abs(w.grad - dw)) < 1e-12
+
+
+@pytest.mark.parametrize("r", [1, 2, 4, 12])
+def test_shared_tap_gradients_match_the_naive_oracle(monkeypatch, r):
+    # two output rows per tile: at r = 12 every vertical tap but the centre
+    # falls outside the 9 rows, and the outer horizontal taps outside the 7
+    # columns
+    C, Cg, F, k, H, W = 3, 2, 4, 3, 9, 7
+    p = r * (k // 2)
+    monkeypatch.setattr(layers, "_COL_BYTES", (F * k * (2 + 2 * p) + 2 * (C + Cg) * 2) * W * 8)
+    x = Tensor(_rand((C, H, W), 126), requires_grad=True)
+    g = Tensor(_rand((Cg, H, W), 127), requires_grad=True)
+    a = Tensor(_rand((1, H, W), 128), requires_grad=True)
+    w = Tensor(_rand((F, C + Cg, k, k), 129), requires_grad=True)
+    u = _rand((F, H, W), 130)
+    out = conv2d(x, w, dilation=r, more=(g,), gain=a)
+    tiles = _count_mec_tiles(monkeypatch)
+    backward(weighted_sum(out, u))
+    assert tiles == [-(-H // 2)]
+    dxin, dw = naive_conv2d_grads(np.concatenate([a.data * x.data, g.data]), w.data, u, r)
+    assert np.max(np.abs(w.grad - dw)) < 1e-12
+    assert np.max(np.abs(x.grad - dxin[:C] * a.data)) < 1e-12
+    assert np.max(np.abs(g.grad - dxin[C:])) < 1e-12
+    assert np.max(np.abs(a.grad - (dxin[:C] * x.data).sum(axis=0, keepdims=True))) < 1e-12
+
+
+def test_1x1_conv_of_one_group_equals_the_tiled_path_byte_for_byte(monkeypatch):
+    # one GEMM, where groups or a gain go through _mec_tiles' one tile
+    rng = np.random.default_rng(131)
+    x = rng.standard_normal((6, 13, 11)).astype(np.float32)
+    w = rng.standard_normal((5, 6, 1, 1)).astype(np.float32)
+    tiles = _count_mec_tiles(monkeypatch)
+    direct = layers._conv(x, w, 1)
+    assert tiles == []
+    grouped = layers._conv(x[:2], w, 1, more=(x[2:],))
+    gained = layers._conv(x, w, 1, gain=np.ones((1, 13, 11), dtype=np.float32))
+    assert tiles == [1, 1]
+    assert direct.dtype == np.float32 and direct.shape == (5, 13, 11)
+    assert direct.tobytes() == grouped.tobytes() == gained.tobytes()
 
 
 # --- conv2d with the fused ReLU -----------------------------------------------
