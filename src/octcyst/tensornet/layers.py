@@ -32,12 +32,9 @@ def _mec_tiles(xs: tuple[np.ndarray, ...], k: int, r: int, f: int, gain: np.ndar
 
     gain: a (1, H, W) map that multiplies the first group per pixel as the
     tile's rows are copied, so the scaled group is never kept: once,
-    aligned, into the centre tap, which the other taps then copy shifted.
-    A 1x1 kernel multiplies it once, before any join."""
+    aligned, into the centre tap, which the other taps then copy shifted."""
     (_, H, W), C = xs[0].shape, sum(map(len, xs))
     if k == 1:
-        if gain is not None:
-            xs = (xs[0] * gain, *xs[1:])
         yield 0, H, (np.concatenate(xs) if len(xs) > 1 else xs[0]).reshape(C, H * W)
         return
     p = r * (k // 2)
@@ -84,7 +81,7 @@ def _conv(
     F, C, k, _ = w.shape
     _, H, W = x.shape
     y = np.empty((F, H * W), dtype=x.dtype)
-    if k == 1 and not more and gain is None:
+    if k == 1 and not more:
         np.matmul(w.reshape(F, C), x.reshape(C, H * W), out=y)
         return y.reshape(F, H, W)
     wk = w.transpose(2, 0, 1, 3).reshape(k, F, C * k)  # tap a's kernel is wk[a]
@@ -140,9 +137,9 @@ def _conv_weight_grad(
 
 def _conv_grads(
     go: np.ndarray, w: np.ndarray, r: int, xs: tuple, gain: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Input and weight gradients of _conv(xs[0], w, r, xs[1:], gain) for
-    output gradient go, from one MEC tap matrix, of go.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Input, weight and gain gradients of _conv(xs[0], w, r, xs[1:], gain)
+    for output gradient go, from one MEC tap matrix, of go.
 
     Per row tile and vertical tap a, tap window a feeds two GEMMs.  The
     flipped kernel's tap a times it adds to the input gradient, exactly
@@ -153,12 +150,16 @@ def _conv_grads(
     so acc reversed in both tap axes is the weight gradient; it sums over
     the rows of x, not of the output as _conv_weight_grad's does, so its
     bits differ from that one's.  Tiles are sized so the tap matrix, the
-    product buffer and x_tile fit in _COL_BYTES."""
+    product buffer and x_tile fit in _COL_BYTES.  With a gain, xs[0]'s
+    rows of each tile's input gradient, times xs[0] in the then free
+    product buffer and summed over channels in order, give the gain's
+    gradient (else None), and are then scaled by the gain in place."""
     F, C, k, _ = w.shape
     _, H, W = go.shape
     wk = _flip(w).transpose(2, 0, 1, 3).reshape(k, C, F * k)
     gx = np.empty((C, H * W), dtype=go.dtype)
     acc = np.empty((k, F * k, C), dtype=go.dtype)
+    ga = None if gain is None else np.empty_like(gain)
     scratch = None
     for i0, i1, taps in _mec_tiles((go,), k, r, 2 * C):
         n = (i1 - i0) * W
@@ -170,6 +171,11 @@ def _conv_grads(
         for i, g in enumerate(xs):
             c0, c1 = c1, c1 + len(g)
             if i == 0 and gain is not None:
+                gx0 = gx[:c1, i0 * W : i1 * W].reshape(rows[:c1].shape)
+                p0 = prod[:c1, :n].reshape(gx0.shape)
+                np.multiply(gx0, g[:, i0:i1], out=p0)
+                np.sum(p0, axis=0, out=ga[0, i0:i1])
+                gx0 *= gain[:, i0:i1]
                 np.multiply(g[:, i0:i1], gain[:, i0:i1], out=rows[c0:c1])
             else:
                 rows[c0:c1] = g[:, i0:i1]
@@ -181,7 +187,7 @@ def _conv_grads(
                 np.matmul(win, xt.T, out=acc[a])
     # acc[a', (f, b'), c] -> dw[f, c, k-1-a', k-1-b']
     dw = acc.reshape(k, F, k, C)[::-1, :, ::-1].transpose(1, 3, 0, 2)
-    return gx.reshape(C, H, W), np.ascontiguousarray(dw)
+    return gx.reshape(C, H, W), np.ascontiguousarray(dw), ga
 
 
 def conv2d(
@@ -195,22 +201,24 @@ def conv2d(
     with zero padding, so spatial dims are preserved for any dilation.
     Forward is k GEMMs per row tile of the MEC tap matrix (see
     _mec_tiles), one per vertical tap, summed through one reused product
-    buffer.  Backward builds one tap matrix, of the output gradient (see
+    buffer.  Backward of a k x k kernel (k > 1) whose input or gain needs a
+    gradient builds one tap matrix, of the output gradient (see
     _conv_grads): each of its windows gives the input gradient, as the
     same convolution with the kernel flipped and its channel axes swapped,
     and, times the tile's rows of x (times the gain), the weight gradient.
-    A 1x1 kernel, or a k x k one whose inputs need no gradient, takes its
-    weight gradient from x's tap matrix instead (_conv_weight_grad).
+    Otherwise the weight gradient comes from x's tap matrix
+    (_conv_weight_grad), and a 1x1 kernel's input gradient is one GEMM.
 
     more: channel groups (Ci, H, W) after x's, counted in C; the result is
     their concatenation's, bit for bit, with no joined copy ever kept.
 
-    gain: a (1, H, W) map that multiplies x per pixel.  The result is the
-    convolution of gain * x, bit for bit, but that product is never kept:
-    x's rows are multiplied as they are copied, into the tap matrix in the
-    forward and into the weight gradient's x tile in backward.  Backward
-    hands x its slice of the input gradient times the gain, and the gain
-    that slice summed over channels against x.
+    gain: a (1, H, W) map that multiplies x per pixel; only a k x k kernel
+    (k > 1) takes one.  The result is the convolution of gain * x, bit for
+    bit, but that product is never kept: x's rows are multiplied as they
+    are copied, into the tap matrix in the forward and into the weight
+    gradient's x tile in backward.  Backward hands x, tile by tile, its
+    slice of the input gradient times the gain, and the gain that slice
+    summed over channels against x.
 
     relu=True returns max(conv + b, 0), bit for bit np.maximum of the
     unrectified output: the bias and the ReLU are applied in place on the
@@ -236,6 +244,8 @@ def conv2d(
     F, Cw, k, k2 = w.data.shape
     if Cw != sum(map(len, (x.data, *groups))) or k != k2 or k % 2 == 0:
         raise OctCystError(f"kernel {w.data.shape} incompatible with input {' + '.join(str(t.data.shape) for t in xs)}")
+    if gain is not None and k == 1:
+        raise OctCystError("conv2d takes a gain only with a k x k kernel (k > 1)")
     if b is not None and b.data.shape != (F,):
         raise OctCystError(f"bias shape {b.data.shape} != ({F},)")
     if drop is not None and not relu:
@@ -267,24 +277,13 @@ def conv2d(
             _accum(b, go.sum(axis=(1, 2)))
         dw = None
         if any(t.requires_grad for t in (*xs, *gains)):
-            if k > 1 and w.requires_grad:
-                gx, dw = _conv_grads(go, w.data, dilation, (x.data, *groups), a)
+            if k > 1:
+                gx, dw, ga = _conv_grads(go, w.data, dilation, (x.data, *groups), a)
+                if gain is not None and gain.requires_grad:
+                    _accum(gain, ga)
             else:
                 gx = _conv(go, _flip(w.data), dilation)
             c1 = 0
-            if gain is not None:
-                gx0 = gx[: len(x.data)]
-                if gain.requires_grad:
-                    # the sum over channels of gx0 * x, in row blocks that fit
-                    # _COL_BYTES: numpy's axis-0 reduce adds the channels in
-                    # order, so every blocking gives (gx0 * x).sum(axis=0)'s bits
-                    ga = np.empty_like(a)
-                    h = max(1, _COL_BYTES // gx0[:, 0].nbytes)
-                    for i0 in range(0, a.shape[1], h):
-                        rows = slice(i0, i0 + h)
-                        np.sum(gx0[:, rows] * x.data[:, rows], axis=0, out=ga[0, rows])
-                    _accum(gain, ga)
-                np.multiply(gx0, a, out=gx0)
             for t in xs:  # each group takes its own disjoint view of gx
                 c0, c1 = c1, c1 + len(t.data)
                 if t.requires_grad:

@@ -107,7 +107,7 @@ def backward(loss: Tensor, grad: float = 1.0) -> None:
     is released as it runs: every gradient but a leaf's, the loss's
     included, is dropped once consumed, and a second call on `loss` raises
     OctCystError."""
-    if not loss._parents and loss._backward is None:
+    if loss._backward is None:
         raise OctCystError(
             "tensor has no recorded graph; run the forward pass on tensors "
             "that require gradients"
@@ -125,16 +125,16 @@ def backward(loss: Tensor, grad: float = 1.0) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad:
+            # a leaf takes its gradient from its consumers' closures alone
+            if p._backward is not None:
                 stack.append((p, False))
     _accum(loss, np.full_like(loss.data, grad))
     # popping drops the list's reference, so a node is freed as soon as the
     # closures of all its consumers, which ran before it, are released
     while topo:
         node = topo.pop()
-        if node._backward is not None:
-            node._backward()
-            node.grad = None
+        node._backward()
+        node.grad = None
         # closure -> output tensor -> closure: only releasing breaks the cycle
         node._backward = None
         node._parents = ()

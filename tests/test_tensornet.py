@@ -389,10 +389,10 @@ def test_grouped_conv_rejects_what_concatenation_could_not_join():
 # --- conv2d with a gain on its first group -------------------------------------
 
 
-@pytest.mark.parametrize("k, r", [(3, 1), (3, 4), (1, 1)])
+@pytest.mark.parametrize("k, r", [(3, 1), (3, 4)])
 def test_gained_conv_equals_conv_of_the_scaled_input_byte_for_byte(monkeypatch, k, r):
     # a budget of three of x's rows makes the 3x3 forward and backward run
-    # one-row tiles, and the gain's gradient reduce in blocks of three rows
+    # one-row tiles, and the gain's gradient reduce in the backward's tiles
     rng = np.random.default_rng(110 + k + r)
     C, H, W, F = 5, 11, 7, 3
     monkeypatch.setattr(layers, "_COL_BYTES", 3 * C * W * 4)
@@ -413,17 +413,21 @@ def test_gained_conv_equals_conv_of_the_scaled_input_byte_for_byte(monkeypatch, 
         runs.append((data, bt.grad, wt.grad, gt.grad, xt.grad, gain))
         calls.append(list(tiles))
     (*gained, dx, gain), (*scaled, dref, _) = runs
-    # the gained run's forward, then one tap matrix for both gradients; a
-    # 1x1 kernel copies for the forward and the weight gradient, and its
-    # input gradient is one GEMM
+    # the gained run's forward, then one tap matrix for both gradients
     fwd, bwd = calls[0]
-    assert (fwd > 1 and bwd > 1) if k > 1 else calls[0] == [1, 1]
+    assert fwd > 1 and bwd > 1
     for name, p, q in zip(["out", "b.grad", "w.grad", "group grad"], gained, scaled):
         assert p.dtype == q.dtype == np.float32, name
         assert p.shape == q.shape and p.tobytes() == q.tobytes(), name
     assert dx.tobytes() == (dref * a).tobytes()
     assert gain.grad.shape == (1, H, W)
     assert gain.grad.tobytes() == (dref * x).sum(axis=0, keepdims=True).tobytes()
+
+
+def test_gained_conv_rejects_a_1x1_kernel():
+    x = Tensor(np.zeros((2, 4, 4)))
+    with pytest.raises(OctCystError, match=r"gain only with a k x k kernel"):
+        conv2d(x, Tensor(np.zeros((1, 2, 1, 1))), gain=Tensor(np.ones((1, 4, 4))))
 
 
 def test_gained_conv_gradients_match_fd():
@@ -468,6 +472,23 @@ def test_conv_backward_builds_one_tap_matrix_for_both_gradients(monkeypatch, row
     assert x.grad.shape == x.data.shape and w.grad.shape == w.data.shape
 
 
+@pytest.mark.parametrize("rows", [None, 3], ids=["one tile", "row tiles"])
+def test_conv_backward_without_a_weight_gradient_builds_one_tap_matrix(monkeypatch, rows):
+    # the output gradient's tap matrix, for the input gradient alone
+    C, F, k, H, W, r = 3, 4, 3, 12, 10, 2
+    if rows is not None:
+        monkeypatch.setattr(layers, "_COL_BYTES", (F * k * (rows + 2 * r) + 2 * C * rows) * W * 8)
+    x = Tensor(_rand((C, H, W), 132), requires_grad=True)
+    w = Tensor(_rand((F, C, k, k), 133))
+    u = _rand((F, H, W), 134)
+    out = conv2d(x, w, dilation=r)
+    tiles = _count_mec_tiles(monkeypatch)
+    backward(weighted_sum(out, u))
+    assert tiles == ([1] if rows is None else [-(-H // rows)])
+    assert w.grad is None
+    assert x.grad.tobytes() == layers._conv(u, layers._flip(w.data), r).tobytes()
+
+
 def test_conv_backward_without_an_input_gradient_builds_one_tap_matrix(monkeypatch):
     # the input's own tap matrix, for the weight gradient alone
     x = Tensor(_rand((2, 8, 9), 123))
@@ -506,7 +527,7 @@ def test_shared_tap_gradients_match_the_naive_oracle(monkeypatch, r):
 
 
 def test_1x1_conv_of_one_group_equals_the_tiled_path_byte_for_byte(monkeypatch):
-    # one GEMM, where groups or a gain go through _mec_tiles' one tile
+    # one GEMM, where groups go through _mec_tiles' one tile
     rng = np.random.default_rng(131)
     x = rng.standard_normal((6, 13, 11)).astype(np.float32)
     w = rng.standard_normal((5, 6, 1, 1)).astype(np.float32)
@@ -514,10 +535,9 @@ def test_1x1_conv_of_one_group_equals_the_tiled_path_byte_for_byte(monkeypatch):
     direct = layers._conv(x, w, 1)
     assert tiles == []
     grouped = layers._conv(x[:2], w, 1, more=(x[2:],))
-    gained = layers._conv(x, w, 1, gain=np.ones((1, 13, 11), dtype=np.float32))
-    assert tiles == [1, 1]
+    assert tiles == [1]
     assert direct.dtype == np.float32 and direct.shape == (5, 13, 11)
-    assert direct.tobytes() == grouped.tobytes() == gained.tobytes()
+    assert direct.tobytes() == grouped.tobytes()
 
 
 # --- conv2d with the fused ReLU -----------------------------------------------
@@ -785,13 +805,15 @@ def _gate_params(c_skip, c_gate, f_int, seed, zero_psi=False):
 
 
 def test_gate_zero_psi_halves_input():
-    # psi = 0 gives alpha = 0.5 exactly, and a 1x1 identity conv taking it
-    # as its gain returns exactly half the input
+    # psi = 0 gives alpha = 0.5 exactly, and a 3x3 conv whose centre tap
+    # is the identity, taking it as its gain, returns exactly half the input
     x = Tensor(_rand((4, 3, 3), 31))
     g = Tensor(_rand((4, 3, 3), 32))
     alpha = attention_gate(x, g, **_gate_params(4, 4, 2, 33, zero_psi=True))
     assert np.array_equal(alpha.data, np.full((1, 3, 3), 0.5))
-    out = conv2d(x, Tensor(np.eye(4)[:, :, None, None]), gain=alpha)
+    w = np.zeros((4, 4, 3, 3))
+    w[:, :, 1, 1] = np.eye(4)
+    out = conv2d(x, Tensor(w), gain=alpha)
     assert np.array_equal(out.data, 0.5 * x.data)
 
 
