@@ -27,16 +27,12 @@ def _mec_tiles(xs: tuple[np.ndarray, ...], k: int, r: int, f: int, gain: np.ndar
     x[c, i0 - p + t, j + r*(b - k//2)].  Vertical tap a of the tile's
     output rows is then the contiguous column range a*r*W .. a*r*W + n*W.
     Tiles are sized so the matrix and f rows of scratch over the tile's
-    output pixels fit in _COL_BYTES.  A 1x1 kernel copies only several
-    groups, into one transient array: one group is the one tile itself.
+    output pixels fit in _COL_BYTES.
 
     gain: a (1, H, W) map that multiplies the first group per pixel as the
     tile's rows are copied, so the scaled group is never kept: once,
     aligned, into the centre tap, which the other taps then copy shifted."""
     (_, H, W), C = xs[0].shape, sum(map(len, xs))
-    if k == 1:
-        yield 0, H, (np.concatenate(xs) if len(xs) > 1 else xs[0]).reshape(C, H * W)
-        return
     p = r * (k // 2)
     h = max(1, min(H, (_COL_BYTES // (W * xs[0].itemsize) - 2 * p * C * k) // (C * k + f)))
     # the zeros beside each tap's valid columns are never overwritten;
@@ -77,17 +73,17 @@ def _conv(
 ) -> np.ndarray:
     """Bias-free same-padded convolution of arrays x (times gain, if given),
     *more: per row tile, the sum over vertical taps a of w[:, :, a, :]
-    times tap window a.  A 1x1 kernel over x alone is one GEMM."""
+    times tap window a.  A 1x1 kernel is one GEMM of the joined groups."""
     F, C, k, _ = w.shape
     _, H, W = x.shape
+    if k == 1:
+        joined = np.concatenate((x, *more)) if len(more) else x
+        return (w.reshape(F, C) @ joined.reshape(C, H * W)).reshape(F, H, W)
     y = np.empty((F, H * W), dtype=x.dtype)
-    if k == 1 and not more:
-        np.matmul(w.reshape(F, C), x.reshape(C, H * W), out=y)
-        return y.reshape(F, H, W)
     wk = w.transpose(2, 0, 1, 3).reshape(k, F, C * k)  # tap a's kernel is wk[a]
     prod = None
     for i0, i1, taps in _mec_tiles((x, *more), k, r, F, gain):
-        if prod is None and k > 1:  # the first tile is the tallest
+        if prod is None:  # the first tile is the tallest
             prod = np.empty((F, (i1 - i0) * W), dtype=x.dtype)
         _tap_sum(wk, taps, r * W, y[:, i0 * W : i1 * W], prod)
     return y.reshape(F, H, W)
@@ -110,36 +106,22 @@ def _flip(w: np.ndarray) -> np.ndarray:
     return w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
 
 
-def _conv_weight_grad(
-    x: np.ndarray, go: np.ndarray, k: int, r: int, more: tuple | list = (), gain: np.ndarray | None = None
-) -> np.ndarray:
-    """Weight gradient of _conv alone, from a tap matrix of x: tap a's
-    slice sums, over row tiles, tap window a times the tile's output
-    gradient.  The tap windows are the forward's, x's rows times the same
-    gain.  Each product is taken as window @ go.T and transposed: on the
-    frame's long, flat operands OpenBLAS ran that about twice as fast as
-    go @ window.T.  It serves where no input gradient shares
-    _conv_grads' tap matrix of go: 1x1 kernels (conv2d's and the attention
-    gate's), and a k x k kernel whose inputs need no gradient (the
-    network's first convolution)."""
+def _weight_grad_1x1(xs: tuple | list, go: np.ndarray) -> np.ndarray:
+    """Weight gradient of a 1x1 _conv over the groups xs for output
+    gradient go: one GEMM of the joined groups against go, taken as
+    joined @ go.T and transposed.  On the frame's long, flat operands
+    OpenBLAS ran that about twice as fast as go @ joined.T."""
     F, H, W = go.shape
-    C = sum(map(len, (x, *more)))
-    go2 = go.reshape(F, H * W)
-    dw = np.zeros((k, C * k, F), dtype=x.dtype)
-    for i0, i1, taps in _mec_tiles((x, *more), k, r, 0, gain):
-        n = (i1 - i0) * W
-        gt = go2[:, i0 * W : i1 * W].T
-        for a in range(k):
-            dw[a] += taps[:, a * r * W : a * r * W + n] @ gt
-    # dw[a, (c, b), f] -> (f, c, a, b)
-    return np.ascontiguousarray(dw.reshape(k, C, k, F).transpose(3, 1, 0, 2))
+    joined = np.concatenate(xs) if len(xs) > 1 else xs[0]
+    dw = (joined.reshape(-1, H * W) @ go.reshape(F, H * W).T).T
+    return np.ascontiguousarray(dw).reshape(F, -1, 1, 1)
 
 
 def _conv_grads(
-    go: np.ndarray, w: np.ndarray, r: int, xs: tuple, gain: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    go: np.ndarray, w: np.ndarray, r: int, xs: tuple, gain: np.ndarray | None, inputs: bool
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Input, weight and gain gradients of _conv(xs[0], w, r, xs[1:], gain)
-    for output gradient go, from one MEC tap matrix, of go.
+    for output gradient go and k > 1, from one MEC tap matrix, of go.
 
     Per row tile and vertical tap a, tap window a feeds two GEMMs.  The
     flipped kernel's tap a times it adds to the input gradient, exactly
@@ -147,35 +129,38 @@ def _conv_grads(
     one (C, n) scratch holding the tile's rows of every group in order,
     the first times the gain, adds to acc[a] of a (k, F*k, C)
     accumulator.  Tap (a, b) of go pairs with x at the opposite offset,
-    so acc reversed in both tap axes is the weight gradient; it sums over
-    the rows of x, not of the output as _conv_weight_grad's does, so its
-    bits differ from that one's.  Tiles are sized so the tap matrix, the
-    product buffer and x_tile fit in _COL_BYTES.  With a gain, xs[0]'s
-    rows of each tile's input gradient, times xs[0] in the then free
-    product buffer and summed over channels in order, give the gain's
-    gradient (else None), and are then scaled by the gain in place."""
+    so acc reversed in both tap axes, summed over the rows of x, is the
+    weight gradient.  Tiles are sized so the tap matrix, the product
+    buffer and x_tile fit in _COL_BYTES.  With a gain, xs[0]'s rows of
+    each tile's input gradient, times xs[0] in the then free product
+    buffer and summed over channels in order, give the gain's gradient
+    (else None), and are then scaled by the gain in place.  inputs is
+    False when no group or gain needs a gradient (the network's first
+    convolution): then only the weight GEMMs run, and gx and ga are None."""
     F, C, k, _ = w.shape
     _, H, W = go.shape
     wk = _flip(w).transpose(2, 0, 1, 3).reshape(k, C, F * k)
-    gx = np.empty((C, H * W), dtype=go.dtype)
+    gx = np.empty((C, H, W), dtype=go.dtype) if inputs else None
     acc = np.empty((k, F * k, C), dtype=go.dtype)
-    ga = None if gain is None else np.empty_like(gain)
+    ga = np.empty_like(gain) if inputs and gain is not None else None
     scratch = None
     for i0, i1, taps in _mec_tiles((go,), k, r, 2 * C):
         n = (i1 - i0) * W
         if scratch is None:  # the first tile is the tallest
             scratch = np.empty((2, C, n), dtype=go.dtype)
         prod, xt = scratch[0], scratch[1, :, :n]
-        _tap_sum(wk, taps, r * W, gx[:, i0 * W : i1 * W], prod)
+        if inputs:
+            _tap_sum(wk, taps, r * W, gx[:, i0:i1].reshape(C, n), prod)
         rows, c1 = xt.reshape(C, i1 - i0, W), 0
         for i, g in enumerate(xs):
             c0, c1 = c1, c1 + len(g)
-            if i == 0 and gain is not None:
-                gx0 = gx[:c1, i0 * W : i1 * W].reshape(rows[:c1].shape)
+            if i == 0 and ga is not None:
+                gx0 = gx[:c1, i0:i1]
                 p0 = prod[:c1, :n].reshape(gx0.shape)
                 np.multiply(gx0, g[:, i0:i1], out=p0)
                 np.sum(p0, axis=0, out=ga[0, i0:i1])
                 gx0 *= gain[:, i0:i1]
+            if i == 0 and gain is not None:
                 np.multiply(g[:, i0:i1], gain[:, i0:i1], out=rows[c0:c1])
             else:
                 rows[c0:c1] = g[:, i0:i1]
@@ -187,7 +172,7 @@ def _conv_grads(
                 np.matmul(win, xt.T, out=acc[a])
     # acc[a', (f, b'), c] -> dw[f, c, k-1-a', k-1-b']
     dw = acc.reshape(k, F, k, C)[::-1, :, ::-1].transpose(1, 3, 0, 2)
-    return gx.reshape(C, H, W), np.ascontiguousarray(dw), ga
+    return gx, np.ascontiguousarray(dw), ga
 
 
 def conv2d(
@@ -199,15 +184,15 @@ def conv2d(
     x: (C, H, W); w: (F, C, k, k) with odd k; b: (F,) or None.  Output
     location i sums x[i + dilation*t] * w[t] over taps t centered on i,
     with zero padding, so spatial dims are preserved for any dilation.
-    Forward is k GEMMs per row tile of the MEC tap matrix (see
-    _mec_tiles), one per vertical tap, summed through one reused product
-    buffer.  Backward of a k x k kernel (k > 1) whose input or gain needs a
-    gradient builds one tap matrix, of the output gradient (see
-    _conv_grads): each of its windows gives the input gradient, as the
-    same convolution with the kernel flipped and its channel axes swapped,
-    and, times the tile's rows of x (times the gain), the weight gradient.
-    Otherwise the weight gradient comes from x's tap matrix
-    (_conv_weight_grad), and a 1x1 kernel's input gradient is one GEMM.
+    Forward of a k x k kernel (k > 1) is k GEMMs per row tile of the MEC
+    tap matrix (see _mec_tiles), one per vertical tap, summed through one
+    reused product buffer.  Its backward builds one tap matrix, of the
+    output gradient (see _conv_grads): each of its windows gives the input
+    gradient, as the same convolution with the kernel flipped and its
+    channel axes swapped, unless no input or gain needs one, and, times
+    the tile's rows of x (times the gain), the weight gradient.  A 1x1
+    kernel is never lowered: its forward, its input gradient and its
+    weight gradient are one GEMM each.
 
     more: channel groups (Ci, H, W) after x's, counted in C; the result is
     their concatenation's, bit for bit, with no joined copy ever kept.
@@ -275,21 +260,20 @@ def conv2d(
             go *= scale
         if b is not None and b.requires_grad:
             _accum(b, go.sum(axis=(1, 2)))
-        dw = None
-        if any(t.requires_grad for t in (*xs, *gains)):
-            if k > 1:
-                gx, dw, ga = _conv_grads(go, w.data, dilation, (x.data, *groups), a)
-                if gain is not None and gain.requires_grad:
-                    _accum(gain, ga)
-            else:
-                gx = _conv(go, _flip(w.data), dilation)
-            c1 = 0
-            for t in xs:  # each group takes its own disjoint view of gx
-                c0, c1 = c1, c1 + len(t.data)
-                if t.requires_grad:
-                    _accum(t, gx[c0:c1])
+        inputs = any(t.requires_grad for t in (*xs, *gains))
+        if k > 1:
+            gx, dw, ga = _conv_grads(go, w.data, dilation, (x.data, *groups), a, inputs)
+            if gain is not None and gain.requires_grad:
+                _accum(gain, ga)
+        elif inputs:
+            gx = _conv(go, _flip(w.data), dilation)
+        c1 = 0
+        for t in xs:  # each group that needs it takes its own disjoint view of gx
+            c0, c1 = c1, c1 + len(t.data)
+            if t.requires_grad:
+                _accum(t, gx[c0:c1])
         if w.requires_grad:
-            _accum(w, _conv_weight_grad(x.data, go, k, dilation, groups, a) if dw is None else dw)
+            _accum(w, dw if k > 1 else _weight_grad_1x1((x.data, *groups), go))
 
     parents = (*xs, *gains, w) if b is None else (*xs, *gains, w, b)
     return _attach(out, parents, _bw)
@@ -398,7 +382,7 @@ def attention_gate(
         if b_psi.requires_grad:
             _accum(b_psi, gz.sum(axis=(1, 2)))
         if psi.requires_grad:
-            _accum(psi, _conv_weight_grad(inner, gz, 1, 1))
+            _accum(psi, _weight_grad_1x1((inner,), gz))
         # the ReLU's mask, in place as conv2d's is: inner > 0 exactly where
         # the sum was, as the ReLU keeps a NaN sum and NaN > 0 is false
         gs = _conv(gz, _flip(psi.data), 1)
@@ -412,7 +396,7 @@ def attention_gate(
             if x.requires_grad:
                 _accum(x, _conv(gs, _flip(w.data), 1))
             if w.requires_grad:
-                _accum(w, _conv_weight_grad(x.data, gs, 1, 1))
+                _accum(w, _weight_grad_1x1((x.data,), gs))
 
     return _attach(out, (x_l, g, w_x, w_g, b_xg, psi, b_psi), _bw)
 

@@ -193,8 +193,8 @@ def test_conv_row_tiles_match_naive_and_fd(monkeypatch, k, r):
     heights.clear()
     backward(weighted_sum(conv2d(x, w, b, dilation=r), weights))
     # the forward, then one tap matrix of the output gradient for both
-    # gradients; a 1x1 kernel tiles only its weight gradient, in one tile
-    assert len(heights) == (2 if k > 1 else 1) and all(len(h) > 1 or k == 1 for h in heights)
+    # gradients; a 1x1 kernel's gradients are one GEMM each, untiled
+    assert len(heights) == (2 if k > 1 else 0) and all(len(h) > 1 for h in heights)
     assert all(sum(h) == H for h in heights)
     assert max_rel_error_fd(store, loss_fn) <= 1e-6
 
@@ -231,10 +231,10 @@ def test_conv_forward_memory_stays_within_one_column_tile():
         assert peak <= bound, (n_groups, gained)
 
 
-def _backward_memory(n_groups, gained):
+def _backward_memory(n_groups, gained, inputs):
     """tracemalloc peak of a conv2d's backward over n_groups channel
-    groups, the first one times a gain if gained, and the bound: what
-    backward adds, with one tile."""
+    groups, the first one times a gain if gained, which need a gradient
+    only if inputs, and the bound: what backward adds, with one tile."""
     # the whole-frame tap matrices of the input and of the output gradient
     # would each be at least twice the budget, and a concatenated copy of
     # the groups would add two thirds of it; a gained case is taller, so
@@ -245,16 +245,16 @@ def _backward_memory(n_groups, gained):
     H = -(-2 * budget // ((C // n_groups if gained else C * k) * W * 4))
     rng = np.random.default_rng(75)
     xs = [
-        Tensor(rng.random((C // n_groups, H, W), dtype=np.float32), requires_grad=True)
+        Tensor(rng.random((C // n_groups, H, W), dtype=np.float32), requires_grad=inputs)
         for _ in range(n_groups)
     ]
-    gains = [Tensor(rng.random((1, H, W), dtype=np.float32), requires_grad=True)] if gained else []
+    gains = [Tensor(rng.random((1, H, W), dtype=np.float32), requires_grad=inputs)] if gained else []
     w = Tensor(rng.random((F, C, k, k), dtype=np.float32), requires_grad=True)
     out = conv2d(xs[0], w, more=tuple(xs[1:]), gain=gains[0] if gained else None)
     # the groups, the gain, w and the output exist before tracing starts,
     # so the bound counts only what backward adds: the output gradient, the
-    # one input-gradient array the groups' views share, the gain's
-    # gradient, dw and one tile's scratch
+    # one input-gradient array the groups' views share and the gain's
+    # gradient (none without inputs), dw and one tile's scratch
     tracemalloc.start()
     try:
         out.grad = rng.random((F, H, W), dtype=np.float32)
@@ -262,15 +262,18 @@ def _backward_memory(n_groups, gained):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(x.grad.dtype == np.float32 for x in xs + gains) and w.grad.dtype == np.float32
-    dx = sum(x.grad.nbytes for x in xs + gains)
+    assert all((x.grad is not None) == inputs for x in xs + gains)
+    assert all(x.grad.dtype == np.float32 for x in xs + gains if inputs) and w.grad.dtype == np.float32
+    dx = sum(x.grad.nbytes for x in xs + gains if inputs)
     return peak, out.grad.nbytes + dx + w.grad.nbytes + budget + budget // 4
 
 
 def test_conv_backward_memory_stays_within_one_column_tile():
-    for n_groups, gained in ((1, False), (2, False), (1, True)):
-        peak, bound = _backward_memory(n_groups, gained)
-        assert peak <= bound, (n_groups, gained)
+    # the last case, whose input needs no gradient, allocates no input
+    # gradient: one would take two thirds of the budget, past the slack
+    for n_groups, gained, inputs in ((1, False, True), (2, False, True), (1, True, True), (1, False, False)):
+        peak, bound = _backward_memory(n_groups, gained, inputs)
+        assert peak <= bound, (n_groups, gained, inputs)
 
 
 # --- conv2d over channel groups -------------------------------------------------
@@ -329,10 +332,9 @@ def test_grouped_conv_equals_conv_of_the_concatenated_input_byte_for_byte(monkey
     monkeypatch.setattr(layers, "_COL_BYTES", (sum(sizes) * k * (3 + 2 * r) + 3 * 3) * 7 * 4)
     grouped, whole, tiles = _grouped_and_concatenated(monkeypatch, sizes, k, r, 95 + r)
     # the forward, then one tap matrix for both gradients; a 1x1 kernel
-    # joins its groups for the forward and the weight gradient, and its
-    # input gradient is one GEMM
-    fwd, bwd = tiles
-    assert (fwd > 1 and bwd > 1) if k > 1 else tiles == [1, 1]
+    # joins its groups for the forward and the weight gradient, one GEMM
+    # each, its input gradient is one GEMM, and none of them is tiled
+    assert (len(tiles) == 2 and min(tiles) > 1) if k > 1 else tiles == []
     names = ["out", "b.grad", "w.grad"] + [f"group {i} grad" for i in range(len(sizes))]
     assert len(grouped) == len(whole) == len(names)
     for name, a, c in zip(names, grouped, whole):
@@ -490,14 +492,18 @@ def test_conv_backward_without_a_weight_gradient_builds_one_tap_matrix(monkeypat
 
 
 def test_conv_backward_without_an_input_gradient_builds_one_tap_matrix(monkeypatch):
-    # the input's own tap matrix, for the weight gradient alone
+    # the output gradient's tap matrix, for the weight gradient alone: no
+    # input-gradient GEMM runs
     x = Tensor(_rand((2, 8, 9), 123))
     w = Tensor(_rand((4, 2, 3, 3), 124), requires_grad=True)
     u = _rand((4, 8, 9), 125)
     out = conv2d(x, w, dilation=2)
     tiles = _count_mec_tiles(monkeypatch)
+    tap_sums = []
+    tap_sum = layers._tap_sum
+    monkeypatch.setattr(layers, "_tap_sum", lambda *args: tap_sums.append(1) or tap_sum(*args))
     backward(weighted_sum(out, u))
-    assert tiles == [1] and x.grad is None
+    assert tiles == [1] and tap_sums == [] and x.grad is None
     _, dw = naive_conv2d_grads(x.data, w.data, u, 2)
     assert np.max(np.abs(w.grad - dw)) < 1e-12
 
@@ -526,18 +532,44 @@ def test_shared_tap_gradients_match_the_naive_oracle(monkeypatch, r):
     assert np.max(np.abs(a.grad - (dxin[:C] * x.data).sum(axis=0, keepdims=True))) < 1e-12
 
 
-def test_1x1_conv_of_one_group_equals_the_tiled_path_byte_for_byte(monkeypatch):
-    # one GEMM, where groups go through _mec_tiles' one tile
+@pytest.mark.parametrize("r", [1, 2])
+def test_conv_weight_gradient_has_the_same_bytes_whether_or_not_the_input_needs_one(r):
+    # a 3x3 weight gradient has one route, the output gradient's tap
+    # matrix, also for the network's first convolution, whose input needs
+    # no gradient
+    rng = np.random.default_rng(135 + r)
+    x = rng.standard_normal((3, 17, 13)).astype(np.float32)
+    w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    u = rng.standard_normal((4, 17, 13)).astype(np.float32)
+    grads = []
+    for inputs in (True, False):
+        xt, wt = Tensor(x.copy(), requires_grad=inputs), Tensor(w.copy(), requires_grad=True)
+        backward(weighted_sum(conv2d(xt, wt, dilation=r), u))
+        assert (xt.grad is not None) == inputs
+        grads.append(wt.grad)
+    assert grads[0].dtype == grads[1].dtype == np.float32
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_1x1_conv_of_groups_equals_the_ungrouped_one_byte_for_byte(monkeypatch):
+    # one GEMM of the joined groups, for the forward and for the weight
+    # gradient: a 1x1 kernel never enters _mec_tiles
     rng = np.random.default_rng(131)
     x = rng.standard_normal((6, 13, 11)).astype(np.float32)
     w = rng.standard_normal((5, 6, 1, 1)).astype(np.float32)
+    go = rng.standard_normal((5, 13, 11)).astype(np.float32)
     tiles = _count_mec_tiles(monkeypatch)
     direct = layers._conv(x, w, 1)
-    assert tiles == []
     grouped = layers._conv(x[:2], w, 1, more=(x[2:],))
-    assert tiles == [1]
+    dw = layers._weight_grad_1x1((x,), go)
+    dw_grouped = layers._weight_grad_1x1((x[:2], x[2:]), go)
+    assert tiles == []
     assert direct.dtype == np.float32 and direct.shape == (5, 13, 11)
     assert direct.tobytes() == grouped.tobytes()
+    assert dw.dtype == np.float32 and dw.shape == w.shape and dw.flags.c_contiguous
+    assert dw.tobytes() == dw_grouped.tobytes()
+    oracle = np.einsum("fhw,chw->fc", go.astype(np.float64), x.astype(np.float64))
+    assert np.max(np.abs(dw[:, :, 0, 0] - oracle)) < 1e-4
 
 
 # --- conv2d with the fused ReLU -----------------------------------------------
@@ -1312,6 +1344,23 @@ def test_full_network_gradients_match_fd():
 
     backward(bce_loss(net.forward(x), target))
     assert max_rel_error_fd(store, loss_fn) <= 1e-4
+
+
+def test_only_the_networks_3x3_convolutions_enter_mec_tiles(monkeypatch):
+    # the gates' projections, the ASPP fuse over its branch groups and the
+    # head are 1x1: one GEMM per product, never lowered
+    cfg = UNetConfig(
+        input_channels=2, base_channels=2, depth=1, bottleneck_channels=4,
+        aspp_rates=(1, 2), dropout_per_level=(0.1, 0.1), seed=7,
+    )
+    net, _ = build_unet(cfg)
+    x = np.random.default_rng(10).random((2, 8, 8)).astype(np.float32)
+    target = (np.random.default_rng(11).random((1, 8, 8)) > 0.8).astype(np.float32)
+    kernels = []
+    mec_tiles = layers._mec_tiles
+    monkeypatch.setattr(layers, "_mec_tiles", lambda xs, k, *rest: kernels.append(k) or mec_tiles(xs, k, *rest))
+    backward(bce_loss(net.forward(x), target))
+    assert kernels and set(kernels) == {3}
 
 
 def test_first_gradient_is_taken_in_the_tensor_dtype_and_cast_otherwise():
