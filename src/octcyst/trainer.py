@@ -34,6 +34,12 @@ CHECKPOINT_VERSION = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Every training backward is seeded this many times larger, and the batch's
+# summed gradient is divided by it once.  Late in training the loss gradient
+# of a saturated pixel is about 6e-40, a subnormal float32 that slows the
+# GEMMs it enters several-fold; scaled, it stays normal.  A power of two, so
+# the scaling changes no bit of a gradient value that is normal either way.
+LOSS_SCALE = 2.0**40
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -56,7 +62,10 @@ class TrainConfig:
 def bce_loss(logits: Tensor, target: np.ndarray) -> Tensor:
     """Mean binary cross-entropy of sigmoid(logits), as the stable
     max(z, 0) - z*t + log1p(exp(-|z|)); its gradient (sigmoid(z) - t) / N
-    still corrects a pixel whose probability saturated at the wrong end."""
+    still corrects a pixel whose probability saturated at the wrong end.
+    At a pixel saturated at the right end that gradient is tiny (about
+    6e-40 for z = -80 in a batch of five desk frames), so train seeds the
+    backward with LOSS_SCALE to keep it a normal float32."""
     z = logits.data
     t = np.asarray(target, dtype=z.dtype)
     if t.shape != z.shape:
@@ -122,8 +131,9 @@ def _non_finite_tensor(cfg: UNetConfig, flat: np.ndarray) -> Optional[str]:
 
 
 def _sample_grad(net: UNet, values, target, seed: int, scale: float) -> tuple[float, np.ndarray]:
-    """One sample's training loss and its flat gradient, in name order,
-    scaled by `scale`; every parameter's .grad is None again on return."""
+    """One sample's training loss, unscaled, and its flat gradient, in
+    name order, of the loss times `scale` (train passes LOSS_SCALE over the
+    batch size); every parameter's .grad is None again on return."""
     loss = bce_loss(net.forward(values, training=True, seed=seed), target[None, :, :])
     backward(loss, grad=scale)
     leaves = [t for _, t in net.store.items()]
@@ -137,20 +147,35 @@ def _core_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _share_grads(net: UNet, jobs: list, scale: float, summed: bool) -> tuple[list, list]:
+    """The losses of the (values, target, seed) `jobs`, in order, and their
+    _sample_grad gradients: one running sum in job order if `summed`, which
+    adds them as the batch's sum does, else one per job."""
+    losses, grads = [], []
+    for job in jobs:
+        loss, grad = _sample_grad(net, *job, scale)
+        losses.append(loss)
+        if summed and grads:
+            np.add(grads[0], grad, out=grads[0])
+        else:
+            grads.append(grad)
+    return losses, grads
+
+
 def _train_worker(conn, unet_cfg: UNetConfig) -> None:
-    """A training worker: for each (parameter values, jobs, scale) it
-    receives, it sends back the _sample_grad of each (values, target, seed)
-    job in order, or the text of the exception one raised.  It stops when
-    the parent closes its end of the pipe.  It ignores SIGINT, so that
-    Ctrl-C stops only the parent, which kills it."""
+    """A training worker: for each (parameter values, jobs, scale, summed)
+    it receives, it sends back the _share_grads of the jobs, or the text of
+    the exception one raised.  It stops when the parent closes its end of
+    the pipe.  It ignores SIGINT, so that Ctrl-C stops only the parent,
+    which kills it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     net, params = build_unet(unet_cfg)
     try:
         while True:
-            flat, jobs, scale = conn.recv()
+            flat, jobs, scale, summed = conn.recv()
             params.flat[...] = flat
             try:
-                reply = [_sample_grad(net, *job, scale) for job in jobs]
+                reply = _share_grads(net, jobs, scale, summed)
             except Exception as e:  # sent back, so that the parent raises it
                 reply = str(e) if isinstance(e, OctCystError) else f"{type(e).__name__}: {e}"
             conn.send(reply)
@@ -192,21 +217,22 @@ def _stop_workers(workers: list) -> None:
 
 
 def _worker_grads(workers: list, flat: np.ndarray, jobs: list, scale: float, where: str):
-    """The _sample_grad of every job, in job order, each worker taking one
-    contiguous share of the jobs; each share is yielded as its worker's
-    reply arrives."""
+    """The _share_grads of every worker's share of the jobs, in job order,
+    each yielded as its worker's reply arrives.  Each worker takes one
+    contiguous share; the first sums its share, since the batch's sum
+    starts with it, and the others send one gradient per job."""
     n, w = len(jobs), len(workers)
     # share i starts at job ceil(i n / w), so the larger shares are sent first
     ends = [-(-i * n // w) for i in range(w + 1)]
     shares = [(workers[i], jobs[ends[i] : ends[i + 1]]) for i in range(w) if ends[i] < ends[i + 1]]
     try:
-        for (proc, conn), share in shares:
-            conn.send((flat, share, scale))
+        for i, ((proc, conn), share) in enumerate(shares):
+            conn.send((flat, share, scale, i == 0))
         for (proc, conn), _ in shares:
             reply = conn.recv()
             if isinstance(reply, str):
                 raise OctCystError(reply)
-            yield from reply
+            yield reply
             del reply  # so that it is not held while the next one arrives
     except (EOFError, ConnectionError):
         proc.join(1.0)
@@ -249,22 +275,25 @@ def train(
                     (data[idx][0].values, data[idx][1], derive_seed(train_cfg.seed, epoch, batch_no, k))
                     for k, idx in enumerate(batch)
                 ]
-                scale = 1.0 / len(batch)
+                scale = LOSS_SCALE / len(batch)
                 if workers:
-                    results = _worker_grads(workers, params.flat, jobs, scale, where)
+                    shares = _worker_grads(workers, params.flat, jobs, scale, where)
                 else:
-                    results = (_sample_grad(net, *job, scale) for job in jobs)
+                    shares = [_share_grads(net, jobs, scale, summed=True)]
                 grad = None
-                for loss, sample_grad in results:
-                    epoch_losses.append(loss)
-                    grad = sample_grad if grad is None else np.add(grad, sample_grad, out=grad)
+                for losses, grads in shares:
+                    epoch_losses += losses
+                    for sample_grad in grads:
+                        grad = sample_grad if grad is None else np.add(grad, sample_grad, out=grad)
+                grad *= np.float32(1 / LOSS_SCALE)
                 if not np.all(np.isfinite(epoch_losses[-len(batch) :])):
                     raise OctCystError(f"{where}: non-finite training loss")
                 name = _non_finite_tensor(unet_cfg, grad)
                 if name is not None:
                     raise OctCystError(f"{where}: non-finite gradient of {name}")
                 adam_step(params.flat, grad, state, train_cfg)
-                del results, sample_grad, grad  # so the next batch's backward runs without them
+                # so that the next batch's backward runs without them
+                del shares, grads, sample_grad, grad
             if log_fn is not None:
                 log_fn(epoch, float(np.mean(epoch_losses)))
     finally:

@@ -222,6 +222,90 @@ def test_train_consumes_the_gradients_it_applies(monkeypatch):
         assert grad.tobytes() == b"".join(t.grad.tobytes() for _, t in fresh.items())
 
 
+# --- loss scaling ---------------------------------------------------------------
+
+_FLOAT32_TINY = np.finfo(np.float32).tiny  # the smallest normal float32
+
+
+def _saturating_build(monkeypatch):
+    """Make train build networks whose head bias drives every logit to
+    about -85, as a trained network's confident background: against a 0
+    target each pixel's loss gradient sigmoid(z) / N is then below the
+    smallest normal float32 unless the backward is scaled."""
+
+    def build(cfg):
+        net, store = build_unet(cfg)
+        store["head.b"].data[...] = -85.0
+        return net, store
+
+    monkeypatch.setattr(trainer_mod, "build_unet", build)
+
+
+def test_a_saturated_heads_backward_receives_no_subnormal_gradient(monkeypatch):
+    _saturating_build(monkeypatch)
+    seen = []
+
+    def capturing_loss(logits, target):
+        # wrap the head's closure: it receives the loss gradient as logits.grad
+        out = bce_loss(logits, target)
+        head_backward = logits._backward
+
+        def wrapped():
+            seen.append(logits.grad.copy())
+            head_backward()
+
+        logits._backward = wrapped
+        return out
+
+    monkeypatch.setattr(trainer_mod, "bce_loss", capturing_loss)
+    (sample, target), = _phantom_dataset(1, ReferenceDims(16, 16))
+    data = [(sample, np.zeros_like(target))]
+    train(data, _tiny_cfg(), TrainConfig(batch_size=1, epochs=1, seed=1))
+    (g,) = seen
+    assert np.all(g != 0)
+    subnormal = np.abs(g) < _FLOAT32_TINY
+    assert not subnormal.any(), f"{subnormal.sum()} of {g.size} values are subnormal"
+
+
+def test_loss_scaling_changes_no_normal_gradient_value_and_not_the_loss(monkeypatch):
+    scale = trainer_mod.LOSS_SCALE
+    assert math.frexp(scale)[0] == 0.5 and scale > 1.0
+    _use_cores(monkeypatch, 1)  # so that every _sample_grad runs here
+    _saturating_build(monkeypatch)
+    calls, steps, losses = [], [], []
+    sample_grad = trainer_mod._sample_grad
+
+    def recording_sample_grad(net, values, target, seed, scale):
+        calls.append((values, target, seed, scale))
+        return sample_grad(net, values, target, seed, scale)
+
+    def recording_step(values, grad, state, train_cfg):
+        steps.append(grad.copy())
+        adam_step(values, grad, state, train_cfg)
+
+    monkeypatch.setattr(trainer_mod, "_sample_grad", recording_sample_grad)
+    monkeypatch.setattr(trainer_mod, "adam_step", recording_step)
+    # one sample saturated at its target, one whose cysts are saturated wrong
+    (s0, t0), (s1, t1) = _phantom_dataset(2, ReferenceDims(16, 16))
+    data = [(s0, np.zeros_like(t0)), (s1, t1)]
+    train(data, _tiny_cfg(), TrainConfig(batch_size=2, epochs=1, seed=1),
+          log_fn=lambda e, l: losses.append(l))
+    (got,) = steps
+    assert [c[3] for c in calls] == [scale / 2, scale / 2]
+
+    # the unscaled batch: each backward seeded by 1/2, summed in sample order
+    net, _ = trainer_mod.build_unet(_tiny_cfg())
+    ref, ref_losses = None, []
+    for values, target, seed, _ in calls:
+        loss, g = sample_grad(net, values, target, seed, 0.5)
+        ref_losses.append(loss)
+        ref = g if ref is None else ref + g
+    assert losses == [float(np.mean(ref_losses))]
+    normal = (np.abs(ref) >= _FLOAT32_TINY) & (np.abs(got) >= _FLOAT32_TINY)
+    assert normal.sum() > 0.9 * np.count_nonzero(ref)
+    assert got[normal].tobytes() == ref[normal].tobytes()
+
+
 # --- training loop --------------------------------------------------------------
 
 
