@@ -30,7 +30,7 @@ from .dataio import (
 )
 from .dataio.formats import atomic_write_bytes, parse_settings, write_float_raster
 from .errors import InvalidConfig, OctCystError
-from .preprocess import DEFAULT_SIGMA_D, default_radius, denoise
+from .preprocess import denoise
 from .rng import SplitMix64, derive_seed
 from .samplekit import (
     ReferenceDims,
@@ -47,7 +47,6 @@ from .trainer import TrainConfig, load_checkpoint, predict, save_checkpoint, tra
 @dataclass(frozen=True)
 class Config:
     # each default is the production value declared by the object the key feeds
-    sigma_d: float = DEFAULT_SIGMA_D
     ref_rows: int = ReferenceDims.rows
     ref_cols: int = ReferenceDims.cols
     base_channels: int = UNetConfig.base_channels
@@ -56,7 +55,6 @@ class Config:
     dropout: tuple[float, ...] = UNetConfig.dropout_per_level
     batch_size: int = TrainConfig.batch_size
     epochs: int = TrainConfig.epochs
-    learning_rate: float = TrainConfig.learning_rate
     seed: int = 1
 
 
@@ -85,7 +83,6 @@ def _train_config(cfg: Config) -> TrainConfig:
     return TrainConfig(
         batch_size=cfg.batch_size,
         epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
         seed=derive_seed(cfg.seed, 1),
     )
 
@@ -143,14 +140,14 @@ def _cmd_phantom(args, cfg: Config, out: Path) -> int:
 
 def _cmd_denoise(args, cfg: Config, out: Path) -> int:
     image = read_pgm(args.input)
-    write_pgm(denoise(image, cfg.sigma_d), out / f"{Path(args.input).stem}_denoised.pgm")
+    write_pgm(denoise(image), out / f"{Path(args.input).stem}_denoised.pgm")
     return 0
 
 
 def _cmd_layers(args, cfg: Config, out: Path) -> int:
     stem = Path(args.input).stem
     # the boundaries are drawn over the denoised scan, which nothing else reads
-    overlay, ilm, ism, roi = extract_layers(read_pgm(args.input), cfg.sigma_d)
+    overlay, ilm, ism, roi = extract_layers(read_pgm(args.input))
     cols = overlay.shape[1]
     stripes = np.where(np.arange(cols) % 2 == 0, 255, 0).astype(np.uint8)
     overlay[ilm, np.arange(cols)] = stripes
@@ -171,7 +168,7 @@ def _cmd_prepare(args, cfg: Config, out: Path) -> int:
         image = read_pgm(record.image_path)
         # stored in a frame of the scan's own dims; train and predict pad it
         try:
-            sample = prepare_sample(image, ReferenceDims(*image.shape), cfg.sigma_d)
+            sample = prepare_sample(image, ReferenceDims(*image.shape))
         except OctCystError as e:
             raise OctCystError(
                 f"{record.image_path}: {e} ({i} of {len(records)} scans prepared; "
@@ -342,7 +339,6 @@ def run(argv) -> int:
         # the other settings objects the subcommands build check their own values
         _train_config(cfg)
         ReferenceDims(cfg.ref_rows, cfg.ref_cols)
-        default_radius(cfg.sigma_d)
         if args.command == "phantom":
             _phantom_specs(args, cfg)
         out = Path(args.out)

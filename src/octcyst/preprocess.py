@@ -11,21 +11,9 @@ import math
 
 import numpy as np
 
-from .errors import InvalidConfig
-
-DEFAULT_SIGMA_D = 2.0
-
-
-def default_radius(sigma_d: float) -> int:
-    """Conventional 2-sigma truncation of the spatial Gaussian; the one
-    range check on sigma_d, which must be > 0 with 2*sigma_d finite and
-    1/(2*sigma_d^2), the spatial weights' factor, finite too."""
-    two_sd2 = 2.0 * sigma_d * sigma_d
-    if not (0 < 2.0 * sigma_d < math.inf and two_sd2 > 0 and 1.0 / two_sd2 < math.inf):
-        raise InvalidConfig(
-            f"sigma_d must be finite and > 0, as must 2*sigma_d, and 1/(2*sigma_d^2) finite, got {sigma_d}"
-        )
-    return max(1, math.ceil(2.0 * sigma_d))
+SIGMA_D = 2.0
+# the spatial Gaussian is cut at 2 sigma: a 9x9 window
+RADIUS = math.ceil(2 * SIGMA_D)
 
 
 def estimate_sigma_r(image: np.ndarray) -> float:
@@ -36,11 +24,10 @@ def estimate_sigma_r(image: np.ndarray) -> float:
     return max(1.0, float(band.std()))
 
 
-def denoise(image: np.ndarray, sigma_d: float = DEFAULT_SIGMA_D) -> np.ndarray:
+def denoise(image: np.ndarray) -> np.ndarray:
     """The denoising stage: bilateral filter with sigma_r estimated from the
-    background band and the default radius for sigma_d."""
-    sigma_r = estimate_sigma_r(image)
-    return bilateral_filter(image, sigma_d, sigma_r, default_radius(sigma_d))
+    background band, SIGMA_D and RADIUS."""
+    return bilateral_filter(image, SIGMA_D, estimate_sigma_r(image), RADIUS)
 
 
 def bilateral_filter(

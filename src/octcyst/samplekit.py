@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataio.formats import read_float_raster
 from .errors import InvalidConfig, OctCystError
-from .preprocess import DEFAULT_SIGMA_D, denoise
+from .preprocess import denoise
 from .retinagraph import roi_mask, segment_layers
 
 
@@ -94,22 +94,18 @@ def crop_from_reference(
     return padded[r0 : r0 + rows, c0 : c0 + cols].copy()
 
 
-def extract_layers(
-    image: np.ndarray, sigma_d: float = DEFAULT_SIGMA_D
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def extract_layers(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The layer stage: (denoised, ilm, ism, roi), where ilm/ism hold one
     boundary row per column and roi is the uint8 {0,1} strict interior
     between them, in scan coordinates."""
-    denoised = denoise(image, sigma_d)
+    denoised = denoise(image)
     ilm, ism = segment_layers(denoised)
     return denoised, ilm, ism, roi_mask(ilm, ism, denoised.shape[0])
 
 
-def prepare_sample(
-    image: np.ndarray, ref: ReferenceDims, sigma_d: float = DEFAULT_SIGMA_D
-) -> Sample:
+def prepare_sample(image: np.ndarray, ref: ReferenceDims) -> Sample:
     """Full preparation: the layer stage, then normalize, stack, pad."""
-    denoised, _, _, roi = extract_layers(image, sigma_d)
+    denoised, _, _, roi = extract_layers(image)
     values, _ = pad_to_reference(np.stack([normalize(denoised), roi]), ref)
     return Sample(values, denoised.shape)
 

@@ -31,6 +31,7 @@ from .tensornet.tensor import _accum, _attach, _sigmoid_data
 CHECKPOINT_MAGIC = b"UNCK"
 CHECKPOINT_VERSION = 2
 
+LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -47,7 +48,6 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 class TrainConfig:
     batch_size: int = 10
     epochs: int = 100
-    learning_rate: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -55,8 +55,6 @@ class TrainConfig:
             raise InvalidConfig("batch_size must be >= 1")
         if self.epochs < 1:
             raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 < self.learning_rate < math.inf:
-            raise InvalidConfig(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 def bce_loss(logits: Tensor, target: np.ndarray) -> Tensor:
@@ -93,7 +91,7 @@ class AdamState:
         return cls(np.zeros_like(values), np.zeros_like(values))
 
 
-def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState, cfg: TrainConfig) -> None:
+def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """Bias-corrected Adam update of `values`, in place, by `grad`: one
     elementwise pass over all of them."""
     state.t += 1
@@ -104,7 +102,7 @@ def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState, cfg: Train
     m += (1.0 - b1) * (grad - m)
     v += (1.0 - b2) * (grad * grad - v)
     denom = np.sqrt(v / c2) + ADAM_EPS  # first, so that at most two temporaries are live
-    values -= cfg.learning_rate * (m / c1) / denom
+    values -= LEARNING_RATE * (m / c1) / denom
 
 
 @dataclass(frozen=True, eq=False)  # identity: a field is an ndarray
@@ -291,7 +289,7 @@ def train(
                 name = _non_finite_tensor(unet_cfg, grad)
                 if name is not None:
                     raise OctCystError(f"{where}: non-finite gradient of {name}")
-                adam_step(params.flat, grad, state, train_cfg)
+                adam_step(params.flat, grad, state)
                 # so that the next batch's backward runs without them
                 del shares, grads, sample_grad, grad
             if log_fn is not None:

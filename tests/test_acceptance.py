@@ -34,6 +34,7 @@ from octcyst.tensornet import (
     conv2d,
 )
 from octcyst.trainer import (
+    LEARNING_RATE,
     AdamState,
     Checkpoint,
     TrainConfig,
@@ -211,8 +212,8 @@ def test_criterion_08_bce_and_adam_fixtures():
 
     theta = np.zeros(1, dtype=np.float64)
     state = AdamState.for_values(theta)
-    adam_step(theta, np.array([1.0]), state, TrainConfig(epochs=1, learning_rate=1e-3))
-    assert abs(abs(theta[0]) - 1e-3) <= 1e-9
+    adam_step(theta, np.array([1.0]), state)
+    assert abs(abs(theta[0]) - LEARNING_RATE) <= 1e-9
     _report(8, "BCE at uniform p=0.5 equals ln 2 within 1e-7; "
                "Adam first-step magnitude equals lr within 1e-9")
 
@@ -244,9 +245,7 @@ def test_criterion_09_end_to_end_desk_run():
         input_channels=2, base_channels=4, depth=3, bottleneck_channels=32,
         aspp_rates=(1, 2, 4), dropout_per_level=(0.1, 0.1, 0.2, 0.2), seed=seed,
     )
-    train_cfg = TrainConfig(
-        batch_size=5, epochs=60, learning_rate=1e-3, seed=derive_seed(seed, 1)
-    )
+    train_cfg = TrainConfig(batch_size=5, epochs=60, seed=derive_seed(seed, 1))
     losses = []
     checkpoint = train(
         [(s, t) for s, t, _ in train_data], unet_cfg, train_cfg,

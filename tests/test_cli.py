@@ -33,7 +33,6 @@ aspp_rates = 1,2
 dropout = 0.1,0.1,0.2
 batch_size = 4
 epochs = 2
-learning_rate = 0.001
 seed = 3
 """
 
@@ -80,9 +79,9 @@ def test_parse_config_empty_file_gives_defaults(tmp_path):
 
 def test_parse_config_single_override(tmp_path):
     p = tmp_path / "c.cfg"
-    p.write_text("learning_rate = 0.01\n")
+    p.write_text("epochs = 7\n")
     cfg = parse_config(p)
-    assert cfg.learning_rate == 0.01
+    assert cfg.epochs == 7
     assert cfg.batch_size == Config().batch_size
 
 
@@ -151,29 +150,26 @@ def test_parse_config_not_utf8(tmp_path):
     "text",
     [
         b"batch_size = 0\n",
-        b"learning_rate = 0\n",
-        b"sigma_d = 0\n",
-        b"sigma_d = nan\n",
-        b"sigma_d = inf\n",
         b"ref_rows = 0\n",
         b"seed = 3\nseed = 4\n",
         b"seed = 3\n# \xff\n",
         b"w_min = 1e-5\n",
         b"threshold = 0.5\n",
         b"roi_clamp = on\n",
-        b"learning_rate = nan\n",
-        b"learning_rate = inf\n",
+        b"sigma_d = 2.0\n",
+        b"learning_rate = 0.001\n",
+        b"dropout = 0.1,0.1,0.2,nan\n",
+        b"dropout = 0.1,0.1,0.2,inf\n",
         b"epochs = 0\n",
         b"epochs = -3\n",
         "seed = \u0665\n".encode("utf-8"),
         b"epochs = 1_0\n",
-        b"learning_rate = +1e-3\n",
+        b"dropout = 0.1,0.1,0.2,+1e-3\n",
     ],
-    ids=["batch_size", "learning_rate", "sigma_d-zero", "sigma_d-nan", "sigma_d-inf",
-         "ref_rows", "repeated-key", "not-utf8", "removed-w_min", "removed-threshold",
-         "removed-roi_clamp", "learning_rate-nan", "learning_rate-inf", "epochs-0",
-         "epochs-negative", "seed-arabic-indic-digit", "epochs-underscore",
-         "learning_rate-plus-sign"],
+    ids=["batch_size", "ref_rows", "repeated-key", "not-utf8", "removed-w_min",
+         "removed-threshold", "removed-roi_clamp", "removed-sigma_d", "removed-learning_rate",
+         "dropout-nan", "dropout-inf", "epochs-0", "epochs-negative",
+         "seed-arabic-indic-digit", "epochs-underscore", "dropout-plus-sign"],
 )
 def test_config_value_error_exits_2_before_out_exists(tmp_path, text):
     p = tmp_path / "c.cfg"
@@ -185,40 +181,18 @@ def test_config_value_error_exits_2_before_out_exists(tmp_path, text):
     assert not out.exists()
 
 
-def test_sigma_d_whose_window_radius_overflows_exits_2_naming_it(tmp_path, capsys):
-    # 2 * 1e308 is inf, so the window radius has no integer value
-    cfg = _write_config(tmp_path, "sigma_d = 1e308\n")
-    out = tmp_path / "o"
-    assert run(["denoise", "--config", cfg, "--in", str(tmp_path / "x.pgm"), "--out", str(out)]) == 2
-    assert "sigma_d" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("sigma_d", ["1e-200", "1e-160"])
-def test_sigma_d_whose_spatial_weights_are_not_finite_exits_2_naming_it(tmp_path, capsys, sigma_d):
-    # 2*sigma_d^2 underflows to 0 at 1e-200; at 1e-160 its reciprocal is inf
-    scan = tmp_path / "scan.pgm"
-    write_pgm(np.random.default_rng(4).integers(0, 256, (8, 8), dtype=np.uint8), scan)
-    cfg = _write_config(tmp_path, f"sigma_d = {sigma_d}\n")
-    out = tmp_path / "o"
-    assert run(["denoise", "--config", cfg, "--in", str(scan), "--out", str(out)]) == 2
-    assert "sigma_d" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_denoise_with_a_window_far_larger_than_the_scan_finishes(tmp_path):
-    # radius 2e9 on an 8x8 scan: only the offsets inside the scan are visited
+    # the 9x9 window on a 3x3 scan: only the offsets inside the scan are visited
     scan = tmp_path / "scan.pgm"
-    write_pgm(np.random.default_rng(4).integers(0, 256, (8, 8), dtype=np.uint8), scan)
-    cfg = _write_config(tmp_path, "sigma_d = 1e9\n")
+    write_pgm(np.random.default_rng(4).integers(0, 256, (3, 3), dtype=np.uint8), scan)
     out = tmp_path / "o"
     src = str(Path(octcyst.__file__).resolve().parents[1])
     subprocess.run(
         [sys.executable, "-c", "from octcyst.cli import main; main()",
-         "denoise", "--config", cfg, "--in", str(scan), "--out", str(out)],
+         "denoise", "--in", str(scan), "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=src), check=True, timeout=30,
     )
-    assert read_pgm(out / "scan_denoised.pgm").shape == (8, 8)
+    assert read_pgm(out / "scan_denoised.pgm").shape == (3, 3)
 
 
 README = Path(__file__).parents[1] / "README.md"
@@ -392,9 +366,9 @@ def test_layers_command_overlay_and_roi(tmp_path):
 
 
 def test_layers_roi_matches_prepared_roi_channel(tmp_path):
-    # a frame larger than the scan and a non-default sigma_d, shared by both
+    # a frame larger than the scan, shared by both
     text = TINY_CONFIG.replace("ref_rows = 32\nref_cols = 32", "ref_rows = 40\nref_cols = 44")
-    cfg = _write_config(tmp_path, text + "sigma_d = 1.5\n")
+    cfg = _write_config(tmp_path, text)
     data = _make_phantoms(tmp_path, count=2)
     prep = tmp_path / "prep"
     assert run(["prepare", "--manifest", str(data / "manifest.txt"),
@@ -550,6 +524,22 @@ def test_prepared_sample_has_its_scans_dims_and_no_sidecar(tmp_path):
         assert sample.values.tobytes() == prepare_sample(image, ReferenceDims(32, 32)).values.tobytes()
         assert np.array_equal(read_mask_pgm(prep / f"img_{i:03d}_target.pgm"),
                               read_mask_pgm(data / f"mask_{i:03d}.pgm"))
+
+
+def test_prepare_reads_no_setting(tmp_path):
+    # a prepared set is the same whatever config the run names
+    data = _make_phantoms(tmp_path, count=2)
+    sets = []
+    for name, config in (("tiny", ["--config", _write_config(tmp_path)]), ("none", [])):
+        prep = tmp_path / name
+        assert run(["prepare", "--manifest", str(data / "manifest.txt"), *config,
+                    "--out", str(prep)]) == 0
+        sets.append({p.name: p.read_bytes() for p in prep.iterdir()})
+    assert sorted(sets[0]) == [
+        "img_000.octf", "img_000_target.pgm", "img_001.octf", "img_001_target.pgm",
+        "samples.txt",
+    ]
+    assert sets[0] == sets[1]
 
 
 def test_cli_pipeline_equals_training_on_samples_framed_in_memory(tmp_path):

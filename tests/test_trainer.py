@@ -28,6 +28,7 @@ from octcyst.trainer import (
     ADAM_EPS,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    LEARNING_RATE,
     AdamState,
     Checkpoint,
     TrainConfig,
@@ -113,7 +114,7 @@ def test_bce_nonnegative():
 def test_adam_zero_gradient_is_identity():
     theta = np.array([1.5], dtype=np.float64)
     state = AdamState.for_values(theta)
-    adam_step(theta, np.zeros(1), state, TrainConfig(epochs=1))
+    adam_step(theta, np.zeros(1), state)
     assert theta[0] == 1.5
     assert state.t == 1
 
@@ -121,10 +122,10 @@ def test_adam_zero_gradient_is_identity():
 def test_adam_first_step_magnitude():
     theta = np.array([0.0], dtype=np.float64)
     state = AdamState.for_values(theta)
-    adam_step(theta, np.array([1.0]), state, TrainConfig(epochs=1, learning_rate=1e-3))
-    expected = -1e-3 * 1.0 / (1.0 + 1e-8)
+    adam_step(theta, np.array([1.0]), state)
+    expected = -LEARNING_RATE * 1.0 / (1.0 + 1e-8)
     assert abs(theta[0] - expected) <= 1e-9
-    assert abs(abs(theta[0]) - 1e-3) <= 1e-9
+    assert abs(abs(theta[0]) - LEARNING_RATE) <= 1e-9
 
 
 def test_adam_ten_step_trajectory_matches_recurrence_oracle():
@@ -141,12 +142,12 @@ def test_adam_ten_step_trajectory_matches_recurrence_oracle():
 
     values = np.array([0.3], dtype=np.float64)
     state = AdamState.for_values(values)
-    cfg = TrainConfig(epochs=1, learning_rate=lr)
     got = []
     for g in grads:
-        adam_step(values, np.array([g]), state, cfg)
+        adam_step(values, np.array([g]), state)
         got.append(float(values[0]))
     assert np.max(np.abs(np.array(got) - np.array(expected))) <= 1e-12
+    assert LEARNING_RATE == lr
 
 
 def _per_tensor_adam_step(params, grads, m, v, t, lr):
@@ -178,13 +179,12 @@ def test_flat_adam_step_matches_the_per_tensor_update_byte_for_byte():
     m = {name: np.zeros_like(p) for name, p in params.items()}
     v = {name: np.zeros_like(p) for name, p in params.items()}
     state = AdamState.for_values(values)
-    cfg = TrainConfig(epochs=1, learning_rate=1e-3)
     for t in range(1, 201):
         # magnitudes from 1e-8 to 1e1, of either sign
         grad = rng.choice([-1.0, 1.0], ends[-1]) * 10.0 ** rng.uniform(-8.0, 1.0, ends[-1])
         grad = grad.astype(np.float32)
-        adam_step(values, grad, state, cfg)
-        _per_tensor_adam_step(params, split(grad), m, v, t, cfg.learning_rate)
+        adam_step(values, grad, state)
+        _per_tensor_adam_step(params, split(grad), m, v, t, LEARNING_RATE)
     assert state.t == 200
     for flat, per_tensor in ((values, params), (state.m, m), (state.v, v)):
         assert flat.dtype == np.float32
@@ -205,10 +205,10 @@ def test_train_consumes_the_gradients_it_applies(monkeypatch):
         stores.append(store)
         return net, store
 
-    def recording_step(values, grad, state, train_cfg):
+    def recording_step(values, grad, state):
         assert all(t.grad is None for _, t in stores[0].items())
         steps.append((values.copy(), grad.copy()))
-        adam_step(values, grad, state, train_cfg)
+        adam_step(values, grad, state)
 
     monkeypatch.setattr(trainer_mod, "build_unet", capturing_build)
     monkeypatch.setattr(trainer_mod, "adam_step", recording_step)
@@ -279,9 +279,9 @@ def test_loss_scaling_changes_no_normal_gradient_value_and_not_the_loss(monkeypa
         calls.append((values, target, seed, scale))
         return sample_grad(net, values, target, seed, scale)
 
-    def recording_step(values, grad, state, train_cfg):
+    def recording_step(values, grad, state):
         steps.append(grad.copy())
-        adam_step(values, grad, state, train_cfg)
+        adam_step(values, grad, state)
 
     monkeypatch.setattr(trainer_mod, "_sample_grad", recording_sample_grad)
     monkeypatch.setattr(trainer_mod, "adam_step", recording_step)
@@ -344,7 +344,7 @@ def test_train_loss_decreases_on_single_sample():
     train(
         data,
         _tiny_cfg(),
-        TrainConfig(batch_size=1, epochs=100, learning_rate=1e-3, seed=3),
+        TrainConfig(batch_size=1, epochs=100, seed=3),
         log_fn=lambda e, l: losses.append(l),
     )
     assert len(losses) == 100
@@ -653,7 +653,6 @@ aspp_rates = 1,2
 dropout = 0.1,0.1,0.2
 batch_size = 2
 epochs = 3
-learning_rate = 0.001
 seed = 3
 """
 
