@@ -166,21 +166,19 @@ def _cmd_prepare(args, cfg: Config, out: Path) -> int:
     for i, record in enumerate(records):
         stem = record.image_path.stem
         image = read_pgm(record.image_path)
+        rest = f"({i} of {len(records)} scans prepared; the rest were not)"
+        # padded on its own, a mask of other dims would sit off its scan in the frame
+        mask = read_mask_pgm(record.mask_path)
+        if mask.shape != image.shape:
+            raise OctCystError(
+                f"{record.mask_path}: mask dims {mask.shape} differ from its scan's "
+                f"{image.shape} {rest}"
+            )
         # stored in a frame of the scan's own dims; train and predict pad it
         try:
             sample = prepare_sample(image, ReferenceDims(*image.shape))
         except OctCystError as e:
-            raise OctCystError(
-                f"{record.image_path}: {e} ({i} of {len(records)} scans prepared; "
-                "the rest were not)"
-            ) from e
-        # padded on its own, a mask of other dims would sit off its scan in the frame
-        mask = read_mask_pgm(record.mask_path)
-        if mask.shape != sample.orig_dims:
-            raise OctCystError(
-                f"{record.mask_path}: mask dims {mask.shape} differ from its scan's "
-                f"{sample.orig_dims}"
-            )
+            raise OctCystError(f"{record.image_path}: {e} {rest}") from e
         sample_name, target_name = f"{stem}.octf", f"{stem}_target.pgm"
         write_float_raster(sample.values, out / sample_name)
         write_mask_pgm(mask, out / target_name)

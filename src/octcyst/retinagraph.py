@@ -19,6 +19,7 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OctCystError
 
@@ -51,35 +52,38 @@ def _column_search(field: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     """Minimum-weight path restricted per column to rows [lo[c], hi[c]).
 
     Every edge runs from column c to column c+1, so distances follow a
-    min-plus recurrence over columns, vectorized over rows.  Predecessors
-    r-1, r, r+1 are scanned in that order and one replaces the best when it
-    is strictly cheaper, or equally cheap from a strictly smaller distance;
-    the end row is the first argmin.  This is the path a heap Dijkstra
-    settles under (distance, row) pop order with strict relaxation."""
+    min-plus recurrence over columns, vectorized over rows and the three
+    predecessors r-1, r, r+1 at once.  A row takes the cheapest
+    predecessor, among equally cheap ones the one of smallest distance,
+    and among those the topmost; the end row is the first argmin.  This is
+    the path a heap Dijkstra settles under (distance, row) pop order with
+    strict relaxation."""
     rows, cols = field.shape
     row_idx = np.arange(rows)
-    outside = (row_idx < lo[:, None]) | (row_idx >= hi[:, None])
-    g_pad = np.pad(field, ((1, 1), (0, 0)))
+    # 0 inside a column's window, inf outside it
+    barrier = np.where((row_idx < lo[:, None]) | (row_idx >= hi[:, None]), np.inf, 0.0)
+    # g_pred[c][k + 1] holds the field at rows r + k of column c
+    g_pred = sliding_window_view(np.pad(field.T, ((0, 0), (1, 1))), rows, axis=1)
+    f_cols = np.ascontiguousarray(field.T)
     d_pad = np.full(rows + 2, np.inf)
-    dist = np.where(outside[0], np.inf, W_MIN)
-    step = np.zeros((cols, rows), dtype=np.int8)  # predecessor row offset
+    d_pad[1:-1] = W_MIN + barrier[0]
+    d_pred = sliding_window_view(d_pad, rows)  # d_pred[k + 1]: distances at rows r + k
+    step = np.zeros((cols, rows), dtype=np.int8)  # predecessor row offset + 1
     for c in range(1, cols):
-        d_pad[1:-1] = dist
-        best = best_d = np.full(rows, np.inf)
-        for k in (-1, 0, 1):
-            d = d_pad[1 + k : 1 + k + rows]
-            cand = d + 2.0 - (g_pad[1 + k : 1 + k + rows, c - 1] + field[:, c]) + W_MIN
-            take = (cand < best) | ((cand == best) & (d < best_d))
-            best, best_d = np.where(take, cand, best), np.where(take, d, best_d)
-            step[c, take] = k
-        dist = np.where(outside[c], np.inf, best)
+        cand = d_pred + 2.0
+        cand -= g_pred[c - 1] + f_cols[c]
+        cand += W_MIN
+        best = cand.min(axis=0)
+        step[c] = np.where(cand == best, d_pred, np.inf).argmin(axis=0)
+        np.add(best, barrier[c], out=d_pad[1:-1])
 
+    dist = d_pad[1:-1]
     path = np.empty(cols, dtype=np.int64)
     path[-1] = np.argmin(dist)
     if dist[path[-1]] == np.inf:
         raise OctCystError("no admissible path through the field")
     for c in range(cols - 1, 0, -1):
-        path[c - 1] = path[c] + step[c, path[c]]
+        path[c - 1] = path[c] + step[c, path[c]] - 1
     return path
 
 

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .cores import usable_cores as _core_count
 from .dataio.formats import atomic_write_bytes, format_settings, parse_settings
 from .errors import InvalidConfig, OctCystError
 from .rng import SplitMix64, derive_seed
@@ -139,10 +140,6 @@ def _sample_grad(net: UNet, values, target, seed: int, scale: float) -> tuple[fl
     for t in leaves:
         t.grad = None
     return loss.item(), grad
-
-
-def _core_count() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _share_grads(net: UNet, jobs: list, scale: float, summed: bool) -> tuple[list, list]:

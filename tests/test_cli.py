@@ -439,17 +439,27 @@ def test_prepare_writes_one_target_per_record(tmp_path):
 
 @pytest.mark.parametrize("command", ["prepare"])
 @pytest.mark.parametrize("crop", [(32, 30), (20, 32)], ids=["narrower", "shorter"])
-def test_mask_whose_dims_differ_from_its_scan_is_rejected(tmp_path, capsys, command, crop):
-    # padded on its own, such a mask would sit off its scan in the frame
+def test_mask_whose_dims_differ_from_its_scan_is_rejected(tmp_path, capsys, monkeypatch, command, crop):
+    # padded on its own, such a mask would sit off its scan in the frame; it
+    # is rejected before its scan's layer stage runs
     cfg = _write_config(tmp_path)
-    data = _make_phantoms(tmp_path, count=2)
+    data = _make_phantoms(tmp_path, count=3)
     mask = data / "mask_001.pgm"
     write_mask_pgm(read_mask_pgm(mask)[: crop[0], : crop[1]], mask)
+    prepared = []
+
+    def counting(image, ref):
+        prepared.append(image.shape)
+        return prepare_sample(image, ref)
+
+    monkeypatch.setattr(octcyst.cli, "prepare_sample", counting)
     out = tmp_path / "o"
     assert run([command, "--manifest", str(data / "manifest.txt"), "--config", cfg,
                 "--out", str(out)]) == 1
-    assert f"{mask}: mask dims {crop} differ from its scan's (32, 32)" in capsys.readouterr().err
-    assert not (out / "img_001.octf").exists()
+    assert f"{mask}: mask dims {crop} differ from its scan's (32, 32) (1 of 3 scans " \
+           "prepared; the rest were not)" in capsys.readouterr().err
+    assert len(prepared) == 1
+    assert {p.name for p in out.iterdir()} == {"img_000.octf", "img_000_target.pgm"}
 
 
 def test_prepare_names_the_scan_it_failed_on_and_what_became_of_the_rest(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from octcyst import preprocess
+from octcyst.dataio import PhantomSpec, gen_phantom
 from octcyst.preprocess import bilateral_filter, denoise, estimate_sigma_r
 
 
@@ -126,3 +129,65 @@ def test_sigma_r_band_rule():
         img = np.repeat(np.arange(rows, dtype=np.float64)[:, None], 3, axis=1)
         expected = np.arange(band, dtype=np.float64).std()
         assert estimate_sigma_r(img) == pytest.approx(expected, abs=1e-9)
+
+
+# --- row bands --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "shape, radius",
+    [((1, 40), 4), ((40, 1), 4), ((9, 30), 4), ((7, 25), 4), ((3, 33), 4), ((2, 2), 4),
+     ((31, 17), 3), ((5, 12), 6)],
+    ids=["one-row", "one-col", "rows-2r+1", "rows-below-2r+1", "radius-over-rows",
+         "radius-over-both", "odd-rows", "radius-over-rows-wide"],
+)
+def test_bands_give_the_bytes_of_one_band(shape, radius):
+    # more bands than rows leave the extra bands empty
+    img = np.random.default_rng(21).integers(0, 256, size=shape).astype(np.float64)
+    one = preprocess._filter_bands(img, 1, 2.0, 25.0, radius)
+    assert one.tobytes() == bilateral_filter(img, 2.0, 25.0, radius).tobytes()
+    for bands in (2, 3, 4):
+        assert preprocess._filter_bands(img, bands, 2.0, 25.0, radius).tobytes() == one.tobytes()
+
+
+def test_denoise_bytes_do_not_depend_on_the_core_count(monkeypatch):
+    spec = PhantomSpec(rows=496, cols=512, ilm_row=70, ism_row=320, n_cysts=3,
+                       cyst_axis_range=(10, 40), seed=17)
+    image = gen_phantom(spec)[0]
+    small = np.random.default_rng(2).integers(0, 256, size=(64, 96), dtype=np.uint8)
+    bands = []
+    band_rows = preprocess._filter_rows
+
+    def recording(img, out, b0, b1, *rest):
+        bands.append((b0, b1))
+        band_rows(img, out, b0, b1, *rest)
+
+    monkeypatch.setattr(preprocess, "_filter_rows", recording)
+    outputs = []
+    for cores in (1, 2, 3, 4):
+        monkeypatch.setattr(preprocess, "usable_cores", lambda: cores)
+        outputs.append(denoise(image).tobytes())
+        denoise(small)
+    assert outputs[1:] == outputs[:1] * 3
+    # a band keeps at least 2^16 pixels, so 496x512 takes 3 bands at most and
+    # a 64x96 scan one
+    assert sorted(bands) == sorted(
+        [(0, 496), (0, 64), (0, 248), (248, 496), (0, 64), (0, 165), (165, 330), (330, 496),
+         (0, 64), (0, 165), (165, 330), (330, 496), (0, 64)]
+    )
+
+
+def test_a_failing_band_raises_in_the_caller_and_leaves_no_thread(monkeypatch):
+    band_rows = preprocess._filter_rows
+
+    def failing(img, out, b0, b1, *rest):
+        if b0 > 0:
+            raise MemoryError("band 1")
+        band_rows(img, out, b0, b1, *rest)
+
+    monkeypatch.setattr(preprocess, "_filter_rows", failing)
+    img = np.random.default_rng(8).integers(0, 256, size=(40, 30)).astype(np.float64)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="band 1"):
+        preprocess._filter_bands(img, 2, 2.0, 25.0, 4)
+    assert threading.active_count() == threads

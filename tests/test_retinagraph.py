@@ -97,6 +97,36 @@ def dp_tiebreak_path(field, w_min, lo=None, hi=None):
     return np.array(path[::-1]), dist[end, cols - 1] + w_min
 
 
+def column_search_loop(field, lo, hi):
+    """The column search scanning predecessors r-1, r, r+1 one at a time
+    (oracle): one replaces the best when it is strictly cheaper, or equally
+    cheap from a strictly smaller distance."""
+    rows, cols = field.shape
+    row_idx = np.arange(rows)
+    outside = (row_idx < lo[:, None]) | (row_idx >= hi[:, None])
+    g_pad = np.pad(field, ((1, 1), (0, 0)))
+    d_pad = np.full(rows + 2, np.inf)
+    dist = np.where(outside[0], np.inf, W_MIN)
+    step = np.zeros((cols, rows), dtype=np.int8)
+    for c in range(1, cols):
+        d_pad[1:-1] = dist
+        best = best_d = np.full(rows, np.inf)
+        for k in (-1, 0, 1):
+            d = d_pad[1 + k : 1 + k + rows]
+            cand = d + 2.0 - (g_pad[1 + k : 1 + k + rows, c - 1] + field[:, c]) + W_MIN
+            take = (cand < best) | ((cand == best) & (d < best_d))
+            best, best_d = np.where(take, cand, best), np.where(take, d, best_d)
+            step[c, take] = k
+        dist = np.where(outside[c], np.inf, best)
+    path = np.empty(cols, dtype=np.int64)
+    path[-1] = np.argmin(dist)
+    if dist[path[-1]] == np.inf:
+        raise OctCystError("no admissible path through the field")
+    for c in range(cols - 1, 0, -1):
+        path[c - 1] = path[c] + step[c, path[c]]
+    return path
+
+
 # --- vertical gradient ------------------------------------------------------
 
 
@@ -191,6 +221,34 @@ def test_dijkstra_matches_enumeration_on_random_fields():
     assert dp_tiebreak_path(field, W_MIN, lo, hi)[0] is None
     with pytest.raises(OctCystError, match="no admissible path"):
         _column_search(field, lo, hi)
+
+
+def test_column_search_matches_the_one_predecessor_at_a_time_loop():
+    rng = np.random.default_rng(99)
+
+    def outcome(search, field, lo, hi):
+        try:
+            return search(field, lo, hi).tolist()
+        except OctCystError as e:
+            return str(e)
+
+    def quantized(shape):
+        return rng.choice([0.0, 0.25, 0.5, 1.0], size=shape)
+
+    closed = 0
+    for make_field in (rng.random, quantized):
+        for _ in range(200):
+            rows, cols = int(rng.integers(1, 14)), int(rng.integers(1, 14))
+            field = make_field((rows, cols))
+            full = np.zeros(cols, dtype=np.int64), np.full(cols, rows)
+            # random windows, some of them closed in a column
+            lo = rng.integers(0, rows, size=cols)
+            window = lo, np.minimum(lo + rng.integers(0, 5, size=cols), rows)
+            for lo, hi in (full, window):
+                expected = outcome(column_search_loop, field, lo, hi)
+                assert outcome(_column_search, field, lo, hi) == expected
+                closed += isinstance(expected, str)
+    assert closed > 0
 
 
 def test_dijkstra_matches_enumeration_across_sizes():
