@@ -165,20 +165,21 @@ def _cmd_prepare(args, cfg: Config, out: Path) -> int:
     listed = []
     for i, record in enumerate(records):
         stem = record.image_path.stem
-        image = read_pgm(record.image_path)
-        rest = f"({i} of {len(records)} scans prepared; the rest were not)"
-        # padded on its own, a mask of other dims would sit off its scan in the frame
-        mask = read_mask_pgm(record.mask_path)
-        if mask.shape != image.shape:
-            raise OctCystError(
-                f"{record.mask_path}: mask dims {mask.shape} differ from its scan's "
-                f"{image.shape} {rest}"
-            )
-        # stored in a frame of the scan's own dims; train and predict pad it
+        failing = record.image_path
         try:
+            image = read_pgm(failing)
+            failing = record.mask_path
+            mask = read_mask_pgm(failing)
+            # padded on its own, a mask of other dims would sit off its scan in the frame
+            if mask.shape != image.shape:
+                raise OctCystError(f"mask dims {mask.shape} differ from its scan's {image.shape}")
+            failing = record.image_path
+            # stored in a frame of the scan's own dims; train and predict pad it
             sample = prepare_sample(image, ReferenceDims(*image.shape))
-        except OctCystError as e:
-            raise OctCystError(f"{record.image_path}: {e} {rest}") from e
+        except (OctCystError, OSError) as e:
+            # a reader's error names its file already
+            text = str(e) if str(failing) in str(e) else f"{failing}: {e}"
+            raise OctCystError(f"{text} ({i} of {len(records)} scans prepared; the rest were not)") from e
         sample_name, target_name = f"{stem}.octf", f"{stem}_target.pgm"
         write_float_raster(sample.values, out / sample_name)
         write_mask_pgm(mask, out / target_name)

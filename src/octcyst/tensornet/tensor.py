@@ -12,7 +12,9 @@ once the closures of all its consumers have run.
 
 A gradient is owned by the tensor it is accumulated into: `_accum` takes
 the first array a closure hands it, so no closure may hand overlapping
-memory to two tensors.  Every closure hands each parent an array of its
+memory to two tensors.  A tensor that already holds a `.grad` adds into
+it instead: a parameter's `.grad` is a view into one flat gradient array
+that backward never replaces.  Every closure hands each parent an array of its
 own, except `conv2d`, whose channel groups take disjoint views of its
 one input-gradient array; with a gain, the first group's view is scaled
 by the gain in place before it is handed over.  A closure may therefore

@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -54,17 +53,21 @@ class UNetConfig:
 class ParamStore:
     """The tensors of param_layout(cfg), by name.  Each tensor's data is a
     view into `flat`, one array that holds every value in name order, so
-    an update of `flat` in place updates the network."""
+    an update of `flat` in place updates the network.  Given `grad`, laid
+    out as `flat`, each tensor requires gradients and its .grad is a view
+    into `grad`, so that a backward adds every gradient into one array."""
 
-    def __init__(self, cfg: UNetConfig, flat: np.ndarray):
+    def __init__(self, cfg: UNetConfig, flat: np.ndarray, grad: np.ndarray | None = None):
         self.flat = flat
+        self.grad = grad
         self._params: dict[str, Tensor] = {}
-        self._ends: list[int] = []
         end = 0
         for name, shape, _ in sorted(param_layout(cfg)):
             start, end = end, end + math.prod(shape)
-            self._params[name] = Tensor(flat[start:end].reshape(shape))
-            self._ends.append(end)
+            t = Tensor(flat[start:end].reshape(shape), requires_grad=grad is not None)
+            if grad is not None:
+                t.grad = grad[start:end].reshape(shape)
+            self._params[name] = t
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -75,10 +78,6 @@ class ParamStore:
 
     def values(self) -> np.ndarray:
         return self.flat.copy()
-
-    def name_at(self, index: int) -> str:
-        """The name of the tensor that holds flat[index]."""
-        return list(self._params)[bisect.bisect_right(self._ends, index)]
 
 
 class UNet:
@@ -184,14 +183,15 @@ def build_unet(cfg: UNetConfig, dtype=np.float32) -> tuple[UNet, ParamStore]:
 
     Weights are He-uniform U(+-sqrt(6/fan_in)) drawn in param_layout's
     order from one SplitMix64 stream seeded by cfg.seed; biases start at
-    zero, so the same seed always yields an identical ParamStore."""
+    zero, so the same seed always yields an identical ParamStore.  Its
+    `grad` starts at -0.0, to which adding any g gives g bit for bit."""
     layout = param_layout(cfg)
-    store = ParamStore(cfg, np.zeros(sum(math.prod(shape) for _, shape, _ in layout), dtype))
+    n = sum(math.prod(shape) for _, shape, _ in layout)
+    store = ParamStore(cfg, np.zeros(n, dtype), np.full(n, -0.0, dtype))
     pos = 0  # draws taken so far
     for name, shape, fan_in in layout:
-        t = store[name]
-        t.requires_grad = True
         if fan_in:
+            t = store[name]
             draws = uniform_array(cfg.seed, t.data.size, start=pos)
             t.data[...] = ((draws * 2.0 - 1.0) * math.sqrt(6.0 / fan_in)).reshape(shape)
             pos += draws.size

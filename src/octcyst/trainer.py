@@ -120,41 +120,30 @@ class Checkpoint:
 
 
 def _non_finite_tensor(cfg: UNetConfig, flat: np.ndarray) -> Optional[str]:
-    """The name of the tensor that holds the first NaN or inf of `flat`,
-    laid out as the values of param_layout(cfg) in name order, or None if
+    """The name of the first tensor, in name order, that holds a NaN or inf
+    of `flat`, laid out as the values of param_layout(cfg), or None if
     every value is finite."""
-    finite = np.isfinite(flat)
-    if finite.all():
+    if np.isfinite(flat).all():
         return None
-    return ParamStore(cfg, flat).name_at(int(finite.argmin()))
-
-
-def _sample_grad(net: UNet, values, target, seed: int, scale: float) -> tuple[float, np.ndarray]:
-    """One sample's training loss, unscaled, and its flat gradient, in
-    name order, of the loss times `scale` (train passes LOSS_SCALE over the
-    batch size); every parameter's .grad is None again on return."""
-    loss = bce_loss(net.forward(values, training=True, seed=seed), target[None, :, :])
-    backward(loss, grad=scale)
-    leaves = [t for _, t in net.store.items()]
-    grad = np.concatenate([t.grad.ravel() for t in leaves])
-    for t in leaves:
-        t.grad = None
-    return loss.item(), grad
+    return next(name for name, t in ParamStore(cfg, flat).items() if not np.isfinite(t.data).all())
 
 
 def _share_grads(net: UNet, jobs: list, scale: float, summed: bool) -> tuple[list, list]:
-    """The losses of the (values, target, seed) `jobs`, in order, and their
-    _sample_grad gradients: one running sum in job order if `summed`, which
-    adds them as the batch's sum does, else one per job."""
+    """The unscaled losses of the (values, target, seed) `jobs`, in order,
+    and the flat gradients of the losses times `scale`, which backward adds
+    into net.store.grad from -0.0: summed there in job order, as the
+    batch's sum adds them, if `summed`, else copied out job by job."""
+    grad = net.store.grad
+    grad.fill(-0.0)
     losses, grads = [], []
-    for job in jobs:
-        loss, grad = _sample_grad(net, *job, scale)
-        losses.append(loss)
-        if summed and grads:
-            np.add(grads[0], grad, out=grads[0])
-        else:
-            grads.append(grad)
-    return losses, grads
+    for values, target, seed in jobs:
+        loss = bce_loss(net.forward(values, training=True, seed=seed), target[None, :, :])
+        backward(loss, grad=scale)
+        losses.append(loss.item())
+        if not summed:
+            grads.append(grad.copy())
+            grad.fill(-0.0)
+    return losses, [grad] if summed else grads
 
 
 def _train_worker(conn, unet_cfg: UNetConfig) -> None:

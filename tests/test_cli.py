@@ -476,6 +476,41 @@ def test_prepare_names_the_scan_it_failed_on_and_what_became_of_the_rest(tmp_pat
     assert {p.name for p in out.iterdir()} == {"img_000.octf", "img_000_target.pgm"}
 
 
+def test_prepare_names_a_scan_that_fails_to_read_and_what_became_of_the_rest(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["phantom", "--count", "3", "--rows", "64", "--cols", "96", "--seed", "5",
+                "--out", str(data)]) == 0
+    cut = data / "img_002.pgm"
+    cut.write_bytes(cut.read_bytes()[:20])
+    out = tmp_path / "o"
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("img_002.pgm") == 1
+    assert err.rstrip("\n").endswith(f"{cut}: expected 6144 pixels, got 7 (2 of 3 scans "
+                                      "prepared; the rest were not)")
+    assert not (out / "samples.txt").exists()
+
+
+@pytest.mark.parametrize("error", ["cut", "os-error"])
+def test_prepare_names_a_mask_that_fails_to_read_once(tmp_path, capsys, monkeypatch, error):
+    data = _make_phantoms(tmp_path, count=3)
+    mask = data / "mask_001.pgm"
+    if error == "cut":
+        mask.write_bytes(mask.read_bytes()[:20])
+    else:
+        def refusing(path):
+            if path == mask:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_mask_pgm(path)
+
+        monkeypatch.setattr(octcyst.cli, "read_mask_pgm", refusing)
+    assert run(["prepare", "--manifest", str(data / "manifest.txt"),
+                "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("mask_001.pgm") == 1 and str(mask) in err
+    assert err.rstrip("\n").endswith("(1 of 3 scans prepared; the rest were not)")
+
+
 def test_a_scan_named_like_another_scans_target_keeps_both_samples(tmp_path):
     # prepared targets are mask PGMs, so no scan stem can collide with them
     cfg = _write_config(tmp_path)

@@ -167,6 +167,35 @@ def test_every_module_level_name_in_src_is_used_by_the_program():
     assert not unused, f"private names that nothing in src/, or public ones that nothing in src/ or bench/, reads: {unused}"
 
 
+def _class_members(tree):
+    """(class, name) of every method and property that a class of `tree`
+    defines; dunders such as `__init__` are called by Python itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield node.name, item.name
+
+
+def test_every_method_and_property_in_src_is_read_by_the_program():
+    # a method or property earns its place only through program code that
+    # reads it: one whose last caller in src/ is gone fails here, whatever
+    # tests or the bench still call it
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "octcyst").rglob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in package}
+    program = {name for tree in trees.values() for name in _loaded_names(tree)}
+    unread = sorted(
+        f"{p.relative_to(root / 'src').with_suffix('').as_posix().replace('/', '.')}.{cls}.{name}"
+        for p in package
+        for cls, name in _class_members(trees[p])
+        if name not in program
+    )
+    assert not unread, f"methods or properties that nothing in src/ reads: {unread}"
+
+
 def test_no_module_of_the_program_rebinds_a_global():
     # a function that rebinds a module global is a hidden mode that every
     # later call depends on; state belongs to the objects that carry it

@@ -192,25 +192,17 @@ def test_flat_adam_step_matches_the_per_tensor_update_byte_for_byte():
 
 
 def test_train_consumes_the_gradients_it_applies(monkeypatch):
-    # each batch then starts as the first one does, with no gradients, so a
-    # later batch's gradient is its own and not a sum over batches.  Without
-    # dropout a batch's gradient is one backward at the values it updates.
-    import octcyst.trainer as trainer_mod
-
+    # each batch's gradient starts again from -0.0, as the first one's does,
+    # so a later batch's gradient is its own and not a sum over batches.
+    # Without dropout a batch's gradient is one backward at the values it
+    # updates.
     cfg = replace(_tiny_cfg(), dropout_per_level=(0.0, 0.0, 0.0))
-    stores, steps = [], []
-
-    def capturing_build(cfg):
-        net, store = build_unet(cfg)
-        stores.append(store)
-        return net, store
+    steps = []
 
     def recording_step(values, grad, state):
-        assert all(t.grad is None for _, t in stores[0].items())
         steps.append((values.copy(), grad.copy()))
         adam_step(values, grad, state)
 
-    monkeypatch.setattr(trainer_mod, "build_unet", capturing_build)
     monkeypatch.setattr(trainer_mod, "adam_step", recording_step)
     (sample, target), = _phantom_dataset(1, ReferenceDims(16, 16))
     train([(sample, target)], cfg, TrainConfig(batch_size=1, epochs=2, seed=1))
@@ -220,6 +212,38 @@ def test_train_consumes_the_gradients_it_applies(monkeypatch):
         fresh.flat[...] = values
         backward(bce_loss(net.forward(sample.values, training=True), target[None, :, :]))
         assert grad.tobytes() == b"".join(t.grad.tobytes() for _, t in fresh.items())
+
+
+def _fresh_grads(cfg, jobs, scale):
+    """The losses of the (values, target, seed) `jobs` and their gradients
+    of the loss times `scale`, each from a backward on a network of its own,
+    gathered in name order."""
+    losses, grads = [], []
+    for values, target, seed in jobs:
+        net, store = trainer_mod.build_unet(cfg)
+        loss = bce_loss(net.forward(values, training=True, seed=seed), target[None, :, :])
+        backward(loss, grad=scale)
+        losses.append(loss.item())
+        grads.append(np.concatenate([t.grad.ravel() for _, t in store.items()]))
+    return losses, grads
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_share_grads_are_fresh_backwards_gathered_and_added_in_job_order(seed):
+    cfg = _tiny_cfg(seed=seed)
+    data = _phantom_dataset(3, ReferenceDims(16, 16), seed0=10 * seed)
+    jobs = [(s.values, t, 100 * seed + k) for k, (s, t) in enumerate(data)]
+    scale = trainer_mod.LOSS_SCALE / len(jobs)
+    want_losses, want = _fresh_grads(cfg, jobs, scale)
+    total = want[0]
+    for g in want[1:]:
+        total = total + g
+    # one network for every call: each starts from -0.0 whatever came before
+    net, _ = build_unet(cfg)
+    for summed in (True, False, True, False):
+        losses, grads = trainer_mod._share_grads(net, jobs, scale, summed)
+        assert losses == want_losses
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in ([total] if summed else want)]
 
 
 # --- loss scaling ---------------------------------------------------------------
@@ -270,20 +294,20 @@ def test_a_saturated_heads_backward_receives_no_subnormal_gradient(monkeypatch):
 def test_loss_scaling_changes_no_normal_gradient_value_and_not_the_loss(monkeypatch):
     scale = trainer_mod.LOSS_SCALE
     assert math.frexp(scale)[0] == 0.5 and scale > 1.0
-    _use_cores(monkeypatch, 1)  # so that every _sample_grad runs here
+    _use_cores(monkeypatch, 1)  # so that every _share_grads runs here
     _saturating_build(monkeypatch)
     calls, steps, losses = [], [], []
-    sample_grad = trainer_mod._sample_grad
+    share_grads = trainer_mod._share_grads
 
-    def recording_sample_grad(net, values, target, seed, scale):
-        calls.append((values, target, seed, scale))
-        return sample_grad(net, values, target, seed, scale)
+    def recording_share_grads(net, jobs, scale, summed):
+        calls.append((jobs, scale))
+        return share_grads(net, jobs, scale, summed)
 
     def recording_step(values, grad, state):
         steps.append(grad.copy())
         adam_step(values, grad, state)
 
-    monkeypatch.setattr(trainer_mod, "_sample_grad", recording_sample_grad)
+    monkeypatch.setattr(trainer_mod, "_share_grads", recording_share_grads)
     monkeypatch.setattr(trainer_mod, "adam_step", recording_step)
     # one sample saturated at its target, one whose cysts are saturated wrong
     (s0, t0), (s1, t1) = _phantom_dataset(2, ReferenceDims(16, 16))
@@ -291,15 +315,12 @@ def test_loss_scaling_changes_no_normal_gradient_value_and_not_the_loss(monkeypa
     train(data, _tiny_cfg(), TrainConfig(batch_size=2, epochs=1, seed=1),
           log_fn=lambda e, l: losses.append(l))
     (got,) = steps
-    assert [c[3] for c in calls] == [scale / 2, scale / 2]
+    ((jobs, got_scale),) = calls
+    assert len(jobs) == 2 and got_scale == scale / 2
 
     # the unscaled batch: each backward seeded by 1/2, summed in sample order
-    net, _ = trainer_mod.build_unet(_tiny_cfg())
-    ref, ref_losses = None, []
-    for values, target, seed, _ in calls:
-        loss, g = sample_grad(net, values, target, seed, 0.5)
-        ref_losses.append(loss)
-        ref = g if ref is None else ref + g
+    ref_losses, (g0, g1) = _fresh_grads(_tiny_cfg(), jobs, 0.5)
+    ref = g0 + g1
     assert losses == [float(np.mean(ref_losses))]
     normal = (np.abs(ref) >= _FLOAT32_TINY) & (np.abs(got) >= _FLOAT32_TINY)
     assert normal.sum() > 0.9 * np.count_nonzero(ref)
